@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contract import ContractSolution
+from .contract import ContractSolution, require_positive_costs
 from .demand import VOracle, best_response_set, v_value
 from .errors import DomainError, InvariantError, NotFoundError, PrecisionError
 from .functions import Instance, is_k_valid
@@ -89,6 +89,7 @@ def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> Contract
     returns the best; ties go to the smallest alpha.  The returned utility
     is at least (1 - eps) times the optimum.
     """
+    require_positive_costs(inst)
     _require_k_valid(inst)
     spec = grid_spec(epsilon, inst.k)
     if oracle is None:

@@ -331,43 +331,26 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
             if greedy_set not in prof.d_star or inst.f.value(greedy_set) != prof.v:
                 ok = False
                 break
-        checks.append(
-            ("greedy-vs-brute-demand", "PASS" if ok else "FAIL", f"{len(probes)} probes")
+        checks.append(("greedy-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"))
+        ok = all(
+            contract.succ_gs(inst, a) == contract.successor_from_profile(profile, a)
+            for a in [Fraction(0)] + list(profile.alphas)
         )
-
-        ok = True
-        for a in [Fraction(0)] + list(profile.alphas):
-            if contract.succ_gs(inst, a) != contract.successor_from_profile(profile, a):
-                ok = False
-                break
-        checks.append(("succ-gs-vs-envelope", "PASS" if ok else "FAIL", ""))
-
+        checks.append(("succ-gs-vs-envelope", _verdict(ok), ""))
         bound = inst.n * (inst.n + 1) // 2
-        checks.append(
-            (
-                "critical-count-bound",
-                "PASS" if profile.size <= bound else "FAIL",
-                f"{profile.size} <= {bound}",
-            )
-        )
+        ok = profile.size <= bound
+        checks.append(("critical-count-bound", _verdict(ok), f"{profile.size} <= {bound}"))
     else:
-        checks.append(
-            ("greedy-vs-brute-demand", "SKIP", "not gs_certified"),
-        )
+        checks.append(("greedy-vs-brute-demand", "SKIP", "not gs_certified"))
         checks.append(("succ-gs-vs-envelope", "SKIP", "not gs_certified"))
-        checks.append(
-            (
-                "critical-count-bound",
-                "SKIP",
-                f"not applicable (not gs_certified); count = {profile.size}",
-            )
-        )
+        note = f"not applicable (not gs_certified); count = {profile.size}"
+        checks.append(("critical-count-bound", "SKIP", note))
 
     if inst.k is not None:
         from .rational import in_bounded_set
 
         ok = all(in_bounded_set(a, inst.k) for a in profile.alphas)
-        checks.append(("k-bit-critical-values", "PASS" if ok else "FAIL", f"k={inst.k}"))
+        checks.append(("k-bit-critical-values", _verdict(ok), f"k={inst.k}"))
 
         ok = True
         queries_ok = True
@@ -378,39 +361,25 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
                 ok = False
             if oracle.queries > 2 * inst.k + 1:
                 queries_ok = False
-        checks.append(("succ-search-vs-envelope", "PASS" if ok else "FAIL", ""))
-        checks.append(
-            (
-                "succ-search-query-bound",
-                "PASS" if queries_ok else "FAIL",
-                f"<= {2 * inst.k + 1}",
-            )
-        )
+        checks.append(("succ-search-vs-envelope", _verdict(ok), ""))
+        checks.append(("succ-search-query-bound", _verdict(queries_ok), f"<= {2 * inst.k + 1}"))
 
         opt = contract.optimal_contract(inst, method="brute")
         sol = approx.fptas(inst, epsilon)
-        guarantee = (1 - epsilon) * opt.utility
-        checks.append(
-            (
-                "fptas-guarantee",
-                "PASS" if sol.utility >= guarantee else "FAIL",
-                f"epsilon={format_rational(epsilon)}",
-            )
-        )
+        ok = sol.utility >= (1 - epsilon) * opt.utility
+        checks.append(("fptas-guarantee", _verdict(ok), f"epsilon={format_rational(epsilon)}"))
         spec = approx.grid_spec(epsilon, inst.k)
-        checks.append(
-            (
-                "fptas-query-count",
-                "PASS" if sol.v_queries == spec.size else "FAIL",
-                f"{sol.v_queries} == {spec.size}",
-            )
-        )
+        ok = sol.v_queries == spec.size
+        checks.append(("fptas-query-count", _verdict(ok), f"{sol.v_queries} == {spec.size}"))
     else:
-        checks.append(("k-bit-critical-values", "SKIP", "no declared k"))
-        checks.append(("succ-search-vs-envelope", "SKIP", "no declared k"))
-        checks.append(("succ-search-query-bound", "SKIP", "no declared k"))
-        checks.append(("fptas-guarantee", "SKIP", "no declared k"))
-        checks.append(("fptas-query-count", "SKIP", "no declared k"))
+        for name in (
+            "k-bit-critical-values",
+            "succ-search-vs-envelope",
+            "succ-search-query-bound",
+            "fptas-guarantee",
+            "fptas-query-count",
+        ):
+            checks.append((name, "SKIP", "no declared k"))
 
     methods = ["brute"]
     if inst.f.gs_certified:
@@ -423,10 +392,12 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
         sol = contract.optimal_contract(inst, method=m)
         if (sol.alpha_star, sol.utility) != (reference.alpha_star, reference.utility):
             ok = False
-    checks.append(
-        ("optimal-contract-backends", "PASS" if ok else "FAIL", "+".join(methods))
-    )
+    checks.append(("optimal-contract-backends", _verdict(ok), "+".join(methods)))
     return checks
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop
 
 from .demand import (
+    GreedyKernel,
     VOracle,
     brute_force_demand,
     canonical_best_response,
-    greedy_demand,
-    v_value,
 )
 from .errors import (
     DomainError,
@@ -189,40 +189,44 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
         raise UnsupportedClassError(
             f"succ_gs requires a greedy-certified class, got {inst.f.kind!r}"
         )
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"contract value {alpha} outside [0, 1]")
     if oracle is None:
         oracle = VOracle(inst, "greedy")
+    kernel = oracle.kernel or GreedyKernel(inst)
+    alpha, order, _, total = kernel.greedy(alpha)
     if v_alpha is None:
-        v_alpha = v_value(inst, alpha, "greedy")
+        v_alpha = Fraction(total, kernel.D)
 
-    f = inst.f
-    ordered = greedy_demand(inst, alpha).actions
+    # Replay the greedy order; gains and costs are integers over the same
+    # denominator, so each ratio num/den is already the candidate beta and
+    # alpha = p/q < beta <= 1 reads p*den < q*num and num <= den.
+    p, q = alpha.numerator, alpha.denominator
+    costs = kernel.costs
+    state = kernel.gains()
+    in_prefix = [False] * inst.n
     candidates = set()
-    prefix: frozenset = frozenset()
-    for step_action in ordered:
-        m_chosen = f.marginal(step_action, prefix)
-        c_chosen = inst.costs[step_action - 1]
-        for a in range(1, inst.n + 1):
-            if a == step_action:
+    for s in order:
+        g_s, c_s = state.gain(s), costs[s]
+        for a in range(inst.n):
+            if a == s:
                 continue
-            denom = f.marginal_or_zero(a, prefix) - m_chosen
-            if denom > 0:
-                beta = (inst.costs[a - 1] - c_chosen) / denom
-                if alpha < beta <= 1:
-                    candidates.add(beta)
-        prefix = prefix | {step_action}
-    for a in range(1, inst.n + 1):
-        if a in prefix:
-            continue
-        gain = f.marginal(a, prefix)
-        if gain > 0:
-            beta = inst.costs[a - 1] / gain
-            if alpha < beta <= 1:
-                candidates.add(beta)
+            den = (0 if in_prefix[a] else state.gain(a)) - g_s
+            if den > 0:
+                num = costs[a] - c_s
+                if p * den < q * num and num <= den:
+                    candidates.add(Fraction(num, den))
+        state.add(s)
+        in_prefix[s] = True
+    for a in range(inst.n):
+        if not in_prefix[a]:
+            den, num = state.gain(a), costs[a]
+            if den > 0 and p * den < q * num and num <= den:
+                candidates.add(Fraction(num, den))
 
-    for beta in sorted(candidates):
+    # V is monotone: probe upward; a heap skips sorting when early probes hit
+    heap = list(candidates)
+    heapify(heap)
+    while heap:
+        beta = heappop(heap)
         if oracle(beta) > v_alpha:
             return beta
     return None
@@ -245,6 +249,13 @@ def _resolve_contract_method(inst: Instance, method: str) -> str:
     return method
 
 
+def require_positive_costs(inst: Instance) -> None:
+    """Refuse non-positive costs: the walk from alpha = 0 takes V(0) = 0."""
+    for a, c in enumerate(inst.costs, 1):
+        if c <= 0:
+            raise DomainError(f"action {a} has non-positive cost {c}")
+
+
 def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     """Optimal linear contract by iterating successors from zero.
 
@@ -254,6 +265,7 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     certified classes), "search" (bisection, needs declared k), "brute"
     (envelope enumeration), or "auto".
     """
+    require_positive_costs(inst)
     method = _resolve_contract_method(inst, method)
 
     if method == "brute":
@@ -313,8 +325,8 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
 
     if best_alpha == 0:
         best_set: frozenset | None = frozenset()
-    elif inst.f.gs_certified:
-        best_set = greedy_demand(inst, best_alpha).set
+    elif oracle.kernel is not None:
+        best_set = oracle.kernel.demand(best_alpha).set
     elif inst.n <= brute_force_limit():
         best_set = canonical_best_response(brute_force_demand(inst, best_alpha))
     else:

@@ -7,12 +7,17 @@ the counted V oracle used by the query-complexity results.
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError, ResourceLimitError, UnsupportedClassError
 from .functions import (
+    Additive,
     Instance,
+    UniformMatroid,
+    UnitDemand,
     actions_of,
     brute_force_limit,
     cost_table,
@@ -75,48 +80,126 @@ def _check_alpha(alpha) -> Fraction:
     return alpha
 
 
+class GreedyKernel:
+    """Exact integer greedy for one certified instance.
+
+    Every f parameter and every cost is lifted once to an integer over D,
+    the LCM of their denominators.  At alpha = p/q the agent's marginal
+    utility alpha*g/D - c/D then has the sign and order of p*g - q*c, so
+    the greedy compares ints and results become Fractions only at the API
+    boundary.  All three certified classes are weighted matroid ranks over
+    blocks with capacities: additive is one block the size of the ground
+    set, unit demand one block of capacity 1 over the weights max(v, 0).
+    ``gains()`` starts the incremental marginal-gain state.  Actions are
+    0-based here.
+    """
+
+    def __init__(self, inst: Instance):
+        f = inst.f
+        if not f.gs_certified:
+            raise UnsupportedClassError(
+                f"greedy demand is not certified for class {f.kind!r}; "
+                "use brute_force_demand"
+            )
+        params = f.parameter_fractions()
+        n = self.n = inst.n
+        D = self.D = math.lcm(*(x.denominator for x in params + inst.costs))
+        self.costs = tuple(c.numerator * (D // c.denominator) for c in inst.costs)
+        self.weights = tuple(x.numerator * (D // x.denominator) for x in params)
+        self.blocks = (0,) * n
+        if isinstance(f, Additive):
+            self.caps = (n,)
+        elif isinstance(f, UnitDemand):
+            self.caps = (1,)
+            self.weights = tuple(max(w, 0) for w in self.weights)
+        elif isinstance(f.matroid, UniformMatroid):
+            self.caps = (max(f.matroid.rank, 0),)
+        else:
+            self.blocks = tuple(f.matroid.block_of(a) for a in range(1, n + 1))
+            self.caps = tuple(max(c, 0) for c in f.matroid.capacities)
+        self.cap_of = tuple(self.caps[b] for b in self.blocks)
+
+    def gains(self) -> "_Gains":
+        return _Gains(self)
+
+    def greedy(self, alpha):
+        """The ``greedy_demand`` rule at alpha = p/q, in ints.
+
+        Returns (alpha, order, utils, total): step i's utility is
+        ``utils[i] / (D*q)`` and V(alpha) is ``total / D``.
+        """
+        alpha = _check_alpha(alpha)
+        p, q = alpha.numerator, alpha.denominator
+        state = self.gains()
+        gain, costs = state.gain, self.costs
+        remaining = list(range(self.n))
+        order: list = []
+        utils: list = []
+        total = 0
+        while remaining:
+            best_a = -1
+            for a in remaining:
+                c = costs[a]
+                g = gain(a)
+                u = p * g - q * c
+                if best_a < 0 or u > best_u or (u == best_u and c > best_c):
+                    best_a, best_u, best_c, best_g = a, u, c, g
+            if best_u < 0:
+                break
+            order.append(best_a)
+            utils.append(best_u)
+            total += best_g
+            state.add(best_a)
+            remaining.remove(best_a)
+        return alpha, order, utils, total
+
+    def demand(self, alpha) -> OrderedDemand:
+        alpha, order, utils, _ = self.greedy(alpha)
+        den = self.D * alpha.denominator
+        return OrderedDemand(
+            tuple(a + 1 for a in order), tuple(Fraction(u, den) for u in utils)
+        )
+
+    def v(self, alpha) -> Fraction:
+        return Fraction(self.greedy(alpha)[3], self.D)
+
+
+class _Gains:
+    """Marginal gains f(a | S) as S grows: per block, S's heaviest weights
+    up to the capacity, sorted ascending (shared by the block's actions)."""
+
+    __slots__ = ("w", "cap_of", "basis_of")
+
+    def __init__(self, kernel: GreedyKernel):
+        bases = [[] for _ in kernel.caps]
+        self.w, self.cap_of = kernel.weights, kernel.cap_of
+        self.basis_of = [bases[b] for b in kernel.blocks]
+
+    def gain(self, a) -> int:
+        basis = self.basis_of[a]
+        if len(basis) < self.cap_of[a]:
+            return self.w[a]
+        d = self.w[a] - basis[0] if basis else 0
+        return d if d > 0 else 0
+
+    def add(self, a) -> None:
+        basis, w = self.basis_of[a], self.w[a]
+        if len(basis) < self.cap_of[a]:
+            insort(basis, w)
+        elif basis and w > basis[0]:
+            basis[0] = w
+            basis.sort()
+
+
 def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
     """Ordered demanded set via greedy with principal-favoring tie-breaks.
 
     Repeatedly adds an action of maximal marginal utility while that
     maximum is >= 0 (zero included).  Ties break toward the action with
     maximal cost, then the smallest index.  Exact for certified classes
-    only; others raise UnsupportedClassError.
-
-    Parameters
-    ----------
-    inst : Instance
-        Problem with a gs_certified success function.
-    alpha : rational
-        Contract value in [0, 1].
+    only; others raise UnsupportedClassError.  alpha lies in [0, 1].
     """
-    if not inst.f.gs_certified:
-        raise UnsupportedClassError(
-            f"greedy demand is not certified for class {inst.f.kind!r}; "
-            "use brute_force_demand"
-        )
-    alpha = _check_alpha(alpha)
-    f = inst.f
-    chosen: list = []
-    chosen_set: frozenset = frozenset()
-    utilities: list = []
-    remaining = set(range(1, inst.n + 1))
-    while remaining:
-        best_a = None
-        best_key = None
-        for a in remaining:
-            u = alpha * f.marginal(a, chosen_set) - inst.costs[a - 1]
-            key = (u, inst.costs[a - 1], -a)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_a = a
-        if best_key[0] < 0:
-            break
-        chosen.append(best_a)
-        utilities.append(best_key[0])
-        chosen_set = chosen_set | {best_a}
-        remaining.remove(best_a)
-    return OrderedDemand(tuple(chosen), tuple(utilities))
+    return GreedyKernel(inst).demand(alpha)
 
 
 def _sorted_sets(masks) -> tuple:
@@ -176,7 +259,7 @@ def v_value(inst: Instance, alpha, method: str = "auto") -> Fraction:
     """
     method = _resolve_method(inst, method)
     if method == "greedy":
-        return inst.f.value(greedy_demand(inst, alpha).set)
+        return GreedyKernel(inst).v(alpha)
     return brute_force_demand(inst, alpha).v
 
 
@@ -204,17 +287,21 @@ class VOracle:
 
     Query-complexity statements (the 2k+1 successor bound, the FPTAS grid
     size) are phrased in V-oracle calls, so callers that need accounting
-    route every evaluation through one oracle instance.
+    route every evaluation through one oracle instance.  A greedy oracle
+    lifts the instance once (``kernel``) and answers every query from it.
     """
 
     def __init__(self, inst: Instance, method: str = "auto"):
         self.inst = inst
         self.method = _resolve_method(inst, method)
+        self.kernel = GreedyKernel(inst) if self.method == "greedy" else None
         self.queries = 0
 
     def __call__(self, alpha) -> Fraction:
         self.queries += 1
-        return v_value(self.inst, alpha, self.method)
+        if self.kernel is None:
+            return v_value(self.inst, alpha, self.method)
+        return self.kernel.v(alpha)
 
     def expect_at_most(self, bound: int) -> None:
         if self.queries > bound:

@@ -39,6 +39,7 @@ __all__ = [
     "action_set",
     "mask_of",
     "actions_of",
+    "bit_indices",
     "value",
     "marginal",
     "cost",
@@ -86,15 +87,16 @@ def mask_of(n: int, actions: Iterable[int]) -> int:
     return mask
 
 
-def actions_of(mask: int) -> frozenset:
-    out = []
-    a = 1
+def bit_indices(mask: int):
+    """0-based positions of the set bits of mask, ascending."""
     while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def actions_of(mask: int) -> frozenset:
+    return frozenset(i + 1 for i in bit_indices(mask))
 
 
 class SuccessFunction:
@@ -122,13 +124,6 @@ class SuccessFunction:
             raise DomainError(f"action {a} already in the set")
         mask = mask_of(self.n, s)
         return self.value_mask(mask | (1 << (a - 1))) - self.value_mask(mask)
-
-    def marginal_or_zero(self, a: int, actions: Iterable[int]) -> Fraction:
-        """Like marginal but 0 for members; used by candidate enumeration."""
-        s = action_set(self.n, actions)
-        if a in s:
-            return Fraction(0)
-        return self.marginal(a, s)
 
     def singleton_values(self) -> tuple:
         return tuple(self.value_mask(1 << i) for i in range(self.n))
@@ -170,14 +165,7 @@ class Additive(SuccessFunction):
         return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.values[i]
-            mask >>= 1
-            i += 1
-        return total
+        return sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
 
     def parameter_fractions(self) -> tuple:
         return self.values
@@ -204,14 +192,7 @@ class UnitDemand(SuccessFunction):
         return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
-        best = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1 and self.values[i] > best:
-                best = self.values[i]
-            mask >>= 1
-            i += 1
-        return best
+        return max([Fraction(0)] + [self.values[i] for i in bit_indices(mask)])
 
     def parameter_fractions(self) -> tuple:
         return self.values
@@ -226,9 +207,6 @@ class UniformMatroid:
     """Independent sets are all subsets of size at most ``rank``."""
 
     rank: int
-
-    def admits(self, counts: dict, a: int, taken: int) -> bool:
-        return taken < self.rank
 
     def block_of(self, a: int):
         return 0
@@ -270,14 +248,7 @@ class WeightedMatroidRank(SuccessFunction):
         return len(self.weights)
 
     def value_mask(self, mask: int) -> Fraction:
-        members = []
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                members.append(i + 1)
-            m >>= 1
-            i += 1
+        members = [i + 1 for i in bit_indices(mask)]
         # Greedy by weight is optimal on matroids.
         members.sort(key=lambda a: self.weights[a - 1], reverse=True)
         total = Fraction(0)
@@ -321,13 +292,7 @@ class BudgetAdditive(SuccessFunction):
         return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.values[i]
-            mask >>= 1
-            i += 1
+        total = sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
         return min(self.budget, total)
 
     def parameter_fractions(self) -> tuple:
@@ -375,20 +340,9 @@ class Coverage(SuccessFunction):
 
     def value_mask(self, mask: int) -> Fraction:
         covered = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                covered |= self._cover_mask(i)
-            mask >>= 1
-            i += 1
-        total = Fraction(0)
-        j = 0
-        while covered:
-            if covered & 1:
-                total += self.weights[j]
-            covered >>= 1
-            j += 1
-        return total
+        for i in bit_indices(mask):
+            covered |= self._cover_mask(i)
+        return sum((self.weights[j] for j in bit_indices(covered)), Fraction(0))
 
     def parameter_fractions(self) -> tuple:
         return self.weights
@@ -475,14 +429,7 @@ class Instance:
         )
 
     def cost_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        i = 0
-        while mask:
-            if mask & 1:
-                total += self.costs[i]
-            mask >>= 1
-            i += 1
-        return total
+        return sum((self.costs[i] for i in bit_indices(mask)), Fraction(0))
 
 
 def value(f: SuccessFunction, actions: Iterable[int]) -> Fraction:
@@ -577,17 +524,9 @@ def validate(inst: Instance) -> ValidationReport:
                     out.append(f"f value outside [0, scale] on mask {mask}")
                     break
             for mask in range(1 << f.n):
-                rest = full & ~mask
-                m = rest
-                bad = False
-                while m:
-                    low = m & -m
-                    if table[mask | low] < table[mask]:
-                        out.append("f is not monotone")
-                        bad = True
-                        break
-                    m ^= low
-                if bad:
+                rest = bit_indices(full & ~mask)
+                if any(table[mask | 1 << j] < table[mask] for j in rest):
+                    out.append("f is not monotone")
                     break
         else:
             # Structural classes are monotone by construction once their
@@ -641,14 +580,7 @@ def value_table(f: SuccessFunction) -> tuple:
         for mask in range(size):
             u = union[mask]
             if u not in weight_sum:
-                total = Fraction(0)
-                m, j = u, 0
-                while m:
-                    if m & 1:
-                        total += f.weights[j]
-                    m >>= 1
-                    j += 1
-                weight_sum[u] = total
+                weight_sum[u] = sum((f.weights[j] for j in bit_indices(u)), Fraction(0))
             out.append(weight_sum[u])
         return tuple(out)
     return tuple(f.value_mask(mask) for mask in range(size))

@@ -25,6 +25,7 @@ from .functions import (
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
+    bit_indices,
 )
 from .rational import as_fraction
 
@@ -381,13 +382,9 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     for mask in range(1 << n):
         covered: set = set()
         extra = Fraction(0)
-        m, i = mask, 0
-        while m:
-            if m & 1:
-                covered |= covers[i]
-                extra += addons[i]
-            m >>= 1
-            i += 1
+        for i in bit_indices(mask):
+            covered |= covers[i]
+            extra += addons[i]
         table.append(sum((weights[j] for j in covered), Fraction(0)) + extra)
     f = ExplicitTable(n, tuple(table))
     single_numers = [int(v * unit) for v in f.singleton_values()]

@@ -8,6 +8,7 @@ produced from a file is reproducible from that file alone.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -54,6 +55,14 @@ def _rat(value, where: str) -> Fraction:
     return parse_rational(str(value))
 
 
+def _int(value, where: str) -> int:
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _rat_list(values, where: str) -> tuple:
     if not isinstance(values, list):
         raise DomainError(f"{where}: expected a list")
@@ -76,13 +85,14 @@ def _function_from_json(obj: dict, n: int) -> SuccessFunction:
             raise DomainError("function.matroid: expected an object")
         if mat.get("type") == "uniform":
             _require_keys(mat, {"type", "rank"}, set(), "function.matroid")
-            matroid = UniformMatroid(int(mat["rank"]))
+            matroid = UniformMatroid(_int(mat["rank"], "function.matroid.rank"))
         elif mat.get("type") == "partition":
             _require_keys(
                 mat, {"type", "blocks", "capacities"}, set(), "function.matroid"
             )
-            blocks = tuple(frozenset(int(a) for a in b) for b in mat["blocks"])
-            caps = tuple(int(c) for c in mat["capacities"])
+            where = "function.matroid.blocks"
+            blocks = tuple(frozenset(_int(a, where) for a in b) for b in mat["blocks"])
+            caps = tuple(_int(c, "function.matroid.capacities") for c in mat["capacities"])
             matroid = PartitionMatroid(blocks, caps)
         else:
             raise DomainError(f"unknown matroid type {mat.get('type')!r}")
@@ -96,7 +106,9 @@ def _function_from_json(obj: dict, n: int) -> SuccessFunction:
     elif klass == "coverage":
         _require_keys(obj, {"class", "weights", "covers"}, set(), "function")
         weights = _rat_list(obj["weights"], "function.weights")
-        covers = tuple(frozenset(int(j) for j in c) for c in obj["covers"])
+        covers = tuple(
+            frozenset(_int(j, "function.covers") for j in c) for c in obj["covers"]
+        )
         f = Coverage(weights, covers)
     elif klass == "table":
         _require_keys(obj, {"class", "table"}, set(), "function")
@@ -160,12 +172,12 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
             {"k", "scale", "meta"},
             "instance",
         )
-        n = int(obj["n"])
+        n = _int(obj["n"], "n")
         f = _function_from_json(obj["function"], n)
         costs = _rat_list(obj["costs"], "costs")
         k = obj.get("k")
         if k is not None:
-            k = int(k)
+            k = _int(k, "k")
         scale = _rat(obj["scale"], "scale") if "scale" in obj else Fraction(1)
         return Instance(f, costs, k=k, scale=scale, meta=obj.get("meta"))
     if model == "general":
@@ -175,7 +187,7 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
             {"distributions", "expected", "meta"},
             "instance",
         )
-        n = int(obj["n"])
+        n = _int(obj["n"], "n")
         costs = _rat_list(obj["costs"], "costs")
         rewards = _rat_list(obj["rewards"], "rewards")
         distributions = None

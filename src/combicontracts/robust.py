@@ -26,6 +26,7 @@ from .functions import (
     Instance,
     SuccessFunction,
     ValidationReport,
+    bit_indices,
     brute_force_limit,
     cost_table,
     value_table,
@@ -158,17 +159,10 @@ def validate_general(ginst: GeneralInstance) -> ValidationReport:
         rewards = [ginst.expected_reward_mask(m) for m in range(size)]
         full = size - 1
         for mask in range(size):
-            rest = full & ~mask
-            m = rest
-            while m:
-                low = m & -m
-                if rewards[mask | low] < rewards[mask]:
-                    out.append("expected reward is not monotone")
-                    break
-                m ^= low
-            else:
-                continue
-            break
+            rest = bit_indices(full & ~mask)
+            if any(rewards[mask | 1 << j] < rewards[mask] for j in rest):
+                out.append("expected reward is not monotone")
+                break
     return ValidationReport(tuple(out))
 
 
@@ -314,14 +308,7 @@ def utility_under_family(
     t.check_observable(ginst)
     best_key = None
     for mask in range(1 << ginst.n):
-        cost = Fraction(0)
-        m, i = mask, 0
-        while m:
-            if m & 1:
-                cost += ginst.costs[i]
-            m >>= 1
-            i += 1
-        u_agent = -cost
+        u_agent = -sum((ginst.costs[i] for i in bit_indices(mask)), Fraction(0))
         u_principal = Fraction(0)
         for level, prob in family(mask):
             pay = t.pay(level)

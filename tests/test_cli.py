@@ -6,6 +6,9 @@ import pytest
 from combicontracts import (
     DomainError,
     GeneralInstance,
+    Instance,
+    UniformMatroid,
+    WeightedMatroidRank,
     embed_binary,
     gen_exponential_coverage,
     gen_subset_sum,
@@ -62,6 +65,41 @@ def test_strict_schema():
         loads_instance(json.dumps(obj))
     with pytest.raises(DomainError):
         loads_instance("not json")
+
+
+def _uniform_matroid_file(tmp_path, field, value):
+    inst = Instance(
+        WeightedMatroidRank((Fraction(1, 2), Fraction(1, 4)), UniformMatroid(1)),
+        (Fraction(1, 8), Fraction(1, 8)),
+    )
+    obj = json.loads(dumps_instance(inst))
+    if field == "n":
+        obj["n"] = value
+    else:
+        obj["function"]["matroid"][field] = value
+    path = tmp_path / "bad.inst"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("field, value", [("n", "x"), ("rank", "r"), ("rank", 2.5)])
+def test_bad_integer_fields_exit_without_traceback(tmp_path, capsys, field, value):
+    path = _uniform_matroid_file(tmp_path, field, value)
+    assert main(["solve", path]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "expected an integer" in err
+
+
+def test_integer_fields_accept_ints_and_integer_strings(tmp_path):
+    for value, ok in (("1", True), (1, True), ("-1", True), (True, False), ("1.0", False)):
+        _uniform_matroid_file(tmp_path, "rank", value)
+        text = (tmp_path / "bad.inst").read_text()
+        if ok:
+            assert loads_instance(text).f.matroid.rank == int(value)
+        else:
+            with pytest.raises(DomainError, match="expected an integer"):
+                loads_instance(text)
 
 
 @pytest.fixture()

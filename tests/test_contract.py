@@ -4,9 +4,11 @@ import pytest
 
 from combicontracts import (
     Additive,
+    DomainError,
     Instance,
     UnsupportedClassError,
     brute_force_critical_set,
+    fptas,
     in_bounded_set,
     optimal_contract,
     succ_gs,
@@ -127,6 +129,19 @@ def test_optimal_contract_examples(worked_additive, example_three_action):
     sol = optimal_contract(example_three_action, "brute")
     assert (sol.alpha_star, sol.utility) == (Fraction(1, 2), Fraction(1, 4))
     assert sol.profile is not None and sol.profile.size == 3
+
+
+def test_non_positive_costs_are_refused():
+    # V(0) = 1/2 here, so walking successors from V(0) = 0 would be wrong
+    zero = Instance(Additive((Fraction(1, 2),)), (0,), k=1)
+    for method in ("auto", "gs", "search", "brute"):
+        with pytest.raises(DomainError, match="action 1"):
+            optimal_contract(zero, method)
+    with pytest.raises(DomainError, match="action 1"):
+        fptas(zero, Fraction(1, 2))
+    negative = Instance(Additive((Fraction(1, 2), Fraction(1, 4))), (Fraction(1, 8), -1))
+    with pytest.raises(DomainError, match="action 2"):
+        optimal_contract(negative)
 
 
 def test_backends_agree(gs_corpus):

@@ -22,7 +22,6 @@ from .demand import (
     DemandProfile,
     OrderedDemand,
     VOracle,
-    best_response_set,
     brute_force_demand,
     canonical_best_response,
     greedy_demand,
@@ -68,14 +67,7 @@ from .generators import (
     sample_instance,
 )
 from .instancefile import dump_instance, dumps_instance, load_instance, loads_instance
-from .rational import (
-    Rational,
-    format_rational,
-    in_bounded_set,
-    is_k_valid,
-    parse_rational,
-    reduce,
-)
+from .rational import format_rational, in_bounded_set, is_k_valid, parse_rational
 from .robust import (
     GeneralContract,
     GeneralInstance,

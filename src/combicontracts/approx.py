@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import ContractSolution, require_positive_costs
-from .demand import VOracle, best_response_set, v_value
+from .demand import VOracle, v_value
 from .errors import DomainError, InvariantError, NotFoundError, PrecisionError
 from .functions import Instance, is_k_valid
 from .rational import as_fraction
@@ -58,7 +58,7 @@ def grid_spec(epsilon, k: int) -> GridSpec:
     return GridSpec(epsilon, k, len(points), tuple(points))
 
 
-def _require_k(inst: Instance) -> int:
+def require_k(inst: Instance) -> int:
     if inst.k is None:
         raise PrecisionError("instance does not declare a bit precision k")
     return inst.k
@@ -67,15 +67,12 @@ def _require_k(inst: Instance) -> int:
 def _require_k_valid(inst: Instance) -> None:
     """Refuse to run on instances that violate their declared precision.
 
-    Parameter scans beyond 2**16 table entries are skipped (trusted); the
-    acceptance-scale instances are checked in full.
+    Every parameter is scanned: the scan costs less than one V query.
     """
-    k = _require_k(inst)
-    params = inst.f.parameter_fractions()
-    if len(params) <= 1 << 16:
-        for v in params:
-            if not is_k_valid(v, k):
-                raise PrecisionError(f"f value {v} is not a multiple of 2**-{k}")
+    k = require_k(inst)
+    for v in inst.f.parameter_fractions():
+        if not is_k_valid(v, k):
+            raise PrecisionError(f"f value {v} is not a multiple of 2**-{k}")
     for c in inst.costs:
         if not is_k_valid(c, k):
             raise PrecisionError(f"cost {c} is not a multiple of 2**-{k}")
@@ -103,21 +100,13 @@ def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> Contract
     used = oracle.queries - start
     if used != spec.size:
         raise InvariantError(f"grid used {used} queries, expected {spec.size}")
-    actions = frozenset() if best_alpha == 0 else _maybe_best_response(inst, best_alpha)
     return ContractSolution(
         alpha_star=best_alpha,
         utility=best_util,
-        actions=actions,
+        actions=frozenset() if best_alpha == 0 else oracle.best_response(best_alpha),
         profile=None,
         v_queries=used,
     )
-
-
-def _maybe_best_response(inst: Instance, alpha):
-    try:
-        return best_response_set(inst, alpha)
-    except Exception:
-        return None
 
 
 def _simplest_in(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:
@@ -202,7 +191,7 @@ def succ_search(
     if oracle is None:
         oracle = VOracle(inst)
     if v_alpha is None:
-        v_alpha = v_value(inst, alpha, oracle.method)
+        v_alpha = v_value(inst, alpha)
 
     v_one = oracle(Fraction(1))
     if v_one == v_alpha:

@@ -25,6 +25,7 @@ from .errors import (
     InvariantError,
     PrecisionError,
     ResourceLimitError,
+    UnsupportedClassError,
 )
 from .functions import Instance, validate
 from .instancefile import dump_instance, load_instance
@@ -56,8 +57,6 @@ def _fmt(value, decimal: int | None) -> str:
 
 
 def _fmt_set(actions) -> str:
-    if actions is None:
-        return "?"
     if not actions:
         return "{}"
     return "{" + ",".join(str(a) for a in sorted(actions)) + "}"
@@ -185,18 +184,14 @@ def _cmd_demand(args) -> int:
 def _cmd_succ(args) -> int:
     inst = _load_binary(args.instance)
     alpha = parse_rational(args.alpha, inst.k)
-    if args.method == "gs":
-        oracle = demand.VOracle(inst, "greedy")
-        result = contract.succ_gs(inst, alpha, oracle=oracle)
-        queries = oracle.queries
-    elif args.method == "search":
-        oracle = demand.VOracle(inst)
-        result = approx.succ_search(inst, alpha, oracle=oracle)
-        queries = oracle.queries
-    else:
+    if args.method == "brute":
         profile = contract.brute_force_critical_set(inst)
         result = contract.successor_from_profile(profile, alpha)
         queries = 0
+    else:
+        oracle, successor, _ = contract.SUCCESSORS[args.method](inst)
+        result = successor(inst, alpha, oracle=oracle)
+        queries = oracle.queries
     pairs = [
         ("command", "succ"),
         ("input_digest", _digest(args.instance)),
@@ -381,17 +376,16 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
         ):
             checks.append((name, "SKIP", "no declared k"))
 
-    methods = ["brute"]
-    if inst.f.gs_certified:
-        methods.append("gs")
-    if inst.k is not None:
-        methods.append("search")
     reference = contract.optimal_contract(inst, method="brute")
-    ok = True
-    for m in methods:
-        sol = contract.optimal_contract(inst, method=m)
-        if (sol.alpha_star, sol.utility) != (reference.alpha_star, reference.utility):
-            ok = False
+    expected = (reference.alpha_star, reference.utility)
+    methods, ok = ["brute"], True
+    for m in contract.SUCCESSORS:
+        try:
+            sol = contract.optimal_contract(inst, method=m)
+        except (UnsupportedClassError, PrecisionError):
+            continue  # gs needs a certified class, search a declared k
+        methods.append(m)
+        ok = ok and (sol.alpha_star, sol.utility) == expected
     checks.append(("optimal-contract-backends", _verdict(ok), "+".join(methods)))
     return checks
 

@@ -13,12 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop
 
-from .demand import (
-    GreedyKernel,
-    VOracle,
-    brute_force_demand,
-    canonical_best_response,
-)
+from .demand import GreedyKernel, VOracle
 from .errors import (
     DomainError,
     InvariantError,
@@ -40,6 +35,7 @@ __all__ = [
     "succ_gs",
     "brute_force_critical_set",
     "successor_from_profile",
+    "SUCCESSORS",
     "optimal_contract",
 ]
 
@@ -185,12 +181,9 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
 
     Returns None when no critical value above alpha exists.
     """
-    if not inst.f.gs_certified:
-        raise UnsupportedClassError(
-            f"succ_gs requires a greedy-certified class, got {inst.f.kind!r}"
-        )
+    _require_certified(inst)
     if oracle is None:
-        oracle = VOracle(inst, "greedy")
+        oracle = VOracle(inst)
     kernel = oracle.kernel or GreedyKernel(inst)
     alpha, order, _, total = kernel.greedy(alpha)
     if v_alpha is None:
@@ -232,28 +225,38 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     return None
 
 
-def _resolve_contract_method(inst: Instance, method: str) -> str:
-    if method == "auto":
-        if inst.f.gs_certified:
-            return "gs"
-        if inst.n <= brute_force_limit():
-            return "brute"
-        if inst.k is not None:
-            return "search"
-        raise ResourceLimitError(
-            "no successor backend available: not greedy-certified, above the "
-            "brute-force limit, and no declared bit precision"
-        )
-    if method not in ("gs", "search", "brute"):
-        raise DomainError(f"unknown successor method {method!r}")
-    return method
-
-
 def require_positive_costs(inst: Instance) -> None:
     """Refuse non-positive costs: the walk from alpha = 0 takes V(0) = 0."""
     for a, c in enumerate(inst.costs, 1):
         if c <= 0:
             raise DomainError(f"action {a} has non-positive cost {c}")
+
+
+def _require_certified(inst: Instance) -> None:
+    if not inst.f.gs_certified:
+        raise UnsupportedClassError(
+            f"succ_gs requires a greedy-certified class, got {inst.f.kind!r}"
+        )
+
+
+def _gs_backend(inst: Instance):
+    _require_certified(inst)  # before any oracle is built
+    return VOracle(inst), succ_gs, inst.n * (inst.n + 1) // 2
+
+
+def _search_backend(inst: Instance):
+    from .approx import require_k, succ_search
+
+    oracle = VOracle(inst)  # a missing V oracle is reported before a missing k
+    return oracle, succ_search, 1 << (2 * require_k(inst))
+
+
+# The successor backends, by method.  Each entry checks that the backend
+# applies to the instance and returns (counted V oracle, successor, bound on
+# the number of critical values).  The successor is looked up when the entry
+# runs, so a rebound module attribute is the one called.  "brute" is not a
+# successor walk: optimal_contract reads the whole envelope for it.
+SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 
 
 def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
@@ -263,12 +266,15 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     (1 - alpha) * V(alpha) including the alpha = 0 baseline; ties go to the
     smallest alpha.  ``method`` picks the successor backend: "gs" (greedy,
     certified classes), "search" (bisection, needs declared k), "brute"
-    (envelope enumeration), or "auto".
+    (envelope enumeration), or "auto" ("gs" on certified classes, else
+    "brute").
     """
     require_positive_costs(inst)
-    method = _resolve_contract_method(inst, method)
+    if method == "auto":
+        method = "gs" if inst.f.gs_certified else "brute"
 
     if method == "brute":
+        # one pass over the envelope: each cached lookup re-hashes the instance
         profile = brute_force_critical_set(inst)
         best_alpha, best_util = Fraction(0), Fraction(0)
         best_set: frozenset = frozenset()
@@ -284,28 +290,14 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
             v_queries=0,
         )
 
-    if method == "search":
-        from .approx import succ_search
-
-        oracle = VOracle(inst)
-
-        def successor(a, va):
-            return succ_search(inst, a, oracle=oracle, v_alpha=va)
-
-        step_cap = 1 << (2 * inst.k) if inst.k is not None else 1 << 30
-    else:
-        oracle = VOracle(inst, "greedy")
-
-        def successor(a, va):
-            return succ_gs(inst, a, oracle=oracle, v_alpha=va)
-
-        step_cap = inst.n * (inst.n + 1) // 2
-
+    if method not in SUCCESSORS:
+        raise DomainError(f"unknown successor method {method!r}")
+    oracle, successor, step_cap = SUCCESSORS[method](inst)
     alpha, v_alpha = Fraction(0), Fraction(0)
     best_alpha, best_util = alpha, Fraction(0)
     steps = 0
     while True:
-        nxt = successor(alpha, v_alpha)
+        nxt = successor(inst, alpha, oracle=oracle, v_alpha=v_alpha)
         if nxt is None:
             break
         if not nxt > alpha:
@@ -323,18 +315,10 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
             best_alpha, best_util = nxt, util
         alpha, v_alpha = nxt, v_next
 
-    if best_alpha == 0:
-        best_set: frozenset | None = frozenset()
-    elif oracle.kernel is not None:
-        best_set = oracle.kernel.demand(best_alpha).set
-    elif inst.n <= brute_force_limit():
-        best_set = canonical_best_response(brute_force_demand(inst, best_alpha))
-    else:
-        best_set = None
     return ContractSolution(
         alpha_star=best_alpha,
         utility=best_util,
-        actions=best_set,
+        actions=frozenset() if best_alpha == 0 else oracle.best_response(best_alpha),
         profile=None,
         v_queries=oracle.queries,
     )

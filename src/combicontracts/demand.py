@@ -12,7 +12,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InvariantError, ResourceLimitError, UnsupportedClassError
+from .errors import DomainError, ResourceLimitError, UnsupportedClassError
 from .functions import (
     Additive,
     Instance,
@@ -30,7 +30,6 @@ __all__ = [
     "DemandProfile",
     "greedy_demand",
     "brute_force_demand",
-    "best_response_set",
     "canonical_best_response",
     "v_value",
     "VOracle",
@@ -243,43 +242,16 @@ def canonical_best_response(profile: DemandProfile) -> frozenset:
     return profile.d_star[0]
 
 
-def best_response_set(inst: Instance, alpha) -> frozenset:
-    """A principal-favored best response, greedy when certified."""
-    if inst.f.gs_certified:
-        return greedy_demand(inst, alpha).set
-    return canonical_best_response(brute_force_demand(inst, alpha))
-
-
-def v_value(inst: Instance, alpha, method: str = "auto") -> Fraction:
+def v_value(inst: Instance, alpha) -> Fraction:
     """V(alpha): success probability of the principal-favored best response.
 
-    Dispatches to greedy for certified classes and exhaustive search
-    otherwise; this function does not count queries (wrap it in a VOracle
-    where query complexity matters).
+    Greedy for certified classes and exhaustive search otherwise; this
+    function does not count queries (wrap it in a VOracle where query
+    complexity matters).
     """
-    method = _resolve_method(inst, method)
-    if method == "greedy":
+    if inst.f.gs_certified:
         return GreedyKernel(inst).v(alpha)
     return brute_force_demand(inst, alpha).v
-
-
-def _resolve_method(inst: Instance, method: str) -> str:
-    if method == "auto":
-        if inst.f.gs_certified:
-            return "greedy"
-        if inst.n <= brute_force_limit():
-            return "brute"
-        raise ResourceLimitError(
-            "no V oracle available: function class is not certified for "
-            f"greedy and {inst.n} actions exceed the brute-force limit"
-        )
-    if method not in ("greedy", "brute"):
-        raise DomainError(f"unknown V-oracle method {method!r}")
-    if method == "greedy" and not inst.f.gs_certified:
-        raise UnsupportedClassError(f"class {inst.f.kind!r} is not greedy-certified")
-    if method == "brute" and inst.n > brute_force_limit():
-        raise ResourceLimitError(f"{inst.n} actions exceed the brute-force limit")
-    return method
 
 
 class VOracle:
@@ -287,24 +259,33 @@ class VOracle:
 
     Query-complexity statements (the 2k+1 successor bound, the FPTAS grid
     size) are phrased in V-oracle calls, so callers that need accounting
-    route every evaluation through one oracle instance.  A greedy oracle
-    lifts the instance once (``kernel``) and answers every query from it.
+    route every evaluation through one oracle instance.  The evaluator
+    follows from the instance: a certified class is lifted once
+    (``kernel``) and answered by the greedy; any other class is answered by
+    brute force (``kernel`` is None), which the limit must allow.
     """
 
-    def __init__(self, inst: Instance, method: str = "auto"):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.method = _resolve_method(inst, method)
-        self.kernel = GreedyKernel(inst) if self.method == "greedy" else None
+        self.kernel = None
+        if inst.f.gs_certified:
+            self.kernel = GreedyKernel(inst)
+        elif inst.n > brute_force_limit():
+            raise ResourceLimitError(
+                "no V oracle available: function class is not certified for "
+                f"greedy and {inst.n} actions exceed the brute-force limit"
+            )
         self.queries = 0
 
     def __call__(self, alpha) -> Fraction:
         self.queries += 1
         if self.kernel is None:
-            return v_value(self.inst, alpha, self.method)
+            return v_value(self.inst, alpha)
         return self.kernel.v(alpha)
 
-    def expect_at_most(self, bound: int) -> None:
-        if self.queries > bound:
-            raise InvariantError(
-                f"V-oracle used {self.queries} queries, bound is {bound}"
-            )
+    def best_response(self, alpha) -> frozenset:
+        """The action set reported at alpha (not counted as a query): the
+        kernel's greedy set, else the canonical brute-force response."""
+        if self.kernel is not None:
+            return self.kernel.demand(alpha).set
+        return canonical_best_response(brute_force_demand(self.inst, alpha))

@@ -24,7 +24,6 @@ from .errors import DomainError, ResourceLimitError
 from .rational import as_fraction, is_k_valid
 
 __all__ = [
-    "ActionSet",
     "Additive",
     "UnitDemand",
     "UniformMatroid",
@@ -49,8 +48,6 @@ __all__ = [
     "brute_force_limit",
     "EXPLICIT_TABLE_MAX_ACTIONS",
 ]
-
-ActionSet = frozenset
 
 EXPLICIT_TABLE_MAX_ACTIONS = 24
 DEFAULT_BRUTE_FORCE_LIMIT = 12
@@ -222,6 +219,11 @@ class PartitionMatroid:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
         object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
+        if len(self.blocks) != len(self.capacities):
+            raise DomainError(
+                f"{len(self.blocks)} partition blocks, "
+                f"{len(self.capacities)} capacities"
+            )
 
     def block_of(self, a: int) -> int:
         for idx, block in enumerate(self.blocks):
@@ -362,6 +364,8 @@ class ExplicitTable(SuccessFunction):
     kind: ClassVar[str] = "table"
 
     def __post_init__(self):
+        if self.n_actions < 0:
+            raise DomainError(f"negative action count {self.n_actions}")
         if self.n_actions > EXPLICIT_TABLE_MAX_ACTIONS:
             raise ResourceLimitError(
                 f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
@@ -418,11 +422,6 @@ class Instance:
     def n(self) -> int:
         return self.f.n
 
-    def cost_of(self, a: int) -> Fraction:
-        if not 1 <= a <= self.n:
-            raise DomainError(f"action {a} outside ground set 1..{self.n}")
-        return self.costs[a - 1]
-
     def cost(self, actions: Iterable[int]) -> Fraction:
         return sum(
             (self.costs[a - 1] for a in action_set(self.n, actions)), Fraction(0)
@@ -474,8 +473,6 @@ def _structural_violations(f: SuccessFunction) -> list:
             if m.rank < 0:
                 out.append("negative matroid rank")
         else:
-            if len(m.blocks) != len(m.capacities):
-                out.append("partition blocks and capacities differ in length")
             if any(c < 0 for c in m.capacities):
                 out.append("negative block capacity")
             seen = set()

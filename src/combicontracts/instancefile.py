@@ -63,10 +63,22 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _rat_list(values, where: str) -> tuple:
+def _list(values, where: str) -> list:
     if not isinstance(values, list):
         raise DomainError(f"{where}: expected a list")
-    return tuple(_rat(v, where) for v in values)
+    return values
+
+
+def _rat_list(values, where: str) -> tuple:
+    return tuple(_rat(v, where) for v in _list(values, where))
+
+
+def _int_sets(values, where: str) -> tuple:
+    """A list of lists of integers, as a tuple of frozensets."""
+    return tuple(
+        frozenset(_int(a, where) for a in _list(entry, where))
+        for entry in _list(values, where)
+    )
 
 
 def _function_from_json(obj: dict, n: int) -> SuccessFunction:
@@ -90,9 +102,9 @@ def _function_from_json(obj: dict, n: int) -> SuccessFunction:
             _require_keys(
                 mat, {"type", "blocks", "capacities"}, set(), "function.matroid"
             )
-            where = "function.matroid.blocks"
-            blocks = tuple(frozenset(_int(a, where) for a in b) for b in mat["blocks"])
-            caps = tuple(_int(c, "function.matroid.capacities") for c in mat["capacities"])
+            blocks = _int_sets(mat["blocks"], "function.matroid.blocks")
+            where = "function.matroid.capacities"
+            caps = tuple(_int(c, where) for c in _list(mat["capacities"], where))
             matroid = PartitionMatroid(blocks, caps)
         else:
             raise DomainError(f"unknown matroid type {mat.get('type')!r}")
@@ -106,10 +118,7 @@ def _function_from_json(obj: dict, n: int) -> SuccessFunction:
     elif klass == "coverage":
         _require_keys(obj, {"class", "weights", "covers"}, set(), "function")
         weights = _rat_list(obj["weights"], "function.weights")
-        covers = tuple(
-            frozenset(_int(j, "function.covers") for j in c) for c in obj["covers"]
-        )
-        f = Coverage(weights, covers)
+        f = Coverage(weights, _int_sets(obj["covers"], "function.covers"))
     elif klass == "table":
         _require_keys(obj, {"class", "table"}, set(), "function")
         f = ExplicitTable(n, _rat_list(obj["table"], "function.table"))
@@ -195,7 +204,7 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
         if "distributions" in obj:
             distributions = tuple(
                 ExplicitTable(n, _rat_list(tab, "distributions"))
-                for tab in obj["distributions"]
+                for tab in _list(obj["distributions"], "distributions")
             )
         if "expected" in obj:
             expected = _function_from_json(obj["expected"], n)

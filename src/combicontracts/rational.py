@@ -11,11 +11,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
-    "reduce",
     "is_k_valid",
     "in_bounded_set",
     "as_fraction",
@@ -37,14 +33,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     raise DomainError(f"not an exact rational: {x!r} ({type(x).__name__})")
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Reduced-form rational num/den with the sign carried by the numerator.
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    return Fraction(num, den)
 
 
 def _check_k(k: int) -> int:

@@ -205,10 +205,6 @@ class GeneralContract:
         items = mapping.items() if hasattr(mapping, "items") else mapping
         return cls(payments=tuple(items))
 
-    @property
-    def is_linear(self) -> bool:
-        return self.slope is not None
-
     def pay(self, level) -> Fraction:
         level = as_fraction(level)
         if self.slope is not None:

@@ -148,6 +148,15 @@ def test_succ_search_needs_valid_k(worked_additive):
         succ_search(declared_wrong, 0)
 
 
+def test_k_validity_is_checked_on_large_tables():
+    # 2**17 parameters, only the last one off the 2**-4 grid
+    n = 17
+    table = (Fraction(0),) * ((1 << n) - 1) + (Fraction(1, 3),)
+    inst = Instance(ExplicitTable(n, table), (Fraction(1, 16),) * n, k=4)
+    with pytest.raises(PrecisionError):
+        fptas(inst, Fraction(1, 2))
+
+
 def test_succ_search_on_k_valid_three_action_variant():
     # a dyadic variant of the worked 3-action table (k = 6)
     f = ExplicitTable(

@@ -67,33 +67,74 @@ def test_strict_schema():
         loads_instance("not json")
 
 
-def _uniform_matroid_file(tmp_path, field, value):
-    inst = Instance(
-        WeightedMatroidRank((Fraction(1, 2), Fraction(1, 4)), UniformMatroid(1)),
-        (Fraction(1, 8), Fraction(1, 8)),
-    )
-    obj = json.loads(dumps_instance(inst))
-    if field == "n":
-        obj["n"] = value
-    else:
-        obj["function"]["matroid"][field] = value
+def _binary(function):
+    return {"version": 1, "model": "binary", "n": 2, "function": function,
+            "costs": ["1/8", "1/8"]}
+
+
+def _matroid(matroid):
+    return _binary({"class": "matroid-rank", "weights": ["1/2", "1/4"], "matroid": matroid})
+
+
+UNIFORM = _matroid({"type": "uniform", "rank": 1})
+PARTITION = _matroid({"type": "partition", "blocks": [[1], [2]], "capacities": [1, 1]})
+COVERAGE = _binary({"class": "coverage", "weights": ["1/2", "1/4"], "covers": [[0], [1]]})
+TABLE = _binary({"class": "table", "table": ["0", "1/4", "1/4", "1/2"]})
+GENERAL = {"version": 1, "model": "general", "n": 1, "costs": ["1/8"],
+           "rewards": ["0", "1"], "distributions": [["1", "1/2"], ["0", "1/2"]]}
+
+# field -> (valid file, path of the field in it, what the error says)
+BAD_FIELDS = {
+    "n": (UNIFORM, ("n",), "expected an integer"),
+    "rank": (UNIFORM, ("function", "matroid", "rank"), "expected an integer"),
+    "blocks": (PARTITION, ("function", "matroid", "blocks"), "expected a list"),
+    "capacities": (PARTITION, ("function", "matroid", "capacities"), "expected a list"),
+    "covers": (COVERAGE, ("function", "covers"), "expected a list"),
+    "distributions": (GENERAL, ("distributions",), "expected a list"),
+    "table.n": (TABLE, ("n",), "negative action count"),
+    "general.n": (GENERAL, ("n",), "negative action count"),
+}
+
+
+def _bad_file(tmp_path, field, value):
+    base, keys, _ = BAD_FIELDS[field]
+    obj = json.loads(json.dumps(base))
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
     path = tmp_path / "bad.inst"
     path.write_text(json.dumps(obj))
     return str(path)
 
 
-@pytest.mark.parametrize("field, value", [("n", "x"), ("rank", "r"), ("rank", 2.5)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", "x"),
+        ("rank", "r"),
+        ("rank", 2.5),
+        ("blocks", 3),
+        ("blocks", [3, [2]]),
+        ("capacities", 3),
+        ("covers", 3),
+        ("covers", [0, [1]]),
+        ("distributions", 3),
+        ("table.n", -1),
+        ("general.n", -1),
+    ],
+)
 def test_bad_integer_fields_exit_without_traceback(tmp_path, capsys, field, value):
-    path = _uniform_matroid_file(tmp_path, field, value)
+    path = _bad_file(tmp_path, field, value)
     assert main(["solve", path]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "expected an integer" in err
+    assert BAD_FIELDS[field][2] in err
 
 
 def test_integer_fields_accept_ints_and_integer_strings(tmp_path):
     for value, ok in (("1", True), (1, True), ("-1", True), (True, False), ("1.0", False)):
-        _uniform_matroid_file(tmp_path, "rank", value)
+        _bad_file(tmp_path, "rank", value)
         text = (tmp_path / "bad.inst").read_text()
         if ok:
             assert loads_instance(text).f.matroid.rank == int(value)

@@ -107,14 +107,14 @@ def test_canonical_best_response_lexicographic():
 
 def test_voracle_counts_and_dispatch(worked_additive, example_three_action):
     oracle = VOracle(worked_additive)
-    assert oracle.method == "greedy"
+    assert oracle.kernel is not None
     oracle(Fraction(1, 2))
     oracle(Fraction(1))
     assert oracle.queries == 2
     oracle2 = VOracle(example_three_action)
-    assert oracle2.method == "brute"
+    assert oracle2.kernel is None
     with pytest.raises(UnsupportedClassError):
-        VOracle(example_three_action, "greedy")
+        greedy_demand(example_three_action, Fraction(1, 2))
 
 
 def test_brute_force_limit(monkeypatch, worked_additive):

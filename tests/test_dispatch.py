@@ -1,0 +1,99 @@
+"""Which backend runs, or which error class refuses, for every entry point.
+
+The brute-force limit is lowered to 3 actions, so n=3 instances sit under it
+and n=4 instances above it.  Each row pins the outcome of every entry point
+on one instance kind: "ok" for an answer, otherwise the first letter of the
+exception class (U UnsupportedClassError, P PrecisionError, R
+ResourceLimitError).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from combicontracts import (
+    Additive,
+    Coverage,
+    Instance,
+    PrecisionError,
+    ResourceLimitError,
+    UnsupportedClassError,
+    VOracle,
+    fptas,
+    optimal_contract,
+    succ_gs,
+    succ_search,
+    v_value,
+)
+from combicontracts.demand import GreedyKernel
+
+CALLS = {
+    "auto": lambda inst: optimal_contract(inst, "auto"),
+    "gs": lambda inst: optimal_contract(inst, "gs"),
+    "search": lambda inst: optimal_contract(inst, "search"),
+    "brute": lambda inst: optimal_contract(inst, "brute"),
+    "fptas": lambda inst: fptas(inst, Fraction(1, 2)),
+    "succ_gs": lambda inst: succ_gs(inst, 0),
+    "succ_search": lambda inst: succ_search(inst, 0),
+    "v_value": lambda inst: v_value(inst, Fraction(1, 2)),
+    "VOracle": VOracle,
+}
+
+#                           auto gs search brute fptas succ_gs succ_search v_value VOracle
+EXPECTED = {
+    ("additive", 3, 4):    "ok   ok ok     ok    ok    ok      ok          ok      ok",
+    ("additive", 3, None): "ok   ok P      ok    P     ok      P           ok      ok",
+    ("additive", 4, 4):    "ok   ok ok     R     ok    ok      ok          ok      ok",
+    ("additive", 4, None): "ok   ok P      R     P     ok      P           ok      ok",
+    ("coverage", 3, 4):    "ok   U  ok     ok    ok    U       ok          ok      ok",
+    ("coverage", 3, None): "ok   U  P      ok    P     U       P           ok      ok",
+    ("coverage", 4, 4):    "R    U  R      R     R     U       R           R       R",
+    ("coverage", 4, None): "R    U  R      R     P     U       P           R       R",
+}
+
+LETTERS = {UnsupportedClassError: "U", PrecisionError: "P", ResourceLimitError: "R"}
+
+
+def _instance(klass, n, k):
+    costs = [Fraction(i, 16) for i in range(1, n + 1)]
+    if klass == "additive":
+        f = Additive([Fraction(3 + i, 16) for i in range(n)])
+    else:
+        f = Coverage(
+            [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)],
+            [frozenset({i, (i + 1) % 4}) for i in range(n)],
+        )
+    return Instance(f, costs, k=k)
+
+
+def _outcome(call, inst) -> str:
+    try:
+        call(inst)
+    except tuple(LETTERS) as exc:
+        return LETTERS[type(exc)]
+    return "ok"
+
+
+@pytest.mark.parametrize("kind", list(EXPECTED), ids=lambda kind: "-".join(map(str, kind)))
+def test_dispatch_outcomes(monkeypatch, kind):
+    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", "3")
+    inst = _instance(*kind)
+    got = {name: _outcome(call, inst) for name, call in CALLS.items()}
+    assert got == dict(zip(CALLS, EXPECTED[kind].split()))
+
+
+def test_one_kernel_per_certified_solve(monkeypatch):
+    built = []
+    init = GreedyKernel.__init__
+
+    def counting_init(self, inst):
+        built.append(inst)
+        init(self, inst)
+
+    monkeypatch.setattr(GreedyKernel, "__init__", counting_init)
+    inst = _instance("additive", 4, 4)
+    assert optimal_contract(inst, "gs").actions
+    assert len(built) == 1
+    built.clear()
+    assert fptas(inst, Fraction(1, 2)).actions
+    assert len(built) == 1

@@ -123,6 +123,13 @@ def test_partition_must_cover_ground_set():
     assert any("cover the ground set" in v for v in validate(inst).violations)
 
 
+def test_partition_needs_one_capacity_per_block():
+    with pytest.raises(DomainError, match="capacities"):
+        PartitionMatroid((frozenset({1}), frozenset({2})), (1,))
+    with pytest.raises(DomainError, match="negative action count"):
+        ExplicitTable(-1, (Fraction(0),))
+
+
 def test_monotone_and_submodular_exhaustively():
     # every sampled class instance is monotone and submodular, n up to 10
     from conftest import make_gs_corpus

@@ -10,31 +10,7 @@ from combicontracts.rational import (
     in_bounded_set,
     is_k_valid,
     parse_rational,
-    reduce,
 )
-
-
-def test_reduce_examples():
-    assert reduce(2, 4) == Fraction(1, 2)
-    assert reduce(0, 7) == Fraction(0, 1)
-    assert reduce(0, 7).denominator == 1
-    assert reduce(-3, -6) == Fraction(1, 2)
-    assert reduce(-3, 6) == Fraction(-1, 2)
-    assert reduce(-3, 6).denominator == 2
-
-
-def test_reduce_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        reduce(1, 0)
-
-
-def test_reduce_idempotent_random():
-    rng = random.Random(11)
-    for _ in range(300):
-        num = rng.randint(-10**6, 10**6)
-        den = rng.randint(1, 10**6)
-        r = reduce(num, den)
-        assert reduce(r.numerator, r.denominator) == r
 
 
 def test_exact_addition_roundtrip():

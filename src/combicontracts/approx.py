@@ -1,7 +1,8 @@
 """FPTAS over geometric contract grids and the binary-search successor.
 
-Both routines assume every f and c value is a multiple of 2**-k for a
-declared k, which confines critical values to ratios of k-bit integers.
+Both routines need a declared k; ``Instance`` then guarantees every f and
+c value is a multiple of 2**-k, which confines critical values to ratios
+of k-bit integers.
 All grid points, interval endpoints, and reconstructed fractions are exact
 rationals; no logarithms or floats anywhere.
 """
@@ -12,10 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contract import ContractSolution, require_positive_costs
+from .contract import ContractSolution
 from .demand import VOracle, v_value
 from .errors import DomainError, InvariantError, NotFoundError, PrecisionError
-from .functions import Instance, is_k_valid
+from .functions import Instance
 from .rational import as_fraction
 
 __all__ = [
@@ -64,20 +65,6 @@ def require_k(inst: Instance) -> int:
     return inst.k
 
 
-def _require_k_valid(inst: Instance) -> None:
-    """Refuse to run on instances that violate their declared precision.
-
-    Every parameter is scanned: the scan costs less than one V query.
-    """
-    k = require_k(inst)
-    for v in inst.f.parameter_fractions():
-        if not is_k_valid(v, k):
-            raise PrecisionError(f"f value {v} is not a multiple of 2**-{k}")
-    for c in inst.costs:
-        if not is_k_valid(c, k):
-            raise PrecisionError(f"cost {c} is not a multiple of 2**-{k}")
-
-
 def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> ContractSolution:
     """(1-eps)-approximation via the geometric grid, using exactly |R| V queries.
 
@@ -86,9 +73,7 @@ def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> Contract
     returns the best; ties go to the smallest alpha.  The returned utility
     is at least (1 - eps) times the optimum.
     """
-    require_positive_costs(inst)
-    _require_k_valid(inst)
-    spec = grid_spec(epsilon, inst.k)
+    spec = grid_spec(epsilon, require_k(inst))
     if oracle is None:
         oracle = VOracle(inst)
     start = oracle.queries
@@ -183,8 +168,7 @@ def succ_search(
     caller always has it); when omitted it is computed without charging the
     counted oracle, matching the query accounting of the 2k+1 bound.
     """
-    _require_k_valid(inst)
-    k = inst.k
+    k = require_k(inst)
     alpha = as_fraction(alpha)
     if not 0 <= alpha <= 1:
         raise DomainError(f"contract value {alpha} outside [0, 1]")

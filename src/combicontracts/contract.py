@@ -225,13 +225,6 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     return None
 
 
-def require_positive_costs(inst: Instance) -> None:
-    """Refuse non-positive costs: the walk from alpha = 0 takes V(0) = 0."""
-    for a, c in enumerate(inst.costs, 1):
-        if c <= 0:
-            raise DomainError(f"action {a} has non-positive cost {c}")
-
-
 def _require_certified(inst: Instance) -> None:
     if not inst.f.gs_certified:
         raise UnsupportedClassError(
@@ -269,7 +262,6 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     (envelope enumeration), or "auto" ("gs" on certified classes, else
     "brute").
     """
-    require_positive_costs(inst)
     if method == "auto":
         method = "gs" if inst.f.gs_certified else "brute"
 

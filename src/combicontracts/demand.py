@@ -88,7 +88,7 @@ class GreedyKernel:
     the greedy compares ints and results become Fractions only at the API
     boundary.  All three certified classes are weighted matroid ranks over
     blocks with capacities: additive is one block the size of the ground
-    set, unit demand one block of capacity 1 over the weights max(v, 0).
+    set, unit demand one block of capacity 1.
     ``gains()`` starts the incremental marginal-gain state.  Actions are
     0-based here.
     """
@@ -110,12 +110,11 @@ class GreedyKernel:
             self.caps = (n,)
         elif isinstance(f, UnitDemand):
             self.caps = (1,)
-            self.weights = tuple(max(w, 0) for w in self.weights)
         elif isinstance(f.matroid, UniformMatroid):
-            self.caps = (max(f.matroid.rank, 0),)
+            self.caps = (f.matroid.rank,)
         else:
             self.blocks = tuple(f.matroid.block_of(a) for a in range(1, n + 1))
-            self.caps = tuple(max(c, 0) for c in f.matroid.capacities)
+            self.caps = f.matroid.capacities
         self.cap_of = tuple(self.caps[b] for b in self.blocks)
 
     def gains(self) -> "_Gains":

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, ClassVar, Iterable, Union
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, PrecisionError, ResourceLimitError
 from .rational import as_fraction, is_k_valid
 
 __all__ = [
@@ -142,7 +142,22 @@ class SuccessFunction:
 
 
 def _coerce_fractions(obj, name: str) -> tuple:
-    return tuple(as_fraction(v) for v in obj)
+    """obj as a tuple of exact Fractions, none of them negative."""
+    values = tuple(as_fraction(v) for v in obj)
+    for v in values:
+        if v < 0:
+            raise DomainError(f"{name} include the negative value {v}")
+    return values
+
+
+def _positive_costs(costs) -> tuple:
+    """costs as a tuple of positive Fractions: every walk from alpha = 0
+    takes V(0) = 0, which a free action would break."""
+    costs = tuple(as_fraction(c) for c in costs)
+    for a, c in enumerate(costs, 1):
+        if c <= 0:
+            raise DomainError(f"action {a} has non-positive cost {c}")
+    return costs
 
 
 @dataclass(frozen=True)
@@ -205,6 +220,10 @@ class UniformMatroid:
 
     rank: int
 
+    def __post_init__(self):
+        if self.rank < 0:
+            raise DomainError(f"negative matroid rank {self.rank}")
+
     def block_of(self, a: int):
         return 0
 
@@ -224,6 +243,10 @@ class PartitionMatroid:
                 f"{len(self.blocks)} partition blocks, "
                 f"{len(self.capacities)} capacities"
             )
+        if any(c < 0 for c in self.capacities):
+            raise DomainError("negative partition block capacity")
+        if sum(map(len, self.blocks)) != len(frozenset().union(*self.blocks)):
+            raise DomainError("partition blocks overlap")
 
     def block_of(self, a: int) -> int:
         for idx, block in enumerate(self.blocks):
@@ -244,6 +267,10 @@ class WeightedMatroidRank(SuccessFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _coerce_fractions(self.weights, "weights"))
+        m = self.matroid
+        actions = frozenset(range(1, self.n + 1))
+        if isinstance(m, PartitionMatroid) and frozenset().union(*m.blocks) != actions:
+            raise DomainError(f"partition blocks do not cover the actions 1..{self.n}")
 
     @property
     def n(self) -> int:
@@ -255,7 +282,7 @@ class WeightedMatroidRank(SuccessFunction):
         members.sort(key=lambda a: self.weights[a - 1], reverse=True)
         total = Fraction(0)
         if isinstance(self.matroid, UniformMatroid):
-            for a in members[: max(self.matroid.rank, 0)]:
+            for a in members[: self.matroid.rank]:
                 total += self.weights[a - 1]
             return total
         used = [0] * len(self.matroid.blocks)
@@ -288,6 +315,8 @@ class BudgetAdditive(SuccessFunction):
     def __post_init__(self):
         object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
         object.__setattr__(self, "budget", as_fraction(self.budget))
+        if self.budget < 0:
+            raise DomainError(f"negative budget {self.budget}")
 
     @property
     def n(self) -> int:
@@ -325,6 +354,10 @@ class Coverage(SuccessFunction):
         object.__setattr__(
             self, "covers", tuple(frozenset(int(j) for j in c) for c in self.covers)
         )
+        size = self.universe_size
+        for a, cover in enumerate(self.covers, 1):
+            if any(not 0 <= j < size for j in cover):
+                raise DomainError(f"action {a} covers an element outside 0..{size - 1}")
 
     @property
     def n(self) -> int:
@@ -370,7 +403,7 @@ class ExplicitTable(SuccessFunction):
             raise ResourceLimitError(
                 f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
             )
-        object.__setattr__(self, "table", _coerce_fractions(self.table, "table"))
+        object.__setattr__(self, "table", tuple(as_fraction(v) for v in self.table))
         if len(self.table) != 1 << self.n_actions:
             raise DomainError(
                 f"table needs {1 << self.n_actions} entries, got {len(self.table)}"
@@ -399,7 +432,10 @@ class Instance:
 
     ``scale`` declares the upper bound for f values (1 unless a generator
     emitted an unnormalized construction); contract values always live in
-    [0, 1] regardless of scale.
+    [0, 1] regardless of scale.  Construction refuses an empty action set,
+    a non-positive cost or scale, f(empty set) != 0 (DomainError) and, when
+    k is declared, any parameter or cost off the 2**-k grid
+    (PrecisionError); ``validate`` checks the rest.
     """
 
     f: SuccessFunction
@@ -409,14 +445,28 @@ class Instance:
     meta: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", _coerce_fractions(self.costs, "costs"))
+        object.__setattr__(self, "costs", _positive_costs(self.costs))
         object.__setattr__(self, "scale", as_fraction(self.scale))
+        if self.f.n < 1:
+            raise DomainError("empty action set")
         if len(self.costs) != self.f.n:
             raise DomainError(
                 f"{len(self.costs)} costs for {self.f.n} actions"
             )
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 1):
-            raise DomainError(f"k must be a positive integer, got {self.k!r}")
+        if self.scale <= 0:
+            raise DomainError(f"non-positive scale {self.scale}")
+        if self.f.value_mask(0) != 0:
+            raise DomainError("f(empty set) != 0")
+        if self.k is not None:
+            if not isinstance(self.k, int) or self.k < 1:
+                raise DomainError(f"k must be a positive integer, got {self.k!r}")
+            params = self.f.parameter_fractions() + self.costs
+            for den in {x.denominator for x in params}:
+                if not is_k_valid(Fraction(1, den), self.k):
+                    raise PrecisionError(
+                        f"a value with denominator {den} is not a multiple "
+                        f"of 2**-{self.k}"
+                    )
 
     @property
     def n(self) -> int:
@@ -460,86 +510,25 @@ class ValidationReport:
         return "\n".join(f"violation: {v}" for v in self.violations)
 
 
-def _structural_violations(f: SuccessFunction) -> list:
-    out = []
-    if isinstance(f, (Additive, UnitDemand)):
-        if any(v < 0 for v in f.values):
-            out.append("negative per-action value")
-    elif isinstance(f, WeightedMatroidRank):
-        if any(w < 0 for w in f.weights):
-            out.append("negative matroid weight")
-        m = f.matroid
-        if isinstance(m, UniformMatroid):
-            if m.rank < 0:
-                out.append("negative matroid rank")
-        else:
-            if any(c < 0 for c in m.capacities):
-                out.append("negative block capacity")
-            seen = set()
-            for block in m.blocks:
-                if block & seen:
-                    out.append("partition blocks overlap")
-                seen |= block
-            if seen != set(range(1, f.n + 1)):
-                out.append("partition blocks do not cover the ground set")
-    elif isinstance(f, BudgetAdditive):
-        if any(v < 0 for v in f.values):
-            out.append("negative per-action value")
-        if f.budget < 0:
-            out.append("negative budget")
-    elif isinstance(f, Coverage):
-        if any(w < 0 for w in f.weights):
-            out.append("negative universe weight")
-        for i, cov in enumerate(f.covers):
-            if any(not 0 <= j < f.universe_size for j in cov):
-                out.append(f"action {i + 1} covers elements outside the universe")
-    return out
-
-
 def validate(inst: Instance) -> ValidationReport:
-    """Check instance well-formedness; violations are reported, not raised."""
+    """Report what construction leaves unchecked; violations are not raised.
+
+    Construction already makes every parameter non-negative and f(empty
+    set) = 0, so every class but the explicit table is monotone and largest
+    on the full set.  What is left: tables must be monotone, and f of the
+    full set must not exceed the declared scale.
+    """
     out = []
     f = inst.f
-    if f.n < 1:
-        out.append("empty action set")
-    out.extend(_structural_violations(f))
-    for idx, c in enumerate(inst.costs):
-        if c <= 0:
-            out.append(f"non-positive cost for action {idx + 1}")
-    if inst.scale <= 0:
-        out.append("non-positive scale")
-
-    exhaustive = isinstance(f, (ExplicitTable, Coverage)) and f.n <= EXPLICIT_TABLE_MAX_ACTIONS
-    if not out:
-        if f.value_mask(0) != 0:
-            out.append("f(empty set) != 0")
-        if exhaustive:
-            table = value_table(f)
-            full = (1 << f.n) - 1
-            for mask in range(1 << f.n):
-                if not 0 <= table[mask] <= inst.scale:
-                    out.append(f"f value outside [0, scale] on mask {mask}")
-                    break
-            for mask in range(1 << f.n):
-                rest = bit_indices(full & ~mask)
-                if any(table[mask | 1 << j] < table[mask] for j in rest):
-                    out.append("f is not monotone")
-                    break
-        else:
-            # Structural classes are monotone by construction once their
-            # parameters are non-negative; range reduces to the full set.
-            if f.value_mask((1 << f.n) - 1) > inst.scale:
-                out.append("f(full set) exceeds the declared scale")
-
-    if inst.k is not None and not out:
-        for v in f.parameter_fractions():
-            if not is_k_valid(v, inst.k):
-                out.append(f"f value {v} is not a multiple of 2**-{inst.k}")
+    full = (1 << f.n) - 1
+    if isinstance(f, ExplicitTable):
+        table = f.table
+        for mask in range(1 << f.n):
+            if any(table[mask | 1 << j] < table[mask] for j in bit_indices(full & ~mask)):
+                out.append("f is not monotone")
                 break
-        for c in inst.costs:
-            if not is_k_valid(c, inst.k):
-                out.append(f"cost {c} is not a multiple of 2**-{inst.k}")
-                break
+    if f.value_mask(full) > inst.scale:
+        out.append("f(full set) exceeds the declared scale")
     return ValidationReport(tuple(out))
 
 

@@ -220,7 +220,11 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
 
 def load_instance(path: str) -> Union[Instance, GeneralInstance]:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"instance file is not UTF-8 text: {exc}") from exc
+    return loads_instance(text)
 
 
 def dumps_instance(inst: Union[Instance, GeneralInstance]) -> str:

@@ -42,10 +42,14 @@ def _check_k(k: int) -> int:
 
 
 def is_k_valid(r, k: int) -> bool:
-    """True iff r * 2**k is an integer, i.e. r is a multiple of 2**-k."""
+    """True iff r * 2**k is an integer, i.e. r is a multiple of 2**-k.
+
+    Decided from the denominator alone (a power of two at most 2**k), so a
+    huge k costs nothing.
+    """
     _check_k(k)
     den = as_fraction(r).denominator
-    return den & (den - 1) == 0 and den <= (1 << k)
+    return den & (den - 1) == 0 and den.bit_length() <= k + 1
 
 
 def in_bounded_set(r, k: int) -> bool:
@@ -68,18 +72,19 @@ def parse_rational(text: str, k: int | None = None) -> Fraction:
     be exact multiples of 2**-k; anything else is a DomainError.
     """
     text = text.strip()
+    decimal = any(ch in text for ch in ".eE")
+    if decimal and k is None:
+        # refused before Fraction() would expand an exponent like 1e999999999
+        raise DomainError(
+            f"decimal literal {text!r} needs a declared bit precision; "
+            "write it as a fraction a/b instead"
+        )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
-    if any(ch in text for ch in ".eE"):
-        if k is None:
-            raise DomainError(
-                f"decimal literal {text!r} needs a declared bit precision; "
-                "write it as a fraction a/b instead"
-            )
-        if not is_k_valid(value, k):
-            raise DomainError(f"{text!r} is not a multiple of 2**-{k}")
+    if decimal and not is_k_valid(value, k):
+        raise DomainError(f"{text!r} is not a multiple of 2**-{k}")
     return value
 
 

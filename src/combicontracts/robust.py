@@ -26,6 +26,8 @@ from .functions import (
     Instance,
     SuccessFunction,
     ValidationReport,
+    _coerce_fractions,
+    _positive_costs,
     bit_indices,
     brute_force_limit,
     cost_table,
@@ -54,6 +56,9 @@ class GeneralInstance:
     Either ``distributions`` gives one ExplicitTable per outcome (the
     probability of that outcome under each action set, summing to one), or
     ``expected`` gives the expected-reward function R directly.
+    Construction refuses n < 1, a cost vector that is not n positive
+    costs, and negative rewards (DomainError); ``validate_general`` checks
+    the per-set conditions.
     """
 
     costs: tuple
@@ -63,10 +68,8 @@ class GeneralInstance:
     meta: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", tuple(as_fraction(c) for c in self.costs))
-        object.__setattr__(
-            self, "rewards", tuple(as_fraction(r) for r in self.rewards)
-        )
+        object.__setattr__(self, "costs", _positive_costs(self.costs))
+        object.__setattr__(self, "rewards", _coerce_fractions(self.rewards, "rewards"))
         if (self.distributions is None) == (self.expected is None):
             raise DomainError(
                 "provide exactly one of per-outcome distributions or an "
@@ -81,6 +84,10 @@ class GeneralInstance:
                     raise DomainError("distributions must be explicit tables")
                 if tab.n != self.n:
                     raise DomainError("distribution table size mismatch")
+        if self.n < 1:
+            raise DomainError("empty action set")
+        if len(self.costs) != self.n:
+            raise DomainError(f"{len(self.costs)} costs for {self.n} actions")
 
     @property
     def n(self) -> int:
@@ -130,17 +137,6 @@ def embed_binary(inst: Instance) -> GeneralInstance:
 
 def validate_general(ginst: GeneralInstance) -> ValidationReport:
     out = []
-    if ginst.n < 1:
-        out.append("empty action set")
-    for idx, c in enumerate(ginst.costs):
-        if c <= 0:
-            out.append(f"non-positive cost for action {idx + 1}")
-    if any(r < 0 for r in ginst.rewards):
-        out.append("negative reward")
-    if len(ginst.costs) != ginst.n:
-        out.append("cost vector length mismatch")
-    if out:
-        return ValidationReport(tuple(out))
     size = 1 << ginst.n
     if ginst.distributions is not None:
         for mask in range(size):

@@ -143,18 +143,17 @@ def test_succ_search_single_action_example():
 def test_succ_search_needs_valid_k(worked_additive):
     with pytest.raises(PrecisionError):
         succ_search(worked_additive, 0)
-    declared_wrong = Instance(Additive((Fraction(1, 3),)), (Fraction(1, 4),), k=4)
+    # an instance off its declared grid cannot be built, so never searched
     with pytest.raises(PrecisionError):
-        succ_search(declared_wrong, 0)
+        Instance(Additive((Fraction(1, 3),)), (Fraction(1, 4),), k=4)
 
 
 def test_k_validity_is_checked_on_large_tables():
     # 2**17 parameters, only the last one off the 2**-4 grid
     n = 17
     table = (Fraction(0),) * ((1 << n) - 1) + (Fraction(1, 3),)
-    inst = Instance(ExplicitTable(n, table), (Fraction(1, 16),) * n, k=4)
     with pytest.raises(PrecisionError):
-        fptas(inst, Fraction(1, 2))
+        Instance(ExplicitTable(n, table), (Fraction(1, 16),) * n, k=4)
 
 
 def test_succ_search_on_k_valid_three_action_variant():

@@ -93,17 +93,25 @@ BAD_FIELDS = {
     "distributions": (GENERAL, ("distributions",), "expected a list"),
     "table.n": (TABLE, ("n",), "negative action count"),
     "general.n": (GENERAL, ("n",), "negative action count"),
+    "block overlap": (PARTITION, ("function", "matroid", "blocks"), "overlap"),
+    "block cover": (PARTITION, ("function", "matroid", "blocks"), "do not cover"),
+    "scale": (UNIFORM, ("scale",), "non-positive scale"),
+    "cover index": (COVERAGE, ("function", "covers"), "outside 0..1"),
+    "encoding": (None, (), "not UTF-8"),  # the value is the raw file
 }
 
 
 def _bad_file(tmp_path, field, value):
     base, keys, _ = BAD_FIELDS[field]
+    path = tmp_path / "bad.inst"
+    if base is None:
+        path.write_bytes(value)
+        return str(path)
     obj = json.loads(json.dumps(base))
     parent = obj
     for key in keys[:-1]:
         parent = parent[key]
     parent[keys[-1]] = value
-    path = tmp_path / "bad.inst"
     path.write_text(json.dumps(obj))
     return str(path)
 
@@ -122,24 +130,37 @@ def _bad_file(tmp_path, field, value):
         ("distributions", 3),
         ("table.n", -1),
         ("general.n", -1),
+        ("block overlap", [[1, 2], [2]]),
+        ("block cover", [[1], [2, 5]]),
+        ("scale", "0"),
+        ("cover index", [[-1], [1]]),
+        ("cover index", [[2**62], [1]]),
+        ("encoding", b"\xff\xfe{}"),
     ],
 )
 def test_bad_integer_fields_exit_without_traceback(tmp_path, capsys, field, value):
     path = _bad_file(tmp_path, field, value)
-    assert main(["solve", path]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert BAD_FIELDS[field][2] in err
+    for command in (["solve"], ["robust", "solve-linear"]):
+        assert main(command + [path]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert BAD_FIELDS[field][2] in err
 
 
 def test_integer_fields_accept_ints_and_integer_strings(tmp_path):
-    for value, ok in (("1", True), (1, True), ("-1", True), (True, False), ("1.0", False)):
+    for value, error in (
+        ("1", None),
+        (1, None),
+        ("-1", "negative matroid rank"),
+        (True, "expected an integer"),
+        ("1.0", "expected an integer"),
+    ):
         _bad_file(tmp_path, "rank", value)
         text = (tmp_path / "bad.inst").read_text()
-        if ok:
+        if error is None:
             assert loads_instance(text).f.matroid.rank == int(value)
         else:
-            with pytest.raises(DomainError, match="expected an integer"):
+            with pytest.raises(DomainError, match=error):
                 loads_instance(text)
 
 

@@ -8,7 +8,6 @@ from combicontracts import (
     Instance,
     UnsupportedClassError,
     brute_force_critical_set,
-    fptas,
     in_bounded_set,
     optimal_contract,
     succ_gs,
@@ -132,16 +131,12 @@ def test_optimal_contract_examples(worked_additive, example_three_action):
 
 
 def test_non_positive_costs_are_refused():
-    # V(0) = 1/2 here, so walking successors from V(0) = 0 would be wrong
-    zero = Instance(Additive((Fraction(1, 2),)), (0,), k=1)
-    for method in ("auto", "gs", "search", "brute"):
-        with pytest.raises(DomainError, match="action 1"):
-            optimal_contract(zero, method)
+    # a free action gives V(0) = 1/2, so walking successors from V(0) = 0
+    # would be wrong: such instances cannot be built
     with pytest.raises(DomainError, match="action 1"):
-        fptas(zero, Fraction(1, 2))
-    negative = Instance(Additive((Fraction(1, 2), Fraction(1, 4))), (Fraction(1, 8), -1))
+        Instance(Additive((Fraction(1, 2),)), (0,), k=1)
     with pytest.raises(DomainError, match="action 2"):
-        optimal_contract(negative)
+        Instance(Additive((Fraction(1, 2), Fraction(1, 4))), (Fraction(1, 8), -1))
 
 
 def test_backends_agree(gs_corpus):

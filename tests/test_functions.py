@@ -10,6 +10,7 @@ from combicontracts import (
     ExplicitTable,
     Instance,
     PartitionMatroid,
+    PrecisionError,
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
@@ -62,17 +63,17 @@ def test_cost_examples(example_three_action):
 def test_validate_examples(example_three_action):
     assert validate(example_three_action).ok
 
-    bad_empty = Instance(
-        ExplicitTable(1, (Fraction(1, 10), Fraction(1, 2))), (Fraction(1, 10),)
-    )
-    report = validate(bad_empty)
-    assert not report.ok
-    assert any("empty set" in v for v in report.violations)
+    # construction refuses f(empty set) != 0; with f(empty set) = 1/2,
+    # alpha = 0 already earns 1/2, which the walk from V(0) = 0 would miss
+    for table, cost in (
+        ((Fraction(1, 10), Fraction(1, 2)), Fraction(1, 10)),
+        ((Fraction(1, 2), Fraction(3, 5)), Fraction(1, 2)),
+    ):
+        with pytest.raises(DomainError, match="empty set"):
+            Instance(ExplicitTable(1, table), (cost,))
 
-    zero_cost = Instance(Additive((Fraction(1, 2),)), (Fraction(0),))
-    report = validate(zero_cost)
-    assert not report.ok
-    assert any("non-positive cost" in v for v in report.violations)
+    with pytest.raises(DomainError, match="non-positive cost"):
+        Instance(Additive((Fraction(1, 2),)), (Fraction(0),))
 
 
 def test_validate_monotonicity_and_k():
@@ -82,10 +83,8 @@ def test_validate_monotonicity_and_k():
     )
     assert any("monotone" in v for v in validate(non_monotone).violations)
 
-    not_k_valid = Instance(
-        Additive((Fraction(1, 3),)), (Fraction(1, 4),), k=4
-    )
-    assert any("multiple of 2**-4" in v for v in validate(not_k_valid).violations)
+    with pytest.raises(PrecisionError, match=r"multiple of 2\*\*-4"):
+        Instance(Additive((Fraction(1, 3),)), (Fraction(1, 4),), k=4)
 
     over_scale = Instance(Additive((Fraction(2), Fraction(2))), (Fraction(1), Fraction(1)))
     assert any("scale" in v for v in validate(over_scale).violations)
@@ -115,12 +114,35 @@ def test_matroid_rank_values():
 
 
 def test_partition_must_cover_ground_set():
-    f = WeightedMatroidRank(
-        (Fraction(1, 2), Fraction(1, 2)),
-        PartitionMatroid((frozenset({1}),), (1,)),
-    )
-    inst = Instance(f, (Fraction(1, 4), Fraction(1, 4)))
-    assert any("cover the ground set" in v for v in validate(inst).violations)
+    with pytest.raises(DomainError, match="do not cover the actions 1..2"):
+        WeightedMatroidRank(
+            (Fraction(1, 2), Fraction(1, 2)),
+            PartitionMatroid((frozenset({1}),), (1,)),
+        )
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Additive((HALF, -HALF)), "negative value -1/2"),
+        (lambda: UnitDemand((-HALF,)), "negative value"),
+        (lambda: BudgetAdditive((HALF,), -HALF), "negative budget"),
+        (lambda: Coverage((-HALF,), (frozenset({0}),)), "negative value"),
+        (lambda: Coverage((HALF,), (frozenset({1}),)), "outside 0..0"),
+        (lambda: WeightedMatroidRank((-HALF,), UniformMatroid(1)), "negative value"),
+        (lambda: UniformMatroid(-1), "negative matroid rank"),
+        (lambda: PartitionMatroid((frozenset({1}),), (-1,)), "negative partition"),
+        (lambda: PartitionMatroid((frozenset({1}), frozenset({1})), (1, 1)), "overlap"),
+        (lambda: Instance(Additive(()), ()), "empty action set"),
+        (lambda: Instance(Additive((HALF,)), (HALF,), scale=0), "non-positive scale"),
+    ],
+)
+def test_constructors_refuse_invalid_parameters(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()
 
 
 def test_partition_needs_one_capacity_per_block():

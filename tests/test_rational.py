@@ -27,6 +27,9 @@ def test_is_k_valid_examples():
     assert is_k_valid(Fraction(0), 1)
     assert is_k_valid(Fraction(5, 4), 2)
     assert not is_k_valid(Fraction(1, 8), 2)
+    # decided from the denominator: a huge k never builds 2**k
+    assert is_k_valid(Fraction(3, 8), 1 << 62)
+    assert not is_k_valid(Fraction(1, 3), 1 << 62)
 
 
 def test_k_valid_closed_under_subtraction():

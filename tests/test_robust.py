@@ -216,3 +216,15 @@ def test_validate_general(general_corpus):
     )
     report = validate_general(bad)
     assert any("sum to" in v for v in report.violations)
+
+    # what one pass over costs and rewards decides is refused at construction
+    f = Additive((Fraction(1, 2), Fraction(1, 4)))
+    for costs, rewards, match in (
+        ((Fraction(1, 8),), (Fraction(0), Fraction(1)), "1 costs for 2 actions"),
+        ((Fraction(1, 8), Fraction(0)), (Fraction(0), Fraction(1)), "action 2"),
+        ((Fraction(1, 8),) * 2, (Fraction(-1), Fraction(1)), "negative"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            GeneralInstance(costs=costs, rewards=rewards, expected=f)
+    with pytest.raises(DomainError, match="empty action set"):
+        GeneralInstance(costs=(), rewards=(Fraction(1),), expected=Additive(()))

@@ -50,10 +50,7 @@ from .functions import (
     ValidationReport,
     WeightedMatroidRank,
     brute_force_limit,
-    cost,
-    marginal,
     validate,
-    value,
 )
 from .generators import (
     CoverageTower,

@@ -17,7 +17,7 @@ from .contract import ContractSolution
 from .demand import VOracle, v_value
 from .errors import DomainError, InvariantError, NotFoundError, PrecisionError
 from .functions import Instance
-from .rational import as_fraction
+from .rational import _bounded_k, as_fraction
 
 __all__ = [
     "GridSpec",
@@ -47,8 +47,7 @@ def grid_spec(epsilon, k: int) -> GridSpec:
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"bit precision must be a positive integer, got {k!r}")
+    _bounded_k(k)
     q = 1 - epsilon
     threshold = Fraction(1, 1 << k)
     points = []
@@ -60,9 +59,10 @@ def grid_spec(epsilon, k: int) -> GridSpec:
 
 
 def require_k(inst: Instance) -> int:
+    """The declared k, refused before anything of size 2**k is built."""
     if inst.k is None:
         raise PrecisionError("instance does not declare a bit precision k")
-    return inst.k
+    return _bounded_k(inst.k)
 
 
 def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> ContractSolution:
@@ -128,8 +128,7 @@ def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
     Found by exact Stern-Brocot descent: the minimal-denominator fraction in
     the interval is the bounded one whenever a bounded one exists.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"bit precision must be a positive integer, got {k!r}")
+    _bounded_k(k)
     lo = as_fraction(alpha_l)
     hi = as_fraction(alpha_r)
     if lo < 0:

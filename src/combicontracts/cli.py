@@ -502,9 +502,6 @@ def main(argv=None) -> int:
     except _ValidationFailure as exc:
         print(f"validation failed:\n{exc}", file=sys.stderr)
         code = EXIT_VALIDATION
-    except (DomainError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         code = EXIT_RESOURCE

@@ -39,9 +39,6 @@ __all__ = [
     "mask_of",
     "actions_of",
     "bit_indices",
-    "value",
-    "marginal",
-    "cost",
     "validate",
     "value_table",
     "cost_table",
@@ -481,21 +478,6 @@ class Instance:
         return sum((self.costs[i] for i in bit_indices(mask)), Fraction(0))
 
 
-def value(f: SuccessFunction, actions: Iterable[int]) -> Fraction:
-    """Exact f(S) for a subset of the ground set."""
-    return f.value(actions)
-
-
-def marginal(f: SuccessFunction, a: int, actions: Iterable[int]) -> Fraction:
-    """Exact f(a | S) = f(S + a) - f(S); a must lie outside S."""
-    return f.marginal(a, actions)
-
-
-def cost(inst: Instance, actions: Iterable[int]) -> Fraction:
-    """Additive cost of a subset; cost of the empty set is 0."""
-    return inst.cost(actions)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple
@@ -520,16 +502,21 @@ def validate(inst: Instance) -> ValidationReport:
     """
     out = []
     f = inst.f
-    full = (1 << f.n) - 1
-    if isinstance(f, ExplicitTable):
-        table = f.table
-        for mask in range(1 << f.n):
-            if any(table[mask | 1 << j] < table[mask] for j in bit_indices(full & ~mask)):
-                out.append("f is not monotone")
-                break
-    if f.value_mask(full) > inst.scale:
+    if isinstance(f, ExplicitTable) and not _monotone(f):
+        out.append("f is not monotone")
+    if f.value_mask((1 << f.n) - 1) > inst.scale:
         out.append("f(full set) exceeds the declared scale")
     return ValidationReport(tuple(out))
+
+
+def _monotone(tab: ExplicitTable) -> bool:
+    """True iff adding an action never lowers an entry of the table."""
+    table, full = tab.table, (1 << tab.n) - 1
+    return not any(
+        table[mask | 1 << j] < table[mask]
+        for mask in range(full + 1)
+        for j in bit_indices(full & ~mask)
+    )
 
 
 @lru_cache(maxsize=512)

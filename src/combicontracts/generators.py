@@ -290,11 +290,13 @@ SAMPLE_CLASSES = (
 
 
 def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
-    """Seeded random k-valid instance of the requested class.
+    """Seeded random k-valid instance of the requested class, f(A) <= 1.
 
     All values are multiples of 2**-k.  Costs are biased to sit below the
     matching singleton value so sampled instances have nonempty critical
     sets; zero-value actions fall back to an arbitrary positive cost.
+    Per-item caps floor at one grid step, so a draw with many items can
+    pass f(A) = 1; its values are then cut, in drawing order, to total 1.
     """
     if klass not in SAMPLE_CLASSES:
         raise DomainError(f"unknown class {klass!r}; choose from {SAMPLE_CLASSES}")
@@ -312,10 +314,22 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     def costs_below(numers) -> tuple:
         return tuple(k_frac(rng.randint(1, max(1, v))) for v in numers)
 
+    def fitted(make, numers, most):
+        """(f, numers) for f = make(values of numers), whose caps bound f(A)
+        by most / 2**k; numers are first cut if f(A) > 1."""
+        f = make(tuple(map(k_frac, numers)))
+        if most > unit and f.value_mask((1 << n) - 1) > 1:
+            left, cut = unit, []
+            for v in numers:
+                cut.append(min(v, left))
+                left -= cut[-1]
+            numers, f = cut, make(tuple(map(k_frac, cut)))
+        return f, numers
+
     if klass == "additive":
         cap = max(1, unit // n)
-        numers = [rng.randint(1, cap) for _ in range(n)]
-        return Instance(Additive(tuple(map(k_frac, numers))), costs_below(numers), k=k)
+        f, numers = fitted(Additive, [rng.randint(1, cap) for _ in range(n)], cap * n)
+        return Instance(f, costs_below(numers), k=k)
 
     if klass == "unit-demand":
         numers = [rng.randint(1, unit) for _ in range(n)]
@@ -340,11 +354,10 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
             countable = sum(caps)
         cap = max(1, unit // max(countable, 1))
         numers = [rng.randint(1, cap) for _ in range(n)]
-        return Instance(
-            WeightedMatroidRank(tuple(map(k_frac, numers)), matroid),
-            costs_below(numers),
-            k=k,
+        f, numers = fitted(
+            lambda w: WeightedMatroidRank(w, matroid), numers, cap * countable
         )
+        return Instance(f, costs_below(numers), k=k)
 
     if klass == "budget-additive":
         numers = [rng.randint(1, unit) for _ in range(n)]
@@ -358,34 +371,39 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     if klass == "coverage":
         universe = rng.randint(n, 2 * n)
         cap = max(1, unit // universe)
-        weights = tuple(k_frac(rng.randint(1, cap)) for _ in range(universe))
+        numers = [rng.randint(1, cap) for _ in range(universe)]
         covers = []
         for _ in range(n):
             size = rng.randint(1, universe)
             covers.append(frozenset(rng.sample(range(universe), size)))
-        f = Coverage(weights, tuple(covers))
+        f, _ = fitted(lambda w: Coverage(w, tuple(covers)), numers, cap * universe)
         single_numers = [int(v * unit) for v in f.singleton_values()]
         return Instance(f, costs_below(single_numers), k=k)
 
     # explicit table: a coverage-plus-additive mixture, so the sampled table
-    # is monotone and submodular with total value at most 1
+    # is monotone and submodular
     universe = rng.randint(n, 2 * n)
     w_cap = max(1, unit // (2 * universe))
-    weights = [k_frac(rng.randint(1, w_cap)) for _ in range(universe)]
+    numers = [rng.randint(1, w_cap) for _ in range(universe)]
     covers = [
         frozenset(rng.sample(range(universe), rng.randint(1, universe)))
         for _ in range(n)
     ]
     a_cap = max(1, unit // (2 * n))
-    addons = [k_frac(rng.randint(0, a_cap)) for _ in range(n)]
-    table = []
-    for mask in range(1 << n):
-        covered: set = set()
-        extra = Fraction(0)
-        for i in bit_indices(mask):
-            covered |= covers[i]
-            extra += addons[i]
-        table.append(sum((weights[j] for j in covered), Fraction(0)) + extra)
-    f = ExplicitTable(n, tuple(table))
+    numers += [rng.randint(0, a_cap) for _ in range(n)]
+
+    def table_of(values) -> ExplicitTable:
+        weights, addons = values[:universe], values[universe:]
+        table = []
+        for mask in range(1 << n):
+            covered: set = set()
+            extra = Fraction(0)
+            for i in bit_indices(mask):
+                covered |= covers[i]
+                extra += addons[i]
+            table.append(sum((weights[j] for j in covered), Fraction(0)) + extra)
+        return ExplicitTable(n, tuple(table))
+
+    f, _ = fitted(table_of, numers, w_cap * universe + a_cap * n)
     single_numers = [int(v * unit) for v in f.singleton_values()]
     return Instance(f, costs_below(single_numers), k=k)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "is_k_valid",
@@ -35,9 +35,20 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"not an exact rational: {x!r} ({type(x).__name__})")
 
 
+# Largest k for which numbers of size 2**k are built (grids, gaps, bounds).
+MAX_K = 1024
+
+
 def _check_k(k: int) -> int:
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"bit precision must be a positive integer, got {k!r}")
+    return k
+
+
+def _bounded_k(k: int) -> int:
+    """k, refused above MAX_K before anything of size 2**k is built."""
+    if _check_k(k) > MAX_K:
+        raise ResourceLimitError(f"bit precision k = {k} exceeds the limit {MAX_K}")
     return k
 
 
@@ -56,13 +67,14 @@ def in_bounded_set(r, k: int) -> bool:
     """True iff reduced r = a/b has 1 <= a <= 2**k and 1 <= b <= 2**k.
 
     Requires r > 0; the bounded set contains only positive fractions.
+    Decided from bit lengths (x <= 2**k iff x - 1 has at most k bits), so a
+    huge k costs nothing.
     """
     _check_k(k)
     r = as_fraction(r)
     if r <= 0:
         raise DomainError(f"in_bounded_set requires a positive rational, got {r}")
-    bound = 1 << k
-    return r.numerator <= bound and r.denominator <= bound
+    return (r.numerator - 1).bit_length() <= k and (r.denominator - 1).bit_length() <= k
 
 
 def parse_rational(text: str, k: int | None = None) -> Fraction:

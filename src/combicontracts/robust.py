@@ -10,9 +10,10 @@ model on R / R(A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from functools import cached_property
+from typing import Any, Callable
 
 from .contract import ContractSolution, optimal_contract
 from .errors import (
@@ -27,6 +28,7 @@ from .functions import (
     SuccessFunction,
     ValidationReport,
     _coerce_fractions,
+    _monotone,
     _positive_costs,
     bit_indices,
     brute_force_limit,
@@ -55,10 +57,10 @@ class GeneralInstance:
 
     Either ``distributions`` gives one ExplicitTable per outcome (the
     probability of that outcome under each action set, summing to one), or
-    ``expected`` gives the expected-reward function R directly.
-    Construction refuses n < 1, a cost vector that is not n positive
-    costs, and negative rewards (DomainError); ``validate_general`` checks
-    the per-set conditions.
+    ``expected`` gives the expected-reward function R directly; either
+    way ``reward`` is R.  Construction refuses n < 1, a cost vector that is
+    not n positive costs, and an empty or negative reward list
+    (DomainError); ``validate_general`` checks the per-set conditions.
     """
 
     costs: tuple
@@ -70,6 +72,8 @@ class GeneralInstance:
     def __post_init__(self):
         object.__setattr__(self, "costs", _positive_costs(self.costs))
         object.__setattr__(self, "rewards", _coerce_fractions(self.rewards, "rewards"))
+        if not self.rewards:
+            raise DomainError("no reward levels")
         if (self.distributions is None) == (self.expected is None):
             raise DomainError(
                 "provide exactly one of per-outcome distributions or an "
@@ -99,23 +103,24 @@ class GeneralInstance:
     def m(self) -> int:
         return len(self.rewards)
 
-    def expected_reward_mask(self, mask: int) -> Fraction:
+    @cached_property
+    def reward(self) -> SuccessFunction:
+        """R, the expected reward: ``expected``, or one table of sum_j r_j P_j(S)."""
         if self.expected is not None:
-            return self.expected.value_mask(mask)
-        total = Fraction(0)
-        for r, tab in zip(self.rewards, self.distributions):
-            total += r * tab.value_mask(mask)
-        return total
+            return self.expected
+        columns = zip(*(tab.table for tab in self.distributions))
+        return ExplicitTable(
+            self.n,
+            tuple(sum(r * p for r, p in zip(self.rewards, col)) for col in columns),
+        )
 
-    def expected_reward(self, actions: Iterable[int]) -> Fraction:
-        from .functions import mask_of
-
-        return self.expected_reward_mask(mask_of(self.n, actions))
+    def expected_reward_mask(self, mask: int) -> Fraction:
+        return self.reward.value_mask(mask)
 
     @property
     def top_reward(self) -> Fraction:
         """R(A), the expected reward of the full action set."""
-        return self.expected_reward_mask((1 << self.n) - 1)
+        return self.reward.value_mask((1 << self.n) - 1)
 
     def observable_levels(self) -> frozenset:
         levels = {Fraction(0), self.top_reward}
@@ -124,41 +129,34 @@ class GeneralInstance:
 
 
 def embed_binary(inst: Instance) -> GeneralInstance:
-    """Binary instance as a two-outcome general instance with rewards (0, 1)."""
-    table = value_table(inst.f)
-    fail = ExplicitTable(inst.n, tuple(1 - v for v in table))
-    succeed = ExplicitTable(inst.n, table)
-    return GeneralInstance(
-        costs=inst.costs,
-        rewards=(Fraction(0), Fraction(1)),
-        distributions=(fail, succeed),
-    )
+    """Binary instance as a general instance with rewards (0, 1) and R = f."""
+    return GeneralInstance(inst.costs, (Fraction(0), Fraction(1)), expected=inst.f)
 
 
 def validate_general(ginst: GeneralInstance) -> ValidationReport:
+    """Report per-set violations: outcome rows that are not distributions,
+    R(empty set) != 0, a non-monotone R and an R(A) above the largest reward.
+
+    Only tables are enumerated: a structural R is monotone by construction.
+    """
     out = []
-    size = 1 << ginst.n
     if ginst.distributions is not None:
-        for mask in range(size):
-            total = sum(
-                (tab.value_mask(mask) for tab in ginst.distributions), Fraction(0)
-            )
+        for mask in range(1 << ginst.n):
+            probs = [tab.table[mask] for tab in ginst.distributions]
+            total = sum(probs)
             if total != 1:
                 out.append(f"outcome probabilities sum to {total} on mask {mask}")
                 break
-            if any(tab.value_mask(mask) < 0 for tab in ginst.distributions):
+            if any(p < 0 for p in probs):
                 out.append(f"negative outcome probability on mask {mask}")
                 break
     if ginst.expected_reward_mask(0) != 0:
         out.append("expected reward of the empty set is not 0")
-    if not out:
-        rewards = [ginst.expected_reward_mask(m) for m in range(size)]
-        full = size - 1
-        for mask in range(size):
-            rest = bit_indices(full & ~mask)
-            if any(rewards[mask | 1 << j] < rewards[mask] for j in rest):
-                out.append("expected reward is not monotone")
-                break
+    table = isinstance(ginst.reward, ExplicitTable)
+    if not out and table and not _monotone(ginst.reward):
+        out.append("expected reward is not monotone")
+    if ginst.top_reward > max(ginst.rewards):
+        out.append("expected reward of the full set exceeds the largest reward level")
     return ValidationReport(tuple(out))
 
 
@@ -221,6 +219,14 @@ class GeneralContract:
                 )
 
 
+def _positive_top(ginst: GeneralInstance) -> Fraction:
+    """R(A), refused with DegenerateInstanceError unless positive."""
+    top = ginst.top_reward
+    if top <= 0:
+        raise DegenerateInstanceError("R of the full action set must be positive")
+    return top
+
+
 def reduce_binary_contract(t0, t1, inst: Instance) -> Fraction:
     """Linear slope that weakly dominates the binary contract (t0, t1).
 
@@ -260,9 +266,7 @@ def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     worst-case utility is non-positive and any non-negative linear contract
     dominates it.
     """
-    top = ginst.top_reward
-    if top <= 0:
-        raise DegenerateInstanceError("R of the full action set must be positive")
+    top = _positive_top(ginst)
     t.check_observable(ginst)
     ell0 = t.pay(Fraction(0))
     ell1 = t.pay(top)
@@ -273,9 +277,7 @@ def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
 
 def two_point_family(ginst: GeneralInstance) -> Callable:
     """The proof's adversarial family: X_S on {0, R(A)} with mean R(S)."""
-    top = ginst.top_reward
-    if top <= 0:
-        raise DegenerateInstanceError("R of the full action set must be positive")
+    top = _positive_top(ginst)
 
     def family(mask: int):
         rs = ginst.expected_reward_mask(mask)
@@ -326,24 +328,9 @@ def optimal_linear_general(
     (and hence every critical value) untouched; the binary solution maps
     back with its utility rescaled by R(A).
     """
-    top = ginst.top_reward
-    if top <= 0:
-        raise DegenerateInstanceError("R of the full action set must be positive")
+    top = _positive_top(ginst)
     factor = 1 / top
-    if ginst.expected is not None:
-        f = ginst.expected.scaled(factor)
-    else:
-        size = 1 << ginst.n
-        f = ExplicitTable(
-            ginst.n,
-            tuple(ginst.expected_reward_mask(m) * factor for m in range(size)),
-        )
-    binary = Instance(f, tuple(c * factor for c in ginst.costs))
+    costs = tuple(c * factor for c in ginst.costs)
+    binary = Instance(ginst.reward.scaled(factor), costs)
     sol = optimal_contract(binary, method=method)
-    return ContractSolution(
-        alpha_star=sol.alpha_star,
-        utility=sol.utility * top,
-        actions=sol.actions,
-        profile=sol.profile,
-        v_queries=sol.v_queries,
-    )
+    return replace(sol, utility=sol.utility * top)

@@ -9,6 +9,7 @@ from combicontracts import (
     Instance,
     NotFoundError,
     PrecisionError,
+    ResourceLimitError,
     VOracle,
     brute_force_critical_set,
     fptas,
@@ -18,6 +19,7 @@ from combicontracts import (
     successor_from_profile,
     unique_rational_in,
 )
+from combicontracts.rational import MAX_K
 
 
 def test_grid_spec_example():
@@ -46,6 +48,20 @@ def test_grid_spec_rejects_bad_epsilon():
         grid_spec(Fraction(0), 4)
     with pytest.raises(DomainError):
         grid_spec(Fraction(1), 4)
+
+
+def test_huge_k_is_refused_before_any_grid():
+    assert grid_spec(Fraction(1, 2), MAX_K).size == MAX_K
+    inst = Instance(Additive((Fraction(1, 2),)), (Fraction(1, 4),), k=1 << 62)
+    for call in (
+        lambda: grid_spec(Fraction(1, 2), MAX_K + 1),
+        lambda: unique_rational_in(Fraction(0), Fraction(1), 1 << 62),
+        lambda: fptas(inst, Fraction(1, 2)),
+        lambda: succ_search(inst, Fraction(0)),
+        lambda: optimal_contract(inst, "search"),
+    ):
+        with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            call()
 
 
 def test_fptas_single_action_example():

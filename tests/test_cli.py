@@ -98,7 +98,10 @@ BAD_FIELDS = {
     "scale": (UNIFORM, ("scale",), "non-positive scale"),
     "cover index": (COVERAGE, ("function", "covers"), "outside 0..1"),
     "encoding": (None, (), "not UTF-8"),  # the value is the raw file
+    "k": (UNIFORM, ("k",), "exceeds the limit"),
 }
+# commands that build 2**k-sized values, which a huge k must stop first (exit 2)
+K_COMMANDS = (["solve", "--method", "search"], ["fptas", "--epsilon", "1/2"], ["verify"])
 
 
 def _bad_file(tmp_path, field, value):
@@ -136,12 +139,16 @@ def _bad_file(tmp_path, field, value):
         ("cover index", [[-1], [1]]),
         ("cover index", [[2**62], [1]]),
         ("encoding", b"\xff\xfe{}"),
+        ("k", 2**62),
     ],
 )
 def test_bad_integer_fields_exit_without_traceback(tmp_path, capsys, field, value):
     path = _bad_file(tmp_path, field, value)
-    for command in (["solve"], ["robust", "solve-linear"]):
-        assert main(command + [path]) == 1
+    commands, exit_code = (["solve"], ["robust", "solve-linear"]), 1
+    if field == "k":
+        commands, exit_code = K_COMMANDS, 2
+    for command in commands:
+        assert main(command + [path]) == exit_code
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert BAD_FIELDS[field][2] in err
@@ -297,6 +304,27 @@ def test_robust_commands(tmp_path, capsys, worked_additive):
     bpath.write_text(dumps_instance(worked_additive))
     code, out = run_cli(capsys, "robust", "solve-linear", str(bpath))
     assert code == 0 and "alpha_star    1/2" in out
+
+    # with R = f the robust solve is the binary solve, certified n = 40 too
+    keys = ("alpha_star", "utility", "actions", "v_queries")
+    for klass in SAMPLE_CLASSES:
+        n = 40 if klass in ("additive", "unit-demand", "matroid-rank") else 6
+        bpath.write_text(dumps_instance(sample_instance(klass, n, 12, seed=5)))
+        code, out = run_cli(capsys, "solve", str(bpath))
+        assert code == 0
+        code, robust_out = run_cli(capsys, "robust", "solve-linear", str(bpath))
+        assert code == 0
+        assert [pairs_of(robust_out)[k] for k in keys] == [pairs_of(out)[k] for k in keys]
+
+    # R(A) above the largest reward level: an unnormalized binary file, and
+    # a general file whose expected reward passes its top level
+    over = {"version": 1, "model": "general", "n": 2, "costs": ["1/8", "1/8"],
+            "rewards": ["0", "1"],
+            "expected": {"class": "additive", "values": ["3/4", "1/2"]}}
+    for text in (dumps_instance(gen_exponential_coverage(2)), json.dumps(over)):
+        bpath.write_text(text)
+        assert main(["robust", "solve-linear", str(bpath)]) == 1
+        assert "exceeds the largest reward level" in capsys.readouterr().err
 
 
 def test_verify_command(tmp_path, capsys):

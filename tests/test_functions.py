@@ -14,10 +14,7 @@ from combicontracts import (
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
-    cost,
-    marginal,
     validate,
-    value,
 )
 from combicontracts.functions import actions_of, mask_of, value_table
 
@@ -25,39 +22,39 @@ from conftest import make_small_corpus
 
 
 def test_value_examples(worked_additive, example_three_action):
-    assert value(worked_additive.f, {1, 2}) == Fraction(9, 10)
-    assert value(example_three_action.f, {1, 2}) == Fraction(1, 2)
+    assert worked_additive.f.value({1, 2}) == Fraction(9, 10)
+    assert example_three_action.f.value({1, 2}) == Fraction(1, 2)
     f = BudgetAdditive((Fraction(3, 8), Fraction(5, 8)), Fraction(1))
-    assert value(f, {1, 2}) == Fraction(1)
+    assert f.value({1, 2}) == Fraction(1)
 
 
 def test_marginal_examples(example_three_action):
     f = UnitDemand((Fraction(3, 5), Fraction(4, 5)))
-    assert marginal(f, 2, {1}) == Fraction(1, 5)
-    assert marginal(example_three_action.f, 3, {1, 2}) == Fraction(1, 10)
+    assert f.marginal(2, {1}) == Fraction(1, 5)
+    assert example_three_action.f.marginal(3, {1, 2}) == Fraction(1, 10)
     # monotonicity: last marginal is non-negative for every class instance
     for inst in make_small_corpus(12):
         full = set(range(1, inst.n + 1))
         for a in list(full):
-            assert marginal(inst.f, a, full - {a}) >= 0
+            assert inst.f.marginal(a, full - {a}) >= 0
 
 
 def test_marginal_rejects_members():
     f = Additive((Fraction(1, 2), Fraction(1, 4)))
     with pytest.raises(DomainError):
-        marginal(f, 1, {1})
+        f.marginal(1, {1})
     with pytest.raises(DomainError):
-        value(f, {3})
+        f.value({3})
 
 
 def test_cost_examples(example_three_action):
-    assert cost(example_three_action, {1, 2}) == Fraction(1, 5)
-    assert cost(example_three_action, set()) == 0
+    assert example_three_action.cost({1, 2}) == Fraction(1, 5)
+    assert example_three_action.cost(set()) == 0
     inst = Instance(
         Additive((Fraction(3, 8), Fraction(5, 8))),
         (Fraction(3, 64), Fraction(5, 64)),
     )
-    assert cost(inst, {1, 2}) == Fraction(1, 8)
+    assert inst.cost({1, 2}) == Fraction(1, 8)
 
 
 def test_validate_examples(example_three_action):
@@ -103,14 +100,14 @@ def test_matroid_rank_values():
     uniform = WeightedMatroidRank(
         (Fraction(5, 8), Fraction(3, 8), Fraction(1, 8)), UniformMatroid(2)
     )
-    assert value(uniform, {1, 2, 3}) == Fraction(1)
-    assert value(uniform, {2, 3}) == Fraction(1, 2)
+    assert uniform.value({1, 2, 3}) == Fraction(1)
+    assert uniform.value({2, 3}) == Fraction(1, 2)
     partition = WeightedMatroidRank(
         (Fraction(5, 8), Fraction(3, 8), Fraction(1, 8)),
         PartitionMatroid((frozenset({1, 2}), frozenset({3})), (1, 1)),
     )
-    assert value(partition, {1, 2, 3}) == Fraction(5, 8) + Fraction(1, 8)
-    assert value(partition, {2}) == Fraction(3, 8)
+    assert partition.value({1, 2, 3}) == Fraction(5, 8) + Fraction(1, 8)
+    assert partition.value({2}) == Fraction(3, 8)
 
 
 def test_partition_must_cover_ground_set():

@@ -247,6 +247,11 @@ def test_sample_instance_valid_all_classes():
             assert inst.f.kind == klass
             same = sample_instance(klass, 5, 6, seed=seed)
             assert same == inst
+    # many items on a coarse grid, where each per-item cap floors at 2**-k
+    for klass, n, k in (("additive", 20, 4), ("matroid-rank", 20, 4), ("coverage", 6, 3),
+                        ("coverage", 40, 6), ("table", 8, 4), ("table", 12, 4)):
+        for seed in range(8):
+            assert validate(sample_instance(klass, n, k, seed)).ok
     assert sample_instance("additive", 3, 4, 0).f.gs_certified
     assert sample_instance("unit-demand", 3, 4, 0).f.gs_certified
     assert sample_instance("matroid-rank", 3, 4, 0).f.gs_certified

@@ -6,7 +6,10 @@ wrong type or a list of the wrong length.  Loading either yields an
 instance or raises a ``ContractError``; whatever loads then gets a report,
 or a ``ContractError``, from the checks the CLI runs on it: ``validate``
 for a binary file, ``validate_general`` for a general file or a binary
-file embedded for the robust commands.
+file embedded for the robust commands.  Whatever validates cleanly goes
+on to the solvers: ``optimal_contract`` by every method and ``fptas`` for
+a binary file, ``optimal_linear_general`` for a general file or an
+embedding; these too answer or raise a ``ContractError``.
 """
 
 import json
@@ -24,7 +27,10 @@ from combicontracts import (  # noqa: E402
     Instance,
     ValidationReport,
     embed_binary,
+    fptas,
     loads_instance,
+    optimal_contract,
+    optimal_linear_general,
     validate,
     validate_general,
 )
@@ -133,21 +139,33 @@ def files(draw):
     return obj
 
 
+def _or_refused(call):
+    """call(), or None when it raises a ContractError."""
+    try:
+        return call()
+    except ContractError:
+        return None
+
+
+def _valid(check) -> bool:
+    report = _or_refused(check)
+    assert report is None or isinstance(report, ValidationReport)
+    return report is not None and report.ok
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(obj=files())
 def test_any_object_loads_or_is_refused(obj):
-    try:
-        inst = loads_instance(json.dumps(obj))
-    except ContractError:
+    inst = _or_refused(lambda: loads_instance(json.dumps(obj)))
+    if inst is None:
         return
+    general = inst
     if isinstance(inst, Instance):
-        checks = (lambda: validate(inst), lambda: validate_general(embed_binary(inst)))
-    else:
-        assert isinstance(inst, GeneralInstance)
-        checks = (lambda: validate_general(inst),)
-    for check in checks:
-        try:
-            report = check()
-        except ContractError:
-            continue
-        assert isinstance(report, ValidationReport)
+        if _valid(lambda: validate(inst)):
+            for method in ("auto", "gs", "search", "brute"):
+                _or_refused(lambda: optimal_contract(inst, method))
+            _or_refused(lambda: fptas(inst, Fraction(1, 2)))
+        general = embed_binary(inst)
+    assert isinstance(general, GeneralInstance)
+    if _valid(lambda: validate_general(general)):
+        _or_refused(lambda: optimal_linear_general(general))

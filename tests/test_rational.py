@@ -46,6 +46,8 @@ def test_in_bounded_set_examples():
     assert in_bounded_set(Fraction(1, 2), 1)
     assert not in_bounded_set(Fraction(3, 5), 2)  # 5 > 2**2
     assert in_bounded_set(Fraction(1, 1), 1)
+    assert in_bounded_set(Fraction(4, 3), 2) and not in_bounded_set(Fraction(5, 3), 2)
+    assert in_bounded_set(Fraction(3, 8), 1 << 62)  # decided from bit lengths
     with pytest.raises(DomainError):
         in_bounded_set(Fraction(0), 3)
     with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from combicontracts import (
     optimal_contract,
     optimal_linear_general,
     reduce_binary_contract,
+    sample_instance,
     two_point_family,
     utility_under_family,
     validate_general,
@@ -217,12 +218,26 @@ def test_validate_general(general_corpus):
     report = validate_general(bad)
     assert any("sum to" in v for v in report.violations)
 
+    # a structural R is not enumerated: 2**40 sets would never finish
+    big = sample_instance("additive", 40, 12, seed=1)
+    assert validate_general(embed_binary(big)).ok
+    # an expected reward cannot pass the largest reward level
+    over = GeneralInstance(
+        costs=(Fraction(1, 8),) * 2,
+        rewards=(Fraction(0), Fraction(1)),
+        expected=Additive((Fraction(3, 4), Fraction(1, 2))),
+    )
+    assert validate_general(over).violations == (
+        "expected reward of the full set exceeds the largest reward level",
+    )
+
     # what one pass over costs and rewards decides is refused at construction
     f = Additive((Fraction(1, 2), Fraction(1, 4)))
     for costs, rewards, match in (
         ((Fraction(1, 8),), (Fraction(0), Fraction(1)), "1 costs for 2 actions"),
         ((Fraction(1, 8), Fraction(0)), (Fraction(0), Fraction(1)), "action 2"),
         ((Fraction(1, 8),) * 2, (Fraction(-1), Fraction(1)), "negative"),
+        ((Fraction(1, 8),) * 2, (), "no reward levels"),
     ):
         with pytest.raises(DomainError, match=match):
             GeneralInstance(costs=costs, rewards=rewards, expected=f)

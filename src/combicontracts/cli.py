@@ -318,14 +318,20 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
     for i in range(1, len(profile.alphas)):
         probes.append((profile.alphas[i - 1] + profile.alphas[i]) / 2)
 
+    brute = {a: demand.brute_force_demand(inst, a) for a in probes}
+    oracle = demand.VOracle(inst)
+    ok = all(
+        oracle(a) == prof.v and oracle.best_response(a) in prof.d_star
+        for a, prof in brute.items()
+    )
+    checks.append(("v-oracle-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"))
+
     if inst.f.gs_certified:
-        ok = True
-        for a in probes:
-            prof = demand.brute_force_demand(inst, a)
-            greedy_set = demand.greedy_demand(inst, a).set
-            if greedy_set not in prof.d_star or inst.f.value(greedy_set) != prof.v:
-                ok = False
-                break
+        ok = all(
+            (s := demand.greedy_demand(inst, a).set) in prof.d_star
+            and inst.f.value(s) == prof.v
+            for a, prof in brute.items()
+        )
         checks.append(("greedy-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"))
         ok = all(
             contract.succ_gs(inst, a) == contract.successor_from_profile(profile, a)

@@ -1,8 +1,9 @@
 """The optimal-contract engine.
 
 Successor computation for certified gross-substitutes instances, the
-critical-set envelope oracle used to verify everything, and the generic
-iterate-the-successors algorithm for the optimal linear contract.
+critical-set envelope (an integer sweep over all 2**n subset lines, which
+verifies everything and serves V queries on the other classes), and the
+generic iterate-the-successors algorithm for the optimal linear contract.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .errors import (
     UnsupportedClassError,
 )
 from .functions import (
+    Additive,
     Instance,
     actions_of,
     brute_force_limit,
-    cost_table,
-    value_table,
+    lifted_values,
 )
 from .rational import as_fraction
 
@@ -83,12 +84,6 @@ class ContractSolution:
     v_queries: int | None = None
 
 
-def _intersect_x(line_a, line_b) -> Fraction:
-    # slope-intercept pairs; caller guarantees distinct slopes
-    (m1, b1), (m2, b2) = line_a[:2], line_b[:2]
-    return (b1 - b2) / (m2 - m1)
-
-
 @lru_cache(maxsize=512)
 def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> CriticalProfile:
     """Exact critical set from the upper envelope of all 2**n subset lines.
@@ -97,9 +92,11 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     V(alpha) is the slope of the envelope segment at alpha (the maximal
     slope at breakpoints, matching principal-favoring tie-breaks), so the
     critical set is exactly the envelope breakpoints inside (0, 1].  The
-    sweep is exact rational arithmetic throughout; every critical value is
-    the intersection abscissa (c(S) - c(S')) / (f(S) - f(S')) of two subset
-    lines, the same finite candidate family the definition quantifies over.
+    sweep runs on f = F/Df and c = C/Dc lifted to integers: every critical
+    value is the intersection abscissa (C1 - C0)*Df / ((F1 - F0)*Dc) of two
+    subset lines, the same finite candidate family the definition
+    quantifies over, and only the reported alphas and V values are
+    Fractions.
 
     ``beyond_one`` lifts the upper cap and reports every demand change on
     (0, infinity); cost perturbations shift breakpoints upward, so the
@@ -111,50 +108,50 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
         raise ResourceLimitError(
             f"brute force limited to {limit} actions, instance has {inst.n}"
         )
-    ftab = value_table(inst.f)
-    ctab = cost_table(inst)
+    Df, ftab = lifted_values(inst.f)
+    Dc, ctab = lifted_values(Additive(inst.costs))
 
-    # One line per distinct slope: keep the max intercept (min cost) and
-    # every mask attaining it; those masks are exactly D* on the segment.
+    # One line per distinct slope F: keep the min cost C and every mask
+    # attaining it; those masks are exactly D* on the segment.
     best: dict = {}
-    for mask in range(1 << inst.n):
-        slope = ftab[mask]
-        intercept = -ctab[mask]
-        cur = best.get(slope)
-        if cur is None or intercept > cur[0]:
-            best[slope] = (intercept, [mask])
-        elif intercept == cur[0]:
+    for mask, (F, C) in enumerate(zip(ftab, ctab)):
+        cur = best.get(F)
+        if cur is None or C < cur[0]:
+            best[F] = (C, [mask])
+        elif C == cur[0]:
             cur[1].append(mask)
 
-    lines = [(slope, pair[0], pair[1]) for slope, pair in sorted(best.items())]
     hull: list = []
-    for line in lines:
+    for F, (C, masks) in sorted(best.items()):
         while hull:
-            if line[1] >= hull[-1][1]:
-                # Same-or-higher intercept with a higher slope dominates the
+            F1, C1, _ = hull[-1]
+            if C <= C1:
+                # Same-or-lower cost with a higher slope dominates the
                 # previous line everywhere on alpha >= 0.
                 hull.pop()
-            elif len(hull) >= 2 and _intersect_x(hull[-2], line) <= _intersect_x(
-                hull[-2], hull[-1]
-            ):
+                continue
+            if len(hull) < 2:
+                break
+            # The new line meets hull[-2] no later than hull[-1] does.
+            F0, C0, _ = hull[-2]
+            if (C - C0) * (F1 - F0) <= (C1 - C0) * (F - F0):
                 hull.pop()
             else:
                 break
-        hull.append(line)
+        hull.append((F, C, masks))
 
+    # Slopes and costs strictly increase along the hull, so every
+    # breakpoint is positive.
     alphas: list = []
     values: list = []
     demand_sets: list = []
-    for i in range(1, len(hull)):
-        x = _intersect_x(hull[i - 1], hull[i])
-        if not x > 0:
-            raise InvariantError("envelope breakpoint not positive")
-        if x > 1 and not beyond_one:
+    for (F0, C0, _), (F1, C1, masks) in zip(hull, hull[1:]):
+        num, den = (C1 - C0) * Df, (F1 - F0) * Dc
+        if num > den and not beyond_one:
             break
-        alphas.append(x)
-        values.append(hull[i][0])
-        canon = min(tuple(sorted(actions_of(m))) for m in hull[i][2])
-        demand_sets.append(frozenset(canon))
+        alphas.append(Fraction(num, den))
+        values.append(Fraction(F1, Df))
+        demand_sets.append(frozenset(min(tuple(sorted(actions_of(m))) for m in masks)))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(demand_sets))
 
 

@@ -7,8 +7,7 @@ the counted V oracle used by the query-complexity results.
 
 from __future__ import annotations
 
-import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,10 +17,10 @@ from .functions import (
     Instance,
     UniformMatroid,
     UnitDemand,
+    _lift,
     actions_of,
     brute_force_limit,
-    cost_table,
-    value_table,
+    lifted_values,
 )
 from .rational import as_fraction
 
@@ -102,9 +101,8 @@ class GreedyKernel:
             )
         params = f.parameter_fractions()
         n = self.n = inst.n
-        D = self.D = math.lcm(*(x.denominator for x in params + inst.costs))
-        self.costs = tuple(c.numerator * (D // c.denominator) for c in inst.costs)
-        self.weights = tuple(x.numerator * (D // x.denominator) for x in params)
+        self.D, lifted = _lift(params + inst.costs)
+        self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
         self.blocks = (0,) * n
         if isinstance(f, Additive):
             self.caps = (n,)
@@ -207,32 +205,31 @@ def _sorted_sets(masks) -> tuple:
 
 
 def brute_force_demand(inst: Instance, alpha) -> DemandProfile:
-    """Exhaustive maximization of alpha*f(S) - c(S) over all 2**n subsets."""
+    """Exhaustive maximization of alpha*f(S) - c(S) over all 2**n subsets.
+
+    With f = F/Df and c = C/Dc lifted to integers and alpha = p/q, the
+    agent's utility is (p*Dc*F - q*Df*C) / (q*Df*Dc), so the scan compares ints.
+    """
     limit = brute_force_limit()
     if inst.n > limit:
         raise ResourceLimitError(
             f"brute force limited to {limit} actions, instance has {inst.n}"
         )
     alpha = _check_alpha(alpha)
-    ftab = value_table(inst.f)
-    ctab = cost_table(inst)
-    best_u = None
-    argmax: list = []
-    for mask in range(1 << inst.n):
-        u = alpha * ftab[mask] - ctab[mask]
-        if best_u is None or u > best_u:
-            best_u = u
-            argmax = [mask]
-        elif u == best_u:
-            argmax.append(mask)
+    Df, ftab = lifted_values(inst.f)
+    Dc, ctab = lifted_values(Additive(inst.costs))
+    a, b = alpha.numerator * Dc, alpha.denominator * Df
+    utils = [a * F - b * C for F, C in zip(ftab, ctab)]
+    best_u = max(utils)
+    argmax = [m for m, u in enumerate(utils) if u == best_u]
     best_f = max(ftab[m] for m in argmax)
     star = [m for m in argmax if ftab[m] == best_f]
     return DemandProfile(
         alpha=alpha,
         demand=_sorted_sets(argmax),
         d_star=_sorted_sets(star),
-        u_agent=best_u,
-        v=best_f,
+        u_agent=Fraction(best_u, b * Dc),
+        v=Fraction(best_f, Df),
     )
 
 
@@ -244,13 +241,10 @@ def canonical_best_response(profile: DemandProfile) -> frozenset:
 def v_value(inst: Instance, alpha) -> Fraction:
     """V(alpha): success probability of the principal-favored best response.
 
-    Greedy for certified classes and exhaustive search otherwise; this
-    function does not count queries (wrap it in a VOracle where query
-    complexity matters).
+    A throwaway ``VOracle``, so this function does not count queries (wrap
+    the instance in one VOracle where query complexity matters).
     """
-    if inst.f.gs_certified:
-        return GreedyKernel(inst).v(alpha)
-    return brute_force_demand(inst, alpha).v
+    return VOracle(inst)(alpha)
 
 
 class VOracle:
@@ -260,13 +254,16 @@ class VOracle:
     size) are phrased in V-oracle calls, so callers that need accounting
     route every evaluation through one oracle instance.  The evaluator
     follows from the instance: a certified class is lifted once
-    (``kernel``) and answered by the greedy; any other class is answered by
-    brute force (``kernel`` is None), which the limit must allow.
+    (``kernel``) and answered by the greedy; any other class, which the
+    brute-force limit must allow, takes its critical profile once
+    (``profile``, the envelope of all 2**n subset lines) and answers by
+    bisection over the critical values: V is a step function that jumps
+    exactly there, and is 0 below the first one because costs are positive.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.kernel = None
+        self.kernel = self.profile = None
         if inst.f.gs_certified:
             self.kernel = GreedyKernel(inst)
         elif inst.n > brute_force_limit():
@@ -274,17 +271,28 @@ class VOracle:
                 "no V oracle available: function class is not certified for "
                 f"greedy and {inst.n} actions exceed the brute-force limit"
             )
+        else:
+            from .contract import brute_force_critical_set  # contract imports demand
+
+            self.profile = brute_force_critical_set(inst)
         self.queries = 0
+
+    def _segment(self, alpha) -> int:
+        """The number of critical values at or below alpha."""
+        return bisect_right(self.profile.alphas, _check_alpha(alpha))
 
     def __call__(self, alpha) -> Fraction:
         self.queries += 1
-        if self.kernel is None:
-            return v_value(self.inst, alpha)
-        return self.kernel.v(alpha)
+        if self.kernel is not None:
+            return self.kernel.v(alpha)
+        i = self._segment(alpha)
+        return self.profile.values[i - 1] if i else Fraction(0)
 
     def best_response(self, alpha) -> frozenset:
         """The action set reported at alpha (not counted as a query): the
-        kernel's greedy set, else the canonical brute-force response."""
+        kernel's greedy set, else the profile's canonical set, which is the
+        lexicographically smallest member of D*."""
         if self.kernel is not None:
             return self.kernel.demand(alpha).set
-        return canonical_best_response(brute_force_demand(self.inst, alpha))
+        i = self._segment(alpha)
+        return self.profile.demand_sets[i - 1] if i else frozenset()

@@ -14,6 +14,7 @@ of action indices; enumeration-heavy internals work on integer bitmasks
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +43,7 @@ __all__ = [
     "validate",
     "value_table",
     "cost_table",
+    "lifted_values",
     "brute_force_limit",
     "EXPLICIT_TABLE_MAX_ACTIONS",
 ]
@@ -511,7 +513,7 @@ def validate(inst: Instance) -> ValidationReport:
 
 def _monotone(tab: ExplicitTable) -> bool:
     """True iff adding an action never lowers an entry of the table."""
-    table, full = tab.table, (1 << tab.n) - 1
+    table, full = lifted_values(tab)[1], (1 << tab.n) - 1
     return not any(
         table[mask | 1 << j] < table[mask]
         for mask in range(full + 1)
@@ -519,55 +521,55 @@ def _monotone(tab: ExplicitTable) -> bool:
     )
 
 
-@lru_cache(maxsize=512)
-def value_table(f: SuccessFunction) -> tuple:
-    """All 2**n values of f indexed by bitmask (cached per function)."""
+def _lift(fracs) -> tuple:
+    """(D, ints): each Fraction as an integer over D, the LCM of their denominators."""
+    D = math.lcm(*(x.denominator for x in fracs))
+    return D, [x.numerator * (D // x.denominator) for x in fracs]
+
+
+def lifted_values(f: SuccessFunction) -> tuple:
+    """(D, T): all 2**n values of f as integers over one denominator D (the
+    LCM of f's parameter denominators), indexed by bitmask: f(mask) = T[mask]/D.
+
+    Tables grow by doubling: the masks with bit i set are those below 2**i
+    plus action i+1.
+    """
     n = f.n
     if n > EXPLICIT_TABLE_MAX_ACTIONS:
         raise ResourceLimitError(f"cannot tabulate {n} actions")
-    size = 1 << n
+    D, w = _lift(f.parameter_fractions())
     if isinstance(f, ExplicitTable):
-        return f.table
+        return D, w
+    t = [0]
     if isinstance(f, (Additive, BudgetAdditive)):
-        sums = [Fraction(0)] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + f.values[low.bit_length() - 1]
-        if isinstance(f, Additive):
-            return tuple(sums)
-        return tuple(min(f.budget, s) for s in sums)
-    if isinstance(f, UnitDemand):
-        vals = [Fraction(0)] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            vals[mask] = max(vals[mask ^ low], f.values[low.bit_length() - 1])
-        return tuple(vals)
-    if isinstance(f, Coverage):
-        cover_masks = [f._cover_mask(i) for i in range(n)]
-        union = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            union[mask] = union[mask ^ low] | cover_masks[low.bit_length() - 1]
-        weight_sum: dict = {}
-        out = []
-        for mask in range(size):
-            u = union[mask]
-            if u not in weight_sum:
-                weight_sum[u] = sum((f.weights[j] for j in bit_indices(u)), Fraction(0))
-            out.append(weight_sum[u])
-        return tuple(out)
-    return tuple(f.value_mask(mask) for mask in range(size))
+        for x in w[:n]:
+            t += [s + x for s in t]
+        if isinstance(f, BudgetAdditive):
+            t = [s if s < w[n] else w[n] for s in t]
+    elif isinstance(f, UnitDemand):
+        for x in w:
+            t += [s if s > x else x for s in t]
+    elif isinstance(f, Coverage):
+        for cover in map(f._cover_mask, range(n)):
+            t += [u | cover for u in t]
+        weight_of = {u: sum(w[j] for j in bit_indices(u)) for u in set(t)}
+        t = [weight_of[u] for u in t]
+    else:  # matroid rank: every value is a sum of weights, an integer over D
+        t = [v.numerator * (D // v.denominator) for v in map(f.value_mask, range(1 << n))]
+    return D, t
+
+
+@lru_cache(maxsize=512)
+def value_table(f: SuccessFunction) -> tuple:
+    """All 2**n values of f indexed by bitmask (cached per function), as
+    Fractions: the view of ``lifted_values``."""
+    D, t = lifted_values(f)
+    return tuple(Fraction(v, D) for v in t)
 
 
 @lru_cache(maxsize=512)
 def cost_table(inst: Instance) -> tuple:
-    """All 2**n subset costs indexed by bitmask (cached per instance)."""
-    n = inst.n
-    if n > EXPLICIT_TABLE_MAX_ACTIONS:
-        raise ResourceLimitError(f"cannot tabulate {n} actions")
-    size = 1 << n
-    out = [Fraction(0)] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + inst.costs[low.bit_length() - 1]
-    return tuple(out)
+    """All 2**n subset costs indexed by bitmask (cached per instance), as
+    Fractions: the view of the lifted table of the additive cost function."""
+    D, t = lifted_values(Additive(inst.costs))
+    return tuple(Fraction(c, D) for c in t)

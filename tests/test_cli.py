@@ -335,6 +335,7 @@ def test_verify_command(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "greedy-vs-brute-demand" in out
+    assert ["v-oracle-vs-brute-demand", "PASS"] in [row.split()[:2] for row in out.splitlines()]
 
     cov = gen_exponential_coverage(3)
     cpath = tmp_path / "c.inst"
@@ -342,6 +343,7 @@ def test_verify_command(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", str(cpath))
     assert code == 0
     assert "not gs_certified" in out and "count = 7" in out
+    assert ["v-oracle-vs-brute-demand", "PASS"] in [row.split()[:2] for row in out.splitlines()]
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

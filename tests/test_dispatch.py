@@ -19,12 +19,14 @@ from combicontracts import (
     ResourceLimitError,
     UnsupportedClassError,
     VOracle,
+    brute_force_critical_set,
     fptas,
     optimal_contract,
     succ_gs,
     succ_search,
     v_value,
 )
+from combicontracts import demand
 from combicontracts.demand import GreedyKernel
 
 CALLS = {
@@ -97,3 +99,17 @@ def test_one_kernel_per_certified_solve(monkeypatch):
     built.clear()
     assert fptas(inst, Fraction(1, 2)).actions
     assert len(built) == 1
+
+
+def test_one_envelope_per_uncertified_solve(monkeypatch):
+    scans = []
+    scan = demand.brute_force_demand
+    monkeypatch.setattr(
+        demand, "brute_force_demand", lambda *args: scans.append(args) or scan(*args)
+    )
+    inst = _instance("coverage", 3, 4)
+    for solve in (lambda: optimal_contract(inst, "search"), lambda: fptas(inst, Fraction(1, 2))):
+        brute_force_critical_set.cache_clear()
+        assert solve().actions
+        assert brute_force_critical_set.cache_info().misses == 1
+    assert scans == []

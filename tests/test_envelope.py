@@ -1,0 +1,116 @@
+"""Property tests for the integer subset tables and the profile-backed V oracle.
+
+The references avoid the code under test: lifted tables are checked against
+``value_mask`` and ``cost_mask`` (per-set Fraction sums), and the V oracle,
+which bisects over the envelope's critical values, against the separate
+argmax scan of ``brute_force_demand``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from combicontracts import (  # noqa: E402
+    Additive,
+    BudgetAdditive,
+    Coverage,
+    ExplicitTable,
+    Instance,
+    PartitionMatroid,
+    UniformMatroid,
+    UnitDemand,
+    VOracle,
+    WeightedMatroidRank,
+    brute_force_critical_set,
+    brute_force_demand,
+    canonical_best_response,
+)
+from combicontracts.functions import bit_indices, lifted_values  # noqa: E402
+
+DYADIC = (1, 2, 4, 8, 16)
+# dyadic (with or without k = 4), non-dyadic and mixed denominators
+DENOMINATORS = (DYADIC, (3, 5, 7), (2, 3, 4, 5, 7))
+UNCERTIFIED = ("budget-additive", "coverage", "table")
+CLASSES = ("additive", "unit-demand", "matroid-rank") + UNCERTIFIED
+
+
+@st.composite
+def rationals(draw, dens, positive):
+    den = draw(st.sampled_from(dens))
+    return Fraction(draw(st.integers(1 if positive else 0, den)), den)
+
+
+@st.composite
+def instances(draw, classes):
+    klass = draw(st.sampled_from(classes))
+    n = draw(st.integers(1, 6 if klass == "table" else 8))
+    dens = draw(st.sampled_from(DENOMINATORS))
+
+    def values(count):
+        return [draw(rationals(dens, positive=False)) for _ in range(count)]
+
+    if klass == "additive":
+        f = Additive(values(n))
+    elif klass == "unit-demand":
+        f = UnitDemand(values(n))
+    elif klass == "matroid-rank":
+        if draw(st.booleans()):
+            matroid = UniformMatroid(draw(st.integers(0, n)))
+        else:
+            owner = [draw(st.integers(0, 1)) for _ in range(n)]
+            blocks = tuple(frozenset(a + 1 for a in range(n) if owner[a] == b) for b in (0, 1))
+            matroid = PartitionMatroid(blocks, (draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+        f = WeightedMatroidRank(values(n), matroid)
+    elif klass == "budget-additive":
+        f = BudgetAdditive(values(n), values(1)[0] * draw(st.integers(1, n)))
+    elif klass == "coverage":
+        size = draw(st.integers(1, 6))
+        covers = [draw(st.frozensets(st.integers(0, size - 1))) for _ in range(n)]
+        f = Coverage(values(size), covers)
+    else:
+        # monotone: each entry is at least every entry one action below it
+        table = [Fraction(0)]
+        for mask, extra in enumerate(values((1 << n) - 1), 1):
+            table.append(max([extra] + [table[mask ^ (1 << j)] for j in bit_indices(mask)]))
+        f = ExplicitTable(n, table)
+    singles = f.singleton_values()
+    # a cost equal to its own value puts a critical value at 1 or on a tie
+    costs = [
+        v if v > 0 and draw(st.booleans()) else draw(rationals(dens, positive=True))
+        for v in singles
+    ]
+    k = draw(st.sampled_from((None, 4))) if dens == DYADIC else None
+    return Instance(f, costs, k=k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=instances(UNCERTIFIED), data=st.data())
+def test_v_oracle_matches_brute_force_demand(inst, data):
+    criticals = brute_force_critical_set(inst).alphas
+    edges = (Fraction(0),) + criticals + (Fraction(1),)
+    midpoints = [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])]
+    randoms = data.draw(
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=4)
+    )
+    points = list(edges) + midpoints + randoms
+    oracle = VOracle(inst)
+    assert oracle.kernel is None
+    for alpha in points:
+        reference = brute_force_demand(inst, alpha)
+        assert oracle(alpha) == reference.v
+        assert oracle.best_response(alpha) == canonical_best_response(reference)
+    assert oracle.queries == len(points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=instances(CLASSES))
+def test_lifted_tables_match_per_set_values(inst):
+    masks = range(1 << inst.n)
+    D, table = lifted_values(inst.f)
+    assert [Fraction(v, D) for v in table] == [inst.f.value_mask(m) for m in masks]
+    D, table = lifted_values(Additive(inst.costs))
+    assert [Fraction(c, D) for c in table] == [inst.cost_mask(m) for m in masks]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import ContractSolution
-from .demand import VOracle, v_value
+from .demand import VOracle, _check_alpha, v_value
 from .errors import DomainError, InvariantError, NotFoundError, PrecisionError
 from .functions import Instance
 from .rational import _bounded_k, as_fraction
@@ -65,7 +65,7 @@ def require_k(inst: Instance) -> int:
     return _bounded_k(inst.k)
 
 
-def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> ContractSolution:
+def fptas(inst: Instance, epsilon) -> ContractSolution:
     """(1-eps)-approximation via the geometric grid, using exactly |R| V queries.
 
     Evaluates (1 - alpha) * V(alpha) at every grid point plus the alpha = 0
@@ -74,23 +74,20 @@ def fptas(inst: Instance, epsilon, *, oracle: VOracle | None = None) -> Contract
     is at least (1 - eps) times the optimum.
     """
     spec = grid_spec(epsilon, require_k(inst))
-    if oracle is None:
-        oracle = VOracle(inst)
-    start = oracle.queries
+    oracle = VOracle(inst)
     best_alpha, best_util = Fraction(0), Fraction(0)
     for alpha in spec.points:
         util = (1 - alpha) * oracle(alpha)
         if util > best_util:
             best_alpha, best_util = alpha, util
-    used = oracle.queries - start
-    if used != spec.size:
-        raise InvariantError(f"grid used {used} queries, expected {spec.size}")
+    if oracle.queries != spec.size:
+        raise InvariantError(f"grid used {oracle.queries} queries, expected {spec.size}")
     return ContractSolution(
         alpha_star=best_alpha,
         utility=best_util,
         actions=frozenset() if best_alpha == 0 else oracle.best_response(best_alpha),
         profile=None,
-        v_queries=used,
+        v_queries=oracle.queries,
     )
 
 
@@ -168,9 +165,7 @@ def succ_search(
     counted oracle, matching the query accounting of the 2k+1 bound.
     """
     k = require_k(inst)
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"contract value {alpha} outside [0, 1]")
+    alpha = _check_alpha(alpha)
     if oracle is None:
         oracle = VOracle(inst)
     if v_alpha is None:

@@ -302,18 +302,24 @@ def _cmd_robust(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_binary(args.instance)
-    checks = _verify_checks(inst, parse_rational(args.epsilon))
-    rows = [[name, status, note] for name, status, note in checks]
-    _print_table(["check", "status", "note"], rows, args.format)
+    epsilon = parse_rational(args.epsilon)
+    checks = []
+    try:
+        for check in _verify_checks(inst, epsilon):
+            checks.append(check)
+    finally:  # a refusal part-way still shows the rows computed before it
+        if checks:
+            _print_table(["check", "status", "note"], checks, args.format)
     if any(status == "FAIL" for _, status, _ in checks):
         raise InvariantError("verification uncovered an internal inconsistency")
     return EXIT_OK
 
 
 def _verify_checks(inst: Instance, epsilon: Fraction):
-    """Cross-checks of every computation path against the envelope oracle."""
-    checks = []
+    """Cross-checks of every computation path against the envelope oracle,
+    yielded as (check, status, note) rows."""
     profile = contract.brute_force_critical_set(inst)
+    reference = contract.optimal_contract(inst, method="brute")
     probes = [Fraction(0)] + list(profile.alphas) + [Fraction(1)]
     for i in range(1, len(profile.alphas)):
         probes.append((profile.alphas[i - 1] + profile.alphas[i]) / 2)
@@ -324,7 +330,7 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
         oracle(a) == prof.v and oracle.best_response(a) in prof.d_star
         for a, prof in brute.items()
     )
-    checks.append(("v-oracle-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"))
+    yield "v-oracle-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"
 
     if inst.f.gs_certified:
         ok = all(
@@ -332,26 +338,26 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
             and inst.f.value(s) == prof.v
             for a, prof in brute.items()
         )
-        checks.append(("greedy-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"))
+        yield "greedy-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"
         ok = all(
             contract.succ_gs(inst, a) == contract.successor_from_profile(profile, a)
             for a in [Fraction(0)] + list(profile.alphas)
         )
-        checks.append(("succ-gs-vs-envelope", _verdict(ok), ""))
+        yield "succ-gs-vs-envelope", _verdict(ok), ""
         bound = inst.n * (inst.n + 1) // 2
         ok = profile.size <= bound
-        checks.append(("critical-count-bound", _verdict(ok), f"{profile.size} <= {bound}"))
+        yield "critical-count-bound", _verdict(ok), f"{profile.size} <= {bound}"
     else:
-        checks.append(("greedy-vs-brute-demand", "SKIP", "not gs_certified"))
-        checks.append(("succ-gs-vs-envelope", "SKIP", "not gs_certified"))
+        yield "greedy-vs-brute-demand", "SKIP", "not gs_certified"
+        yield "succ-gs-vs-envelope", "SKIP", "not gs_certified"
         note = f"not applicable (not gs_certified); count = {profile.size}"
-        checks.append(("critical-count-bound", "SKIP", note))
+        yield "critical-count-bound", "SKIP", note
 
     if inst.k is not None:
         from .rational import in_bounded_set
 
         ok = all(in_bounded_set(a, inst.k) for a in profile.alphas)
-        checks.append(("k-bit-critical-values", _verdict(ok), f"k={inst.k}"))
+        yield "k-bit-critical-values", _verdict(ok), f"k={inst.k}"
 
         ok = True
         queries_ok = True
@@ -362,16 +368,15 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
                 ok = False
             if oracle.queries > 2 * inst.k + 1:
                 queries_ok = False
-        checks.append(("succ-search-vs-envelope", _verdict(ok), ""))
-        checks.append(("succ-search-query-bound", _verdict(queries_ok), f"<= {2 * inst.k + 1}"))
+        yield "succ-search-vs-envelope", _verdict(ok), ""
+        yield "succ-search-query-bound", _verdict(queries_ok), f"<= {2 * inst.k + 1}"
 
-        opt = contract.optimal_contract(inst, method="brute")
         sol = approx.fptas(inst, epsilon)
-        ok = sol.utility >= (1 - epsilon) * opt.utility
-        checks.append(("fptas-guarantee", _verdict(ok), f"epsilon={format_rational(epsilon)}"))
+        ok = sol.utility >= (1 - epsilon) * reference.utility
+        yield "fptas-guarantee", _verdict(ok), f"epsilon={format_rational(epsilon)}"
         spec = approx.grid_spec(epsilon, inst.k)
         ok = sol.v_queries == spec.size
-        checks.append(("fptas-query-count", _verdict(ok), f"{sol.v_queries} == {spec.size}"))
+        yield "fptas-query-count", _verdict(ok), f"{sol.v_queries} == {spec.size}"
     else:
         for name in (
             "k-bit-critical-values",
@@ -380,9 +385,8 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
             "fptas-guarantee",
             "fptas-query-count",
         ):
-            checks.append((name, "SKIP", "no declared k"))
+            yield name, "SKIP", "no declared k"
 
-    reference = contract.optimal_contract(inst, method="brute")
     expected = (reference.alpha_star, reference.utility)
     methods, ok = ["brute"], True
     for m in contract.SUCCESSORS:
@@ -392,8 +396,7 @@ def _verify_checks(inst: Instance, epsilon: Fraction):
             continue  # gs needs a certified class, search a declared k
         methods.append(m)
         ok = ok and (sol.alpha_star, sol.utility) == expected
-    checks.append(("optimal-contract-backends", _verdict(ok), "+".join(methods)))
-    return checks
+    yield "optimal-contract-backends", _verdict(ok), "+".join(methods)
 
 
 def _verdict(ok: bool) -> str:

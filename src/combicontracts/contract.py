@@ -64,9 +64,6 @@ class CriticalProfile:
     def size(self) -> int:
         return len(self.alphas)
 
-    def __len__(self) -> int:
-        return len(self.alphas)
-
 
 @dataclass(frozen=True)
 class ContractSolution:

@@ -25,7 +25,7 @@ from .functions import (
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
-    bit_indices,
+    lifted_values,
 )
 from .rational import as_fraction
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 MAX_TOWER_ACTIONS = 5
+_PERTURB_RESOLUTION = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -259,12 +260,12 @@ def normalize(inst: Instance) -> Instance:
     )
 
 
-def perturb_costs(inst: Instance, epsilon, seed: int, resolution: int = 1 << 16) -> Instance:
+def perturb_costs(inst: Instance, epsilon, seed: int) -> Instance:
     """Seeded draw of perturbed costs from the rational grid [c, c + eps].
 
-    Each cost moves up by eps * j / resolution for a uniform integer
-    j in [0, resolution]; eps = 0 returns the instance unchanged.  The
-    declared k is dropped (perturbed costs are generally not k-valid).
+    Each cost moves up by eps * j / 2**16 for a uniform integer j in
+    [0, 2**16]; eps = 0 returns the instance unchanged.  The declared k is
+    dropped (perturbed costs are generally not k-valid).
     """
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
@@ -273,7 +274,7 @@ def perturb_costs(inst: Instance, epsilon, seed: int, resolution: int = 1 << 16)
         return inst
     rng = random.Random(seed)
     costs = tuple(
-        c + epsilon * Fraction(rng.randint(0, resolution), resolution)
+        c + epsilon * Fraction(rng.randint(0, _PERTURB_RESOLUTION), _PERTURB_RESOLUTION)
         for c in inst.costs
     )
     return Instance(inst.f, costs, k=None, scale=inst.scale, meta=inst.meta)
@@ -385,24 +386,20 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     universe = rng.randint(n, 2 * n)
     w_cap = max(1, unit // (2 * universe))
     numers = [rng.randint(1, w_cap) for _ in range(universe)]
-    covers = [
+    covers = tuple(
         frozenset(rng.sample(range(universe), rng.randint(1, universe)))
         for _ in range(n)
-    ]
+    )
     a_cap = max(1, unit // (2 * n))
     numers += [rng.randint(0, a_cap) for _ in range(n)]
 
     def table_of(values) -> ExplicitTable:
         weights, addons = values[:universe], values[universe:]
-        table = []
-        for mask in range(1 << n):
-            covered: set = set()
-            extra = Fraction(0)
-            for i in bit_indices(mask):
-                covered |= covers[i]
-                extra += addons[i]
-            table.append(sum((weights[j] for j in covered), Fraction(0)) + extra)
-        return ExplicitTable(n, tuple(table))
+        Dw, cover = lifted_values(Coverage(weights, covers))
+        Da, extra = lifted_values(Additive(addons))
+        return ExplicitTable(
+            n, tuple(Fraction(w, Dw) + Fraction(a, Da) for w, a in zip(cover, extra))
+        )
 
     f, _ = fitted(table_of, numers, w_cap * universe + a_cap * n)
     single_numers = [int(v * unit) for v in f.singleton_values()]

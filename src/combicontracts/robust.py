@@ -4,18 +4,20 @@ A general instance maps each action set to a distribution over m reward
 levels (or declares only the expected reward R per set).  Linear contracts
 hand the agent a fixed fraction of the realized reward; against the
 adversarial two-point reward family they weakly dominate every other
-contract, and the optimal linear contract reduces exactly to the binary
-model on R / R(A).
+contract, and the optimal linear contract is the binary model's optimum
+with f = R.  A binary contract (t0, t1) reduces to a linear one through
+the envelope of the agent's utility lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable
 
-from .contract import ContractSolution, optimal_contract
+from .contract import ContractSolution, brute_force_critical_set, optimal_contract
 from .errors import (
     DegenerateInstanceError,
     DomainError,
@@ -32,8 +34,6 @@ from .functions import (
     _positive_costs,
     bit_indices,
     brute_force_limit,
-    cost_table,
-    value_table,
 )
 from .rational import as_fraction
 
@@ -58,15 +58,17 @@ class GeneralInstance:
     Either ``distributions`` gives one ExplicitTable per outcome (the
     probability of that outcome under each action set, summing to one), or
     ``expected`` gives the expected-reward function R directly; either
-    way ``reward`` is R.  Construction refuses n < 1, a cost vector that is
-    not n positive costs, and an empty or negative reward list
-    (DomainError); ``validate_general`` checks the per-set conditions.
+    way ``reward`` is R.  ``k`` is the bit precision of an embedded binary
+    instance, if it declared one.  Construction refuses n < 1, a cost
+    vector that is not n positive costs, and an empty or negative reward
+    list (DomainError); ``validate_general`` checks the per-set conditions.
     """
 
     costs: tuple
     rewards: tuple
     distributions: tuple | None = None
     expected: SuccessFunction | None = None
+    k: int | None = None
     meta: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -129,8 +131,11 @@ class GeneralInstance:
 
 
 def embed_binary(inst: Instance) -> GeneralInstance:
-    """Binary instance as a general instance with rewards (0, 1) and R = f."""
-    return GeneralInstance(inst.costs, (Fraction(0), Fraction(1)), expected=inst.f)
+    """Binary instance as a general instance with rewards (0, 1), R = f and
+    the instance's k."""
+    return GeneralInstance(
+        inst.costs, (Fraction(0), Fraction(1)), expected=inst.f, k=inst.k
+    )
 
 
 def validate_general(ginst: GeneralInstance) -> ValidationReport:
@@ -233,30 +238,20 @@ def reduce_binary_contract(t0, t1, inst: Instance) -> Fraction:
     Preserves the expected payment at the agent's original best response
     (alpha * f(S) = (1 - f(S)) * t0 + f(S) * t1), clamped to [0, 1]; with a
     zero-probability best response the all-zero contract already dominates.
+    Up to the constant t0 the agent faces the linear contract s = t1 - t0
+    and the principal keeps f(S) * (1 - s) - t0, so the best response is
+    read from the envelope at s: the largest f among the agent's optima
+    when s < 1, the smallest when s >= 1.
     """
     t0, t1 = as_fraction(t0), as_fraction(t1)
     if t0 < 0 or t1 < 0:
         raise DomainError("negative payments are not allowed")
-    if inst.n > brute_force_limit():
-        raise ResourceLimitError("binary contract reduction enumerates all subsets")
-    ftab = value_table(inst.f)
-    ctab = cost_table(inst)
-    best_key = None
-    best_f = None
-    for mask in range(1 << inst.n):
-        fs = ftab[mask]
-        expected_pay = t0 + fs * (t1 - t0)
-        u_agent = expected_pay - ctab[mask]
-        u_principal = fs - expected_pay
-        key = (u_agent, u_principal)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_f = fs
-    if best_f == 0:
+    s = t1 - t0
+    profile = brute_force_critical_set(inst, beyond_one=True)
+    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
+    if i == 0:
         return Fraction(0)
-    expected_pay = t0 + best_f * (t1 - t0)
-    alpha = expected_pay / best_f
-    return min(max(alpha, Fraction(0)), Fraction(1))
+    return min(t0 / profile.values[i - 1] + s, Fraction(1))
 
 
 def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
@@ -322,15 +317,12 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
 def optimal_linear_general(
     ginst: GeneralInstance, method: str = "auto"
 ) -> ContractSolution:
-    """Optimal linear contract via the binary engine on R / R(A).
+    """Optimal linear contract: the binary engine on f = R, with the
+    declared k and R(A) as the scale.
 
-    Dividing both R and the costs by R(A) leaves the agent's comparisons
-    (and hence every critical value) untouched; the binary solution maps
-    back with its utility rescaled by R(A).
+    A linear contract pays alpha * R(S) in expectation, so the agent's
+    utility lines and the principal's (1 - alpha) * R(S) are the binary
+    model's with f = R, and the solution carries over unchanged.
     """
-    top = _positive_top(ginst)
-    factor = 1 / top
-    costs = tuple(c * factor for c in ginst.costs)
-    binary = Instance(ginst.reward.scaled(factor), costs)
-    sol = optimal_contract(binary, method=method)
-    return replace(sol, utility=sol.utility * top)
+    binary = Instance(ginst.reward, ginst.costs, k=ginst.k, scale=_positive_top(ginst))
+    return optimal_contract(binary, method=method)

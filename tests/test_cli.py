@@ -149,9 +149,11 @@ def test_bad_integer_fields_exit_without_traceback(tmp_path, capsys, field, valu
         commands, exit_code = K_COMMANDS, 2
     for command in commands:
         assert main(command + [path]) == exit_code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert BAD_FIELDS[field][2] in err
+        if command == ["verify"]:  # the rows computed before the refusal
+            assert ["v-oracle-vs-brute-demand", "PASS"] in [r.split()[:2] for r in out.splitlines()]
 
 
 def test_integer_fields_accept_ints_and_integer_strings(tmp_path):
@@ -305,16 +307,20 @@ def test_robust_commands(tmp_path, capsys, worked_additive):
     code, out = run_cli(capsys, "robust", "solve-linear", str(bpath))
     assert code == 0 and "alpha_star    1/2" in out
 
-    # with R = f the robust solve is the binary solve, certified n = 40 too
+    # with R = f the robust solve is the binary solve, certified n = 40 too,
+    # and search uses the file's declared k
     keys = ("alpha_star", "utility", "actions", "v_queries")
     for klass in SAMPLE_CLASSES:
         n = 40 if klass in ("additive", "unit-demand", "matroid-rank") else 6
         bpath.write_text(dumps_instance(sample_instance(klass, n, 12, seed=5)))
-        code, out = run_cli(capsys, "solve", str(bpath))
-        assert code == 0
-        code, robust_out = run_cli(capsys, "robust", "solve-linear", str(bpath))
-        assert code == 0
-        assert [pairs_of(robust_out)[k] for k in keys] == [pairs_of(out)[k] for k in keys]
+        for method in ("auto", "search"):
+            code, out = run_cli(capsys, "solve", str(bpath), "--method", method)
+            assert code == 0
+            code, robust_out = run_cli(
+                capsys, "robust", "solve-linear", str(bpath), "--method", method
+            )
+            assert code == 0
+            assert [pairs_of(robust_out)[k] for k in keys] == [pairs_of(out)[k] for k in keys]
 
     # R(A) above the largest reward level: an unnormalized binary file, and
     # a general file whose expected reward passes its top level

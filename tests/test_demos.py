@@ -1,11 +1,13 @@
-"""Every script in demos/ runs to completion in-process."""
+"""Every script in demos/ runs to completion in-process and prints exactly
+its recorded output in tests/demo_outputs/<stem>.txt."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+HERE = Path(__file__).resolve().parent
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -15,4 +17,5 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    expected = (HERE / "demo_outputs" / f"{path.stem}.txt").read_text()
+    assert capsys.readouterr().out == expected

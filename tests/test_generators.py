@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,11 @@ from combicontracts import (
 )
 from combicontracts.functions import value_table
 from combicontracts.generators import SAMPLE_CLASSES
+from combicontracts.instancefile import dumps_instance
+
+# SHA-256 over the files of every class at n in {1, 3, 8, 12}, k in {4, 8},
+# seeds 0-2: a changed draw changes the stored perfbench references too
+SAMPLE_DIGEST = "da4d34cc6fb1615a3eb83654841f11a2991b2c06f3454fa5897301daf60d41a7"
 
 
 def subset_sum_decider(values, target) -> bool:
@@ -259,3 +265,11 @@ def test_sample_instance_valid_all_classes():
     assert not sample_instance("coverage", 3, 4, 0).f.gs_certified
     with pytest.raises(DomainError):
         sample_instance("mystery", 3, 4, 0)
+
+    digest = hashlib.sha256()
+    for klass in SAMPLE_CLASSES:
+        for n in (1, 3, 8, 12):
+            for k in (4, 8):
+                for seed in range(3):
+                    digest.update(dumps_instance(sample_instance(klass, n, k, seed)).encode())
+    assert digest.hexdigest() == SAMPLE_DIGEST

@@ -11,6 +11,7 @@ from combicontracts import (
     GeneralContract,
     GeneralInstance,
     Instance,
+    brute_force_critical_set,
     embed_binary,
     linearize,
     optimal_contract,
@@ -23,7 +24,6 @@ from combicontracts import (
     worst_case_utility_twopoint,
 )
 from combicontracts.demand import brute_force_demand
-from combicontracts.functions import value_table
 
 
 def single_action(f1=Fraction(1, 2), c1=Fraction(1, 10)) -> Instance:
@@ -40,18 +40,38 @@ def test_reduce_binary_contract_examples():
         reduce_binary_contract(Fraction(-1, 10), Fraction(0), inst)
 
 
-def binary_principal_utility(inst, t0, t1):
-    """Exhaustive principal utility for a (t0, t1) binary contract."""
-    table = value_table(inst.f)
-    best = None
+def binary_best_response(inst, t0, t1):
+    """(principal utility, f) at the agent's best response to the binary
+    contract (t0, t1), ties to the principal, by a scan over all 2**n sets."""
+    best = best_f = None
     for mask in range(1 << inst.n):
-        fs = table[mask]
+        fs = inst.f.value_mask(mask)
         pay = t0 + fs * (t1 - t0)
-        cost = inst.cost_mask(mask)
-        key = (pay - cost, fs - pay)
+        key = (pay - inst.cost_mask(mask), fs - pay)
         if best is None or key > best:
-            best = key
-    return best[1]
+            best, best_f = key, fs
+    return best[1], best_f
+
+
+def binary_principal_utility(inst, t0, t1):
+    return binary_best_response(inst, t0, t1)[0]
+
+
+def test_reduce_binary_contract_matches_scan(small_corpus):
+    # the payment-preserving slope at the scanned best response, over
+    # t1 < t0, s = t1 - t0 = 0, every breakpoint and midpoint, s = 1, s > 1;
+    # the last instance's first breakpoint is 1, where the empty set ties
+    for inst in small_corpus + [single_action(c1=Fraction(1, 2))]:
+        alphas = brute_force_critical_set(inst, beyond_one=True).alphas
+        mids = [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
+        slopes = {Fraction(-1, 4), Fraction(0), Fraction(1), Fraction(5, 4), *alphas, *mids}
+        for s in slopes:
+            for t0 in (Fraction(0), Fraction(1, 8), Fraction(3, 2)):
+                if t0 + s < 0:
+                    continue
+                _, f = binary_best_response(inst, t0, t0 + s)
+                expected = 0 if f == 0 else min(max(t0 / f + s, Fraction(0)), Fraction(1))
+                assert reduce_binary_contract(t0, t0 + s, inst) == expected
 
 
 def test_reduce_binary_never_hurts_principal(small_corpus):

@@ -225,7 +225,10 @@ def _cmd_fptas(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.generator == "subset-sum":
-        values = tuple(int(x) for x in args.values.split(","))
+        try:
+            values = tuple(int(x) for x in args.values.split(","))
+        except ValueError as exc:
+            raise DomainError(f"--values must be comma-separated integers: {exc}") from exc
         spec = generators.SubsetSumSpec(values, args.target)
         inst = generators.gen_subset_sum(spec)
     elif args.generator == "coverage-tower":

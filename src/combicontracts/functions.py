@@ -15,6 +15,7 @@ of action indices; enumeration-heavy internals work on integer bitmasks
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -512,13 +513,19 @@ def validate(inst: Instance) -> ValidationReport:
 
 
 def _monotone(tab: ExplicitTable) -> bool:
-    """True iff adding an action never lowers an entry of the table."""
-    table, full = lifted_values(tab)[1], (1 << tab.n) - 1
-    return not any(
-        table[mask | 1 << j] < table[mask]
-        for mask in range(full + 1)
-        for j in bit_indices(full & ~mask)
-    )
+    """True iff adding an action never lowers an entry of the table: for
+    each bit j, the int entries without j against those with j, as whole
+    slices (strided while h = 2**j is small, blocks of h once it is large)."""
+    t = lifted_values(tab)[1]
+    for j in range(tab.n):
+        h = 1 << j
+        if h * h < len(t):
+            halves = ((t[r::2 * h], t[r + h :: 2 * h]) for r in range(h))
+        else:
+            halves = ((t[s - h : s], t[s : s + h]) for s in range(h, len(t), 2 * h))
+        if any(any(map(operator.gt, lo, hi)) for lo, hi in halves):
+            return False
+    return True
 
 
 def _lift(fracs) -> tuple:
@@ -532,7 +539,8 @@ def lifted_values(f: SuccessFunction) -> tuple:
     LCM of f's parameter denominators), indexed by bitmask: f(mask) = T[mask]/D.
 
     Tables grow by doubling: the masks with bit i set are those below 2**i
-    plus action i+1.
+    plus action i+1 (matroid rank: the masks so far, heaviest action first).
+    No class goes through Fractions or ``value_mask``.
     """
     n = f.n
     if n > EXPLICIT_TABLE_MAX_ACTIONS:
@@ -554,8 +562,17 @@ def lifted_values(f: SuccessFunction) -> tuple:
             t += [u | cover for u in t]
         weight_of = {u: sum(w[j] for j in bit_indices(u)) for u in set(t)}
         t = [weight_of[u] for u in t]
-    else:  # matroid rank: every value is a sum of weights, an integer over D
-        t = [v.numerator * (D // v.denominator) for v in map(f.value_mask, range(1 << n))]
+    else:  # matroid rank, heaviest first: i joins S's basis iff its block has room
+        m, masks, t = f.matroid, [0], [0] * (1 << n)
+        for i in sorted(range(n), key=w.__getitem__, reverse=True):
+            if isinstance(m, UniformMatroid):
+                block, cap = (1 << n) - 1, m.rank
+            else:
+                b = m.block_of(i + 1)
+                block, cap = mask_of(n, m.blocks[b]), m.capacities[b]
+            for s in masks:
+                t[s | 1 << i] = t[s] + w[i] if (s & block).bit_count() < cap else t[s]
+            masks += [s | 1 << i for s in masks]
     return D, t
 
 

@@ -166,7 +166,7 @@ def _function_to_json(f: SuccessFunction) -> dict:
 def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also int literals over the digit limit
         raise DomainError(f"instance file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DomainError("instance file must be a JSON object")
@@ -184,16 +184,14 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
         n = _int(obj["n"], "n")
         f = _function_from_json(obj["function"], n)
         costs = _rat_list(obj["costs"], "costs")
-        k = obj.get("k")
-        if k is not None:
-            k = _int(k, "k")
+        k = None if obj.get("k") is None else _int(obj["k"], "k")
         scale = _rat(obj["scale"], "scale") if "scale" in obj else Fraction(1)
         return Instance(f, costs, k=k, scale=scale, meta=obj.get("meta"))
     if model == "general":
         _require_keys(
             obj,
             {"version", "model", "n", "costs", "rewards"},
-            {"distributions", "expected", "meta"},
+            {"distributions", "expected", "k", "meta"},
             "instance",
         )
         n = _int(obj["n"], "n")
@@ -213,6 +211,7 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
             rewards=rewards,
             distributions=distributions,
             expected=expected,
+            k=None if obj.get("k") is None else _int(obj["k"], "k"),
             meta=obj.get("meta"),
         )
     raise DomainError(f"unknown model {model!r}")
@@ -256,6 +255,8 @@ def dumps_instance(inst: Union[Instance, GeneralInstance]) -> str:
             ]
         if inst.expected is not None:
             obj["expected"] = _function_to_json(inst.expected)
+        if inst.k is not None:
+            obj["k"] = inst.k
         if inst.meta is not None:
             obj["meta"] = inst.meta
     else:

@@ -7,6 +7,7 @@ enters a solver path; it may appear only in explicit display helpers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
@@ -77,14 +78,19 @@ def in_bounded_set(r, k: int) -> bool:
     return (r.numerator - 1).bit_length() <= k and (r.denominator - 1).bit_length() <= k
 
 
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str, k: int | None = None) -> Fraction:
     """Parse "a/b", "a", or (when k is declared) a finite-binary decimal.
 
     Decimal strings are accepted only with a declared bit precision and must
-    be exact multiples of 2**-k; anything else is a DomainError.
+    be exact multiples of 2**-k; anything else is a DomainError.  ASCII "a/b"
+    and "a" skip Fraction's regex for int(): same values, same error text.
     """
     text = text.strip()
-    decimal = any(ch in text for ch in ".eE")
+    plain = _PLAIN.fullmatch(text)
+    decimal = not plain and any(ch in text for ch in ".eE")
     if decimal and k is None:
         # refused before Fraction() would expand an exponent like 1e999999999
         raise DomainError(
@@ -92,7 +98,7 @@ def parse_rational(text: str, k: int | None = None) -> Fraction:
             "write it as a fraction a/b instead"
         )
     try:
-        value = Fraction(text)
+        value = Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
     if decimal and not is_k_valid(value, k):

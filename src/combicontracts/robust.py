@@ -35,7 +35,7 @@ from .functions import (
     bit_indices,
     brute_force_limit,
 )
-from .rational import as_fraction
+from .rational import _check_k, as_fraction
 
 __all__ = [
     "GeneralInstance",
@@ -60,8 +60,9 @@ class GeneralInstance:
     ``expected`` gives the expected-reward function R directly; either
     way ``reward`` is R.  ``k`` is the bit precision of an embedded binary
     instance, if it declared one.  Construction refuses n < 1, a cost
-    vector that is not n positive costs, and an empty or negative reward
-    list (DomainError); ``validate_general`` checks the per-set conditions.
+    vector that is not n positive costs, an empty or negative reward
+    list and a declared k that is not a positive integer (DomainError);
+    ``validate_general`` checks the per-set conditions.
     """
 
     costs: tuple
@@ -94,6 +95,8 @@ class GeneralInstance:
             raise DomainError("empty action set")
         if len(self.costs) != self.n:
             raise DomainError(f"{len(self.costs)} costs for {self.n} actions")
+        if self.k is not None:
+            _check_k(self.k)
 
     @property
     def n(self) -> int:

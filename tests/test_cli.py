@@ -47,6 +47,15 @@ def test_round_trip_general_both_forms(general_corpus, worked_additive):
     assert loads_instance(dumps_instance(expected_form)) == expected_form
     embedded = embed_binary(worked_additive)
     assert loads_instance(dumps_instance(embedded)) == embedded
+    assert "k" not in json.loads(dumps_instance(embedded))
+    # an embedding keeps the binary file's k; the general schema checks it
+    with_k = embed_binary(sample_instance("additive", 3, 4, seed=0))
+    assert with_k.k == 4 and loads_instance(dumps_instance(with_k)) == with_k
+    obj = json.loads(dumps_instance(with_k))
+    for bad, error in ((0, "must be a positive integer"), ("x", "expected an integer")):
+        obj["k"] = bad
+        with pytest.raises(DomainError, match=error):
+            loads_instance(json.dumps(obj))
 
 
 def test_strict_schema():
@@ -83,6 +92,9 @@ TABLE = _binary({"class": "table", "table": ["0", "1/4", "1/4", "1/2"]})
 GENERAL = {"version": 1, "model": "general", "n": 1, "costs": ["1/8"],
            "rewards": ["0", "1"], "distributions": [["1", "1/2"], ["0", "1/2"]]}
 
+# a JSON integer literal over int()'s 4300-digit limit
+LONG_INT_FILE = json.dumps(UNIFORM).replace('"1/8"', "1" * 5000, 1).encode()
+
 # field -> (valid file, path of the field in it, what the error says)
 BAD_FIELDS = {
     "n": (UNIFORM, ("n",), "expected an integer"),
@@ -98,6 +110,7 @@ BAD_FIELDS = {
     "scale": (UNIFORM, ("scale",), "non-positive scale"),
     "cover index": (COVERAGE, ("function", "covers"), "outside 0..1"),
     "encoding": (None, (), "not UTF-8"),  # the value is the raw file
+    "long integer": (None, (), "not valid JSON: Exceeds the limit (4300 digits)"),
     "k": (UNIFORM, ("k",), "exceeds the limit"),
 }
 # commands that build 2**k-sized values, which a huge k must stop first (exit 2)
@@ -139,6 +152,7 @@ def _bad_file(tmp_path, field, value):
         ("cover index", [[-1], [1]]),
         ("cover index", [[2**62], [1]]),
         ("encoding", b"\xff\xfe{}"),
+        pytest.param("long integer", LONG_INT_FILE, id="long integer-5000 digits"),
         ("k", 2**62),
     ],
 )
@@ -284,6 +298,11 @@ def test_gen_commands_round_trip(tmp_path, capsys):
     )
     assert out_path.read_text() == second.read_text()
 
+    code = main(["gen", "subset-sum", "--values", "1,x", "--target", "3", "-o", str(second)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert "error: --values must be comma-separated integers" in err
+
 
 def test_robust_commands(tmp_path, capsys, worked_additive):
     path = tmp_path / "gen.inst"
@@ -308,19 +327,25 @@ def test_robust_commands(tmp_path, capsys, worked_additive):
     assert code == 0 and "alpha_star    1/2" in out
 
     # with R = f the robust solve is the binary solve, certified n = 40 too,
-    # and search uses the file's declared k
+    # and search uses the file's declared k, also from the embedding's file
     keys = ("alpha_star", "utility", "actions", "v_queries")
+    gpath = tmp_path / "embedded.inst"
     for klass in SAMPLE_CLASSES:
         n = 40 if klass in ("additive", "unit-demand", "matroid-rank") else 6
-        bpath.write_text(dumps_instance(sample_instance(klass, n, 12, seed=5)))
+        inst = sample_instance(klass, n, 12, seed=5)
+        bpath.write_text(dumps_instance(inst))
+        gpath.write_text(dumps_instance(embed_binary(inst)))
         for method in ("auto", "search"):
             code, out = run_cli(capsys, "solve", str(bpath), "--method", method)
             assert code == 0
-            code, robust_out = run_cli(
-                capsys, "robust", "solve-linear", str(bpath), "--method", method
-            )
-            assert code == 0
-            assert [pairs_of(robust_out)[k] for k in keys] == [pairs_of(out)[k] for k in keys]
+            for robust_path in (bpath, gpath):
+                code, robust_out = run_cli(
+                    capsys, "robust", "solve-linear", str(robust_path), "--method", method
+                )
+                assert code == 0
+                assert [pairs_of(robust_out)[k] for k in keys] == [
+                    pairs_of(out)[k] for k in keys
+                ]
 
     # R(A) above the largest reward level: an unnormalized binary file, and
     # a general file whose expected reward passes its top level

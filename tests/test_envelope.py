@@ -114,3 +114,56 @@ def test_lifted_tables_match_per_set_values(inst):
     assert [Fraction(v, D) for v in table] == [inst.f.value_mask(m) for m in masks]
     D, table = lifted_values(Additive(inst.costs))
     assert [Fraction(c, D) for c in table] == [inst.cost_mask(m) for m in masks]
+
+
+def _uniform(weights, rank):
+    return WeightedMatroidRank(weights, UniformMatroid(rank))
+
+
+def _partition(weights, blocks, capacities):
+    return WeightedMatroidRank(weights, PartitionMatroid(blocks, capacities))
+
+
+F = Fraction
+MATROID_EDGE_CASES = {
+    "tied weights": _uniform([F(1, 2), F(1, 4), F(1, 2), F(1, 4), F(1, 2)], 2),
+    "tied across blocks": _partition(
+        [F(1, 3)] * 5, ({1, 3, 5}, {2, 4}), (2, 1)
+    ),
+    "zero weights": _uniform([F(0), F(1, 3), F(0), F(2, 3), F(0)], 3),
+    "all zero": _partition([F(0)] * 4, ({1, 2}, {3, 4}), (1, 1)),
+    "rank 0": _uniform([F(1, 2), F(1, 3), F(1, 5)], 0),
+    "rank n": _uniform([F(1, 2), F(1, 3), F(1, 5), F(1, 7)], 4),
+    "rank above n": _uniform([F(1, 2), F(1, 3), F(1, 5)], 9),
+    "zero-capacity block": _partition(
+        [F(3, 4), F(1, 8), F(1, 2), F(1, 4), F(5, 8)], ({1, 3}, {2, 4, 5}), (0, 2)
+    ),
+    "singleton blocks": _partition(
+        [F(1, 2), F(2, 3), F(1, 6), F(5, 6)], ({1}, {2}, {3}, {4}), (1, 0, 1, 1)
+    ),
+    "one action": _uniform([F(2, 7)], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATROID_EDGE_CASES))
+def test_matroid_table_matches_value_mask(case):
+    f = MATROID_EDGE_CASES[case]
+    D, table = lifted_values(f)
+    assert [Fraction(v, D) for v in table] == [f.value_mask(m) for m in range(1 << f.n)]
+
+
+def test_matroid_table_makes_no_value_mask_calls(monkeypatch):
+    cases = list(MATROID_EDGE_CASES.values())
+    calls = []
+    original = WeightedMatroidRank.value_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(WeightedMatroidRank, "value_mask", counted)
+    for f in cases:
+        lifted_values(f)
+    assert calls == []
+    cases[0].value_mask(3)  # the counter sees a direct call
+    assert calls == [3]

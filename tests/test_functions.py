@@ -16,7 +16,7 @@ from combicontracts import (
     WeightedMatroidRank,
     validate,
 )
-from combicontracts.functions import actions_of, mask_of, value_table
+from combicontracts.functions import _monotone, actions_of, mask_of, value_table
 
 from conftest import make_small_corpus
 
@@ -85,6 +85,36 @@ def test_validate_monotonicity_and_k():
 
     over_scale = Instance(Additive((Fraction(2), Fraction(2))), (Fraction(1), Fraction(1)))
     assert any("scale" in v for v in validate(over_scale).violations)
+
+
+def per_mask_monotone(table, n):
+    return all(
+        table[mask] <= table[mask | 1 << j]
+        for mask in range(1 << n)
+        for j in range(n)
+        if not mask >> j & 1
+    )
+
+
+def test_monotone_scan_matches_per_mask_scan():
+    # n = 0..5; at every (mask, bit j) pair, one decrease is planted twice:
+    # f(mask + j) lowered below f(mask), or f(mask) raised above f(mask + j)
+    for n in range(6):
+        base = [Fraction(bin(mask).count("1")) for mask in range(1 << n)]
+        flat = [Fraction(0)] * (1 << n)
+        tables, planted = [base, flat], []
+        for mask in range(1 << n):
+            for j in range(n):
+                if not mask >> j & 1:
+                    lowered, raised = list(base), list(base)
+                    lowered[mask | 1 << j] = base[mask] - Fraction(1, 2)
+                    raised[mask] = base[mask | 1 << j] + Fraction(1, 2)
+                    planted += [lowered, raised]
+        assert len(planted) == n << n  # two for each of the n * 2**(n-1) pairs
+        for table in tables + planted:
+            expected = per_mask_monotone(table, n)
+            assert expected == (table in tables)
+            assert _monotone(ExplicitTable(n, table)) == expected
 
 
 def test_gs_certification_tags():

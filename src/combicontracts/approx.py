@@ -15,7 +15,13 @@ from fractions import Fraction
 
 from .contract import ContractSolution
 from .demand import VOracle, _check_alpha, v_value
-from .errors import DomainError, InvariantError, NotFoundError, PrecisionError
+from .errors import (
+    DomainError,
+    InvariantError,
+    NotFoundError,
+    PrecisionError,
+    ResourceLimitError,
+)
 from .functions import Instance
 from .rational import _bounded_k, as_fraction
 
@@ -43,6 +49,10 @@ class GridSpec:
     points: tuple
 
 
+# Most points a grid may have: about k*ln(2)/eps, with ever longer denominators
+MAX_GRID = 2**14
+
+
 def grid_spec(epsilon, k: int) -> GridSpec:
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -53,6 +63,8 @@ def grid_spec(epsilon, k: int) -> GridSpec:
     points = []
     power = Fraction(1)
     while power > threshold:
+        if len(points) == MAX_GRID:
+            raise ResourceLimitError(f"epsilon {epsilon} needs over {MAX_GRID} grid points")
         power *= q
         points.append(1 - power)
     return GridSpec(epsilon, k, len(points), tuple(points))

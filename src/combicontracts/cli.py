@@ -13,6 +13,7 @@ limit, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -406,6 +407,7 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+@functools.cache  # built once; argparse reads the terminal width when it formats
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="combicontracts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop
 
 from .demand import GreedyKernel, VOracle
 from .errors import (
@@ -169,9 +168,11 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     (c(a) - c(s_i)) / (f(a | prefix) - f(s_i | prefix)) over every action a
     and greedy step i with strictly positive denominator, plus the entry
     ratios c(a) / f(a | S) for actions with positive marginal on top of the
-    full greedy set.  Candidates are deduplicated, restricted to
-    (alpha, 1], and probed in ascending order with early exit at the first
-    one whose V exceeds V(alpha); V-equal candidates are not critical.
+    full greedy set.  Candidates in (alpha, 1] are kept as integer pairs
+    (num, den); each probe takes the smallest ratio strictly above the last
+    one (cross-multiplied), so distinct values are probed in ascending order
+    with early exit at the first one whose V exceeds V(alpha); V-equal
+    candidates are not critical.
 
     Returns None when no critical value above alpha exists.
     """
@@ -190,7 +191,7 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     costs = kernel.costs
     state = kernel.gains()
     in_prefix = [False] * inst.n
-    candidates = set()
+    candidates = []
     for s in order:
         g_s, c_s = state.gain(s), costs[s]
         for a in range(inst.n):
@@ -200,22 +201,25 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
             if den > 0:
                 num = costs[a] - c_s
                 if p * den < q * num and num <= den:
-                    candidates.add(Fraction(num, den))
+                    candidates.append((num, den))
         state.add(s)
         in_prefix[s] = True
     for a in range(inst.n):
         if not in_prefix[a]:
             den, num = state.gain(a), costs[a]
             if den > 0 and p * den < q * num and num <= den:
-                candidates.add(Fraction(num, den))
+                candidates.append((num, den))
 
-    # V is monotone: probe upward; a heap skips sorting when early probes hit
-    heap = list(candidates)
-    heapify(heap)
-    while heap:
-        beta = heappop(heap)
+    # V is monotone: probe upward, building a Fraction only for the probe
+    while candidates:
+        bn, bd = candidates[0]
+        for num, den in candidates:
+            if num * bd < bn * den:
+                bn, bd = num, den
+        beta = Fraction(bn, bd)
         if oracle(beta) > v_alpha:
             return beta
+        candidates = [(num, den) for num, den in candidates if num * bd > bn * den]
     return None
 
 

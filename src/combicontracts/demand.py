@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 
 from .errors import DomainError, ResourceLimitError, UnsupportedClassError
 from .functions import (
@@ -88,8 +89,8 @@ class GreedyKernel:
     boundary.  All three certified classes are weighted matroid ranks over
     blocks with capacities: additive is one block the size of the ground
     set, unit demand one block of capacity 1.
-    ``gains()`` starts the incremental marginal-gain state.  Actions are
-    0-based here.
+    ``gains()`` starts the incremental marginal-gain state, ``greedy()``
+    runs the lazy greedy once per contract value.  Actions are 0-based here.
     """
 
     def __init__(self, inst: Instance):
@@ -114,6 +115,7 @@ class GreedyKernel:
             self.blocks = tuple(f.matroid.block_of(a) for a in range(1, n + 1))
             self.caps = f.matroid.capacities
         self.cap_of = tuple(self.caps[b] for b in self.blocks)
+        self._last = (None,)  # the last greedy run: (alpha, order, utils, total)
 
     def gains(self) -> "_Gains":
         return _Gains(self)
@@ -122,32 +124,36 @@ class GreedyKernel:
         """The ``greedy_demand`` rule at alpha = p/q, in ints.
 
         Returns (alpha, order, utils, total): step i's utility is
-        ``utils[i] / (D*q)`` and V(alpha) is ``total / D``.
+        ``utils[i] / (D*q)`` and V(alpha) is ``total / D``.  Lazy greedy
+        (Minoux): a heap keyed (q*c - p*g, -c, a) re-scores only its top;
+        gains never grow as S grows, so a top whose key survives is the
+        pick.  The last run is kept, and a repeat at its alpha is free.
         """
         alpha = _check_alpha(alpha)
+        if (last := self._last)[0] == alpha:
+            return last
         p, q = alpha.numerator, alpha.denominator
         state = self.gains()
         gain, costs = state.gain, self.costs
-        remaining = list(range(self.n))
-        order: list = []
-        utils: list = []
-        total = 0
-        while remaining:
-            best_a = -1
-            for a in remaining:
-                c = costs[a]
-                g = gain(a)
-                u = p * g - q * c
-                if best_a < 0 or u > best_u or (u == best_u and c > best_c):
-                    best_a, best_u, best_c, best_g = a, u, c, g
-            if best_u < 0:
+        heap = [(q * c - p * gain(a), -c, a) for a, c in enumerate(costs)]
+        heapify(heap)
+        order, utils, total = [], [], 0
+        while heap:
+            key, neg_c, a = heap[0]
+            g = gain(a)
+            fresh = -q * neg_c - p * g
+            if fresh != key:
+                heapreplace(heap, (fresh, neg_c, a))
+            elif key > 0:
                 break
-            order.append(best_a)
-            utils.append(best_u)
-            total += best_g
-            state.add(best_a)
-            remaining.remove(best_a)
-        return alpha, order, utils, total
+            else:
+                heappop(heap)
+                order.append(a)
+                utils.append(-key)
+                total += g
+                state.add(a)
+        self._last = (alpha, tuple(order), tuple(utils), total)
+        return self._last
 
     def demand(self, alpha) -> OrderedDemand:
         alpha, order, utils, _ = self.greedy(alpha)

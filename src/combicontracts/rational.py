@@ -113,8 +113,8 @@ def format_rational(r) -> str:
 
 def decimal_string(r, digits: int = 6) -> str:
     """Rounded decimal rendering for display columns; exact integer math."""
-    if digits < 0:
-        raise DomainError("digits must be non-negative")
+    if not 0 <= digits <= 4000:  # int's str() stops at 4300 digits
+        raise DomainError(f"digits must lie in 0..4000, got {digits}")
     r = as_fraction(r)
     sign = "-" if r < 0 else ""
     num, den = abs(r.numerator), r.denominator

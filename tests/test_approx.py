@@ -50,6 +50,24 @@ def test_grid_spec_rejects_bad_epsilon():
         grid_spec(Fraction(1), 4)
 
 
+def test_grid_past_max_grid_is_refused_before_any_query(monkeypatch):
+    from combicontracts import approx
+
+    # the cap itself: grids the benchmark and the tests build stay below it
+    assert grid_spec(Fraction(1, 100), 12).size < approx.MAX_GRID
+    monkeypatch.setattr(approx, "MAX_GRID", 8)
+    assert grid_spec(Fraction(1, 2), 8).size == 8  # a grid of exactly the cap
+    with pytest.raises(ResourceLimitError, match="over 8 grid points"):
+        grid_spec(Fraction(1, 2), 9)
+
+    def no_oracle(inst):
+        raise AssertionError("V oracle built for a refused grid")
+
+    monkeypatch.setattr(approx, "VOracle", no_oracle)
+    inst = Instance(Additive((Fraction(1, 2),)), (Fraction(1, 4),), k=12)
+    with pytest.raises(ResourceLimitError):
+        fptas(inst, Fraction(1, 2))
+
 def test_huge_k_is_refused_before_any_grid():
     assert grid_spec(Fraction(1, 2), MAX_K).size == MAX_K
     inst = Instance(Additive((Fraction(1, 2),)), (Fraction(1, 4),), k=1 << 62)

@@ -414,3 +414,58 @@ def test_succ_null_printed(worked_file, capsys):
     code, out = run_cli(capsys, "succ", worked_file, "--alpha", "1/2")
     assert code == 0
     assert pairs_of(out)["successor"] == "NULL"
+
+
+def _generated_file(tmp_path, capsys, klass):
+    path = tmp_path / f"{klass}.inst"
+    argv = ["gen", "random", "--class", klass, "--n", "5", "--k", "4", "--seed", "1"]
+    code = main(argv + ["-o", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    return str(path)
+
+
+def test_large_decimal_exits_without_traceback(tmp_path, capsys):
+    path = _generated_file(tmp_path, capsys, "additive")
+    for argv in (
+        ("solve", path, "--decimal", "5000"),
+        ("demand", path, "--alpha", "1/2", "--decimal", "4301"),
+        ("critical-set", path, "--decimal", "100000"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.err.startswith("error: digits must lie in 0..4000"), argv
+    code, out = run_cli(capsys, "solve", path, "--decimal", "4000")
+    assert code == 0 and "(0." in out
+
+
+def test_grid_past_the_cap_exits_with_resource_limit(tmp_path, capsys, monkeypatch):
+    from combicontracts import approx
+
+    path = _generated_file(tmp_path, capsys, "coverage")
+    monkeypatch.setattr(approx, "MAX_GRID", 16)  # the k=4 grid at eps=1/10 has 27 points
+    for argv in (("fptas", path, "--epsilon", "1/10"), ("verify", path, "--epsilon", "1/10")):
+        code = main(list(argv))
+        assert code == 2, argv
+        assert "resource limit: epsilon 1/10 needs over 16 grid points" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(worked_file, capsys):
+    from combicontracts.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+    def outcome(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("wall_time_s")]
+        return code, captured.out, err
+
+    usage, solve = ("solve", worked_file, "--method", "nope"), ("solve", worked_file)
+    build_parser.cache_clear()
+    alone = [outcome(*usage)]
+    build_parser.cache_clear()
+    alone.append(outcome(*solve))
+    assert alone[0][0] == 1 and alone[1][0] == 0
+    assert [outcome(*usage), outcome(*solve)] == alone

@@ -2,8 +2,9 @@
 
 Every reference here avoids the kernel: brute-force demand enumerates all
 subsets through ``value_table``, step utilities are rebuilt from
-``SuccessFunction.marginal`` (two ``value_mask`` calls in Fractions), and
-successors come from the envelope sweep.
+``SuccessFunction.marginal`` (two ``value_mask`` calls in Fractions),
+successors come from the envelope sweep, and the greedy order comes from a
+Fraction greedy written here.
 """
 
 from fractions import Fraction
@@ -20,14 +21,18 @@ from combicontracts import (  # noqa: E402
     PartitionMatroid,
     UniformMatroid,
     UnitDemand,
+    VOracle,
     WeightedMatroidRank,
     brute_force_critical_set,
     brute_force_demand,
     greedy_demand,
+    optimal_contract,
+    sample_instance,
     succ_gs,
     successor_from_profile,
     v_value,
 )
+from combicontracts.demand import GreedyKernel  # noqa: E402
 
 # dyadic, non-dyadic (no k, so the common denominator is a true LCM), mixed
 DENOMINATORS = ((1, 2, 4, 8, 16), (3, 5, 7), (2, 3, 4, 5, 7))
@@ -49,20 +54,35 @@ def certified_instances(draw):
         v if v > 0 and draw(st.booleans()) else draw(rationals(dens, positive=True))
         for v in params
     )
+    return Instance(certified_f(draw, params), costs)
+
+
+@st.composite
+def coarse_instances(draw):
+    """Values on the 2**-k grid for k = 1 or 2: equal weights, equal costs,
+    zero weights and equal marginal utilities are common."""
+    n = draw(st.integers(1, 7))
+    unit = 1 << draw(st.integers(1, 2))
+    params = tuple(Fraction(draw(st.integers(0, unit)), unit) for _ in range(n))
+    costs = tuple(Fraction(draw(st.integers(1, unit)), unit) for _ in range(n))
+    return Instance(certified_f(draw, params), costs)
+
+
+def certified_f(draw, params):
+    """A certified f over params; partition capacities include 0."""
+    n = len(params)
     klass = draw(st.sampled_from(["additive", "unit-demand", "uniform", "partition"]))
     if klass == "additive":
-        f = Additive(params)
-    elif klass == "unit-demand":
-        f = UnitDemand(params)
-    elif klass == "uniform":
-        f = WeightedMatroidRank(params, UniformMatroid(draw(st.integers(0, n + 1))))
-    else:
-        count = draw(st.integers(1, 3))
-        owner = [draw(st.integers(0, count - 1)) for _ in range(n)]
-        blocks = tuple(frozenset(a + 1 for a in range(n) if owner[a] == b) for b in range(count))
-        caps = tuple(draw(st.integers(0, 2)) for _ in range(count))
-        f = WeightedMatroidRank(params, PartitionMatroid(blocks, caps))
-    return Instance(f, costs)
+        return Additive(params)
+    if klass == "unit-demand":
+        return UnitDemand(params)
+    if klass == "uniform":
+        return WeightedMatroidRank(params, UniformMatroid(draw(st.integers(0, n + 1))))
+    count = draw(st.integers(1, 3))
+    owner = [draw(st.integers(0, count - 1)) for _ in range(n)]
+    blocks = tuple(frozenset(a + 1 for a in range(n) if owner[a] == b) for b in range(count))
+    caps = tuple(draw(st.integers(0, 2)) for _ in range(count))
+    return WeightedMatroidRank(params, PartitionMatroid(blocks, caps))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -115,3 +135,107 @@ def test_successors_at_one_and_lcm_lift():
     assert succ_gs(inst, 0) == Fraction(1, 2)
     assert succ_gs(inst, Fraction(1, 2)) == 1
     assert v_value(inst, 1) == 1
+
+
+def reference_greedy(inst, alpha):
+    """The documented rule in Fractions: add an action of largest marginal
+    utility while it is >= 0; ties go to the costlier action, then to the
+    smaller index."""
+    chosen, utils = [], []
+    rest = list(range(1, inst.n + 1))
+    while rest:
+        best_u, _, neg_a = max(
+            (alpha * inst.f.marginal(a, chosen) - inst.costs[a - 1], inst.costs[a - 1], -a)
+            for a in rest
+        )
+        if best_u < 0:
+            break
+        chosen.append(-neg_a)
+        utils.append(best_u)
+        rest.remove(-neg_a)
+    return tuple(chosen), tuple(utils)
+
+
+def contract_values(draw, inst):
+    profile = brute_force_critical_set(inst)
+    return draw(
+        st.one_of(
+            st.sampled_from((Fraction(0), Fraction(1)) + profile.alphas),
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+        )
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(inst=st.one_of(coarse_instances(), certified_instances()), data=st.data())
+def test_greedy_order_matches_fraction_greedy(inst, data):
+    alpha = contract_values(data.draw, inst)
+    ordered = greedy_demand(inst, alpha)
+    assert (ordered.actions, ordered.step_utilities) == reference_greedy(inst, alpha)
+
+
+class RecordingOracle(VOracle):
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.probes = []
+
+    def __call__(self, alpha):
+        v = super().__call__(alpha)
+        self.probes.append((alpha, v))
+        return v
+
+
+def assert_probes_ascend(inst, alpha, profile):
+    """succ_gs probes distinct values above alpha in ascending order, and
+    every probe before the successor it returns has V = V(alpha)."""
+    v_alpha = v_value(inst, alpha)
+    oracle = RecordingOracle(inst)
+    beta = succ_gs(inst, alpha, oracle=oracle, v_alpha=v_alpha)
+    assert beta == successor_from_profile(profile, alpha)
+    probed = [a for a, _ in oracle.probes]
+    assert probed == sorted(set(probed)) and all(a > alpha for a in probed)
+    misses = oracle.probes if beta is None else oracle.probes[:-1]
+    assert all(v == v_alpha for _, v in misses)
+    if beta is not None:
+        assert oracle.probes[-1] == (beta, v_value(inst, beta)) and v_value(inst, beta) > v_alpha
+    return len(misses)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=st.one_of(coarse_instances(), certified_instances()), data=st.data())
+def test_succ_gs_probes_strictly_increase(inst, data):
+    assert_probes_ascend(inst, contract_values(data.draw, inst), brute_force_critical_set(inst))
+
+
+def test_succ_gs_probes_strictly_increase_along_sampled_walks():
+    # at n >= 8 many candidates are not critical, so probes miss before a hit
+    misses = 0
+    for klass in ("additive", "unit-demand", "matroid-rank"):
+        for k in (3, 6, 12):
+            for seed in range(4):
+                inst = sample_instance(klass, 9, k, seed)
+                profile = brute_force_critical_set(inst)
+                for alpha in (Fraction(0),) + profile.alphas:
+                    misses += assert_probes_ascend(inst, alpha, profile)
+    assert misses > 0
+
+
+def test_one_greedy_run_per_contract_value(monkeypatch):
+    # A solve runs the greedy once per probe, once at 0 and at most once for
+    # the reported set, and starts one replay per succ_gs call; the re-query
+    # at each successor and the replay's greedy at it reuse the last run.
+    runs = []
+    gains = GreedyKernel.gains
+
+    def counted(kernel):
+        runs.append(kernel)
+        return gains(kernel)
+
+    monkeypatch.setattr(GreedyKernel, "gains", counted)
+    for klass in ("additive", "unit-demand", "matroid-rank"):
+        for seed in range(4):
+            inst = sample_instance(klass, 8, 6, seed)
+            assert brute_force_critical_set(inst).size > 0
+            runs.clear()
+            sol = optimal_contract(inst, "gs")
+            assert len(runs) <= sol.v_queries + 3, (klass, seed)

@@ -82,3 +82,11 @@ def test_decimal_string():
     assert decimal_string(Fraction(-1, 2), 2) == "-0.50"
     assert decimal_string(Fraction(2, 3), 2) == "0.67"
     assert decimal_string(Fraction(5), 0) == "5"
+
+
+def test_decimal_string_digit_cap():
+    # int's str() refuses more than 4300 digits; the cap stays below that
+    assert decimal_string(Fraction(1, 3), 4000) == "0." + "3" * 4000
+    for digits in (-1, 4001, 4301, 100000):
+        with pytest.raises(DomainError, match="0..4000"):
+            decimal_string(Fraction(1, 3), digits)

@@ -59,12 +59,16 @@ def grid_spec(epsilon, k: int) -> GridSpec:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     _bounded_k(k)
     q = 1 - epsilon
+    # as 69/100 < ln 2 < 7/10, 69k(1-eps)/(100 eps) < m <= ceil(7k/(10 eps))
+    if 100 * MAX_GRID * epsilon <= 69 * k * q or (
+        7 * k > 10 * MAX_GRID * epsilon
+        and q.numerator**MAX_GRID << k > q.denominator**MAX_GRID
+    ):
+        raise ResourceLimitError(f"epsilon {epsilon} needs over {MAX_GRID} grid points")
     threshold = Fraction(1, 1 << k)
     points = []
     power = Fraction(1)
     while power > threshold:
-        if len(points) == MAX_GRID:
-            raise ResourceLimitError(f"epsilon {epsilon} needs over {MAX_GRID} grid points")
         power *= q
         points.append(1 - power)
     return GridSpec(epsilon, k, len(points), tuple(points))

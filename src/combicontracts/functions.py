@@ -389,7 +389,9 @@ class Coverage(SuccessFunction):
 
 @dataclass(frozen=True)
 class ExplicitTable(SuccessFunction):
-    """All 2**n values given explicitly; the universal interchange format."""
+    """All 2**n values given explicitly; the universal interchange format.
+    Construction lifts the entries once to ``_lifted``, the (D, ints) tuple
+    that ``lifted_values`` returns and the hash reads."""
 
     n_actions: int
     table: tuple
@@ -403,11 +405,15 @@ class ExplicitTable(SuccessFunction):
             raise ResourceLimitError(
                 f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
             )
-        object.__setattr__(self, "table", tuple(as_fraction(v) for v in self.table))
+        object.__setattr__(self, "table", tuple(map(as_fraction, self.table)))
         if len(self.table) != 1 << self.n_actions:
             raise DomainError(
                 f"table needs {1 << self.n_actions} entries, got {len(self.table)}"
             )
+        object.__setattr__(self, "_lifted", _lift(self.table))
+
+    def __hash__(self) -> int:
+        return hash((self.n_actions,) + self._lifted)
 
     @property
     def n(self) -> int:
@@ -514,8 +520,8 @@ def validate(inst: Instance) -> ValidationReport:
 
 def _monotone(tab: ExplicitTable) -> bool:
     """True iff adding an action never lowers an entry of the table: for
-    each bit j, the int entries without j against those with j, as whole
-    slices (strided while h = 2**j is small, blocks of h once it is large)."""
+    each bit j, the stored int entries without j against those with j, as
+    whole slices (strided while h = 2**j is small, blocks of h once large)."""
     t = lifted_values(tab)[1]
     for j in range(tab.n):
         h = 1 << j
@@ -529,25 +535,26 @@ def _monotone(tab: ExplicitTable) -> bool:
 
 
 def _lift(fracs) -> tuple:
-    """(D, ints): each Fraction as an integer over D, the LCM of their denominators."""
+    """(D, ints): the Fractions as a tuple of ints over D, their denominators' LCM."""
     D = math.lcm(*(x.denominator for x in fracs))
-    return D, [x.numerator * (D // x.denominator) for x in fracs]
+    return D, tuple([x.numerator * (D // x.denominator) for x in fracs])
 
 
 def lifted_values(f: SuccessFunction) -> tuple:
     """(D, T): all 2**n values of f as integers over one denominator D (the
     LCM of f's parameter denominators), indexed by bitmask: f(mask) = T[mask]/D.
 
-    Tables grow by doubling: the masks with bit i set are those below 2**i
-    plus action i+1 (matroid rank: the masks so far, heaviest action first).
-    No class goes through Fractions or ``value_mask``.
+    A table returns the tuple lifted when it was made; the others grow by
+    doubling: the masks with bit i set are those below 2**i plus action i+1
+    (matroid rank: the masks so far, heaviest action first), never through
+    Fractions or ``value_mask``.
     """
+    if isinstance(f, ExplicitTable):
+        return f._lifted
     n = f.n
     if n > EXPLICIT_TABLE_MAX_ACTIONS:
         raise ResourceLimitError(f"cannot tabulate {n} actions")
     D, w = _lift(f.parameter_fractions())
-    if isinstance(f, ExplicitTable):
-        return D, w
     t = [0]
     if isinstance(f, (Additive, BudgetAdditive)):
         for x in w[:n]:

@@ -70,7 +70,15 @@ def _list(values, where: str) -> list:
 
 
 def _rat_list(values, where: str) -> tuple:
-    return tuple(_rat(v, where) for v in _list(values, where))
+    """The rationals in order, each distinct string parsed once (a 2**n table
+    repeats few literals); other values, JSON true too, go through ``_rat``."""
+    parsed: dict = {}
+    out = []
+    for v in _list(values, where):
+        if isinstance(v, str) and v not in parsed:
+            parsed[v] = _rat(v, where)
+        out.append(parsed[v] if isinstance(v, str) else _rat(v, where))
+    return tuple(out)
 
 
 def _int_sets(values, where: str) -> tuple:

@@ -11,6 +11,7 @@ the envelope of the agent's utility lines.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,10 +31,12 @@ from .functions import (
     SuccessFunction,
     ValidationReport,
     _coerce_fractions,
+    _lift,
     _monotone,
     _positive_costs,
     bit_indices,
     brute_force_limit,
+    lifted_values,
 )
 from .rational import _check_k, as_fraction
 
@@ -110,14 +113,12 @@ class GeneralInstance:
 
     @cached_property
     def reward(self) -> SuccessFunction:
-        """R, the expected reward: ``expected``, or one table of sum_j r_j P_j(S)."""
+        """R: ``expected``, or one table of sum_j r_j P_j(S), summed in ints."""
         if self.expected is not None:
             return self.expected
-        columns = zip(*(tab.table for tab in self.distributions))
-        return ExplicitTable(
-            self.n,
-            tuple(sum(r * p for r, p in zip(self.rewards, col)) for col in columns),
-        )
+        D, w, columns = _columns(self.distributions, self.rewards)
+        sums = [sum(map(operator.mul, w, col)) for col in columns]
+        return ExplicitTable(self.n, tuple([Fraction(v, D) for v in sums]))
 
     def expected_reward_mask(self, mask: int) -> Fraction:
         return self.reward.value_mask(mask)
@@ -141,21 +142,30 @@ def embed_binary(inst: Instance) -> GeneralInstance:
     )
 
 
+def _columns(tables, coeffs) -> tuple:
+    """(D, w, columns), ints: sum_j coeffs[j] P_j(mask) = w . columns[mask] / D."""
+    lifts = [lifted_values(tab) for tab in tables]
+    D, w = _lift([Fraction(c, d) for c, (d, _) in zip(coeffs, lifts)])
+    return D, w, zip(*(t for _, t in lifts))
+
+
 def validate_general(ginst: GeneralInstance) -> ValidationReport:
     """Report per-set violations: outcome rows that are not distributions,
     R(empty set) != 0, a non-monotone R and an R(A) above the largest reward.
 
-    Only tables are enumerated: a structural R is monotone by construction.
+    Only tables are enumerated, outcome rows in ints over one denominator:
+    a structural R is monotone by construction.
     """
     out = []
     if ginst.distributions is not None:
-        for mask in range(1 << ginst.n):
-            probs = [tab.table[mask] for tab in ginst.distributions]
-            total = sum(probs)
-            if total != 1:
+        D, w, columns = _columns(ginst.distributions, [1] * ginst.m)
+        for mask, col in enumerate(columns):
+            total = sum(map(operator.mul, w, col))
+            if total != D:
+                total = Fraction(total, D)
                 out.append(f"outcome probabilities sum to {total} on mask {mask}")
                 break
-            if any(p < 0 for p in probs):
+            if min(col) < 0:
                 out.append(f"negative outcome probability on mask {mask}")
                 break
     if ginst.expected_reward_mask(0) != 0:

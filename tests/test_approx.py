@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,52 @@ def test_grid_past_max_grid_is_refused_before_any_query(monkeypatch):
     inst = Instance(Additive((Fraction(1, 2),)), (Fraction(1, 4),), k=12)
     with pytest.raises(ResourceLimitError):
         fptas(inst, Fraction(1, 2))
+
+
+def reference_grid(eps, k):
+    """The grid by its definition: 1 - (1-eps)**i until (1-eps)**i <= 2**-k."""
+    points, power = [], Fraction(1)
+    while power > Fraction(1, 2**k):
+        power *= 1 - eps
+        points.append(1 - power)
+    return tuple(points)
+
+
+def test_grid_points_match_the_definition():
+    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(1, 100)):
+        for k in range(1, 13):
+            spec = grid_spec(eps, k)
+            assert spec.points == reference_grid(eps, k)
+            assert spec.size == len(spec.points)
+
+
+def test_grid_size_is_decided_before_any_point(monkeypatch):
+    from combicontracts import approx
+
+    # eps = 1/23700 at k = 1 needs about 16427 points: the exact power decides
+    for eps, k in ((Fraction(1, 10**5), 4), (Fraction(1, 10**100), 12), (Fraction(1, 23700), 1)):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="needs over 16384 grid points"):
+            grid_spec(eps, k)
+        assert time.perf_counter() - started < 1
+    # around the bounds on the size, against a small cap
+    cap = 64
+    monkeypatch.setattr(approx, "MAX_GRID", cap)
+    by_power = {True: 0, False: 0}
+    for k in range(1, 13):
+        lo, hi = Fraction(69 * k, 100 * cap), Fraction(7 * k, 10 * cap)
+        for i in range(41):
+            eps = lo * Fraction(9, 10) + (hi * Fraction(11, 10) - lo * Fraction(9, 10)) * i / 40
+            size = len(reference_grid(eps, k))
+            if size > cap:
+                with pytest.raises(ResourceLimitError):
+                    grid_spec(eps, k)
+            else:
+                assert grid_spec(eps, k).size == size
+            if 100 * cap * eps > 69 * k * (1 - eps) and 7 * k > 10 * cap * eps:
+                by_power[size > cap] += 1
+    assert by_power[True] > 0 and by_power[False] > 0  # both answers of the power
+
 
 def test_huge_k_is_refused_before_any_grid():
     assert grid_spec(Fraction(1, 2), MAX_K).size == MAX_K

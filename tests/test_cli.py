@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,88 @@ def test_integer_fields_accept_ints_and_integer_strings(tmp_path):
         else:
             with pytest.raises(DomainError, match=error):
                 loads_instance(text)
+
+
+TRUE_ERROR = (
+    "error: decimal literal 'True' needs a declared bit precision; "
+    "write it as a fraction a/b instead"
+)
+
+
+@pytest.mark.parametrize(
+    "table, costs, error",
+    [
+        (["0", 1, "1", "2/2", True, "1", "1", "1"], None, TRUE_ERROR),
+        ([True, "1", "1", "1", "1", "1", "1", "1"], None, TRUE_ERROR),
+        (["0", "1", "1", "1", "1", "1", "1", "1"], ["1/8", True, "1/8"], TRUE_ERROR),
+        (
+            ["0", "1/x", "1/4", "1/x", "abc", "1/x", "1/2", "3/4"],
+            None,
+            "error: cannot parse rational '1/x': Invalid literal for Fraction: '1/x'",
+        ),
+        (
+            ["0", "1/0", "1/4", "1/0", "1/4", "1/2", "1/2", "3/4"],
+            None,
+            "error: cannot parse rational '1/0': Fraction(1, 0)",
+        ),
+        (
+            ["0", ["1"], "1/x", "1/x", "1/4", "1/2", "1/2", "3/4"],
+            None,
+            "error: function.table: rationals must be strings, got ['1']",
+        ),
+        (
+            ["0", "1/4", "1/4", "1/2", "1/4", "1/2", "1/2", "3/4"],
+            ["x", "1/8", "x"],
+            "error: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
+        ),
+        (["0", "1", "1", "1", "1", "1", "1", "1"], None, None),
+        (["0", 1, "1", "2/2", "1", 1, "2/2", "1"], None, None),
+    ],
+)
+def test_table_literals_load_or_fail_as_written(tmp_path, capsys, table, costs, error):
+    """Repeated literals share one parse; the first bad entry is still the
+    one reported, and JSON true is refused even after an equal 1."""
+    obj = {
+        "version": 1,
+        "model": "binary",
+        "n": 3,
+        "function": {"class": "table", "table": table},
+        "costs": costs or ["1/8", "1/8", "1/8"],
+    }
+    path = tmp_path / "table.inst"
+    path.write_text(json.dumps(obj))
+    for command in (["solve"], ["robust", "solve-linear"]):
+        code = main(command + [str(path)])
+        err = capsys.readouterr().err.splitlines()
+        if error is None:
+            assert code == 0
+        else:
+            assert (code, err[0]) == (1, error)
+    if error is None:
+        assert loads_instance(path.read_text()).f.table == (0,) + (1,) * 7
+
+
+def test_each_distinct_table_literal_is_parsed_once(monkeypatch):
+    from combicontracts import instancefile
+    from combicontracts.rational import parse_rational
+
+    calls = []
+
+    def counted(text, k=None):
+        calls.append(text)
+        return parse_rational(text, k)
+
+    monkeypatch.setattr(instancefile, "parse_rational", counted)
+    inst = sample_instance("table", 10, 4, seed=2)
+    text = dumps_instance(inst)
+    obj = json.loads(text)
+    table, costs = obj["function"]["table"], obj["costs"]
+    assert len(set(table)) < len(table) // 10
+    assert loads_instance(text) == inst
+    assert len(calls) == len(set(table)) + len(set(costs))
+    calls.clear()
+    assert instancefile._rat_list(table, "function.table") == inst.f.table
+    assert calls == list(dict.fromkeys(table))  # once each, in first-seen order
 
 
 @pytest.fixture()
@@ -449,6 +532,17 @@ def test_grid_past_the_cap_exits_with_resource_limit(tmp_path, capsys, monkeypat
         code = main(list(argv))
         assert code == 2, argv
         assert "resource limit: epsilon 1/10 needs over 16 grid points" in capsys.readouterr().err
+
+
+def test_tiny_epsilon_exits_with_resource_limit_at_once(tmp_path, capsys):
+    path = _generated_file(tmp_path, capsys, "coverage")
+    for argv in (("fptas", path, "--epsilon", "1/100000"), ("verify", path, "--epsilon", "1/100000")):
+        started = time.perf_counter()
+        code = main(list(argv))
+        assert time.perf_counter() - started < 1, argv
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert "resource limit: epsilon 1/100000 needs over 16384 grid points" in err
 
 
 def test_parser_is_built_once_and_reused(worked_file, capsys):

@@ -6,6 +6,8 @@ which bisects over the envelope's critical values, against the separate
 argmax scan of ``brute_force_demand``.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,8 +30,10 @@ from combicontracts import (  # noqa: E402
     brute_force_critical_set,
     brute_force_demand,
     canonical_best_response,
+    sample_instance,
+    validate,
 )
-from combicontracts.functions import bit_indices, lifted_values  # noqa: E402
+from combicontracts.functions import _lift, bit_indices, lifted_values  # noqa: E402
 
 DYADIC = (1, 2, 4, 8, 16)
 # dyadic (with or without k = 4), non-dyadic and mixed denominators
@@ -167,3 +171,87 @@ def test_matroid_table_makes_no_value_mask_calls(monkeypatch):
     assert calls == []
     cases[0].value_mask(3)  # the counter sees a direct call
     assert calls == [3]
+
+
+def assert_stored_lift(tab):
+    """The table's stored lift is a fresh lift of its entries, as tuples."""
+    stored = lifted_values(tab)
+    D, ints = _lift(tab.table)
+    assert stored == (D, tuple(ints))
+    assert type(stored) is tuple and type(stored[1]) is tuple
+    assert D == math.lcm(*(x.denominator for x in tab.table))
+    assert [Fraction(v, D) for v in stored[1]] == list(tab.table)
+    with pytest.raises(TypeError):
+        stored[1][0] = 0  # no caller can change what the next one reads
+
+
+@st.composite
+def raw_tables(draw):
+    """Any table: negative entries and mixed denominators, n = 0 included."""
+    n = draw(st.integers(0, 5))
+    dens = st.sampled_from((1, 2, 3, 4, 7, 12))
+    return ExplicitTable(
+        n, [Fraction(draw(st.integers(-30, 30)), draw(dens)) for _ in range(1 << n)]
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tab=raw_tables())
+def test_stored_lift_of_any_table(tab):
+    assert_stored_lift(tab)
+
+
+def test_stored_lift_of_seeded_tables():
+    tables = [ExplicitTable(0, (0,)), ExplicitTable(0, ("-1/3",))]
+    for n in range(1, 9):
+        for k in (4, 8):
+            tables.append(sample_instance("table", n, k, seed=n).f)
+    tables.append(ExplicitTable(2, ("0", "-1/6", "3/4", "2/7")))
+    for tab in tables:
+        assert_stored_lift(tab)
+    assert lifted_values(tables[1]) == (3, (-1,))
+
+
+def test_equally_valued_tables_compare_and_hash_equal():
+    written = [
+        ExplicitTable(2, ("0", "2/4", "1/2", "4/4")),
+        ExplicitTable(2, (0, Fraction(1, 2), Fraction(2, 4), 1)),
+        ExplicitTable(2, (Fraction(0), "1/2", Fraction(1, 2), "2/2")),
+    ]
+    for tab in written:
+        assert tab == written[0] and hash(tab) == hash(written[0])
+        assert lifted_values(tab) == (2, (0, 1, 1, 2))
+    costs = (Fraction(1, 8), Fraction(1, 8))
+    assert len({Instance(tab, costs) for tab in written}) == 1
+    assert ExplicitTable(2, ("0", "1/2", "1/2", "3/4")) != written[0]
+
+
+def test_scaled_and_replaced_tables_lift_afresh():
+    tab = ExplicitTable(2, ("0", "1/3", "1/4", "1/2"))
+    assert lifted_values(tab) == (12, (0, 4, 3, 6))
+    assert lifted_values(tab.scaled(Fraction(1, 2))) == (24, (0, 4, 3, 6))
+    other = dataclasses.replace(tab, table=(0, Fraction(1, 5), Fraction(1, 5), 1))
+    assert lifted_values(other) == (5, (0, 1, 1, 5))
+    smaller = dataclasses.replace(tab, n_actions=1, table=("0", "7/9"))
+    assert lifted_values(smaller) == (9, (0, 7))
+    assert lifted_values(tab) == (12, (0, 4, 3, 6))
+    for t in (tab.scaled(3), other, smaller):
+        assert_stored_lift(t)
+
+
+def test_table_consumers_read_the_stored_lift(monkeypatch):
+    from combicontracts import functions
+
+    inst = sample_instance("table", 6, 4, seed=3)
+    lifted = lifted_values(inst.f)
+
+    def lift(fracs):
+        assert fracs is not inst.f.table, "a table was lifted again"
+        return _lift(fracs)
+
+    monkeypatch.setattr(functions, "_lift", lift)
+    brute_force_critical_set.cache_clear()
+    assert validate(inst).ok
+    assert brute_force_critical_set(inst).size > 0
+    brute_force_demand(inst, Fraction(1, 2))
+    assert lifted_values(inst.f) is lifted

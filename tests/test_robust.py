@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -263,3 +264,70 @@ def test_validate_general(general_corpus):
             GeneralInstance(costs=costs, rewards=rewards, expected=f)
     with pytest.raises(DomainError, match="empty action set"):
         GeneralInstance(costs=(), rewards=(Fraction(1),), expected=Additive(()))
+
+
+def three_outcome(tables, n=2):
+    return GeneralInstance(
+        costs=(Fraction(1, 8),) * n,
+        rewards=(Fraction(0), Fraction(1, 2), Fraction(1)),
+        distributions=tuple(ExplicitTable(n, t) for t in tables),
+    )
+
+
+@pytest.mark.parametrize(
+    "tables, violations",
+    [
+        (
+            [["1", "2/3", "1/2", "1/4"], ["0", "1/3", "1/4", "1/3"], ["0", "0", "1/4", "1/2"]],
+            ("outcome probabilities sum to 13/12 on mask 3",),
+        ),
+        (
+            [["1", "2/3", "1/2", "1/4"], ["0", "1/3", "1/4", "1/4"], ["0", "1", "1/4", "1/2"]],
+            ("outcome probabilities sum to 2 on mask 1",),
+        ),
+        (
+            [["2", "2/3", "1/2", "1/4"], ["0", "1/3", "1/4", "1/4"], ["0", "0", "1/4", "1/2"]],
+            ("outcome probabilities sum to 2 on mask 0",),
+        ),
+        (
+            [["1", "2/3", "3/4", "1/4"], ["0", "1/3", "1/2", "1/4"], ["0", "0", "-1/4", "1/2"]],
+            ("negative outcome probability on mask 2",),
+        ),
+        (
+            [["1", "4/3", "1/2", "1/4"], ["0", "-1/3", "1/4", "1/4"], ["0", "0", "1/4", "1/2"]],
+            ("negative outcome probability on mask 1",),
+        ),
+        # a 1/3 grid next to 1/4 grids: one common denominator, 12
+        (
+            [["1", "2/3", "1/2", "0"], ["0", "1/4", "1/4", "1/4"], ["0", "0", "1/4", "3/4"]],
+            ("outcome probabilities sum to 11/12 on mask 1",),
+        ),
+        ([["1", "2/3", "1/2", "0"], ["0", "1/3", "1/4", "1/4"], ["0", "0", "1/4", "3/4"]], ()),
+    ],
+)
+def test_validate_general_messages(tables, violations):
+    assert validate_general(three_outcome(tables)).violations == violations
+
+
+def test_reward_table_is_the_fraction_formula(general_corpus):
+    """R(S) = sum_j r_j P_j(S), summed here in Fractions, on seeded
+    instances with n <= 8 and outcome tables on different denominators."""
+    seeded = []
+    for n in range(1, 9):
+        for seed in range(3):
+            f = sample_instance("table", n, 8, seed=seed).f.table
+            g = sample_instance("table", n, 4, seed=seed + 10).f.table
+            top = [v / 2 for v in f]
+            mid = [v / 3 for v in g]
+            low = [1 - a - b for a, b in zip(top, mid)]
+            ginst = three_outcome([low, mid, top], n)
+            seeded.append(ginst)
+            seeded.append(replace(ginst, rewards=(Fraction(1, 7), Fraction(2, 5), Fraction(3))))
+    for ginst in list(general_corpus) + seeded:
+        expected = tuple(
+            sum((r * p for r, p in zip(ginst.rewards, col)), Fraction(0))
+            for col in zip(*(tab.table for tab in ginst.distributions))
+        )
+        assert ginst.reward.table == expected
+        if ginst.rewards[0] == 0:  # R(empty set) = 0, so the instance is valid
+            assert validate_general(ginst).ok

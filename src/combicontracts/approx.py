@@ -98,13 +98,8 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
             best_alpha, best_util = alpha, util
     if oracle.queries != spec.size:
         raise InvariantError(f"grid used {oracle.queries} queries, expected {spec.size}")
-    return ContractSolution(
-        alpha_star=best_alpha,
-        utility=best_util,
-        actions=frozenset() if best_alpha == 0 else oracle.best_response(best_alpha),
-        profile=None,
-        v_queries=oracle.queries,
-    )
+    actions = oracle.best_response(best_alpha)
+    return ContractSolution(best_alpha, best_util, actions, v_queries=oracle.queries)
 
 
 def _simplest_in(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:

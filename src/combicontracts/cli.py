@@ -322,8 +322,8 @@ def _cmd_verify(args) -> int:
 def _verify_checks(inst: Instance, epsilon: Fraction):
     """Cross-checks of every computation path against the envelope oracle,
     yielded as (check, status, note) rows."""
-    profile = contract.brute_force_critical_set(inst)
     reference = contract.optimal_contract(inst, method="brute")
+    profile = reference.profile
     probes = [Fraction(0)] + list(profile.alphas) + [Fraction(1)]
     for i in range(1, len(profile.alphas)):
         probes.append((profile.alphas[i - 1] + profile.alphas[i]) / 2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .demand import GreedyKernel, VOracle
+from .demand import GreedyKernel, VOracle, _check_alpha
 from .errors import (
     DomainError,
     InvariantError,
@@ -27,7 +27,6 @@ from .functions import (
     brute_force_limit,
     lifted_values,
 )
-from .rational import as_fraction
 
 __all__ = [
     "CriticalProfile",
@@ -42,10 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CriticalProfile:
-    """Sorted critical contract values with V values and canonical demand sets.
+    """Sorted critical contract values with V values and demand sets.
 
     V strictly increases along the sorted list; the number of rows is always
     below 2**n and at most n(n+1)/2 for certified gross-substitutes classes.
+    Demand sets are best responses: the greedy set on certified classes,
+    else the canonical one (lexicographically smallest member of D*).
     """
 
     alphas: tuple
@@ -69,8 +70,9 @@ class ContractSolution:
     """An optimal (or approximately optimal) linear contract.
 
     ``utility`` is the principal's (1 - alpha) * V(alpha); ``actions`` the
-    incentivized set; ``profile`` is attached when a full enumeration was
-    performed; ``v_queries`` counts V-oracle calls where that is contractual.
+    incentivized set; ``profile`` the critical profile the answer was read
+    from (every ``optimal_contract`` method has one, ``fptas`` does not);
+    ``v_queries`` counts V-oracle calls where that is contractual.
     """
 
     alpha_star: Fraction
@@ -153,7 +155,7 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
 
 def successor_from_profile(profile: CriticalProfile, alpha) -> Fraction | None:
     """Smallest critical value strictly above alpha, or None."""
-    alpha = as_fraction(alpha)
+    alpha = _check_alpha(alpha)
     idx = bisect_right(profile.alphas, alpha)
     if idx == len(profile.alphas):
         return None
@@ -250,65 +252,49 @@ def _search_backend(inst: Instance):
 SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 
 
-def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
-    """Optimal linear contract by iterating successors from zero.
-
-    Walks alpha(t+1) = succ(alpha(t)) starting at 0, tracking the argmax of
-    (1 - alpha) * V(alpha) including the alpha = 0 baseline; ties go to the
-    smallest alpha.  ``method`` picks the successor backend: "gs" (greedy,
-    certified classes), "search" (bisection, needs declared k), "brute"
-    (envelope enumeration), or "auto" ("gs" on certified classes, else
-    "brute").
-    """
-    if method == "auto":
-        method = "gs" if inst.f.gs_certified else "brute"
-
-    if method == "brute":
-        # one pass over the envelope: each cached lookup re-hashes the instance
-        profile = brute_force_critical_set(inst)
-        best_alpha, best_util = Fraction(0), Fraction(0)
-        best_set: frozenset = frozenset()
-        for a, v, dset in zip(profile.alphas, profile.values, profile.demand_sets):
-            u = (1 - a) * v
-            if u > best_util:
-                best_alpha, best_util, best_set = a, u, dset
-        return ContractSolution(
-            alpha_star=best_alpha,
-            utility=best_util,
-            actions=best_set,
-            profile=profile,
-            v_queries=0,
-        )
-
-    if method not in SUCCESSORS:
-        raise DomainError(f"unknown successor method {method!r}")
-    oracle, successor, step_cap = SUCCESSORS[method](inst)
+def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
+    """(profile, V queries): each successor from zero, V and best response there."""
+    alphas, values, sets = [], [], []
     alpha, v_alpha = Fraction(0), Fraction(0)
-    best_alpha, best_util = alpha, Fraction(0)
-    steps = 0
-    while True:
-        nxt = successor(inst, alpha, oracle=oracle, v_alpha=v_alpha)
-        if nxt is None:
-            break
+    while (nxt := successor(inst, alpha, oracle=oracle, v_alpha=v_alpha)) is not None:
         if not nxt > alpha:
             raise InvariantError("successor did not advance")
-        steps += 1
-        if steps > step_cap:
+        if len(alphas) == step_cap:
             raise InvariantError(
                 f"successor iteration exceeded the critical-set bound {step_cap}"
             )
         v_next = oracle(nxt)
         if not v_next > v_alpha:
             raise InvariantError("V did not increase across a successor step")
-        util = (1 - nxt) * v_next
-        if util > best_util:
-            best_alpha, best_util = nxt, util
+        alphas.append(nxt)
+        values.append(v_next)
+        sets.append(oracle.best_response(nxt))
         alpha, v_alpha = nxt, v_next
+    return CriticalProfile(tuple(alphas), tuple(values), tuple(sets)), oracle.queries
 
-    return ContractSolution(
-        alpha_star=best_alpha,
-        utility=best_util,
-        actions=frozenset() if best_alpha == 0 else oracle.best_response(best_alpha),
-        profile=None,
-        v_queries=oracle.queries,
-    )
+
+def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
+    """Optimal linear contract: the best critical value of the profile.
+
+    ``method`` picks how the critical profile is found: "gs" (greedy
+    successors from zero, certified classes), "search" (bisection
+    successors, needs declared k), "brute" (the envelope, no V queries),
+    or "auto" ("gs" on certified classes, else "brute").  The argmax of
+    (1 - alpha) * V(alpha) includes the alpha = 0 baseline, and ties go to
+    the smallest alpha.
+    """
+    if method == "auto":
+        method = "gs" if inst.f.gs_certified else "brute"
+    if method == "brute":
+        profile, queries = brute_force_critical_set(inst), 0
+    elif method in SUCCESSORS:
+        profile, queries = _walk(inst, *SUCCESSORS[method](inst))
+    else:
+        raise DomainError(f"unknown successor method {method!r}")
+
+    best_alpha, best_util, best_set = Fraction(0), Fraction(0), frozenset()
+    for a, v, dset in zip(profile.alphas, profile.values, profile.demand_sets):
+        u = (1 - a) * v
+        if u > best_util:
+            best_alpha, best_util, best_set = a, u, dset
+    return ContractSolution(best_alpha, best_util, best_set, profile, queries)

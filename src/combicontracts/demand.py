@@ -296,9 +296,9 @@ class VOracle:
 
     def best_response(self, alpha) -> frozenset:
         """The action set reported at alpha (not counted as a query): the
-        kernel's greedy set, else the profile's canonical set, which is the
-        lexicographically smallest member of D*."""
+        kernel's greedy set (its last run, when alpha was just queried), else
+        the profile's canonical set, the lexicographically smallest of D*."""
         if self.kernel is not None:
-            return self.kernel.demand(alpha).set
+            return frozenset(a + 1 for a in self.kernel.greedy(alpha)[1])
         i = self._segment(alpha)
         return self.profile.demand_sets[i - 1] if i else frozenset()

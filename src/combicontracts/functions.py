@@ -138,7 +138,8 @@ class SuccessFunction:
             raise ResourceLimitError(
                 f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
             )
-        return ExplicitTable(self.n, value_table(self))
+        D, t = lifted_values(self)
+        return ExplicitTable(self.n, tuple(Fraction(v, D) for v in t))
 
 
 def _coerce_fractions(obj, name: str) -> tuple:

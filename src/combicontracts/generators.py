@@ -27,7 +27,7 @@ from .functions import (
     WeightedMatroidRank,
     lifted_values,
 )
-from .rational import as_fraction
+from .rational import _bounded_k, as_fraction
 
 __all__ = [
     "SubsetSumSpec",
@@ -303,8 +303,7 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
         raise DomainError(f"unknown class {klass!r}; choose from {SAMPLE_CLASSES}")
     if not isinstance(n, int) or n < 1:
         raise DomainError("need at least one action")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError("bit precision must be a positive integer")
+    _bounded_k(k)
     # str seeding is stable across processes (unlike hash() of a str)
     rng = random.Random(f"{klass}|{n}|{k}|{seed}")
     unit = 1 << k

@@ -49,10 +49,10 @@ def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise DomainError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def _rat(value, where: str) -> Fraction:
-    if not isinstance(value, str) and not isinstance(value, int):
+def _rat(value, where: str, k: int | None = None) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DomainError(f"{where}: rationals must be strings, got {value!r}")
-    return parse_rational(str(value))
+    return parse_rational(str(value), k)
 
 
 def _int(value, where: str) -> int:
@@ -69,15 +69,15 @@ def _list(values, where: str) -> list:
     return values
 
 
-def _rat_list(values, where: str) -> tuple:
+def _rat_list(values, where: str, k: int | None = None) -> tuple:
     """The rationals in order, each distinct string parsed once (a 2**n table
     repeats few literals); other values, JSON true too, go through ``_rat``."""
     parsed: dict = {}
     out = []
     for v in _list(values, where):
         if isinstance(v, str) and v not in parsed:
-            parsed[v] = _rat(v, where)
-        out.append(parsed[v] if isinstance(v, str) else _rat(v, where))
+            parsed[v] = _rat(v, where, k)
+        out.append(parsed[v] if isinstance(v, str) else _rat(v, where, k))
     return tuple(out)
 
 
@@ -89,17 +89,17 @@ def _int_sets(values, where: str) -> tuple:
     )
 
 
-def _function_from_json(obj: dict, n: int) -> SuccessFunction:
+def _function_from_json(obj: dict, n: int, k: int | None = None) -> SuccessFunction:
     if not isinstance(obj, dict):
         raise DomainError("function: expected an object")
     klass = obj.get("class")
     if klass in ("additive", "unit-demand"):
         _require_keys(obj, {"class", "values"}, set(), "function")
-        values = _rat_list(obj["values"], "function.values")
+        values = _rat_list(obj["values"], "function.values", k)
         f = Additive(values) if klass == "additive" else UnitDemand(values)
     elif klass == "matroid-rank":
         _require_keys(obj, {"class", "weights", "matroid"}, set(), "function")
-        weights = _rat_list(obj["weights"], "function.weights")
+        weights = _rat_list(obj["weights"], "function.weights", k)
         mat = obj["matroid"]
         if not isinstance(mat, dict):
             raise DomainError("function.matroid: expected an object")
@@ -120,16 +120,16 @@ def _function_from_json(obj: dict, n: int) -> SuccessFunction:
     elif klass == "budget-additive":
         _require_keys(obj, {"class", "values", "budget"}, set(), "function")
         f = BudgetAdditive(
-            _rat_list(obj["values"], "function.values"),
-            _rat(obj["budget"], "function.budget"),
+            _rat_list(obj["values"], "function.values", k),
+            _rat(obj["budget"], "function.budget", k),
         )
     elif klass == "coverage":
         _require_keys(obj, {"class", "weights", "covers"}, set(), "function")
-        weights = _rat_list(obj["weights"], "function.weights")
+        weights = _rat_list(obj["weights"], "function.weights", k)
         f = Coverage(weights, _int_sets(obj["covers"], "function.covers"))
     elif klass == "table":
         _require_keys(obj, {"class", "table"}, set(), "function")
-        f = ExplicitTable(n, _rat_list(obj["table"], "function.table"))
+        f = ExplicitTable(n, _rat_list(obj["table"], "function.table", k))
     else:
         raise DomainError(f"unknown function class {klass!r}")
     if f.n != n:
@@ -190,10 +190,11 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
             "instance",
         )
         n = _int(obj["n"], "n")
-        f = _function_from_json(obj["function"], n)
-        costs = _rat_list(obj["costs"], "costs")
         k = None if obj.get("k") is None else _int(obj["k"], "k")
-        scale = _rat(obj["scale"], "scale") if "scale" in obj else Fraction(1)
+        bits = k if k is not None and k > 0 else None  # Instance refuses a bad k
+        f = _function_from_json(obj["function"], n, bits)
+        costs = _rat_list(obj["costs"], "costs", bits)
+        scale = _rat(obj["scale"], "scale", bits) if "scale" in obj else Fraction(1)
         return Instance(f, costs, k=k, scale=scale, meta=obj.get("meta"))
     if model == "general":
         _require_keys(

@@ -79,6 +79,8 @@ def in_bounded_set(r, k: int) -> bool:
 
 
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_EXPONENT = re.compile(r"[\d.][eE][-+]?([\d_]+)\Z")
+_STR_LIMIT = 10**4300  # int() and str() stop at 4300 digits
 
 
 def parse_rational(text: str, k: int | None = None) -> Fraction:
@@ -87,6 +89,8 @@ def parse_rational(text: str, k: int | None = None) -> Fraction:
     Decimal strings are accepted only with a declared bit precision and must
     be exact multiples of 2**-k; anything else is a DomainError.  ASCII "a/b"
     and "a" skip Fraction's regex for int(): same values, same error text.
+    A decimal must expand to at most 4300 digits, the most a plain literal
+    has, and its exponent is refused above five digits before 10**exp is built.
     """
     text = text.strip()
     plain = _PLAIN.fullmatch(text)
@@ -97,10 +101,15 @@ def parse_rational(text: str, k: int | None = None) -> Fraction:
             f"decimal literal {text!r} needs a declared bit precision; "
             "write it as a fraction a/b instead"
         )
+    exp = decimal and _EXPONENT.search(text)
+    if exp and len(exp[1].replace("_", "").lstrip("0")) > 5:
+        raise DomainError(f"cannot parse rational {text!r}: exponent over five digits")
     try:
         value = Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
+    if decimal and max(abs(value.numerator), value.denominator) >= _STR_LIMIT:
+        raise DomainError(f"cannot parse rational {text!r}: over 4300 digits")
     if decimal and not is_k_valid(value, k):
         raise DomainError(f"{text!r} is not a multiple of 2**-{k}")
     return value

@@ -12,7 +12,6 @@ from combicontracts import (
     Instance,
     sample_instance,
 )
-from combicontracts.functions import value_table
 
 GS_CLASSES = ("additive", "unit-demand", "matroid-rank")
 NON_GS_CLASSES = ("budget-additive", "coverage", "table")
@@ -67,7 +66,7 @@ def make_general_corpus(count: int = 100):
         n = 2 + (i % 5)
         m = 2 + (i % 3)
         base = sample_instance("table", n, 5, seed=4000 + i)
-        g = value_table(base.f)
+        g = [base.f.value_mask(mask) for mask in range(1 << n)]
         shares = [Fraction(rng.randint(1, 8), 32) for _ in range(m - 1)]
         total = sum(shares, Fraction(0))
         if total > 1:

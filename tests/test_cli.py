@@ -188,10 +188,7 @@ def test_integer_fields_accept_ints_and_integer_strings(tmp_path):
                 loads_instance(text)
 
 
-TRUE_ERROR = (
-    "error: decimal literal 'True' needs a declared bit precision; "
-    "write it as a fraction a/b instead"
-)
+TRUE_ERROR = "error: function.table: rationals must be strings, got True"
 
 
 @pytest.mark.parametrize(
@@ -199,7 +196,11 @@ TRUE_ERROR = (
     [
         (["0", 1, "1", "2/2", True, "1", "1", "1"], None, TRUE_ERROR),
         ([True, "1", "1", "1", "1", "1", "1", "1"], None, TRUE_ERROR),
-        (["0", "1", "1", "1", "1", "1", "1", "1"], ["1/8", True, "1/8"], TRUE_ERROR),
+        (
+            ["0", "1", "1", "1", "1", "1", "1", "1"],
+            ["1/8", True, "1/8"],
+            "error: costs: rationals must be strings, got True",
+        ),
         (
             ["0", "1/x", "1/4", "1/x", "abc", "1/x", "1/2", "3/4"],
             None,
@@ -497,6 +498,55 @@ def test_succ_null_printed(worked_file, capsys):
     code, out = run_cli(capsys, "succ", worked_file, "--alpha", "1/2")
     assert code == 0
     assert pairs_of(out)["successor"] == "NULL"
+
+
+@pytest.mark.parametrize("method", ["brute", "gs", "search"])
+@pytest.mark.parametrize("alpha", ["-1", "3/2"])
+def test_succ_refuses_alpha_outside_the_unit_interval(tmp_path, capsys, alpha, method):
+    path = _generated_file(tmp_path, capsys, "additive")
+    code = main(["succ", path, "--alpha", alpha, "--method", method])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: contract value {alpha} outside [0, 1]")
+
+
+def test_gen_refuses_k_above_the_limit(tmp_path, capsys):
+    path = tmp_path / "x.inst"
+    argv = ["gen", "random", "--class", "additive", "--n", "3", "--k", "100000", "--seed", "1"]
+    assert main(argv + ["-o", str(path)]) == 2
+    assert "bit precision k = 100000 exceeds the limit 1024" in capsys.readouterr().err
+    assert not path.exists()
+    assert main(["gen", "random", "--class", "additive", "--n", "3", "--k", "0", "--seed", "1",
+                 "-o", str(path)]) == 1
+    assert "bit precision must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_declared_k_admits_decimal_literals(tmp_path, capsys):
+    obj = {
+        "version": 1,
+        "model": "binary",
+        "n": 2,
+        "k": 4,
+        "function": {"class": "additive", "values": ["0.5", "1/4"]},
+        "costs": ["0.0625", "1/8"],
+        "scale": "1.0",
+    }
+    path = tmp_path / "decimal.inst"
+    path.write_text(json.dumps(obj))
+    inst = loads_instance(path.read_text())
+    assert inst.costs == (Fraction(1, 16), Fraction(1, 8))
+    assert inst.f.values == (Fraction(1, 2), Fraction(1, 4))
+    code, out = run_cli(capsys, "solve", str(path))
+    assert code == 0 and pairs_of(out)["alpha_star"] == "1/8"
+    for k, cost, error in (
+        (4, "0.03125", "error: '0.03125' is not a multiple of 2**-4"),
+        (None, "0.0625", "error: decimal literal '0.5' needs a declared bit precision"),
+        (0, "0.0625", "error: decimal literal '0.5' needs a declared bit precision"),
+    ):
+        obj.update(k=k, costs=[cost, "1/8"])
+        path.write_text(json.dumps(obj))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(error)
 
 
 def _generated_file(tmp_path, capsys, klass):

@@ -4,6 +4,7 @@ import pytest
 
 from combicontracts import (
     Additive,
+    CriticalProfile,
     DomainError,
     Instance,
     UnsupportedClassError,
@@ -14,7 +15,6 @@ from combicontracts import (
     successor_from_profile,
 )
 from combicontracts.demand import brute_force_demand
-from combicontracts.functions import cost_table, value_table
 
 from conftest import make_gs_corpus, make_small_corpus
 
@@ -27,9 +27,9 @@ def pairwise_critical_set(inst):
     set) and testing V at each candidate against V at the midpoint to its
     left recovers the critical set exactly.  Exponential in n; tests only.
     """
-    ftab = value_table(inst.f)
-    ctab = cost_table(inst)
     size = 1 << inst.n
+    ftab = [inst.f.value_mask(m) for m in range(size)]
+    ctab = [inst.cost_mask(m) for m in range(size)]
     candidates = set()
     for a in range(size):
         for b in range(a + 1, size):
@@ -159,6 +159,30 @@ def test_alpha_star_lies_on_profile(gs_corpus):
         assert sol.alpha_star in {a for a, u in options if u == best}
         # ties resolve to the smallest alpha
         assert sol.alpha_star == min(a for a, u in options if u == best)
+
+
+def test_every_method_returns_its_profile(gs_corpus, non_gs_corpus):
+    """gs, search and brute all answer from a profile equal to the envelope's;
+    actions is the profile row at alpha*."""
+    for inst in gs_corpus[:45] + non_gs_corpus:
+        envelope = brute_force_critical_set(inst)
+        methods = ("gs", "search", "brute") if inst.f.gs_certified else ("search", "brute")
+        for method in methods:
+            sol = optimal_contract(inst, method)
+            profile = sol.profile
+            assert isinstance(profile, CriticalProfile)
+            assert (profile.alphas, profile.values) == (envelope.alphas, envelope.values)
+            if method == "brute" or not inst.f.gs_certified:
+                assert profile.demand_sets == envelope.demand_sets
+            else:  # the greedy set is a principal-favored best response
+                for a, v, dset in zip(profile.alphas, profile.values, profile.demand_sets):
+                    assert dset in brute_force_demand(inst, a).d_star and inst.f.value(dset) == v
+            if sol.alpha_star == 0:
+                assert sol.actions == frozenset()
+            else:
+                row = profile.alphas.index(sol.alpha_star)
+                assert sol.actions == profile.demand_sets[row]
+                assert sol.utility == (1 - sol.alpha_star) * profile.values[row]
 
 
 def test_gs_critical_bound(gs_corpus):

@@ -16,7 +16,7 @@ from combicontracts import (
     WeightedMatroidRank,
     validate,
 )
-from combicontracts.functions import _monotone, actions_of, mask_of, value_table
+from combicontracts.functions import _monotone, actions_of, mask_of
 
 from conftest import make_small_corpus
 
@@ -185,8 +185,8 @@ def test_monotone_and_submodular_exhaustively():
 
     big = [i for i in make_gs_corpus(60) if i.n >= 9][:6]
     for inst in make_small_corpus(18) + big:
-        table = value_table(inst.f)
         n = inst.n
+        table = [inst.f.value_mask(mask) for mask in range(1 << n)]
         full = (1 << n) - 1
         for mask in range(1 << n):
             rest = full & ~mask

@@ -1,7 +1,7 @@
 """Property tests for the integer greedy kernel against Fraction references.
 
 Every reference here avoids the kernel: brute-force demand enumerates all
-subsets through ``value_table``, step utilities are rebuilt from
+subsets through ``lifted_values``, step utilities are rebuilt from
 ``SuccessFunction.marginal`` (two ``value_mask`` calls in Fractions),
 successors come from the envelope sweep, and the greedy order comes from a
 Fraction greedy written here.

@@ -33,6 +33,8 @@ def reference_parse(text, k=None):
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
+    if decimal and max(abs(value.numerator), value.denominator) >= 10**4300:
+        raise DomainError(f"cannot parse rational {text!r}: over 4300 digits")
     if decimal and not is_k_valid(value, k):
         raise DomainError(f"{text!r} is not a multiple of 2**-{k}")
     return value
@@ -56,6 +58,10 @@ def outcome(parse, text, k):
 @example(" -007/012 ", None)
 @example("٣/4", None)
 @example("0.375", 3)
+@example("1e4299", 1)
+@example("1e4300", 1)
+@example("1e-9999", 40)
+@example("0e99999", 3)
 @example(LONG, None)
 @example("-" + LONG, None)
 @example("1/" + LONG, None)
@@ -72,3 +78,14 @@ def test_plain_strings_parse_exactly():
         parse_rational("1/0")
     with pytest.raises(DomainError, match="4300 digits"):
         parse_rational(LONG)
+
+
+def test_decimal_exponents_are_refused_before_expansion():
+    # a plain literal stops at 4300 digits, and so does a decimal spelling
+    with pytest.raises(DomainError, match="over 4300 digits"):
+        parse_rational("1e99999", 4)
+    with pytest.raises(DomainError, match="exponent over five digits"):
+        parse_rational("1e999999999", 4)
+    with pytest.raises(DomainError, match="exponent over five digits"):
+        parse_rational("0.5e-1_000_000", 4)
+    assert parse_rational("1e00000000001", 4) == 10

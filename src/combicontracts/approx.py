@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .functions import Instance
-from .rational import _bounded_k, as_fraction
+from .rational import _bounded_k, _shown, as_fraction
 
 __all__ = [
     "GridSpec",
@@ -56,7 +56,7 @@ MAX_GRID = 2**14
 def grid_spec(epsilon, k: int) -> GridSpec:
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < 1:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+        raise DomainError(f"epsilon must lie in (0, 1), got {_shown(epsilon)}")
     _bounded_k(k)
     q = 1 - epsilon
     # as 69/100 < ln 2 < 7/10, 69k(1-eps)/(100 eps) < m <= ceil(7k/(10 eps))
@@ -64,7 +64,9 @@ def grid_spec(epsilon, k: int) -> GridSpec:
         7 * k > 10 * MAX_GRID * epsilon
         and q.numerator**MAX_GRID << k > q.denominator**MAX_GRID
     ):
-        raise ResourceLimitError(f"epsilon {epsilon} needs over {MAX_GRID} grid points")
+        raise ResourceLimitError(
+            f"epsilon {_shown(epsilon)} needs over {MAX_GRID} grid points"
+        )
     threshold = Fraction(1, 1 << k)
     points = []
     power = Fraction(1)
@@ -145,14 +147,14 @@ def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
         raise DomainError("need alpha_l < alpha_r")
     if hi - lo > Fraction(1, 1 << (2 * k)):
         raise DomainError(
-            f"interval width {hi - lo} exceeds 2**-{2 * k}; uniqueness would fail"
+            f"interval width {_shown(hi - lo)} exceeds 2**-{2 * k}; uniqueness would fail"
         )
     simplest = _simplest_in(lo, hi, True, False)
     bound = 1 << k
     if simplest.numerator > bound or simplest.denominator > bound:
         raise NotFoundError(
             f"no fraction with numerator and denominator in [{bound}] inside "
-            f"({lo}, {hi}]"
+            f"({_shown(lo)}, {_shown(hi)}]"
         )
     return simplest
 

@@ -208,13 +208,12 @@ def _cmd_succ(args) -> int:
 def _cmd_fptas(args) -> int:
     inst = _load_binary(args.instance)
     epsilon = parse_rational(args.epsilon)
-    sol = approx.fptas(inst, epsilon)
-    spec = approx.grid_spec(epsilon, inst.k)
+    sol = approx.fptas(inst, epsilon)  # one V query per grid point
     pairs = [
         ("command", "fptas"),
         ("input_digest", _digest(args.instance)),
         ("epsilon", format_rational(epsilon)),
-        ("grid_size", spec.size),
+        ("grid_size", sol.v_queries),
         ("alpha", _fmt(sol.alpha_star, args.decimal)),
         ("utility", _fmt(sol.utility, args.decimal)),
         ("actions", _fmt_set(sol.actions)),

@@ -16,14 +16,12 @@ from .errors import DomainError, ResourceLimitError, UnsupportedClassError
 from .functions import (
     Additive,
     Instance,
-    UniformMatroid,
-    UnitDemand,
     _lift,
     actions_of,
     brute_force_limit,
     lifted_values,
 )
-from .rational import as_fraction
+from .rational import _shown, as_fraction
 
 __all__ = [
     "OrderedDemand",
@@ -75,7 +73,7 @@ class DemandProfile:
 def _check_alpha(alpha) -> Fraction:
     alpha = as_fraction(alpha)
     if not 0 <= alpha <= 1:
-        raise DomainError(f"contract value {alpha} outside [0, 1]")
+        raise DomainError(f"contract value {_shown(alpha)} outside [0, 1]")
     return alpha
 
 
@@ -86,9 +84,9 @@ class GreedyKernel:
     the LCM of their denominators.  At alpha = p/q the agent's marginal
     utility alpha*g/D - c/D then has the sign and order of p*g - q*c, so
     the greedy compares ints and results become Fractions only at the API
-    boundary.  All three certified classes are weighted matroid ranks over
-    blocks with capacities: additive is one block the size of the ground
-    set, unit demand one block of capacity 1.
+    boundary.  All three certified classes are weighted matroid ranks, and
+    the kernel reads their form, ``f._matroid_form()``: the block of each
+    action (``blocks``) and each block's capacity (``caps``).
     ``gains()`` starts the incremental marginal-gain state, ``greedy()``
     runs the lazy greedy once per contract value.  Actions are 0-based here.
     """
@@ -100,20 +98,10 @@ class GreedyKernel:
                 f"greedy demand is not certified for class {f.kind!r}; "
                 "use brute_force_demand"
             )
-        params = f.parameter_fractions()
         n = self.n = inst.n
-        self.D, lifted = _lift(params + inst.costs)
+        self.D, lifted = _lift(f.parameter_fractions() + inst.costs)
         self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
-        self.blocks = (0,) * n
-        if isinstance(f, Additive):
-            self.caps = (n,)
-        elif isinstance(f, UnitDemand):
-            self.caps = (1,)
-        elif isinstance(f.matroid, UniformMatroid):
-            self.caps = (f.matroid.rank,)
-        else:
-            self.blocks = tuple(f.matroid.block_of(a) for a in range(1, n + 1))
-            self.caps = f.matroid.capacities
+        self.blocks, self.caps = f._matroid_form()
         self.cap_of = tuple(self.caps[b] for b in self.blocks)
         self._last = (None,)  # the last greedy run: (alpha, order, utils, total)
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, ClassVar, Iterable, Union
 
 from .errors import DomainError, PrecisionError, ResourceLimitError
-from .rational import as_fraction, is_k_valid
+from .rational import _check_k, _shown, as_fraction, is_k_valid
 
 __all__ = [
     "Additive",
@@ -73,7 +73,7 @@ def action_set(n: int, actions: Iterable[int]) -> frozenset:
     s = frozenset(actions)
     for a in s:
         if not isinstance(a, int) or not 1 <= a <= n:
-            raise DomainError(f"action {a!r} outside ground set 1..{n}")
+            raise DomainError(f"action {_shown(a)} outside ground set 1..{n}")
     return s
 
 
@@ -97,10 +97,18 @@ def actions_of(mask: int) -> frozenset:
 
 
 class SuccessFunction:
-    """Base value-oracle interface; subclasses implement ``value_mask``."""
+    """Base value-oracle interface; subclasses implement ``value_mask``.
+
+    Each class states its form once.  ``_params`` names the dataclass fields
+    that hold f's rationals (a tuple field or one value), which
+    ``parameter_fractions`` and ``scaled`` read.  The certified classes are
+    weighted matroid ranks, and ``_matroid_form()`` gives their blocks and
+    capacities, which the greedy kernel and ``lifted_values`` read.
+    """
 
     gs_certified: ClassVar[bool] = False
     kind: ClassVar[str] = "abstract"
+    _params: ClassVar[tuple] = ()
 
     @property
     def n(self) -> int:
@@ -116,7 +124,7 @@ class SuccessFunction:
         """f(S + a) - f(S); requires a outside S."""
         s = action_set(self.n, actions)
         if not 1 <= a <= self.n:
-            raise DomainError(f"action {a} outside ground set 1..{self.n}")
+            raise DomainError(f"action {_shown(a)} outside ground set 1..{self.n}")
         if a in s:
             raise DomainError(f"action {a} already in the set")
         mask = mask_of(self.n, s)
@@ -126,12 +134,23 @@ class SuccessFunction:
         return tuple(self.value_mask(1 << i) for i in range(self.n))
 
     def parameter_fractions(self) -> tuple:
-        """Every rational parameter entering f values (for k-validity checks)."""
-        raise NotImplementedError
+        """Every rational parameter entering f values (for k-validity checks):
+        the ``_params`` fields in order, tuples flattened."""
+        out = ()
+        for name in self._params:
+            x = getattr(self, name)
+            out += x if isinstance(x, tuple) else (x,)
+        return out
 
     def scaled(self, factor) -> "SuccessFunction":
-        """Same class with all values multiplied by a positive factor."""
-        raise NotImplementedError
+        """Same class with all values multiplied by a non-negative factor:
+        each ``_params`` field scaled, the rest kept, through the constructor."""
+        c = as_fraction(factor)
+        changes = {}
+        for name in self._params:
+            x = getattr(self, name)
+            changes[name] = tuple(v * c for v in x) if isinstance(x, tuple) else x * c
+        return replace(self, **changes)
 
     def to_table(self) -> "ExplicitTable":
         if self.n > EXPLICIT_TABLE_MAX_ACTIONS:
@@ -147,7 +166,7 @@ def _coerce_fractions(obj, name: str) -> tuple:
     values = tuple(as_fraction(v) for v in obj)
     for v in values:
         if v < 0:
-            raise DomainError(f"{name} include the negative value {v}")
+            raise DomainError(f"{name} include the negative value {_shown(v)}")
     return values
 
 
@@ -157,7 +176,7 @@ def _positive_costs(costs) -> tuple:
     costs = tuple(as_fraction(c) for c in costs)
     for a, c in enumerate(costs, 1):
         if c <= 0:
-            raise DomainError(f"action {a} has non-positive cost {c}")
+            raise DomainError(f"action {a} has non-positive cost {_shown(c)}")
     return costs
 
 
@@ -169,6 +188,7 @@ class Additive(SuccessFunction):
 
     kind: ClassVar[str] = "additive"
     gs_certified: ClassVar[bool] = True
+    _params: ClassVar[tuple] = ("values",)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
@@ -180,12 +200,8 @@ class Additive(SuccessFunction):
     def value_mask(self, mask: int) -> Fraction:
         return sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
 
-    def parameter_fractions(self) -> tuple:
-        return self.values
-
-    def scaled(self, factor) -> "Additive":
-        factor = as_fraction(factor)
-        return Additive(tuple(v * factor for v in self.values))
+    def _matroid_form(self) -> tuple:
+        return (0,) * self.n, (self.n,)
 
 
 @dataclass(frozen=True)
@@ -196,6 +212,7 @@ class UnitDemand(SuccessFunction):
 
     kind: ClassVar[str] = "unit-demand"
     gs_certified: ClassVar[bool] = True
+    _params: ClassVar[tuple] = ("values",)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
@@ -207,12 +224,8 @@ class UnitDemand(SuccessFunction):
     def value_mask(self, mask: int) -> Fraction:
         return max([Fraction(0)] + [self.values[i] for i in bit_indices(mask)])
 
-    def parameter_fractions(self) -> tuple:
-        return self.values
-
-    def scaled(self, factor) -> "UnitDemand":
-        factor = as_fraction(factor)
-        return UnitDemand(tuple(v * factor for v in self.values))
+    def _matroid_form(self) -> tuple:
+        return (0,) * self.n, (1,)
 
 
 @dataclass(frozen=True)
@@ -223,10 +236,7 @@ class UniformMatroid:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise DomainError(f"negative matroid rank {self.rank}")
-
-    def block_of(self, a: int):
-        return 0
+            raise DomainError(f"negative matroid rank {_shown(self.rank)}")
 
 
 @dataclass(frozen=True)
@@ -265,6 +275,7 @@ class WeightedMatroidRank(SuccessFunction):
 
     kind: ClassVar[str] = "matroid-rank"
     gs_certified: ClassVar[bool] = True
+    _params: ClassVar[tuple] = ("weights",)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _coerce_fractions(self.weights, "weights"))
@@ -294,14 +305,11 @@ class WeightedMatroidRank(SuccessFunction):
                 total += self.weights[a - 1]
         return total
 
-    def parameter_fractions(self) -> tuple:
-        return self.weights
-
-    def scaled(self, factor) -> "WeightedMatroidRank":
-        factor = as_fraction(factor)
-        return WeightedMatroidRank(
-            tuple(w * factor for w in self.weights), self.matroid
-        )
+    def _matroid_form(self) -> tuple:
+        m = self.matroid
+        if isinstance(m, UniformMatroid):
+            return (0,) * self.n, (m.rank,)
+        return tuple(map(m.block_of, range(1, self.n + 1))), m.capacities
 
 
 @dataclass(frozen=True)
@@ -312,12 +320,13 @@ class BudgetAdditive(SuccessFunction):
     budget: Fraction
 
     kind: ClassVar[str] = "budget-additive"
+    _params: ClassVar[tuple] = ("values", "budget")
 
     def __post_init__(self):
         object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
         object.__setattr__(self, "budget", as_fraction(self.budget))
         if self.budget < 0:
-            raise DomainError(f"negative budget {self.budget}")
+            raise DomainError(f"negative budget {_shown(self.budget)}")
 
     @property
     def n(self) -> int:
@@ -326,15 +335,6 @@ class BudgetAdditive(SuccessFunction):
     def value_mask(self, mask: int) -> Fraction:
         total = sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
         return min(self.budget, total)
-
-    def parameter_fractions(self) -> tuple:
-        return self.values + (self.budget,)
-
-    def scaled(self, factor) -> "BudgetAdditive":
-        factor = as_fraction(factor)
-        return BudgetAdditive(
-            tuple(v * factor for v in self.values), self.budget * factor
-        )
 
 
 @dataclass(frozen=True)
@@ -349,6 +349,7 @@ class Coverage(SuccessFunction):
     covers: tuple
 
     kind: ClassVar[str] = "coverage"
+    _params: ClassVar[tuple] = ("weights",)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _coerce_fractions(self.weights, "weights"))
@@ -380,13 +381,6 @@ class Coverage(SuccessFunction):
             covered |= self._cover_mask(i)
         return sum((self.weights[j] for j in bit_indices(covered)), Fraction(0))
 
-    def parameter_fractions(self) -> tuple:
-        return self.weights
-
-    def scaled(self, factor) -> "Coverage":
-        factor = as_fraction(factor)
-        return Coverage(tuple(w * factor for w in self.weights), self.covers)
-
 
 @dataclass(frozen=True)
 class ExplicitTable(SuccessFunction):
@@ -398,10 +392,11 @@ class ExplicitTable(SuccessFunction):
     table: tuple
 
     kind: ClassVar[str] = "table"
+    _params: ClassVar[tuple] = ("table",)
 
     def __post_init__(self):
         if self.n_actions < 0:
-            raise DomainError(f"negative action count {self.n_actions}")
+            raise DomainError(f"negative action count {_shown(self.n_actions)}")
         if self.n_actions > EXPLICIT_TABLE_MAX_ACTIONS:
             raise ResourceLimitError(
                 f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
@@ -422,15 +417,8 @@ class ExplicitTable(SuccessFunction):
 
     def value_mask(self, mask: int) -> Fraction:
         if not 0 <= mask < len(self.table):
-            raise DomainError(f"subset mask {mask} outside the table")
+            raise DomainError(f"subset mask {_shown(mask)} outside the table")
         return self.table[mask]
-
-    def parameter_fractions(self) -> tuple:
-        return self.table
-
-    def scaled(self, factor) -> "ExplicitTable":
-        factor = as_fraction(factor)
-        return ExplicitTable(self.n_actions, tuple(v * factor for v in self.table))
 
 
 @dataclass(frozen=True)
@@ -461,12 +449,11 @@ class Instance:
                 f"{len(self.costs)} costs for {self.f.n} actions"
             )
         if self.scale <= 0:
-            raise DomainError(f"non-positive scale {self.scale}")
+            raise DomainError(f"non-positive scale {_shown(self.scale)}")
         if self.f.value_mask(0) != 0:
             raise DomainError("f(empty set) != 0")
         if self.k is not None:
-            if not isinstance(self.k, int) or self.k < 1:
-                raise DomainError(f"k must be a positive integer, got {self.k!r}")
+            _check_k(self.k)
             params = self.f.parameter_fractions() + self.costs
             for den in {x.denominator for x in params}:
                 if not is_k_valid(Fraction(1, den), self.k):
@@ -546,9 +533,10 @@ def lifted_values(f: SuccessFunction) -> tuple:
     LCM of f's parameter denominators), indexed by bitmask: f(mask) = T[mask]/D.
 
     A table returns the tuple lifted when it was made; the others grow by
-    doubling: the masks with bit i set are those below 2**i plus action i+1
-    (matroid rank: the masks so far, heaviest action first), never through
-    Fractions or ``value_mask``.
+    doubling: the masks with bit i set are those below 2**i plus action i+1,
+    never through Fractions or ``value_mask``.  Unit demand and matroid rank
+    read their ``_matroid_form()`` and add the actions heaviest first, each
+    joining a set's basis iff its block has room there.
     """
     if isinstance(f, ExplicitTable):
         return f._lifted
@@ -562,22 +550,19 @@ def lifted_values(f: SuccessFunction) -> tuple:
             t += [s + x for s in t]
         if isinstance(f, BudgetAdditive):
             t = [s if s < w[n] else w[n] for s in t]
-    elif isinstance(f, UnitDemand):
-        for x in w:
-            t += [s if s > x else x for s in t]
     elif isinstance(f, Coverage):
         for cover in map(f._cover_mask, range(n)):
             t += [u | cover for u in t]
         weight_of = {u: sum(w[j] for j in bit_indices(u)) for u in set(t)}
         t = [weight_of[u] for u in t]
-    else:  # matroid rank, heaviest first: i joins S's basis iff its block has room
-        m, masks, t = f.matroid, [0], [0] * (1 << n)
+    else:  # unit demand and matroid rank: one member mask per block
+        blocks, caps = f._matroid_form()
+        members = [0] * len(caps)
+        for i, b in enumerate(blocks):
+            members[b] |= 1 << i
+        masks, t = [0], [0] * (1 << n)
         for i in sorted(range(n), key=w.__getitem__, reverse=True):
-            if isinstance(m, UniformMatroid):
-                block, cap = (1 << n) - 1, m.rank
-            else:
-                b = m.block_of(i + 1)
-                block, cap = mask_of(n, m.blocks[b]), m.capacities[b]
+            block, cap = members[blocks[i]], caps[blocks[i]]
             for s in masks:
                 t[s | 1 << i] = t[s] + w[i] if (s & block).bit_count() < cap else t[s]
             masks += [s | 1 << i for s in masks]

@@ -57,6 +57,8 @@ def _rat(value, where: str, k: int | None = None) -> Fraction:
 
 def _int(value, where: str) -> int:
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        if len(value.lstrip("-")) > 4300:  # int() refuses more digits
+            raise DomainError(f"{where}: integer over 4300 digits")
         return int(value)
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{where}: expected an integer, got {value!r}")
@@ -138,37 +140,26 @@ def _function_from_json(obj: dict, n: int, k: int | None = None) -> SuccessFunct
 
 
 def _function_to_json(f: SuccessFunction) -> dict:
-    if isinstance(f, (Additive, UnitDemand)):
-        return {"class": f.kind, "values": [format_rational(v) for v in f.values]}
-    if isinstance(f, WeightedMatroidRank):
-        if isinstance(f.matroid, UniformMatroid):
-            mat = {"type": "uniform", "rank": f.matroid.rank}
-        else:
-            mat = {
-                "type": "partition",
-                "blocks": [sorted(b) for b in f.matroid.blocks],
-                "capacities": list(f.matroid.capacities),
-            }
-        return {
-            "class": f.kind,
-            "weights": [format_rational(w) for w in f.weights],
-            "matroid": mat,
-        }
-    if isinstance(f, BudgetAdditive):
-        return {
-            "class": f.kind,
-            "values": [format_rational(v) for v in f.values],
-            "budget": format_rational(f.budget),
-        }
+    """The file form: each declared parameter under its field name, the
+    matroid or covers beside them."""
+    if not f._params:
+        raise DomainError(f"cannot serialize function class {type(f).__name__}")
+    obj = {"class": f.kind}
+    for name in f._params:
+        x = getattr(f, name)
+        is_list = isinstance(x, tuple)
+        obj[name] = [format_rational(v) for v in x] if is_list else format_rational(x)
     if isinstance(f, Coverage):
-        return {
-            "class": f.kind,
-            "weights": [format_rational(w) for w in f.weights],
-            "covers": [sorted(c) for c in f.covers],
+        obj["covers"] = [sorted(c) for c in f.covers]
+    elif isinstance(f, WeightedMatroidRank) and isinstance(f.matroid, UniformMatroid):
+        obj["matroid"] = {"type": "uniform", "rank": f.matroid.rank}
+    elif isinstance(f, WeightedMatroidRank):
+        obj["matroid"] = {
+            "type": "partition",
+            "blocks": [sorted(b) for b in f.matroid.blocks],
+            "capacities": list(f.matroid.capacities),
         }
-    if isinstance(f, ExplicitTable):
-        return {"class": f.kind, "table": [format_rational(v) for v in f.table]}
-    raise DomainError(f"cannot serialize function class {type(f).__name__}")
+    return obj
 
 
 def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
@@ -183,47 +174,43 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
         raise DomainError(f"unsupported schema version {version!r}")
     model = obj.get("model")
     if model == "binary":
-        _require_keys(
-            obj,
-            {"version", "model", "n", "function", "costs"},
-            {"k", "scale", "meta"},
-            "instance",
-        )
-        n = _int(obj["n"], "n")
-        k = None if obj.get("k") is None else _int(obj["k"], "k")
-        bits = k if k is not None and k > 0 else None  # Instance refuses a bad k
+        required, optional = {"function"}, {"scale"}
+    elif model == "general":
+        required, optional = {"rewards"}, {"distributions", "expected"}
+    else:
+        raise DomainError(f"unknown model {model!r}")
+    _require_keys(
+        obj,
+        {"version", "model", "n", "costs"} | required,
+        {"k", "meta"} | optional,
+        "instance",
+    )
+    n = _int(obj["n"], "n")
+    k = None if obj.get("k") is None else _int(obj["k"], "k")
+    bits = k if k is not None and k > 0 else None  # the instance refuses a bad k
+    if model == "binary":
         f = _function_from_json(obj["function"], n, bits)
         costs = _rat_list(obj["costs"], "costs", bits)
         scale = _rat(obj["scale"], "scale", bits) if "scale" in obj else Fraction(1)
         return Instance(f, costs, k=k, scale=scale, meta=obj.get("meta"))
-    if model == "general":
-        _require_keys(
-            obj,
-            {"version", "model", "n", "costs", "rewards"},
-            {"distributions", "expected", "k", "meta"},
-            "instance",
+    costs = _rat_list(obj["costs"], "costs", bits)
+    rewards = _rat_list(obj["rewards"], "rewards", bits)
+    distributions = expected = None
+    if "distributions" in obj:
+        distributions = tuple(
+            ExplicitTable(n, _rat_list(tab, "distributions", bits))
+            for tab in _list(obj["distributions"], "distributions")
         )
-        n = _int(obj["n"], "n")
-        costs = _rat_list(obj["costs"], "costs")
-        rewards = _rat_list(obj["rewards"], "rewards")
-        distributions = None
-        expected = None
-        if "distributions" in obj:
-            distributions = tuple(
-                ExplicitTable(n, _rat_list(tab, "distributions"))
-                for tab in _list(obj["distributions"], "distributions")
-            )
-        if "expected" in obj:
-            expected = _function_from_json(obj["expected"], n)
-        return GeneralInstance(
-            costs=costs,
-            rewards=rewards,
-            distributions=distributions,
-            expected=expected,
-            k=None if obj.get("k") is None else _int(obj["k"], "k"),
-            meta=obj.get("meta"),
-        )
-    raise DomainError(f"unknown model {model!r}")
+    if "expected" in obj:
+        expected = _function_from_json(obj["expected"], n, bits)
+    return GeneralInstance(
+        costs=costs,
+        rewards=rewards,
+        distributions=distributions,
+        expected=expected,
+        k=k,
+        meta=obj.get("meta"),
+    )
 
 
 def load_instance(path: str) -> Union[Instance, GeneralInstance]:

@@ -40,16 +40,38 @@ def as_fraction(x) -> Fraction:
 MAX_K = 1024
 
 
+_STR_LIMIT = 10**4300  # int() and str() stop at 4300 digits
+
+
+def _shown(x) -> str:
+    """x for an error message: str() of a rational, repr() of anything else,
+    and only the digit count of a rational with a part over 4300 digits,
+    which str() refuses (counted in ints)."""
+    if not isinstance(x, (int, Fraction)):
+        return repr(x)
+    t = max(abs(x.numerator), x.denominator)
+    if t < _STR_LIMIT:
+        return str(x)
+    d = (t.bit_length() - 1) * 3 // 10  # at most floor(log10 t)
+    p = 10 ** (d + 1)
+    while p <= t:
+        d, p = d + 1, p * 10
+    kind = "integer" if x.denominator == 1 else "fraction"
+    return f"<{'negative ' if x < 0 else ''}{kind} of {d + 1} digits>"
+
+
 def _check_k(k: int) -> int:
     if not isinstance(k, int) or k < 1:
-        raise DomainError(f"bit precision must be a positive integer, got {k!r}")
+        raise DomainError(f"bit precision must be a positive integer, got {_shown(k)}")
     return k
 
 
 def _bounded_k(k: int) -> int:
     """k, refused above MAX_K before anything of size 2**k is built."""
     if _check_k(k) > MAX_K:
-        raise ResourceLimitError(f"bit precision k = {k} exceeds the limit {MAX_K}")
+        raise ResourceLimitError(
+            f"bit precision k = {_shown(k)} exceeds the limit {MAX_K}"
+        )
     return k
 
 
@@ -74,13 +96,14 @@ def in_bounded_set(r, k: int) -> bool:
     _check_k(k)
     r = as_fraction(r)
     if r <= 0:
-        raise DomainError(f"in_bounded_set requires a positive rational, got {r}")
+        raise DomainError(
+            f"in_bounded_set requires a positive rational, got {_shown(r)}"
+        )
     return (r.numerator - 1).bit_length() <= k and (r.denominator - 1).bit_length() <= k
 
 
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _EXPONENT = re.compile(r"[\d.][eE][-+]?([\d_]+)\Z")
-_STR_LIMIT = 10**4300  # int() and str() stop at 4300 digits
 
 
 def parse_rational(text: str, k: int | None = None) -> Fraction:
@@ -116,14 +139,18 @@ def parse_rational(text: str, k: int | None = None) -> Fraction:
 
 
 def format_rational(r) -> str:
-    """Serialize reduced "a/b", or "a" when integral."""
-    return str(as_fraction(r))
+    """Serialize reduced "a/b", or "a" when integral; a part over 4300
+    digits, which no file could parse back, is refused."""
+    r = as_fraction(r)
+    if max(abs(r.numerator), r.denominator) >= _STR_LIMIT:
+        raise DomainError(f"cannot format {_shown(r)}: over 4300 digits")
+    return str(r)
 
 
 def decimal_string(r, digits: int = 6) -> str:
     """Rounded decimal rendering for display columns; exact integer math."""
     if not 0 <= digits <= 4000:  # int's str() stops at 4300 digits
-        raise DomainError(f"digits must lie in 0..4000, got {digits}")
+        raise DomainError(f"digits must lie in 0..4000, got {_shown(digits)}")
     r = as_fraction(r)
     sign = "-" if r < 0 else ""
     num, den = abs(r.numerator), r.denominator

@@ -38,7 +38,7 @@ from .functions import (
     brute_force_limit,
     lifted_values,
 )
-from .rational import _check_k, as_fraction
+from .rational import _check_k, _shown, as_fraction
 
 __all__ = [
     "GeneralInstance",
@@ -163,7 +163,7 @@ def validate_general(ginst: GeneralInstance) -> ValidationReport:
             total = sum(map(operator.mul, w, col))
             if total != D:
                 total = Fraction(total, D)
-                out.append(f"outcome probabilities sum to {total} on mask {mask}")
+                out.append(f"outcome probabilities sum to {_shown(total)} on mask {mask}")
                 break
             if min(col) < 0:
                 out.append(f"negative outcome probability on mask {mask}")
@@ -233,7 +233,7 @@ class GeneralContract:
         for level, _ in self.payments:
             if level not in observable:
                 raise DomainError(
-                    f"payment supplied at unobserved reward level {level}"
+                    f"payment supplied at unobserved reward level {_shown(level)}"
                 )
 
 

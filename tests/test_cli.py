@@ -113,6 +113,10 @@ BAD_FIELDS = {
     "encoding": (None, (), "not UTF-8"),  # the value is the raw file
     "long integer": (None, (), "not valid JSON: Exceeds the limit (4300 digits)"),
     "k": (UNIFORM, ("k",), "exceeds the limit"),
+    "long n": (UNIFORM, ("n",), "n: integer over 4300 digits"),
+    "long k": (UNIFORM, ("k",), "k: integer over 4300 digits"),
+    "long rank": (UNIFORM, ("function", "matroid", "rank"), "rank: integer over 4300 digits"),
+    "long cover index": (COVERAGE, ("function", "covers"), "covers: integer over 4300 digits"),
 }
 # commands that build 2**k-sized values, which a huge k must stop first (exit 2)
 K_COMMANDS = (["solve", "--method", "search"], ["fptas", "--epsilon", "1/2"], ["verify"])
@@ -155,6 +159,10 @@ def _bad_file(tmp_path, field, value):
         ("encoding", b"\xff\xfe{}"),
         pytest.param("long integer", LONG_INT_FILE, id="long integer-5000 digits"),
         ("k", 2**62),
+        pytest.param("long n", "9" * 5001, id="long n-5001 digits"),
+        pytest.param("long k", "4" * 5001, id="long k-5001 digits"),
+        pytest.param("long rank", "-" + "1" * 5001, id="long rank-5001 digits"),
+        pytest.param("long cover index", [["0" * 5000 + "1"], [1]], id="long cover index"),
     ],
 )
 def test_bad_integer_fields_exit_without_traceback(tmp_path, capsys, field, value):
@@ -461,6 +469,55 @@ def test_verify_command(tmp_path, capsys):
     assert ["v-oracle-vs-brute-demand", "PASS"] in [row.split()[:2] for row in out.splitlines()]
 
 
+VERIFY_ROWS = [
+    "v-oracle-vs-brute-demand",
+    "greedy-vs-brute-demand",
+    "succ-gs-vs-envelope",
+    "critical-count-bound",
+    "k-bit-critical-values",
+    "succ-search-vs-envelope",
+    "succ-search-query-bound",
+    "fptas-guarantee",
+    "fptas-query-count",
+    "optimal-contract-backends",
+]
+
+
+def _broken_path(name):
+    """(module, attribute, stand-in) that makes the named verify row wrong."""
+    from dataclasses import replace
+
+    from combicontracts import approx, contract, demand
+
+    if name == "succ-gs-vs-envelope":
+        return contract, "succ_gs", lambda inst, alpha, **kw: None
+    if name == "greedy-vs-brute-demand":
+        return demand, "greedy_demand", lambda inst, alpha: demand.OrderedDemand((), ())
+    if name == "succ-search-vs-envelope":
+        return approx, "succ_search", lambda inst, alpha, **kw: None
+    fptas = approx.fptas
+    return approx, "fptas", lambda inst, eps: replace(fptas(inst, eps), utility=Fraction(0))
+
+
+@pytest.mark.parametrize("klass", ["additive", "unit-demand", "matroid-rank"])
+@pytest.mark.parametrize(
+    "row",
+    ["greedy-vs-brute-demand", "succ-gs-vs-envelope", "succ-search-vs-envelope", "fptas-guarantee"],
+)
+def test_verify_fails_on_a_broken_path(tmp_path, capsys, monkeypatch, klass, row):
+    path = _generated_file(tmp_path, capsys, klass)
+    code, out = run_cli(capsys, "verify", path)
+    assert code == 0 and "FAIL" not in out
+    monkeypatch.setattr(*_broken_path(row))
+    code, out = run_cli(capsys, "verify", path)
+    assert code == 3
+    status = {r.split()[0]: r.split()[1] for r in out.splitlines()[1:]}
+    assert list(status) == VERIFY_ROWS
+    assert status[row] == "FAIL"
+    before = VERIFY_ROWS[: VERIFY_ROWS.index(row)]
+    assert all(status[name] == "PASS" for name in before)
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     # validation failure: non-monotone table
     bad = tmp_path / "bad.inst"
@@ -547,6 +604,47 @@ def test_declared_k_admits_decimal_literals(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err.startswith(error)
+
+
+def test_general_files_read_their_declared_k(tmp_path, capsys):
+    from combicontracts.rational import decimal_string, parse_rational
+
+    ginst = embed_binary(sample_instance("additive", 3, 4, 1))
+    obj = json.loads(dumps_instance(ginst))
+    path = tmp_path / "general.inst"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, "robust", "solve-linear", str(path))
+    assert code == 0
+    for key in ("costs", "rewards"):
+        obj[key] = [decimal_string(parse_rational(v), 4) for v in obj[key]]
+    values = obj["expected"]["values"]
+    obj["expected"]["values"] = [decimal_string(parse_rational(v), 4) for v in values]
+    assert "0.0625" in obj["costs"]
+    path.write_text(json.dumps(obj))
+    assert loads_instance(path.read_text()) == ginst
+    code, decimal_out = run_cli(capsys, "robust", "solve-linear", str(path))
+    assert code == 0
+    pairs, decimal_pairs = pairs_of(out), pairs_of(decimal_out)
+    assert pairs.pop("input_digest") != decimal_pairs.pop("input_digest")
+    assert decimal_pairs == pairs
+
+    table = {"version": 1, "model": "general", "n": 1, "k": 2, "costs": ["0.25"],
+             "rewards": ["0", "1"], "distributions": [["1", "0.5"], ["0", "0.5"]]}
+    path.write_text(json.dumps(table))
+    tabs = loads_instance(path.read_text()).distributions
+    assert [t.table for t in tabs] == [(1, Fraction(1, 2)), (0, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("model", ["binary", "general"])
+def test_both_models_refuse_k_zero_alike(tmp_path, capsys, model):
+    inst = sample_instance("additive", 3, 4, 1)
+    obj = json.loads(dumps_instance(inst if model == "binary" else embed_binary(inst)))
+    obj["k"] = 0
+    path = tmp_path / "k0.inst"
+    path.write_text(json.dumps(obj))
+    command = ["solve"] if model == "binary" else ["robust", "solve-linear"]
+    assert main(command + [str(path)]) == 1
+    assert "error: bit precision must be a positive integer, got 0" in capsys.readouterr().err
 
 
 def _generated_file(tmp_path, capsys, klass):

@@ -16,7 +16,9 @@ from combicontracts import (
     WeightedMatroidRank,
     validate,
 )
+from combicontracts.demand import GreedyKernel
 from combicontracts.functions import _monotone, actions_of, mask_of
+from combicontracts.generators import SAMPLE_CLASSES, sample_instance
 
 from conftest import make_small_corpus
 
@@ -219,17 +221,131 @@ def test_to_table_round_trip(worked_additive):
         assert table.value_mask(mask) == worked_additive.f.value_mask(mask)
 
 
-def test_scaled_preserves_class():
-    for inst in make_small_corpus(6):
-        scaled = inst.f.scaled(Fraction(1, 2))
-        assert type(scaled) is type(inst.f)
-        for mask in range(1 << inst.n):
-            assert scaled.value_mask(mask) == inst.f.value_mask(mask) / 2
-
-
 def test_mask_helpers():
     assert mask_of(4, {1, 3}) == 0b101
     assert actions_of(0b101) == frozenset({1, 3})
     assert actions_of(0) == frozenset()
     with pytest.raises(DomainError):
         mask_of(2, {3})
+
+
+def _written_out_parameters(f):
+    """The parameter tuple of each class, written out per class."""
+    if isinstance(f, BudgetAdditive):
+        return f.values + (f.budget,)
+    if isinstance(f, (Additive, UnitDemand)):
+        return f.values
+    if isinstance(f, (WeightedMatroidRank, Coverage)):
+        return f.weights
+    return f.table
+
+
+def _written_out_scaled(f, c):
+    """f with every value times c, built through each class's constructor."""
+    if isinstance(f, Additive):
+        return Additive(tuple(v * c for v in f.values))
+    if isinstance(f, UnitDemand):
+        return UnitDemand(tuple(v * c for v in f.values))
+    if isinstance(f, WeightedMatroidRank):
+        return WeightedMatroidRank(tuple(w * c for w in f.weights), f.matroid)
+    if isinstance(f, BudgetAdditive):
+        return BudgetAdditive(tuple(v * c for v in f.values), f.budget * c)
+    if isinstance(f, Coverage):
+        return Coverage(tuple(w * c for w in f.weights), f.covers)
+    return ExplicitTable(f.n_actions, tuple(v * c for v in f.table))
+
+
+Q = Fraction
+# hand-made functions (zero weights, zero-capacity blocks, n = 1) with their
+# matroid form (block of each action, capacities), None when not certified
+HAND_MADE = {
+    "additive": (Additive((Q(1, 2), Q(0), Q(3, 4))), ((0, 0, 0), (3,))),
+    "additive n=1": (Additive((Q(2, 3),)), ((0,), (1,))),
+    "additive zero": (Additive((Q(0), Q(0))), ((0, 0), (2,))),
+    "unit demand": (UnitDemand((Q(0), Q(1, 3), Q(1, 5))), ((0, 0, 0), (1,))),
+    "unit demand n=1": (UnitDemand((Q(1, 7),)), ((0,), (1,))),
+    "uniform": (
+        WeightedMatroidRank((Q(1, 2), Q(0), Q(1, 4)), UniformMatroid(2)),
+        ((0, 0, 0), (2,)),
+    ),
+    "uniform rank 0": (
+        WeightedMatroidRank((Q(1, 2), Q(1, 3)), UniformMatroid(0)),
+        ((0, 0), (0,)),
+    ),
+    "uniform n=1": (WeightedMatroidRank((Q(2, 7),), UniformMatroid(1)), ((0,), (1,))),
+    "partition zero-capacity block": (
+        WeightedMatroidRank(
+            (Q(3, 4), Q(1, 8), Q(1, 2), Q(1, 4), Q(5, 8)),
+            PartitionMatroid((frozenset({1, 3}), frozenset({2, 4, 5})), (0, 2)),
+        ),
+        ((0, 1, 0, 1, 1), (0, 2)),
+    ),
+    "partition blocks out of order": (
+        WeightedMatroidRank(
+            (Q(1, 2), Q(0), Q(1, 6)),
+            PartitionMatroid((frozenset({2}), frozenset({1, 3})), (1, 1)),
+        ),
+        ((1, 0, 1), (1, 1)),
+    ),
+    "partition n=1": (
+        WeightedMatroidRank((Q(1, 3),), PartitionMatroid((frozenset({1}),), (1,))),
+        ((0,), (1,)),
+    ),
+    "budget additive": (BudgetAdditive((Q(1, 2), Q(0), Q(1, 4)), Q(1, 2)), None),
+    "budget zero": (BudgetAdditive((Q(1, 2),), Q(0)), None),
+    "coverage": (
+        Coverage((Q(1, 2), Q(0), Q(1, 3)), (frozenset({0, 1}), frozenset(), frozenset({2}))),
+        None,
+    ),
+    "table": (ExplicitTable(2, (Q(0), Q(1, 4), Q(1, 2), Q(1, 2))), None),
+    "table n=1": (ExplicitTable(1, (Q(0), Q(0))), None),
+}
+SAMPLED = {
+    f"{klass} seed {seed}": sample_instance(klass, 2 + seed, 4 + seed, seed).f
+    for klass in SAMPLE_CLASSES
+    for seed in (0, 1, 5)
+}
+ALL_FUNCTIONS = {name: f for name, (f, _) in HAND_MADE.items()} | SAMPLED
+
+
+def test_scaled_preserves_class():
+    # the declared parameters and the scaling of every class, against the
+    # per-class tuples and constructions written out above
+    corpus = [inst.f for inst in make_small_corpus(6)]
+    for f in list(ALL_FUNCTIONS.values()) + corpus:
+        params = f.parameter_fractions()
+        assert params == _written_out_parameters(f)
+        for c in (Q(0), Q(1, 2), Q(3)):
+            scaled = f.scaled(c)
+            assert scaled == _written_out_scaled(f, c)
+            assert type(scaled) is type(f)
+            for mask in range(1 << f.n):
+                assert scaled.value_mask(mask) == c * f.value_mask(mask)
+        if not isinstance(f, ExplicitTable) and any(params):
+            with pytest.raises(DomainError, match="negative"):
+                f.scaled(-1)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_matroid_form_feeds_the_kernel(name):
+    f, form = HAND_MADE[name]
+    assert f.gs_certified == (form is not None)
+    if form is None:
+        assert not hasattr(f, "_matroid_form")
+        return
+    assert f._matroid_form() == form
+    kernel = GreedyKernel(Instance(f, (Q(1, 8),) * f.n))
+    assert (kernel.blocks, kernel.caps) == form
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in SAMPLED.items() if f.gs_certified))
+def test_sampled_matroid_forms_name_each_actions_block(name):
+    f = SAMPLED[name]
+    blocks, caps = f._matroid_form()
+    assert len(blocks) == f.n and all(0 <= b < len(caps) for b in blocks)
+    if isinstance(f, WeightedMatroidRank) and isinstance(f.matroid, PartitionMatroid):
+        for a, b in enumerate(blocks, 1):
+            assert a in f.matroid.blocks[b]
+        assert caps == f.matroid.capacities
+    kernel = GreedyKernel(Instance(f, (Q(1, 8),) * f.n))
+    assert (kernel.blocks, kernel.caps) == (blocks, caps)

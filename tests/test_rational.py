@@ -90,3 +90,90 @@ def test_decimal_string_digit_cap():
     for digits in (-1, 4001, 4301, 100000):
         with pytest.raises(DomainError, match="0..4000"):
             decimal_string(Fraction(1, 3), digits)
+
+
+BIG = 10**5000  # str() refuses more than 4300 digits
+
+
+def _big_value_calls():
+    from combicontracts import (
+        Additive,
+        BudgetAdditive,
+        ExplicitTable,
+        GeneralContract,
+        GeneralInstance,
+        Instance,
+        UniformMatroid,
+        brute_force_critical_set,
+        brute_force_demand,
+        embed_binary,
+        fptas,
+        greedy_demand,
+        grid_spec,
+        sample_instance,
+        succ_gs,
+        successor_from_profile,
+        unique_rational_in,
+        v_value,
+        worst_case_utility_twopoint,
+    )
+    from combicontracts.functions import action_set
+
+    inst = sample_instance("additive", 3, 4, 1)
+    f, costs = inst.f, inst.costs
+    return {
+        "v_value": lambda: v_value(inst, Fraction(BIG)),
+        "v_value negative": lambda: v_value(inst, -BIG),
+        "greedy_demand": lambda: greedy_demand(inst, BIG),
+        "succ_gs": lambda: succ_gs(inst, BIG),
+        "brute_force_demand": lambda: brute_force_demand(inst, -BIG),
+        "successor_from_profile": lambda: successor_from_profile(
+            brute_force_critical_set(inst), Fraction(1, 2) + BIG
+        ),
+        "additive value": lambda: Additive((Fraction(1, 2), -BIG)),
+        "budget": lambda: BudgetAdditive((Fraction(1, 2),), Fraction(-1, BIG)),
+        "matroid rank": lambda: UniformMatroid(-BIG),
+        "table size": lambda: ExplicitTable(-BIG, ()),
+        "table mask": lambda: ExplicitTable(1, (0, 1)).value_mask(BIG),
+        "action": lambda: action_set(3, [BIG]),
+        "marginal": lambda: f.marginal(BIG, ()),
+        "cost": lambda: Instance(f, (-BIG,) + costs[1:]),
+        "scale": lambda: Instance(f, costs, scale=-BIG),
+        "k": lambda: Instance(f, costs, k=-BIG),
+        "k above the limit": lambda: grid_spec(Fraction(1, 2), BIG),
+        "epsilon": lambda: grid_spec(BIG, 4),
+        "tiny epsilon": lambda: grid_spec(Fraction(1, BIG), 4),
+        "fptas epsilon": lambda: fptas(inst, -BIG),
+        "in_bounded_set": lambda: in_bounded_set(-BIG, 4),
+        "is_k_valid k": lambda: is_k_valid(1, -BIG),
+        "interval width": lambda: unique_rational_in(0, BIG, 4),
+        "no bounded fraction": lambda: unique_rational_in(
+            Fraction(1, BIG), Fraction(2, BIG), 4
+        ),
+        "unobserved level": lambda: worst_case_utility_twopoint(
+            GeneralContract.tabular({BIG: 1}), embed_binary(inst)
+        ),
+        "reward": lambda: GeneralInstance(costs, (0, -BIG), expected=f),
+        "format_rational": lambda: format_rational(BIG),
+        "format_rational fraction": lambda: format_rational(Fraction(1, BIG)),
+        "decimal_string digits": lambda: decimal_string(1, BIG),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_big_value_calls()))
+def test_values_too_long_to_print_are_refused(name):
+    from combicontracts import ContractError
+
+    with pytest.raises(ContractError) as info:
+        _big_value_calls()[name]()
+    assert "digits" in str(info.value)
+
+
+def test_shown_values_print_as_before():
+    from combicontracts.rational import _shown
+
+    for x in (0, -3, True, Fraction(7, 3), Fraction(-1, 2), 10**4300 - 1, "x", None, 1.5):
+        assert _shown(x) == (str(x) if isinstance(x, (int, Fraction)) else repr(x))
+    assert _shown(BIG) == "<integer of 5001 digits>"
+    assert _shown(BIG - 1) == "<integer of 5000 digits>"
+    assert _shown(Fraction(-1, BIG)) == "<negative fraction of 5001 digits>"

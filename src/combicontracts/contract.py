@@ -176,6 +176,13 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     with early exit at the first one whose V exceeds V(alpha); V-equal
     candidates are not critical.
 
+    The replay keeps f(a | prefix) in one list.  It is w(a) while a's
+    block has room, 0 once a is picked, and max(w(a) - floor, 0) once the
+    block is full, where floor is the lightest weight picked in it.  An
+    unpicked entry changes only when its block fills, because costs are
+    positive: the greedy picks nothing from a full block (see
+    ``GreedyKernel.greedy``).
+
     Returns None when no critical value above alpha exists.
     """
     _require_certified(inst)
@@ -188,29 +195,30 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
 
     # Replay the greedy order; gains and costs are integers over the same
     # denominator, so each ratio num/den is already the candidate beta and
-    # alpha = p/q < beta <= 1 reads p*den < q*num and num <= den.
+    # alpha = p/q < beta <= 1 reads p*den < q*num and num <= den.  A step's
+    # own entry in gains equals g_s, so g > g_s skips it.
     p, q = alpha.numerator, alpha.denominator
-    costs = kernel.costs
-    state = kernel.gains()
-    in_prefix = [False] * inst.n
+    w, costs, blocks = kernel.weights, kernel.costs, kernel.blocks
+    room = list(kernel.caps)
+    gains = [w[a] if room[b] else 0 for a, b in enumerate(blocks)]
     candidates = []
     for s in order:
-        g_s, c_s = state.gain(s), costs[s]
-        for a in range(inst.n):
-            if a == s:
-                continue
-            den = (0 if in_prefix[a] else state.gain(a)) - g_s
-            if den > 0:
-                num = costs[a] - c_s
-                if p * den < q * num and num <= den:
-                    candidates.append((num, den))
-        state.add(s)
-        in_prefix[s] = True
-    for a in range(inst.n):
-        if not in_prefix[a]:
-            den, num = state.gain(a), costs[a]
-            if den > 0 and p * den < q * num and num <= den:
-                candidates.append((num, den))
+        g_s, c_s = gains[s], costs[s]
+        candidates += [
+            (c - c_s, g - g_s)
+            for c, g in zip(costs, gains)
+            if g > g_s and p * (g - g_s) < q * (c - c_s) and c - c_s <= g - g_s
+        ]
+        gains[s] = 0
+        room[b := blocks[s]] -= 1
+        if not room[b]:
+            floor = min(w[a] for a in order if blocks[a] == b)
+            for a, b_a in enumerate(blocks):
+                if b_a == b and gains[a]:
+                    gains[a] = max(w[a] - floor, 0)
+    candidates += [
+        (c, g) for c, g in zip(costs, gains) if g > 0 and p * g < q * c and c <= g
+    ]
 
     # V is monotone: probe upward, building a Fraction only for the probe
     while candidates:

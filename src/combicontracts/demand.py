@@ -7,10 +7,9 @@ the counted V oracle used by the query-complexity results.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heapreplace
 
 from .errors import DomainError, ResourceLimitError, UnsupportedClassError
 from .functions import (
@@ -84,11 +83,11 @@ class GreedyKernel:
     the LCM of their denominators.  At alpha = p/q the agent's marginal
     utility alpha*g/D - c/D then has the sign and order of p*g - q*c, so
     the greedy compares ints and results become Fractions only at the API
-    boundary.  All three certified classes are weighted matroid ranks, and
-    the kernel reads their form, ``f._matroid_form()``: the block of each
-    action (``blocks``) and each block's capacity (``caps``).
-    ``gains()`` starts the incremental marginal-gain state, ``greedy()``
-    runs the lazy greedy once per contract value.  Actions are 0-based here.
+    boundary.  All three certified classes are weighted matroid ranks of
+    one form, ``f._matroid_form()``: the block of each action (``blocks``)
+    and each block's capacity (``caps``); f(S) sums, per block, the
+    heaviest weights of S up to the capacity.  ``greedy()`` runs once per
+    contract value.  Actions are 0-based here.
     """
 
     def __init__(self, inst: Instance):
@@ -98,48 +97,44 @@ class GreedyKernel:
                 f"greedy demand is not certified for class {f.kind!r}; "
                 "use brute_force_demand"
             )
-        n = self.n = inst.n
+        n = inst.n
         self.D, lifted = _lift(f.parameter_fractions() + inst.costs)
         self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
         self.blocks, self.caps = f._matroid_form()
-        self.cap_of = tuple(self.caps[b] for b in self.blocks)
         self._last = (None,)  # the last greedy run: (alpha, order, utils, total)
-
-    def gains(self) -> "_Gains":
-        return _Gains(self)
 
     def greedy(self, alpha):
         """The ``greedy_demand`` rule at alpha = p/q, in ints.
 
         Returns (alpha, order, utils, total): step i's utility is
-        ``utils[i] / (D*q)`` and V(alpha) is ``total / D``.  Lazy greedy
-        (Minoux): a heap keyed (q*c - p*g, -c, a) re-scores only its top;
-        gains never grow as S grows, so a top whose key survives is the
-        pick.  The last run is kept, and a repeat at its alpha is free.
+        ``utils[i] / (D*q)`` and V(alpha) is ``total / D``.  Sort and cap:
+        the actions with p*w >= q*c are sorted once by (q*c - p*w, -c, a),
+        and each is taken while its block has room.  While a block has
+        room its actions' gains are their weights.  Once it is full with
+        lightest pick m, every action a left in it was not preferred to m,
+        so q*c_a - p*w_a >= q*c_m - p*w_m and its key with gain w_a - w_m
+        is at least q*c_m > 0 (costs are positive): a full block is never
+        picked from again, and the greedy is that capped walk.  The last
+        run is kept, and a repeat at its alpha is free.
         """
+        if (last := self._last)[0] is alpha:
+            return last
         alpha = _check_alpha(alpha)
-        if (last := self._last)[0] == alpha:
+        if last[0] == alpha:
             return last
         p, q = alpha.numerator, alpha.denominator
-        state = self.gains()
-        gain, costs = state.gain, self.costs
-        heap = [(q * c - p * gain(a), -c, a) for a, c in enumerate(costs)]
-        heapify(heap)
+        weights, blocks, room = self.weights, self.blocks, list(self.caps)
         order, utils, total = [], [], 0
-        while heap:
-            key, neg_c, a = heap[0]
-            g = gain(a)
-            fresh = -q * neg_c - p * g
-            if fresh != key:
-                heapreplace(heap, (fresh, neg_c, a))
-            elif key > 0:
-                break
-            else:
-                heappop(heap)
+        for key, _, a in sorted(
+            (q * c - p * w, -c, a)
+            for a, (w, c) in enumerate(zip(weights, self.costs))
+            if p * w >= q * c
+        ):
+            if room[b := blocks[a]]:
+                room[b] -= 1
                 order.append(a)
                 utils.append(-key)
-                total += g
-                state.add(a)
+                total += weights[a]
         self._last = (alpha, tuple(order), tuple(utils), total)
         return self._last
 
@@ -152,33 +147,6 @@ class GreedyKernel:
 
     def v(self, alpha) -> Fraction:
         return Fraction(self.greedy(alpha)[3], self.D)
-
-
-class _Gains:
-    """Marginal gains f(a | S) as S grows: per block, S's heaviest weights
-    up to the capacity, sorted ascending (shared by the block's actions)."""
-
-    __slots__ = ("w", "cap_of", "basis_of")
-
-    def __init__(self, kernel: GreedyKernel):
-        bases = [[] for _ in kernel.caps]
-        self.w, self.cap_of = kernel.weights, kernel.cap_of
-        self.basis_of = [bases[b] for b in kernel.blocks]
-
-    def gain(self, a) -> int:
-        basis = self.basis_of[a]
-        if len(basis) < self.cap_of[a]:
-            return self.w[a]
-        d = self.w[a] - basis[0] if basis else 0
-        return d if d > 0 else 0
-
-    def add(self, a) -> None:
-        basis, w = self.basis_of[a], self.w[a]
-        if len(basis) < self.cap_of[a]:
-            insort(basis, w)
-        elif basis and w > basis[0]:
-            basis[0] = w
-            basis.sort()
 
 
 def greedy_demand(inst: Instance, alpha) -> OrderedDemand:

@@ -27,7 +27,7 @@ from .functions import (
     WeightedMatroidRank,
     lifted_values,
 )
-from .rational import _bounded_k, as_fraction
+from .rational import _STR_LIMIT, _bounded_k, _shown, as_fraction
 
 __all__ = [
     "SubsetSumSpec",
@@ -304,6 +304,9 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     if not isinstance(n, int) or n < 1:
         raise DomainError("need at least one action")
     _bounded_k(k)
+    for name, x in (("n", n), ("seed", seed)):
+        if isinstance(x, int) and abs(x) >= _STR_LIMIT:  # the seed string needs str(x)
+            raise DomainError(f"{name} = {_shown(x)} has over 4300 digits")
     # str seeding is stable across processes (unlike hash() of a str)
     rng = random.Random(f"{klass}|{n}|{k}|{seed}")
     unit = 1 << k

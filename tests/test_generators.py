@@ -271,3 +271,11 @@ def test_sample_instance_valid_all_classes():
                 for seed in range(3):
                     digest.update(dumps_instance(sample_instance(klass, n, k, seed)).encode())
     assert digest.hexdigest() == SAMPLE_DIGEST
+
+
+def test_sample_instance_refuses_integers_too_long_to_seed():
+    # the seed string holds str(n) and str(seed), which stop at 4300 digits
+    for n, seed in ((3, 10**5000), (3, -(10**5000)), (10**5000, 0)):
+        with pytest.raises(DomainError, match="integer of 5001 digits"):
+            sample_instance("additive", n, 4, seed)
+    assert validate(sample_instance("additive", 3, 4, 10**4299)).ok

@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from combicontracts import (  # noqa: E402
     Additive,
+    DomainError,
     Instance,
     PartitionMatroid,
     UniformMatroid,
@@ -174,6 +175,36 @@ def test_greedy_order_matches_fraction_greedy(inst, data):
     assert (ordered.actions, ordered.step_utilities) == reference_greedy(inst, alpha)
 
 
+@pytest.mark.parametrize("klass", ["additive", "unit-demand", "matroid-rank"])
+def test_greedy_matches_fraction_greedy_at_workload_sizes(klass):
+    # the sizes the benchmark solves: at 0, 1, every critical value of the
+    # walk and every midpoint between them
+    for n in (13, 20, 25):
+        for seed in range(4):
+            inst = sample_instance(klass, n, 12, seed)
+            alphas = optimal_contract(inst, "gs").profile.alphas
+            points = (0,) + alphas + (1,)
+            mids = tuple((a + b) / 2 for a, b in zip(points, points[1:]))
+            kernel = GreedyKernel(inst)
+            for alpha in set(map(Fraction, points + mids)):
+                alpha, order, utils, total = kernel.greedy(alpha)
+                actions = tuple(a + 1 for a in order)
+                den = kernel.D * alpha.denominator
+                assert (actions, tuple(Fraction(u, den) for u in utils)) == reference_greedy(
+                    inst, alpha
+                ), (n, seed, alpha)
+                assert Fraction(total, kernel.D) == inst.f.value(actions)
+
+
+def test_repeat_at_the_same_contract_value_keeps_validation():
+    kernel = GreedyKernel(sample_instance("matroid-rank", 6, 4, 0))
+    last = kernel.greedy(Fraction(1, 2))
+    for bad in (0.5, Fraction(3, 2), -1):
+        with pytest.raises(DomainError):
+            kernel.greedy(bad)
+    assert kernel.greedy(Fraction(2, 4)) is last
+
+
 class RecordingOracle(VOracle):
     def __init__(self, inst):
         super().__init__(inst)
@@ -222,20 +253,24 @@ def test_succ_gs_probes_strictly_increase_along_sampled_walks():
 
 def test_one_greedy_run_per_contract_value(monkeypatch):
     # A solve runs the greedy once per probe, once at 0 and at most once for
-    # the reported set, and starts one replay per succ_gs call; the re-query
-    # at each successor and the replay's greedy at it reuse the last run.
+    # the reported set; the re-query at each successor and the replay's
+    # greedy at it reuse the last run.  A call is a run when it returns a
+    # new tuple rather than the kernel's previous one.
     runs = []
-    gains = GreedyKernel.gains
+    greedy = GreedyKernel.greedy
 
-    def counted(kernel):
-        runs.append(kernel)
-        return gains(kernel)
+    def counted(kernel, alpha):
+        last = kernel._last
+        result = greedy(kernel, alpha)
+        if result is not last:
+            runs.append(alpha)
+        return result
 
-    monkeypatch.setattr(GreedyKernel, "gains", counted)
+    monkeypatch.setattr(GreedyKernel, "greedy", counted)
     for klass in ("additive", "unit-demand", "matroid-rank"):
         for seed in range(4):
             inst = sample_instance(klass, 8, 6, seed)
             assert brute_force_critical_set(inst).size > 0
             runs.clear()
             sol = optimal_contract(inst, "gs")
-            assert len(runs) <= sol.v_queries + 3, (klass, seed)
+            assert 0 < len(runs) <= sol.v_queries + 3, (klass, seed)

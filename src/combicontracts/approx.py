@@ -9,7 +9,6 @@ rationals; no logarithms or floats anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,9 +37,8 @@ __all__ = [
 class GridSpec:
     """Geometric contract grid {1 - (1-eps)**i : i in [m]}.
 
-    m is the least integer with (1-eps)**m <= 2**-k, computed by exact
-    rational powering, so the grid reaches past every feasible optimal
-    contract below 1.
+    m is the least integer with (1-eps)**m <= 2**-k, so the grid reaches
+    past every feasible optimal contract below 1.
     """
 
     epsilon: Fraction
@@ -54,6 +52,8 @@ MAX_GRID = 2**14
 
 
 def grid_spec(epsilon, k: int) -> GridSpec:
+    """The grid built in ints: (1-eps)**i is qn**i / qd**i for 1 - eps = qn/qd,
+    compared with 2**-k by a shift; refused past MAX_GRID points up front."""
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon must lie in (0, 1), got {_shown(epsilon)}")
@@ -67,12 +67,12 @@ def grid_spec(epsilon, k: int) -> GridSpec:
         raise ResourceLimitError(
             f"epsilon {_shown(epsilon)} needs over {MAX_GRID} grid points"
         )
-    threshold = Fraction(1, 1 << k)
+    qn, qd = q.numerator, q.denominator
     points = []
-    power = Fraction(1)
-    while power > threshold:
-        power *= q
-        points.append(1 - power)
+    a = b = 1
+    while a << k > b:
+        a, b = a * qn, b * qd
+        points.append(Fraction(b - a, b))
     return GridSpec(epsilon, k, len(points), tuple(points))
 
 
@@ -88,46 +88,47 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
 
     Evaluates (1 - alpha) * V(alpha) at every grid point plus the alpha = 0
     baseline (whose utility is 0 without a query, costs being positive) and
-    returns the best; ties go to the smallest alpha.  The returned utility
-    is at least (1 - eps) times the optimum.
+    returns the best; ties go to the smallest alpha.  Utilities are ranked as
+    int pairs ((den - num) * V.num, den * V.den) by cross-multiplication.
+    The returned utility is at least (1 - eps) times the optimum.
     """
     spec = grid_spec(epsilon, require_k(inst))
     oracle = VOracle(inst)
-    best_alpha, best_util = Fraction(0), Fraction(0)
+    best_alpha, best_u, best_w = Fraction(0), 0, 1
     for alpha in spec.points:
-        util = (1 - alpha) * oracle(alpha)
-        if util > best_util:
-            best_alpha, best_util = alpha, util
+        v, den = oracle(alpha), alpha.denominator
+        u, w = (den - alpha.numerator) * v.numerator, den * v.denominator
+        if u * best_w > best_u * w:
+            best_alpha, best_u, best_w = alpha, u, w
     if oracle.queries != spec.size:
         raise InvariantError(f"grid used {oracle.queries} queries, expected {spec.size}")
-    actions = oracle.best_response(best_alpha)
-    return ContractSolution(best_alpha, best_util, actions, v_queries=oracle.queries)
+    util, actions = Fraction(best_u, best_w), oracle.best_response(best_alpha)
+    return ContractSolution(best_alpha, util, actions, v_queries=oracle.queries)
 
 
-def _simplest_in(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> Fraction:
-    """Minimal-denominator (then minimal-numerator) fraction in an interval.
+def _simplest_in(a: int, b: int, c: int, d: int, lo_open, hi_open) -> tuple:
+    """(p, q) in lowest terms: the minimal-denominator (then minimal-numerator)
+    fraction between a/b and c/d (b, d > 0), each end open or closed by its flag.
 
-    Stern-Brocot / continued-fraction descent carried out exactly; interval
-    endpoints carry open/closed flags so half-open intervals work without
-    epsilon fudging.
+    Stern-Brocot descent as an integer loop: strip the floor f, swap to the
+    reciprocals of the fractional parts (ends and flags swap; c/0 is an
+    infinite end), then fold the terms back as f + 1/(p/q) = (f*p + q)/p.
     """
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
+    if a * d > c * b or (a * d == c * b and (lo_open or hi_open)):
         raise DomainError("empty interval")
-    floor_lo = math.floor(lo)
-    smallest_int = floor_lo if (lo == floor_lo and not lo_open) else floor_lo + 1
-    if smallest_int < hi or (smallest_int == hi and not hi_open):
-        return Fraction(smallest_int)
-    frac_lo = lo - floor_lo
-    frac_hi = hi - floor_lo
-    if frac_lo == 0:
-        # Interval is (floor_lo, floor_lo + frac_hi]; the simplest fractional
-        # part is 1/q for the smallest admissible q.
-        q = -(-frac_hi.denominator // frac_hi.numerator)  # ceil(1/frac_hi)
-        if hi_open and Fraction(1, q) == frac_hi:
-            q += 1
-        return floor_lo + Fraction(1, q)
-    inner = _simplest_in(1 / frac_hi, 1 / frac_lo, hi_open, lo_open)
-    return floor_lo + 1 / inner
+    terms = []
+    while True:
+        f, r = divmod(a, b)
+        p = f if (r == 0 and not lo_open) else f + 1  # least admissible integer
+        if p * d < c or (p * d == c and not hi_open):
+            break
+        terms.append(f)
+        a, b, c, d = d, c - f * d, b, r
+        lo_open, hi_open = hi_open, lo_open
+    q = 1
+    for f in reversed(terms):
+        p, q = f * p + q, p
+    return p, q
 
 
 def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
@@ -139,8 +140,7 @@ def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
     the interval is the bounded one whenever a bounded one exists.
     """
     _bounded_k(k)
-    lo = as_fraction(alpha_l)
-    hi = as_fraction(alpha_r)
+    lo, hi = as_fraction(alpha_l), as_fraction(alpha_r)
     if lo < 0:
         raise DomainError("interval must lie in the non-negative reals")
     if not lo < hi:
@@ -149,14 +149,14 @@ def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
         raise DomainError(
             f"interval width {_shown(hi - lo)} exceeds 2**-{2 * k}; uniqueness would fail"
         )
-    simplest = _simplest_in(lo, hi, True, False)
+    p, q = _simplest_in(*lo.as_integer_ratio(), *hi.as_integer_ratio(), True, False)
     bound = 1 << k
-    if simplest.numerator > bound or simplest.denominator > bound:
+    if p > bound or q > bound:
         raise NotFoundError(
             f"no fraction with numerator and denominator in [{bound}] inside "
             f"({_shown(lo)}, {_shown(hi)}]"
         )
-    return simplest
+    return Fraction(p, q)
 
 
 def succ_search(
@@ -171,7 +171,8 @@ def succ_search(
     Returns None if V(1) = V(alpha) (one query).  Otherwise bisects the
     half-open interval (alpha, 1], descending into the half whose left
     boundary sees V increase, until the width is at most 2**-2k; the unique
-    k-bit-bounded rational in the final interval is the successor.
+    k-bit-bounded rational in the final interval is the successor.  The
+    interval is kept in ints as (L/Q, H/Q]; halving doubles all three.
 
     The baseline V(alpha) is taken as known: pass ``v_alpha`` (the iterating
     caller always has it); when omitted it is computed without charging the
@@ -190,16 +191,15 @@ def succ_search(
     if v_one < v_alpha:
         raise InvariantError("V decreased between alpha and 1")
 
-    lo, hi = alpha, Fraction(1)
-    v_lo = v_alpha
-    gap = Fraction(1, 1 << (2 * k))
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        v_mid = oracle(mid)
-        if v_mid > v_lo:
-            hi = mid
-        elif v_mid == v_lo:
-            lo, v_lo = mid, v_mid
+    L, H, Q = alpha.numerator, alpha.denominator, alpha.denominator
+    while (H - L) << (2 * k) > Q:
+        M = L + H
+        L, H, Q = 2 * L, 2 * H, 2 * Q
+        v_mid = oracle(Fraction(M, Q))
+        if v_mid > v_alpha:
+            H = M
+        elif v_mid == v_alpha:
+            L = M
         else:
             raise InvariantError("V decreased along the bisection")
-    return unique_rational_in(lo, hi, k)
+    return unique_rational_in(Fraction(L, Q), Fraction(H, Q), k)

@@ -71,7 +71,7 @@ class DemandProfile:
 
 def _check_alpha(alpha) -> Fraction:
     alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
+    if not 0 <= alpha.numerator <= alpha.denominator:  # the denominator is positive
         raise DomainError(f"contract value {_shown(alpha)} outside [0, 1]")
     return alpha
 

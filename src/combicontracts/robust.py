@@ -276,11 +276,7 @@ def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     """
     top = _positive_top(ginst)
     t.check_observable(ginst)
-    ell0 = t.pay(Fraction(0))
-    ell1 = t.pay(top)
-    if ell0 > ell1:
-        return Fraction(0)
-    return (ell1 - ell0) / top
+    return max(t.pay(top) - t.pay(Fraction(0)), Fraction(0)) / top
 
 
 def two_point_family(ginst: GeneralInstance) -> Callable:
@@ -323,8 +319,21 @@ def utility_under_family(
 
 
 def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
-    """Principal utility against the adversarial two-point reward family."""
-    return utility_under_family(t, ginst, two_point_family(ginst))
+    """Principal utility against the adversarial two-point reward family: the
+    agent gets t(0) plus the linear contract s = ``linearize(t)`` on R (V is 0
+    at s <= 0), and the principal R(S) * (1 - s) - t(0), with R(S) read from
+    the envelope of f = R as in ``reduce_binary_contract``."""
+    top = _positive_top(ginst)
+    if ginst.n > brute_force_limit():
+        raise ResourceLimitError("family evaluation enumerates all subsets")
+    s = linearize(t, ginst)
+    _, table = lifted_values(ginst.reward)
+    if min(table) < 0 or max(table) > table[-1]:
+        raise InvariantError("expected reward outside [0, R(A)]")
+    binary = Instance(ginst.reward, ginst.costs, scale=top)
+    profile = brute_force_critical_set(binary, beyond_one=True)
+    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
+    return (profile.values[i - 1] if i else 0) * (1 - s) - t.pay(Fraction(0))
 
 
 def optimal_linear_general(

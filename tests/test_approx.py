@@ -20,6 +20,8 @@ from combicontracts import (
     successor_from_profile,
     unique_rational_in,
 )
+from combicontracts.cli import main
+from combicontracts.instancefile import dump_instance
 from combicontracts.rational import MAX_K
 
 
@@ -80,8 +82,17 @@ def reference_grid(eps, k):
 
 
 def test_grid_points_match_the_definition():
-    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(1, 100)):
-        for k in range(1, 13):
+    for eps in (
+        Fraction(1, 2),
+        Fraction(1, 3),
+        Fraction(1, 4),
+        Fraction(2, 7),
+        Fraction(1, 10),
+        Fraction(9, 10),
+        Fraction(1, 100),
+        Fraction(99, 100),
+    ):
+        for k in range(1, 15):
             spec = grid_spec(eps, k)
             assert spec.points == reference_grid(eps, k)
             assert spec.size == len(spec.points)
@@ -297,3 +308,27 @@ def test_single_action_end_to_end():
     for method in ("gs", "search", "brute"):
         sol = optimal_contract(inst, method)
         assert (sol.alpha_star, sol.utility) == (Fraction(1, 4), Fraction(9, 16))
+
+
+def test_a_continued_fraction_longer_than_the_recursion_limit(tmp_path, capsys):
+    # F_1475 / F_1476, the two largest consecutive Fibonacci numbers below
+    # 2**1024, has about 1475 continued-fraction terms
+    small, big = 0, 1
+    while small + big < 1 << 1024:
+        small, big = big, small + big
+    k = 1024
+    inst = Instance(Additive((Fraction(big, 1 << k),)), (Fraction(small, 1 << k),), k=k)
+    critical = Fraction(small, big)
+    assert succ_search(inst, 0) == critical
+    assert unique_rational_in(critical - Fraction(1, 1 << 2 * k), critical, k) == critical
+    path = tmp_path / "fibonacci.json"
+    dump_instance(inst, str(path))
+    capsys.readouterr()
+    assert main(["succ", str(path), "--method", "search", "--alpha", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"successor     {critical}" in lines and "v_queries     2049" in lines
+    assert main(["solve", str(path), "--method", "search"]) == 0
+    assert f"alpha_star    {critical}" in capsys.readouterr().out.splitlines()
+    assert main(["verify", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 10 and all(row.split()[1] == "PASS" for row in rows)

@@ -12,6 +12,8 @@ from combicontracts import (
     GeneralContract,
     GeneralInstance,
     Instance,
+    InvariantError,
+    ResourceLimitError,
     brute_force_critical_set,
     embed_binary,
     linearize,
@@ -25,6 +27,7 @@ from combicontracts import (
     worst_case_utility_twopoint,
 )
 from combicontracts.demand import brute_force_demand
+from combicontracts.generators import SAMPLE_CLASSES
 
 
 def single_action(f1=Fraction(1, 2), c1=Fraction(1, 10)) -> Instance:
@@ -331,3 +334,63 @@ def test_reward_table_is_the_fraction_formula(general_corpus):
         assert ginst.reward.table == expected
         if ginst.rewards[0] == 0:  # R(empty set) = 0, so the instance is valid
             assert validate_general(ginst).ok
+
+
+def twopoint_reference(t, ginst):
+    return utility_under_family(t, ginst, two_point_family(ginst))
+
+
+def test_worst_case_matches_the_family_scan(general_corpus):
+    # the distribution corpus, embedded binary instances of every class up to
+    # n = 7, and an expected-form R in [0, R(A)] that is not monotone
+    not_monotone = GeneralInstance(
+        costs=(Fraction(1, 8), Fraction(1, 16), Fraction(3, 16)),
+        rewards=(Fraction(0), Fraction(1)),
+        expected=ExplicitTable(3, tuple(map(Fraction, "0 1/2 1/4 1 1/8 1/4 3/4 1".split()))),
+    )
+    cases = general_corpus[:16] + [not_monotone]
+    for i, klass in enumerate(SAMPLE_CLASSES):
+        cases.append(embed_binary(sample_instance(klass, 7 - i % 3, 5, seed=50 + i)))
+    checked = 0
+    for ginst in cases:
+        top = ginst.top_reward
+        binary = Instance(ginst.reward, ginst.costs, scale=top)
+        alphas = brute_force_critical_set(binary, beyond_one=True).alphas
+        mids = [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
+        slopes = {Fraction(-1, 4), Fraction(0), Fraction(1), Fraction(5, 4), *alphas, *mids}
+        for s in slopes:
+            if s >= 0:
+                t = GeneralContract.linear(s)
+                assert worst_case_utility_twopoint(t, ginst) == twopoint_reference(t, ginst)
+            for t0 in (Fraction(0), Fraction(1, 8), Fraction(3, 2)):
+                if t0 + s * top < 0:
+                    continue
+                t = GeneralContract.tabular({Fraction(0): t0, top: t0 + s * top})
+                assert worst_case_utility_twopoint(t, ginst) == twopoint_reference(t, ginst)
+                checked += 1
+    assert checked > 500
+
+
+def test_worst_case_refusals():
+    def expected_form(*table, n=2):
+        return GeneralInstance(
+            costs=(Fraction(1, 8),) * n,
+            rewards=(Fraction(0), Fraction(1)),
+            expected=ExplicitTable(n, tuple(map(Fraction, table))),
+        )
+
+    t = GeneralContract.linear(Fraction(1, 2))
+    # R(S) above R(A), or below 0, breaks the two-point family
+    for ginst in (expected_form(0, 1, "1/4", "1/2"), expected_form(0, "-1/4", "1/4", "1/2")):
+        for call in (worst_case_utility_twopoint, twopoint_reference):
+            with pytest.raises(InvariantError, match=r"outside \[0, R\(A\)\]"):
+                call(t, ginst)
+    with pytest.raises(DomainError, match=r"f\(empty set\) != 0"):
+        worst_case_utility_twopoint(t, expected_form("1/8", "1/4", "1/4", "1/2"))
+    wide = GeneralInstance(
+        costs=(Fraction(1, 64),) * 13,
+        rewards=(Fraction(0), Fraction(1)),
+        expected=Additive((Fraction(1, 16),) * 13),
+    )
+    with pytest.raises(ResourceLimitError, match="enumerates all subsets"):
+        worst_case_utility_twopoint(t, wide)

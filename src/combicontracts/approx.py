@@ -51,12 +51,17 @@ class GridSpec:
 MAX_GRID = 2**14
 
 
-def grid_spec(epsilon, k: int) -> GridSpec:
-    """The grid built in ints: (1-eps)**i is qn**i / qd**i for 1 - eps = qn/qd,
-    compared with 2**-k by a shift; refused past MAX_GRID points up front."""
+def _check_epsilon(epsilon) -> Fraction:
     epsilon = as_fraction(epsilon)
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon must lie in (0, 1), got {_shown(epsilon)}")
+    return epsilon
+
+
+def grid_spec(epsilon, k: int) -> GridSpec:
+    """The grid built in ints: (1-eps)**i is qn**i / qd**i for 1 - eps = qn/qd,
+    compared with 2**-k by a shift; refused past MAX_GRID points up front."""
+    epsilon = _check_epsilon(epsilon)
     _bounded_k(k)
     q = 1 - epsilon
     # as 69/100 < ln 2 < 7/10, 69k(1-eps)/(100 eps) < m <= ceil(7k/(10 eps))

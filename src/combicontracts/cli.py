@@ -17,16 +17,13 @@ import functools
 import hashlib
 import sys
 import time
-from fractions import Fraction
 
-from . import approx, contract, demand, generators, robust
+from . import approx, contract, crosscheck, demand, generators, robust
 from .errors import (
     ContractError,
     DomainError,
     InvariantError,
-    PrecisionError,
     ResourceLimitError,
-    UnsupportedClassError,
 )
 from .functions import Instance, validate
 from .instancefile import dump_instance, load_instance
@@ -308,7 +305,7 @@ def _cmd_verify(args) -> int:
     epsilon = parse_rational(args.epsilon)
     checks = []
     try:
-        for check in _verify_checks(inst, epsilon):
+        for check in crosscheck.checks(inst, epsilon):
             checks.append(check)
     finally:  # a refusal part-way still shows the rows computed before it
         if checks:
@@ -316,94 +313,6 @@ def _cmd_verify(args) -> int:
     if any(status == "FAIL" for _, status, _ in checks):
         raise InvariantError("verification uncovered an internal inconsistency")
     return EXIT_OK
-
-
-def _verify_checks(inst: Instance, epsilon: Fraction):
-    """Cross-checks of every computation path against the envelope oracle,
-    yielded as (check, status, note) rows."""
-    reference = contract.optimal_contract(inst, method="brute")
-    profile = reference.profile
-    probes = [Fraction(0)] + list(profile.alphas) + [Fraction(1)]
-    for i in range(1, len(profile.alphas)):
-        probes.append((profile.alphas[i - 1] + profile.alphas[i]) / 2)
-
-    brute = {a: demand.brute_force_demand(inst, a) for a in probes}
-    oracle = demand.VOracle(inst)
-    ok = all(
-        oracle(a) == prof.v and oracle.best_response(a) in prof.d_star
-        for a, prof in brute.items()
-    )
-    yield "v-oracle-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"
-
-    if inst.f.gs_certified:
-        ok = all(
-            (s := demand.greedy_demand(inst, a).set) in prof.d_star
-            and inst.f.value(s) == prof.v
-            for a, prof in brute.items()
-        )
-        yield "greedy-vs-brute-demand", _verdict(ok), f"{len(probes)} probes"
-        ok = all(
-            contract.succ_gs(inst, a) == contract.successor_from_profile(profile, a)
-            for a in [Fraction(0)] + list(profile.alphas)
-        )
-        yield "succ-gs-vs-envelope", _verdict(ok), ""
-        bound = inst.n * (inst.n + 1) // 2
-        ok = profile.size <= bound
-        yield "critical-count-bound", _verdict(ok), f"{profile.size} <= {bound}"
-    else:
-        yield "greedy-vs-brute-demand", "SKIP", "not gs_certified"
-        yield "succ-gs-vs-envelope", "SKIP", "not gs_certified"
-        note = f"not applicable (not gs_certified); count = {profile.size}"
-        yield "critical-count-bound", "SKIP", note
-
-    if inst.k is not None:
-        from .rational import in_bounded_set
-
-        ok = all(in_bounded_set(a, inst.k) for a in profile.alphas)
-        yield "k-bit-critical-values", _verdict(ok), f"k={inst.k}"
-
-        ok = True
-        queries_ok = True
-        for a in [Fraction(0)] + list(profile.alphas):
-            oracle = demand.VOracle(inst)
-            got = approx.succ_search(inst, a, oracle=oracle)
-            if got != contract.successor_from_profile(profile, a):
-                ok = False
-            if oracle.queries > 2 * inst.k + 1:
-                queries_ok = False
-        yield "succ-search-vs-envelope", _verdict(ok), ""
-        yield "succ-search-query-bound", _verdict(queries_ok), f"<= {2 * inst.k + 1}"
-
-        sol = approx.fptas(inst, epsilon)
-        ok = sol.utility >= (1 - epsilon) * reference.utility
-        yield "fptas-guarantee", _verdict(ok), f"epsilon={format_rational(epsilon)}"
-        spec = approx.grid_spec(epsilon, inst.k)
-        ok = sol.v_queries == spec.size
-        yield "fptas-query-count", _verdict(ok), f"{sol.v_queries} == {spec.size}"
-    else:
-        for name in (
-            "k-bit-critical-values",
-            "succ-search-vs-envelope",
-            "succ-search-query-bound",
-            "fptas-guarantee",
-            "fptas-query-count",
-        ):
-            yield name, "SKIP", "no declared k"
-
-    expected = (reference.alpha_star, reference.utility)
-    methods, ok = ["brute"], True
-    for m in contract.SUCCESSORS:
-        try:
-            sol = contract.optimal_contract(inst, method=m)
-        except (UnsupportedClassError, PrecisionError):
-            continue  # gs needs a certified class, search a declared k
-        methods.append(m)
-        ok = ok and (sol.alpha_star, sol.utility) == expected
-    yield "optimal-contract-backends", _verdict(ok), "+".join(methods)
-
-
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
 
 
 @functools.cache  # built once; argparse reads the terminal width when it formats
@@ -424,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimal linear contract")
     p.add_argument("instance")
-    p.add_argument("--method", choices=["auto", "gs", "search", "brute"], default="auto")
+    p.add_argument("--method", choices=["auto", *contract.SUCCESSORS, "brute"], default="auto")
     common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -442,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("succ", help="successor critical value")
     p.add_argument("instance")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--method", choices=["gs", "search", "brute"], default="brute")
+    p.add_argument("--method", choices=[*contract.SUCCESSORS, "brute"], default="brute")
     common(p)
     p.set_defaults(func=_cmd_succ)
 
@@ -490,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = rsub.add_parser("solve-linear")
     r.add_argument("instance")
-    r.add_argument("--method", choices=["auto", "gs", "search", "brute"], default="auto")
+    r.add_argument("--method", choices=["auto", *contract.SUCCESSORS, "brute"], default="auto")
     common(r)
     r.set_defaults(func=_cmd_robust)
 

@@ -14,19 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .demand import GreedyKernel, VOracle, _check_alpha
-from .errors import (
-    DomainError,
-    InvariantError,
-    ResourceLimitError,
-    UnsupportedClassError,
-)
-from .functions import (
-    Additive,
-    Instance,
-    actions_of,
-    brute_force_limit,
-    lifted_values,
-)
+from .errors import DomainError, InvariantError, UnsupportedClassError
+from .functions import Instance, _scan_tables, actions_of
 
 __all__ = [
     "CriticalProfile",
@@ -101,13 +90,7 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     perturbation-monotonicity law compares these uncapped counts (a jump
     sitting exactly at 1 would otherwise leave the capped window).
     """
-    limit = brute_force_limit()
-    if inst.n > limit:
-        raise ResourceLimitError(
-            f"brute force limited to {limit} actions, instance has {inst.n}"
-        )
-    Df, ftab = lifted_values(inst.f)
-    Dc, ctab = lifted_values(Additive(inst.costs))
+    Df, ftab, Dc, ctab = _scan_tables(inst)
 
     # One line per distinct slope F: keep the min cost C and every mask
     # attaining it; those masks are exactly D* on the segment.

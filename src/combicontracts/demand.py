@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, UnsupportedClassError
-from .functions import (
-    Additive,
-    Instance,
-    _lift,
-    actions_of,
-    brute_force_limit,
-    lifted_values,
-)
+from .functions import Instance, _lift, _scan_tables, actions_of, brute_force_limit
 from .rational import _shown, as_fraction
 
 __all__ = [
@@ -172,14 +165,8 @@ def brute_force_demand(inst: Instance, alpha) -> DemandProfile:
     With f = F/Df and c = C/Dc lifted to integers and alpha = p/q, the
     agent's utility is (p*Dc*F - q*Df*C) / (q*Df*Dc), so the scan compares ints.
     """
-    limit = brute_force_limit()
-    if inst.n > limit:
-        raise ResourceLimitError(
-            f"brute force limited to {limit} actions, instance has {inst.n}"
-        )
+    Df, ftab, Dc, ctab = _scan_tables(inst)
     alpha = _check_alpha(alpha)
-    Df, ftab = lifted_values(inst.f)
-    Dc, ctab = lifted_values(Additive(inst.costs))
     a, b = alpha.numerator * Dc, alpha.denominator * Df
     utils = [a * F - b * C for F, C in zip(ftab, ctab)]
     best_u = max(utils)

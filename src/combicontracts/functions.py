@@ -569,6 +569,17 @@ def lifted_values(f: SuccessFunction) -> tuple:
     return D, t
 
 
+def _scan_tables(inst: Instance) -> tuple:
+    """(Df, F, Dc, C): f and the costs lifted to int tables over all 2**n
+    masks for an exhaustive scan, refused past the brute-force limit first."""
+    limit = brute_force_limit()
+    if inst.n > limit:
+        raise ResourceLimitError(
+            f"brute force limited to {limit} actions, instance has {inst.n}"
+        )
+    return (*lifted_values(inst.f), *lifted_values(Additive(inst.costs)))
+
+
 @lru_cache(maxsize=512)
 def value_table(f: SuccessFunction) -> tuple:
     """All 2**n values of f indexed by bitmask (cached per function), as

@@ -223,40 +223,31 @@ def load_instance(path: str) -> Union[Instance, GeneralInstance]:
 
 
 def dumps_instance(inst: Union[Instance, GeneralInstance]) -> str:
+    if not isinstance(inst, (Instance, GeneralInstance)):
+        raise DomainError(f"cannot serialize {type(inst).__name__}")
+    obj: dict = {
+        "version": SCHEMA_VERSION,
+        "n": inst.n,
+        "costs": [format_rational(c) for c in inst.costs],
+    }
     if isinstance(inst, Instance):
-        obj: dict = {
-            "version": SCHEMA_VERSION,
-            "model": "binary",
-            "n": inst.n,
-            "function": _function_to_json(inst.f),
-            "costs": [format_rational(c) for c in inst.costs],
-        }
-        if inst.k is not None:
-            obj["k"] = inst.k
+        obj["model"] = "binary"
+        obj["function"] = _function_to_json(inst.f)
         if inst.scale != 1:
             obj["scale"] = format_rational(inst.scale)
-        if inst.meta is not None:
-            obj["meta"] = inst.meta
-    elif isinstance(inst, GeneralInstance):
-        obj = {
-            "version": SCHEMA_VERSION,
-            "model": "general",
-            "n": inst.n,
-            "costs": [format_rational(c) for c in inst.costs],
-            "rewards": [format_rational(r) for r in inst.rewards],
-        }
+    else:
+        obj["model"] = "general"
+        obj["rewards"] = [format_rational(r) for r in inst.rewards]
         if inst.distributions is not None:
             obj["distributions"] = [
                 [format_rational(v) for v in tab.table] for tab in inst.distributions
             ]
         if inst.expected is not None:
             obj["expected"] = _function_to_json(inst.expected)
-        if inst.k is not None:
-            obj["k"] = inst.k
-        if inst.meta is not None:
-            obj["meta"] = inst.meta
-    else:
-        raise DomainError(f"cannot serialize {type(inst).__name__}")
+    if inst.k is not None:
+        obj["k"] = inst.k
+    if inst.meta is not None:
+        obj["meta"] = inst.meta
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

@@ -245,26 +245,34 @@ def _positive_top(ginst: GeneralInstance) -> Fraction:
     return top
 
 
+def _envelope_v(inst: Instance, s: Fraction) -> Fraction:
+    """f of the principal-favored best response to the linear contract s,
+    read from the envelope uncapped past 1 (0 before its first breakpoint).
+    The principal keeps f(S) * (1 - s), so among the agent's optima at a
+    breakpoint it favors the largest f while s < 1 (bisect_right) and the
+    smallest once s >= 1 (bisect_left)."""
+    profile = brute_force_critical_set(inst, beyond_one=True)
+    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
+    return profile.values[i - 1] if i else Fraction(0)
+
+
 def reduce_binary_contract(t0, t1, inst: Instance) -> Fraction:
     """Linear slope that weakly dominates the binary contract (t0, t1).
 
     Preserves the expected payment at the agent's original best response
     (alpha * f(S) = (1 - f(S)) * t0 + f(S) * t1), clamped to [0, 1]; with a
     zero-probability best response the all-zero contract already dominates.
-    Up to the constant t0 the agent faces the linear contract s = t1 - t0
-    and the principal keeps f(S) * (1 - s) - t0, so the best response is
-    read from the envelope at s: the largest f among the agent's optima
-    when s < 1, the smallest when s >= 1.
+    Up to the constant t0 the agent faces the linear contract s = t1 - t0,
+    so f(S) is ``_envelope_v`` at s.
     """
     t0, t1 = as_fraction(t0), as_fraction(t1)
     if t0 < 0 or t1 < 0:
         raise DomainError("negative payments are not allowed")
     s = t1 - t0
-    profile = brute_force_critical_set(inst, beyond_one=True)
-    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
-    if i == 0:
+    v = _envelope_v(inst, s)
+    if v == 0:
         return Fraction(0)
-    return min(t0 / profile.values[i - 1] + s, Fraction(1))
+    return min(t0 / v + s, Fraction(1))
 
 
 def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
@@ -321,8 +329,8 @@ def utility_under_family(
 def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     """Principal utility against the adversarial two-point reward family: the
     agent gets t(0) plus the linear contract s = ``linearize(t)`` on R (V is 0
-    at s <= 0), and the principal R(S) * (1 - s) - t(0), with R(S) read from
-    the envelope of f = R as in ``reduce_binary_contract``."""
+    at s <= 0), and the principal R(S) * (1 - s) - t(0), with R(S) the
+    ``_envelope_v`` of f = R at s."""
     top = _positive_top(ginst)
     if ginst.n > brute_force_limit():
         raise ResourceLimitError("family evaluation enumerates all subsets")
@@ -331,9 +339,7 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     if min(table) < 0 or max(table) > table[-1]:
         raise InvariantError("expected reward outside [0, R(A)]")
     binary = Instance(ginst.reward, ginst.costs, scale=top)
-    profile = brute_force_critical_set(binary, beyond_one=True)
-    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
-    return (profile.values[i - 1] if i else 0) * (1 - s) - t.pay(Fraction(0))
+    return _envelope_v(binary, s) * (1 - s) - t.pay(Fraction(0))
 
 
 def optimal_linear_general(

@@ -489,12 +489,23 @@ def _broken_path(name):
 
     from combicontracts import approx, contract, demand
 
+    if name == "v-oracle-vs-brute-demand":
+        call = demand.VOracle.__call__
+        return demand.VOracle, "__call__", lambda self, alpha: 2 * call(self, alpha)
     if name == "succ-gs-vs-envelope":
         return contract, "succ_gs", lambda inst, alpha, **kw: None
     if name == "greedy-vs-brute-demand":
         return demand, "greedy_demand", lambda inst, alpha: demand.OrderedDemand((), ())
     if name == "succ-search-vs-envelope":
         return approx, "succ_search", lambda inst, alpha, **kw: None
+    if name == "optimal-contract-backends":  # the argmax every method shares never moves off 0
+        solve = contract.optimal_contract
+        zero = {"alpha_star": Fraction(0), "utility": Fraction(0), "actions": frozenset()}
+
+        def broken(inst, method):
+            return replace(solve(inst, method), **zero)
+
+        return contract, "optimal_contract", broken
     fptas = approx.fptas
     return approx, "fptas", lambda inst, eps: replace(fptas(inst, eps), utility=Fraction(0))
 
@@ -502,7 +513,14 @@ def _broken_path(name):
 @pytest.mark.parametrize("klass", ["additive", "unit-demand", "matroid-rank"])
 @pytest.mark.parametrize(
     "row",
-    ["greedy-vs-brute-demand", "succ-gs-vs-envelope", "succ-search-vs-envelope", "fptas-guarantee"],
+    [
+        "v-oracle-vs-brute-demand",
+        "greedy-vs-brute-demand",
+        "succ-gs-vs-envelope",
+        "succ-search-vs-envelope",
+        "fptas-guarantee",
+        "optimal-contract-backends",
+    ],
 )
 def test_verify_fails_on_a_broken_path(tmp_path, capsys, monkeypatch, klass, row):
     path = _generated_file(tmp_path, capsys, klass)
@@ -516,6 +534,18 @@ def test_verify_fails_on_a_broken_path(tmp_path, capsys, monkeypatch, klass, row
     assert status[row] == "FAIL"
     before = VERIFY_ROWS[: VERIFY_ROWS.index(row)]
     assert all(status[name] == "PASS" for name in before)
+
+
+@pytest.mark.parametrize("epsilon", ["5", "0"])
+def test_verify_refuses_epsilon_outside_the_unit_interval(
+    tmp_path, capsys, worked_file, epsilon
+):
+    # before any row, with or without a declared k
+    for path in (worked_file, _generated_file(tmp_path, capsys, "additive")):
+        code = main(["verify", path, "--epsilon", epsilon])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: epsilon must lie in (0, 1), got {epsilon}\n")
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

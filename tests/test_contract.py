@@ -9,10 +9,8 @@ from combicontracts import (
     Instance,
     UnsupportedClassError,
     brute_force_critical_set,
-    in_bounded_set,
     optimal_contract,
     succ_gs,
-    successor_from_profile,
 )
 from combicontracts.demand import brute_force_demand
 
@@ -106,14 +104,6 @@ def test_succ_gs_rejects_uncertified(example_three_action):
         succ_gs(example_three_action, 0)
 
 
-def test_succ_gs_equals_envelope_successor(gs_corpus):
-    for inst in gs_corpus[:60]:
-        profile = brute_force_critical_set(inst)
-        starts = [Fraction(0)] + list(profile.alphas)
-        for alpha in starts:
-            assert succ_gs(inst, alpha) == successor_from_profile(profile, alpha)
-
-
 def test_optimal_contract_examples(worked_additive, example_three_action):
     sol = optimal_contract(worked_additive, "gs")
     assert (sol.alpha_star, sol.utility) == (Fraction(1, 2), Fraction(9, 20))
@@ -183,19 +173,6 @@ def test_every_method_returns_its_profile(gs_corpus, non_gs_corpus):
                 row = profile.alphas.index(sol.alpha_star)
                 assert sol.actions == profile.demand_sets[row]
                 assert sol.utility == (1 - sol.alpha_star) * profile.values[row]
-
-
-def test_gs_critical_bound(gs_corpus):
-    for inst in gs_corpus[:60]:
-        profile = brute_force_critical_set(inst)
-        assert profile.size <= inst.n * (inst.n + 1) // 2
-
-
-def test_k_bit_critical_values(gs_corpus):
-    for inst in gs_corpus[:60]:
-        profile = brute_force_critical_set(inst)
-        for alpha in profile.alphas:
-            assert in_bounded_set(alpha, inst.k)
 
 
 def test_profile_rows_match_demand_oracle(gs_corpus, example_three_action):

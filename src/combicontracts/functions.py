@@ -157,8 +157,7 @@ class SuccessFunction:
             raise ResourceLimitError(
                 f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
             )
-        D, t = lifted_values(self)
-        return ExplicitTable(self.n, tuple(Fraction(v, D) for v in t))
+        return ExplicitTable._from_ints(self.n, *lifted_values(self))
 
 
 def _coerce_fractions(obj, name: str) -> tuple:
@@ -395,18 +394,21 @@ class ExplicitTable(SuccessFunction):
     _params: ClassVar[tuple] = ("table",)
 
     def __post_init__(self):
-        if self.n_actions < 0:
-            raise DomainError(f"negative action count {_shown(self.n_actions)}")
-        if self.n_actions > EXPLICIT_TABLE_MAX_ACTIONS:
-            raise ResourceLimitError(
-                f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
-            )
-        object.__setattr__(self, "table", tuple(map(as_fraction, self.table)))
-        if len(self.table) != 1 << self.n_actions:
-            raise DomainError(
-                f"table needs {1 << self.n_actions} entries, got {len(self.table)}"
-            )
-        object.__setattr__(self, "_lifted", _lift(self.table))
+        table = _table_shape(self.n_actions, map(as_fraction, self.table))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_lifted", _lift(table))
+
+    @classmethod
+    def _from_ints(cls, n: int, D: int, ints) -> "ExplicitTable":
+        """The table of T[mask] / D, made from its ints: (D, ints) reduced by
+        their gcd is the stored lift, and each distinct value is one Fraction."""
+        ints = _table_shape(n, ints)
+        g = math.gcd(D, *ints)
+        D, ints = D // g, tuple([v // g for v in ints]) if g > 1 else ints
+        table = tuple(map({v: Fraction(v, D) for v in set(ints)}.__getitem__, ints))
+        tab = object.__new__(cls)  # frozen: fill the fields __init__ would set
+        tab.__dict__.update(n_actions=n, table=table, _lifted=(D, ints))
+        return tab
 
     def __hash__(self) -> int:
         return hash((self.n_actions,) + self._lifted)
@@ -419,6 +421,20 @@ class ExplicitTable(SuccessFunction):
         if not 0 <= mask < len(self.table):
             raise DomainError(f"subset mask {_shown(mask)} outside the table")
         return self.table[mask]
+
+
+def _table_shape(n: int, entries) -> tuple:
+    """entries as a tuple: a bad n is refused before any is read, then a count but 2**n."""
+    if n < 0:
+        raise DomainError(f"negative action count {_shown(n)}")
+    if n > EXPLICIT_TABLE_MAX_ACTIONS:
+        raise ResourceLimitError(
+            f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
+        )
+    entries = tuple(entries)
+    if len(entries) != 1 << n:
+        raise DomainError(f"table needs {1 << n} entries, got {len(entries)}")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -455,12 +471,16 @@ class Instance:
         if self.k is not None:
             _check_k(self.k)
             params = self.f.parameter_fractions() + self.costs
-            for den in {x.denominator for x in params}:
-                if not is_k_valid(Fraction(1, den), self.k):
-                    raise PrecisionError(
-                        f"a value with denominator {den} is not a multiple "
-                        f"of 2**-{self.k}"
-                    )
+            quick = params
+            if isinstance(self.f, ExplicitTable):  # its entries' LCM is its lifted D
+                quick = (Fraction(1, self.f._lifted[0]),) + self.costs
+            if not all(is_k_valid(x, self.k) for x in quick):
+                for den in {x.denominator for x in params}:  # name an off-grid one
+                    if not is_k_valid(Fraction(1, den), self.k):
+                        raise PrecisionError(
+                            f"a value with denominator {den} is not a multiple "
+                            f"of 2**-{self.k}"
+                        )
 
     @property
     def n(self) -> int:

@@ -396,11 +396,11 @@ def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     numers += [rng.randint(0, a_cap) for _ in range(n)]
 
     def table_of(values) -> ExplicitTable:
-        weights, addons = values[:universe], values[universe:]
-        Dw, cover = lifted_values(Coverage(weights, covers))
-        Da, extra = lifted_values(Additive(addons))
-        return ExplicitTable(
-            n, tuple(Fraction(w, Dw) + Fraction(a, Da) for w, a in zip(cover, extra))
+        Dw, cover = lifted_values(Coverage(values[:universe], covers))
+        Da, extra = lifted_values(Additive(values[universe:]))
+        sw, sa = unit // Dw, unit // Da
+        return ExplicitTable._from_ints(
+            n, unit, [w * sw + a * sa for w, a in zip(cover, extra)]
         )
 
     f, _ = fitted(table_of, numers, w_cap * universe + a_cap * n)

@@ -24,6 +24,7 @@ from .functions import (
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
+    _lift,
 )
 from .rational import format_rational, parse_rational
 from .robust import GeneralInstance
@@ -72,15 +73,20 @@ def _list(values, where: str) -> list:
 
 
 def _rat_list(values, where: str, k: int | None = None) -> tuple:
-    """The rationals in order, each distinct string parsed once (a 2**n table
-    repeats few literals); other values, JSON true too, go through ``_rat``."""
+    return tuple(_rat(v, where, k) for v in _list(values, where))
+
+
+def _table(values, n: int, where: str, k: int | None = None) -> ExplicitTable:
+    """The table of a list of literals, each distinct one parsed and lifted once;
+    anything but a str or an int (JSON true too) is refused, never merged with 1."""
     parsed: dict = {}
-    out = []
-    for v in _list(values, where):
-        if isinstance(v, str) and v not in parsed:
+    values = _list(values, where)
+    for v in values:
+        if type(v) not in (str, int) or v not in parsed:
             parsed[v] = _rat(v, where, k)
-        out.append(parsed[v] if isinstance(v, str) else _rat(v, where, k))
-    return tuple(out)
+    D, ints = _lift(parsed.values())
+    lifted = dict(zip(parsed, ints))
+    return ExplicitTable._from_ints(n, D, map(lifted.__getitem__, values))
 
 
 def _int_sets(values, where: str) -> tuple:
@@ -131,12 +137,21 @@ def _function_from_json(obj: dict, n: int, k: int | None = None) -> SuccessFunct
         f = Coverage(weights, _int_sets(obj["covers"], "function.covers"))
     elif klass == "table":
         _require_keys(obj, {"class", "table"}, set(), "function")
-        f = ExplicitTable(n, _rat_list(obj["table"], "function.table", k))
+        f = _table(obj["table"], n, "function.table", k)
     else:
         raise DomainError(f"unknown function class {klass!r}")
     if f.n != n:
         raise DomainError(f"function describes {f.n} actions, file says {n}")
     return f
+
+
+def _formatted(x):
+    """The file form of a rational, a tuple of them or a table (one per value)."""
+    if isinstance(x, ExplicitTable):
+        D, ints = x._lifted
+        text = {v: format_rational(Fraction(v, D)) for v in dict.fromkeys(ints)}
+        return list(map(text.__getitem__, ints))
+    return [format_rational(v) for v in x] if isinstance(x, tuple) else format_rational(x)
 
 
 def _function_to_json(f: SuccessFunction) -> dict:
@@ -146,9 +161,7 @@ def _function_to_json(f: SuccessFunction) -> dict:
         raise DomainError(f"cannot serialize function class {type(f).__name__}")
     obj = {"class": f.kind}
     for name in f._params:
-        x = getattr(f, name)
-        is_list = isinstance(x, tuple)
-        obj[name] = [format_rational(v) for v in x] if is_list else format_rational(x)
+        obj[name] = _formatted(f if isinstance(f, ExplicitTable) else getattr(f, name))
     if isinstance(f, Coverage):
         obj["covers"] = [sorted(c) for c in f.covers]
     elif isinstance(f, WeightedMatroidRank) and isinstance(f.matroid, UniformMatroid):
@@ -198,7 +211,7 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
     distributions = expected = None
     if "distributions" in obj:
         distributions = tuple(
-            ExplicitTable(n, _rat_list(tab, "distributions", bits))
+            _table(tab, n, "distributions", bits)
             for tab in _list(obj["distributions"], "distributions")
         )
     if "expected" in obj:
@@ -239,9 +252,7 @@ def dumps_instance(inst: Union[Instance, GeneralInstance]) -> str:
         obj["model"] = "general"
         obj["rewards"] = [format_rational(r) for r in inst.rewards]
         if inst.distributions is not None:
-            obj["distributions"] = [
-                [format_rational(v) for v in tab.table] for tab in inst.distributions
-            ]
+            obj["distributions"] = [_formatted(tab) for tab in inst.distributions]
         if inst.expected is not None:
             obj["expected"] = _function_to_json(inst.expected)
     if inst.k is not None:

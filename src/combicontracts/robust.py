@@ -118,7 +118,7 @@ class GeneralInstance:
             return self.expected
         D, w, columns = _columns(self.distributions, self.rewards)
         sums = [sum(map(operator.mul, w, col)) for col in columns]
-        return ExplicitTable(self.n, tuple([Fraction(v, D) for v in sums]))
+        return ExplicitTable._from_ints(self.n, D, sums)
 
     def expected_reward_mask(self, mask: int) -> Fraction:
         return self.reward.value_mask(mask)

@@ -6,6 +6,7 @@ import pytest
 
 from combicontracts import (
     DomainError,
+    ExplicitTable,
     GeneralInstance,
     Instance,
     UniformMatroid,
@@ -22,6 +23,7 @@ from combicontracts.instancefile import (
     dumps_instance,
     loads_instance,
 )
+from combicontracts.rational import format_rational
 
 
 def test_round_trip_every_class():
@@ -57,6 +59,84 @@ def test_round_trip_general_both_forms(general_corpus, worked_additive):
         obj["k"] = bad
         with pytest.raises(DomainError, match=error):
             loads_instance(json.dumps(obj))
+
+
+def _dumped_entry_by_entry(inst) -> str:
+    """dumps_instance's text with every rational list formatted per entry."""
+    obj = json.loads(dumps_instance(inst))
+    fmt = lambda xs: [format_rational(x) for x in xs]  # noqa: E731
+    obj["costs"] = fmt(inst.costs)
+    functions = [("function", inst.f)] if isinstance(inst, Instance) else []
+    if isinstance(inst, GeneralInstance):
+        obj["rewards"] = fmt(inst.rewards)
+        if inst.distributions is not None:
+            obj["distributions"] = [fmt(tab.table) for tab in inst.distributions]
+        else:
+            functions = [("expected", inst.expected)]
+    for key, f in functions:
+        for name in f._params:
+            x = getattr(f, name)
+            obj[key][name] = fmt(x) if isinstance(x, tuple) else format_rational(x)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _tables_of(inst) -> list:
+    if isinstance(inst, Instance):
+        functions = [inst.f]
+    else:
+        functions = list(inst.distributions or ()) + [inst.expected]
+    return [f for f in functions if isinstance(f, ExplicitTable)]
+
+
+def test_dumped_tables_read_entry_by_entry_and_load_back(general_corpus):
+    binary = [
+        sample_instance(klass, n, k, seed)
+        for klass in SAMPLE_CLASSES
+        for n in (1, 3, 6, 10)
+        for k in (4, 8)
+        for seed in (0, 1)
+    ]
+    binary.append(gen_exponential_coverage(3))
+    general = general_corpus[:20] + [embed_binary(inst) for inst in binary[-20:]]
+    # reward tables made from ints, in the expected form and as a binary f
+    general += [
+        GeneralInstance(g.costs, (Fraction(0), Fraction(1)), expected=g.reward)
+        for g in general_corpus[:10]
+    ]
+    binary += [Instance(g.reward, g.costs, scale=g.top_reward) for g in general_corpus[:10]]
+    negative = ExplicitTable(1, ("0", "-1/3"))
+    general.append(GeneralInstance((1,), (0, 1), distributions=(negative, negative)))
+    for inst in binary + general:
+        text = dumps_instance(inst)
+        assert text == _dumped_entry_by_entry(inst)
+        again = loads_instance(text)
+        assert again == inst and hash(again) == hash(inst)
+        assert [t._lifted for t in _tables_of(again)] == [t._lifted for t in _tables_of(inst)]
+    assert sum(map(len, map(_tables_of, binary + general))) > 50
+
+
+@pytest.mark.parametrize(
+    "tables, error",
+    [
+        ([["1", 1], [True, "0"]], "got True"),
+        ([["1", "1/2"], ["0", True]], "got True"),
+        ([[1, "1"], [0, ["1"]]], "got ['1']"),
+        ([["1", ["0"]], ["0", "1"]], "got ['0']"),
+        ([["1", "1"], ["0", 0.5]], "got 0.5"),
+    ],
+)
+def test_distribution_literals_fail_as_written(tables, error):
+    obj = {
+        "version": 1,
+        "model": "general",
+        "n": 1,
+        "costs": ["1/8"],
+        "rewards": ["0", "1"],
+        "distributions": tables,
+    }
+    with pytest.raises(DomainError) as exc:
+        loads_instance(json.dumps(obj))
+    assert str(exc.value) == "distributions: rationals must be strings, " + error
 
 
 def test_strict_schema():
@@ -273,9 +353,10 @@ def test_each_distinct_table_literal_is_parsed_once(monkeypatch):
     table, costs = obj["function"]["table"], obj["costs"]
     assert len(set(table)) < len(table) // 10
     assert loads_instance(text) == inst
-    assert len(calls) == len(set(table)) + len(set(costs))
+    assert len(calls) == len(set(table)) + len(costs)  # costs: once per entry
     calls.clear()
-    assert instancefile._rat_list(table, "function.table") == inst.f.table
+    tab = instancefile._table(table, 10, "function.table")
+    assert tab == inst.f and tab._lifted == inst.f._lifted
     assert calls == list(dict.fromkeys(table))  # once each, in first-seen order
 
 
@@ -534,6 +615,26 @@ def test_verify_fails_on_a_broken_path(tmp_path, capsys, monkeypatch, klass, row
     assert status[row] == "FAIL"
     before = VERIFY_ROWS[: VERIFY_ROWS.index(row)]
     assert all(status[name] == "PASS" for name in before)
+
+
+def test_verify_reports_a_miscounted_grid(tmp_path, capsys, monkeypatch):
+    """fptas leaves its query count to the crosscheck, whose row reads FAIL
+    when every V query is counted twice; all ten rows still print."""
+    from combicontracts import demand
+
+    path = _generated_file(tmp_path, capsys, "additive")
+    call = demand.VOracle.__call__
+
+    def counted_twice(self, alpha):
+        self.queries += 1
+        return call(self, alpha)
+
+    monkeypatch.setattr(demand.VOracle, "__call__", counted_twice)
+    code, out = run_cli(capsys, "verify", path)
+    assert code == 3
+    rows = [r.split() for r in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == VERIFY_ROWS
+    assert rows[VERIFY_ROWS.index("fptas-query-count")][1] == "FAIL"
 
 
 @pytest.mark.parametrize("epsilon", ["5", "0"])

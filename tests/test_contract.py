@@ -129,28 +129,6 @@ def test_non_positive_costs_are_refused():
         Instance(Additive((Fraction(1, 2), Fraction(1, 4))), (Fraction(1, 8), -1))
 
 
-def test_backends_agree(gs_corpus):
-    for inst in gs_corpus[:45]:
-        ref = optimal_contract(inst, "brute")
-        for method in ("gs", "search"):
-            sol = optimal_contract(inst, method)
-            assert (sol.alpha_star, sol.utility) == (ref.alpha_star, ref.utility)
-
-
-def test_alpha_star_lies_on_profile(gs_corpus):
-    for inst in gs_corpus[:40]:
-        profile = brute_force_critical_set(inst)
-        sol = optimal_contract(inst, "brute")
-        options = [(Fraction(0), Fraction(0))] + [
-            (a, (1 - a) * v) for a, v in zip(profile.alphas, profile.values)
-        ]
-        best = max(u for _, u in options)
-        assert sol.utility == best
-        assert sol.alpha_star in {a for a, u in options if u == best}
-        # ties resolve to the smallest alpha
-        assert sol.alpha_star == min(a for a, u in options if u == best)
-
-
 def test_every_method_returns_its_profile(gs_corpus, non_gs_corpus):
     """gs, search and brute all answer from a profile equal to the envelope's;
     actions is the profile row at alpha*."""

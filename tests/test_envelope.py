@@ -13,12 +13,13 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from combicontracts import (  # noqa: E402
     Additive,
     BudgetAdditive,
+    ContractError,
     Coverage,
     ExplicitTable,
     Instance,
@@ -199,6 +200,53 @@ def raw_tables(draw):
 @given(tab=raw_tables())
 def test_stored_lift_of_any_table(tab):
     assert_stored_lift(tab)
+
+
+@st.composite
+def int_tables(draw):
+    """(n, D, ints) with any signs, an all-zero table, or D and ints scaled by
+    3 so that (D, ints) is not reduced."""
+    n = draw(st.integers(0, 6))
+    D = draw(st.sampled_from((1, 2, 3, 4, 7, 12, 16)))
+    ints = draw(st.one_of(
+        st.just([0] * (1 << n)),
+        st.lists(st.integers(-40, 40), min_size=1 << n, max_size=1 << n),
+    ))
+    c = draw(st.sampled_from((1, 3)))
+    return n, c * D, [c * v for v in ints]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=int_tables())
+def test_table_from_ints_is_the_table_of_its_fractions(case):
+    n, D, ints = case
+    made = ExplicitTable._from_ints(n, D, ints)
+    ref = ExplicitTable(n, [Fraction(v, D) for v in ints])
+    assert made == ref and hash(made) == hash(ref) and repr(made) == repr(ref)
+    assert made._lifted == ref._lifted
+    assert_stored_lift(made)
+    assert len({id(x) for x in made.table}) == len(set(ints))  # one object per value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(-3, 30), count=st.integers(0, 70))
+@example(n=0, count=1)
+@example(n=3, count=8)
+@example(n=6, count=64)
+@example(n=-1, count=1)
+@example(n=24, count=5)
+@example(n=25, count=0)
+def test_table_from_ints_refuses_what_the_constructor_refuses(n, count):
+    def outcome(make):
+        try:
+            return make(), None
+        except ContractError as exc:
+            return None, (type(exc), str(exc))
+
+    made, error = outcome(lambda: ExplicitTable._from_ints(n, 4, [1] * count))
+    ref, ref_error = outcome(lambda: ExplicitTable(n, [Fraction(1, 4)] * count))
+    assert (made, error) == (ref, ref_error)
+    assert (error is None) == (0 <= n <= 6 and count == 1 << n)
 
 
 def test_stored_lift_of_seeded_tables():

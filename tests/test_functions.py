@@ -89,6 +89,26 @@ def test_validate_monotonicity_and_k():
     assert any("scale" in v for v in validate(over_scale).violations)
 
 
+@pytest.mark.parametrize(
+    "table, costs, k, den",
+    [
+        (("0", "1/3", "1/4", "1/2"), ("1/8", "1/8"), 4, 3),
+        (("0", "1/64", "1/4", "1/2"), ("1/8", "1/8"), 4, 64),
+        (("0", "1/64", "1/4", "1/2"), ("1/8", "1/8"), 6, None),
+        (("0", "1/8", "1/4", "1/2"), ("1/8", "1/5"), 4, 5),
+        (("0", "-1/8", "1/4", "1/2"), ("1/8", "1/8"), 3, None),
+    ],
+)
+def test_k_check_of_a_table_reads_every_entry(table, costs, k, den):
+    """A table's entries are on the 2**-k grid iff their LCM, the lifted D, is;
+    the error still names an off-grid denominator."""
+    if den is None:
+        assert Instance(ExplicitTable(2, table), costs, k=k).k == k
+        return
+    with pytest.raises(PrecisionError, match=f"denominator {den} is not a multiple"):
+        Instance(ExplicitTable(2, table), costs, k=k)
+
+
 def per_mask_monotone(table, n):
     return all(
         table[mask] <= table[mask | 1 << j]

@@ -3,7 +3,8 @@
 ``perfbench/run.py --seconds 0`` makes one pass over each workload's corpus
 and compares every answer with its stored reference (solutions, CLI stdout
 digests); the seed-1 V-query totals are the paper's query counts on that
-corpus and must not move.
+corpus and must not move.  Every reference must come from storage: one
+computed from the code under test would check that code against itself.
 """
 
 import json
@@ -31,4 +32,5 @@ def test_one_pass_matches_the_stored_answers(workload):
     result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] > 0
+    assert f"references {result['attempted']} stored, 0 computed" in run.stdout.splitlines()
     assert result["metrics"]["v_queries"]["value"] == V_QUERIES[workload]

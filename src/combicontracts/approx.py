@@ -2,9 +2,9 @@
 
 Both routines need a declared k; ``Instance`` then guarantees every f and
 c value is a multiple of 2**-k, which confines critical values to ratios
-of k-bit integers.
-All grid points, interval endpoints, and reconstructed fractions are exact
-rationals; no logarithms or floats anywhere.
+of k-bit integers.  V is asked at int pairs and answers int levels; grid
+points, interval endpoints and reconstructed fractions are exact, with no
+logarithms or floats anywhere.
 """
 
 from __future__ import annotations
@@ -93,19 +93,20 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
 
     Evaluates (1 - alpha) * V(alpha) at every grid point plus the alpha = 0
     baseline (whose utility is 0 without a query, costs being positive) and
-    returns the best; ties go to the smallest alpha.  Utilities are ranked as
-    int pairs ((den - num) * V.num, den * V.den) by cross-multiplication.
+    returns the best; ties go to the smallest alpha.  At num/den the utility
+    is (den - num) * level / (den * D) for the oracle's int level, so the
+    pairs ((den - num) * level, den) are ranked by cross-multiplication.
     The returned utility is at least (1 - eps) times the optimum.
     """
     spec = grid_spec(epsilon, require_k(inst))
     oracle = VOracle(inst)
     best_alpha, best_u, best_w = Fraction(0), 0, 1
     for alpha in spec.points:
-        v, den = oracle(alpha), alpha.denominator
-        u, w = (den - alpha.numerator) * v.numerator, den * v.denominator
-        if u * best_w > best_u * w:
-            best_alpha, best_u, best_w = alpha, u, w
-    util, actions = Fraction(best_u, best_w), oracle.best_response(best_alpha)
+        num, den = alpha.numerator, alpha.denominator
+        u = (den - num) * oracle(num, den)
+        if u * best_w > best_u * den:
+            best_alpha, best_u, best_w = alpha, u, den
+    util, actions = Fraction(best_u, best_w * oracle.D), oracle.best_response(best_alpha)
     return ContractSolution(best_alpha, util, actions, v_queries=oracle.queries)
 
 
@@ -179,7 +180,8 @@ def succ_search(
 
     The baseline V(alpha) is taken as known: pass ``v_alpha`` (the iterating
     caller always has it); when omitted it is computed without charging the
-    counted oracle, matching the query accounting of the 2k+1 bound.
+    counted oracle, matching the query accounting of the 2k+1 bound.  A
+    level L exceeds V(alpha) = vn/vd iff L*vd > vn*D.
     """
     k = require_k(inst)
     alpha = _check_alpha(alpha)
@@ -187,21 +189,23 @@ def succ_search(
         oracle = VOracle(inst)
     if v_alpha is None:
         v_alpha = v_value(inst, alpha)
+    vn, vd = as_fraction(v_alpha).as_integer_ratio()
+    bar = vn * oracle.D
 
-    v_one = oracle(Fraction(1))
-    if v_one == v_alpha:
+    v_one = oracle(1, 1) * vd
+    if v_one == bar:
         return None
-    if v_one < v_alpha:
+    if v_one < bar:
         raise InvariantError("V decreased between alpha and 1")
 
     L, H, Q = alpha.numerator, alpha.denominator, alpha.denominator
     while (H - L) << (2 * k) > Q:
         M = L + H
         L, H, Q = 2 * L, 2 * H, 2 * Q
-        v_mid = oracle(Fraction(M, Q))
-        if v_mid > v_alpha:
+        v_mid = oracle(M, Q) * vd
+        if v_mid > bar:
             H = M
-        elif v_mid == v_alpha:
+        elif v_mid == bar:
             L = M
         else:
             raise InvariantError("V decreased along the bisection")

@@ -130,20 +130,13 @@ def _cmd_solve(args) -> int:
 def _cmd_critical_set(args) -> int:
     inst = _load_binary(args.instance)
     profile = contract.brute_force_critical_set(inst)
-    header = ["index", "alpha", "v", "utility", "demand"]
-    rows = []
-    for i, (a, v, dset) in enumerate(
-        zip(profile.alphas, profile.values, profile.demand_sets), 1
-    ):
-        rows.append(
-            [
-                i,
-                _fmt(a, args.decimal),
-                _fmt(v, args.decimal),
-                _fmt((1 - a) * v, args.decimal),
-                _fmt_set(dset),
-            ]
+    header, d = ["index", "alpha", "v", "utility", "demand"], args.decimal
+    rows = [
+        [i, _fmt(a, d), _fmt(v, d), _fmt((1 - a) * v, d), _fmt_set(dset)]
+        for i, (a, v, dset) in enumerate(
+            zip(profile.alphas, profile.values, profile.demand_sets), 1
         )
+    ]
     _print_table(header, rows, args.format)
     return EXIT_OK
 
@@ -268,23 +261,14 @@ def _cmd_robust(args) -> int:
     if args.robust_command == "linearize":
         t = _parse_contract(args)
         alpha = robust.linearize(t, ginst)
+        original = robust.worst_case_utility_twopoint(t, ginst)
+        linear = robust.worst_case_utility_twopoint(GeneralContract.linear(alpha), ginst)
         pairs = [
             ("command", "robust linearize"),
             ("input_digest", _digest(args.instance)),
             ("alpha", _fmt(alpha, args.decimal)),
-            (
-                "worst_case_utility_original",
-                _fmt(robust.worst_case_utility_twopoint(t, ginst), args.decimal),
-            ),
-            (
-                "worst_case_utility_linear",
-                _fmt(
-                    robust.worst_case_utility_twopoint(
-                        GeneralContract.linear(alpha), ginst
-                    ),
-                    args.decimal,
-                ),
-            ),
+            ("worst_case_utility_original", _fmt(original, args.decimal)),
+            ("worst_case_utility_linear", _fmt(linear, args.decimal)),
         ]
     else:
         sol = robust.optimal_linear_general(ginst, method=args.method)
@@ -418,9 +402,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
     except _ValidationFailure as exc:
         print(f"validation failed:\n{exc}", file=sys.stderr)
         code = EXIT_VALIDATION
@@ -430,10 +411,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         code = EXIT_INVARIANT
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
-    except OSError as exc:
+    except (_UsageError, ContractError, OSError) as exc:  # after its subclasses above
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
     elapsed = time.perf_counter() - started

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .demand import GreedyKernel, VOracle, _check_alpha
+from .demand import VOracle, _check_alpha
 from .errors import DomainError, InvariantError, UnsupportedClassError
 from .functions import Instance, _scan_tables, actions_of
+from .rational import as_fraction
 
 __all__ = [
     "CriticalProfile",
@@ -92,18 +93,22 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     """
     Df, ftab, Dc, ctab = _scan_tables(inst)
 
-    # One line per distinct slope F: keep the min cost C and every mask
-    # attaining it; those masks are exactly D* on the segment.
+    # One line per distinct slope F: the min cost C, the first mask attaining
+    # it, and whether another mask ties (then D* on the segment has several
+    # members).  Below the cap, a line with C/Dc > F/Df lies under the empty
+    # set's line on all of [0, 1] and never reaches the envelope there.
     best: dict = {}
     for mask, (F, C) in enumerate(zip(ftab, ctab)):
+        if C * Df > F * Dc and not beyond_one:
+            continue
         cur = best.get(F)
         if cur is None or C < cur[0]:
-            best[F] = (C, [mask])
+            best[F] = [C, mask, False]
         elif C == cur[0]:
-            cur[1].append(mask)
+            cur[2] = True
 
     hull: list = []
-    for F, (C, masks) in sorted(best.items()):
+    for F, (C, mask, shared) in sorted(best.items()):
         while hull:
             F1, C1, _ = hull[-1]
             if C <= C1:
@@ -119,20 +124,21 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
                 hull.pop()
             else:
                 break
-        hull.append((F, C, masks))
+        hull.append((F, C, (mask, shared)))
 
     # Slopes and costs strictly increase along the hull, so every
-    # breakpoint is positive.
-    alphas: list = []
-    values: list = []
-    demand_sets: list = []
-    for (F0, C0, _), (F1, C1, masks) in zip(hull, hull[1:]):
+    # breakpoint is positive.  A shared line's canonical set takes a rescan.
+    alphas, values, demand_sets = [], [], []
+    for (F0, C0, _), (F1, C1, (mask, shared)) in zip(hull, hull[1:]):
         num, den = (C1 - C0) * Df, (F1 - F0) * Dc
         if num > den and not beyond_one:
             break
+        if shared:
+            tied = (m for m in range(mask, len(ftab)) if ftab[m] == F1 and ctab[m] == C1)
+            mask = min(tied, key=lambda m: sorted(actions_of(m)))
         alphas.append(Fraction(num, den))
         values.append(Fraction(F1, Df))
-        demand_sets.append(frozenset(min(tuple(sorted(actions_of(m))) for m in masks)))
+        demand_sets.append(actions_of(mask))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(demand_sets))
 
 
@@ -154,10 +160,10 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     and greedy step i with strictly positive denominator, plus the entry
     ratios c(a) / f(a | S) for actions with positive marginal on top of the
     full greedy set.  Candidates in (alpha, 1] are kept as integer pairs
-    (num, den); each probe takes the smallest ratio strictly above the last
-    one (cross-multiplied), so distinct values are probed in ascending order
-    with early exit at the first one whose V exceeds V(alpha); V-equal
-    candidates are not critical.
+    (num, den); each probe, an int-pair V query, takes the smallest ratio
+    strictly above the last one (cross-multiplied), so distinct values are
+    probed in ascending order with early exit at the first one whose V
+    exceeds V(alpha); V-equal candidates are not critical.
 
     The replay keeps f(a | prefix) in one list.  It is w(a) while a's
     block has room, 0 once a is picked, and max(w(a) - floor, 0) once the
@@ -171,16 +177,17 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     _require_certified(inst)
     if oracle is None:
         oracle = VOracle(inst)
-    kernel = oracle.kernel or GreedyKernel(inst)
-    alpha, order, _, total = kernel.greedy(alpha)
-    if v_alpha is None:
-        v_alpha = Fraction(total, kernel.D)
+    kernel, alpha = oracle.kernel, _check_alpha(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    order, total = kernel.greedy(p, q)
+    # V(beta) = level/D exceeds V(alpha) = vn/vd iff level*vd > vn*D
+    vn, vd = (total, kernel.D) if v_alpha is None else as_fraction(v_alpha).as_integer_ratio()
+    bar = vn * kernel.D
 
     # Replay the greedy order; gains and costs are integers over the same
     # denominator, so each ratio num/den is already the candidate beta and
     # alpha = p/q < beta <= 1 reads p*den < q*num and num <= den.  A step's
     # own entry in gains equals g_s, so g > g_s skips it.
-    p, q = alpha.numerator, alpha.denominator
     w, costs, blocks = kernel.weights, kernel.costs, kernel.blocks
     room = list(kernel.caps)
     gains = [w[a] if room[b] else 0 for a, b in enumerate(blocks)]
@@ -203,15 +210,14 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
         (c, g) for c, g in zip(costs, gains) if g > 0 and p * g < q * c and c <= g
     ]
 
-    # V is monotone: probe upward, building a Fraction only for the probe
+    # V is monotone: probe upward, building a Fraction only for the successor
     while candidates:
         bn, bd = candidates[0]
         for num, den in candidates:
             if num * bd < bn * den:
                 bn, bd = num, den
-        beta = Fraction(bn, bd)
-        if oracle(beta) > v_alpha:
-            return beta
+        if oracle(bn, bd) * vd > bar:
+            return Fraction(bn, bd)
         candidates = [(num, den) for num, den in candidates if num * bd > bn * den]
     return None
 
@@ -246,7 +252,7 @@ SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
     """(profile, V queries): each successor from zero, V and best response there."""
     alphas, values, sets = [], [], []
-    alpha, v_alpha = Fraction(0), Fraction(0)
+    alpha, v_alpha, level = Fraction(0), Fraction(0), 0
     while (nxt := successor(inst, alpha, oracle=oracle, v_alpha=v_alpha)) is not None:
         if not nxt > alpha:
             raise InvariantError("successor did not advance")
@@ -254,13 +260,13 @@ def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
             raise InvariantError(
                 f"successor iteration exceeded the critical-set bound {step_cap}"
             )
-        v_next = oracle(nxt)
-        if not v_next > v_alpha:
+        nxt_level = oracle(nxt.numerator, nxt.denominator)
+        if not nxt_level > level:
             raise InvariantError("V did not increase across a successor step")
-        alphas.append(nxt)
-        values.append(v_next)
-        sets.append(oracle.best_response(nxt))
-        alpha, v_alpha = nxt, v_next
+        alpha, v_alpha, level = nxt, Fraction(nxt_level, oracle.D), nxt_level
+        alphas.append(alpha)
+        values.append(v_alpha)
+        sets.append(oracle.best_response(alpha))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(sets)), oracle.queries
 
 
@@ -272,7 +278,7 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     successors, needs declared k), "brute" (the envelope, no V queries),
     or "auto" ("gs" on certified classes, else "brute").  The argmax of
     (1 - alpha) * V(alpha) includes the alpha = 0 baseline, and ties go to
-    the smallest alpha.
+    the smallest alpha; utilities are compared by cross-multiplication.
     """
     if method == "auto":
         method = "gs" if inst.f.gs_certified else "brute"
@@ -283,9 +289,9 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     else:
         raise DomainError(f"unknown successor method {method!r}")
 
-    best_alpha, best_util, best_set = Fraction(0), Fraction(0), frozenset()
+    best_alpha, best_u, best_w, best_set = Fraction(0), 0, 1, frozenset()
     for a, v, dset in zip(profile.alphas, profile.values, profile.demand_sets):
-        u = (1 - a) * v
-        if u > best_util:
-            best_alpha, best_util, best_set = a, u, dset
-    return ContractSolution(best_alpha, best_util, best_set, profile, queries)
+        u, w = (a.denominator - a.numerator) * v.numerator, a.denominator * v.denominator
+        if u * best_w > best_u * w:
+            best_alpha, best_u, best_w, best_set = a, u, w, dset
+    return ContractSolution(best_alpha, Fraction(best_u, best_w), best_set, profile, queries)

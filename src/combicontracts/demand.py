@@ -7,7 +7,6 @@ the counted V oracle used by the query-complexity results.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,9 +40,6 @@ class OrderedDemand:
     @property
     def set(self) -> frozenset:
         return frozenset(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 @dataclass(frozen=True)
@@ -94,31 +90,27 @@ class GreedyKernel:
         self.D, lifted = _lift(f.parameter_fractions() + inst.costs)
         self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
         self.blocks, self.caps = f._matroid_form()
-        self._last = (None,)  # the last greedy run: (alpha, order, utils, total)
+        self._at, self._last = (1, 0), None  # the last run's p/q (1/0 is none) and result
 
-    def greedy(self, alpha):
-        """The ``greedy_demand`` rule at alpha = p/q, in ints.
+    def greedy(self, p: int, q: int) -> tuple:
+        """(order, total): the ``greedy_demand`` rule at the contract value
+        p/q (q > 0, reduced or not), in ints; V(p/q) is ``total / D``.
 
-        Returns (alpha, order, utils, total): step i's utility is
-        ``utils[i] / (D*q)`` and V(alpha) is ``total / D``.  Sort and cap:
-        the actions with p*w >= q*c are sorted once by (q*c - p*w, -c, a),
-        and each is taken while its block has room.  While a block has
-        room its actions' gains are their weights.  Once it is full with
-        lightest pick m, every action a left in it was not preferred to m,
-        so q*c_a - p*w_a >= q*c_m - p*w_m and its key with gain w_a - w_m
-        is at least q*c_m > 0 (costs are positive): a full block is never
-        picked from again, and the greedy is that capped walk.  The last
-        run is kept, and a repeat at its alpha is free.
+        Sort and cap: the actions with p*w >= q*c are sorted once by
+        (q*c - p*w, -c, a), and each is taken while its block has room.
+        While a block has room its actions' gains are their weights.  Once
+        it is full with lightest pick m, every action a left in it was not
+        preferred to m, so q*c_a - p*w_a >= q*c_m - p*w_m and its key with
+        gain w_a - w_m is at least q*c_m > 0 (costs are positive): a full
+        block is never picked from again, and the greedy is that capped
+        walk.  The last run is kept, and a repeat at its value is free.
         """
-        if (last := self._last)[0] is alpha:
-            return last
-        alpha = _check_alpha(alpha)
-        if last[0] == alpha:
-            return last
-        p, q = alpha.numerator, alpha.denominator
+        lp, lq = self._at
+        if p * lq == q * lp:
+            return self._last
         weights, blocks, room = self.weights, self.blocks, list(self.caps)
-        order, utils, total = [], [], 0
-        for key, _, a in sorted(
+        order, total = [], 0
+        for _, _, a in sorted(
             (q * c - p * w, -c, a)
             for a, (w, c) in enumerate(zip(weights, self.costs))
             if p * w >= q * c
@@ -126,20 +118,9 @@ class GreedyKernel:
             if room[b := blocks[a]]:
                 room[b] -= 1
                 order.append(a)
-                utils.append(-key)
                 total += weights[a]
-        self._last = (alpha, tuple(order), tuple(utils), total)
+        self._at, self._last = (p, q), (tuple(order), total)
         return self._last
-
-    def demand(self, alpha) -> OrderedDemand:
-        alpha, order, utils, _ = self.greedy(alpha)
-        den = self.D * alpha.denominator
-        return OrderedDemand(
-            tuple(a + 1 for a in order), tuple(Fraction(u, den) for u in utils)
-        )
-
-    def v(self, alpha) -> Fraction:
-        return Fraction(self.greedy(alpha)[3], self.D)
 
 
 def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
@@ -148,9 +129,15 @@ def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
     Repeatedly adds an action of maximal marginal utility while that
     maximum is >= 0 (zero included).  Ties break toward the action with
     maximal cost, then the smallest index.  Exact for certified classes
-    only; others raise UnsupportedClassError.  alpha lies in [0, 1].
+    only; others raise UnsupportedClassError.  alpha lies in [0, 1].  The
+    step utility of a picked action a is (p*w_a - q*c_a) / (D*q) in the
+    kernel's ints at alpha = p/q.
     """
-    return GreedyKernel(inst).demand(alpha)
+    kernel, alpha = GreedyKernel(inst), _check_alpha(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    w, c, order = kernel.weights, kernel.costs, kernel.greedy(p, q)[0]
+    utils = tuple(Fraction(p * w[a] - q * c[a], kernel.D * q) for a in order)
+    return OrderedDemand(tuple(a + 1 for a in order), utils)
 
 
 def _sorted_sets(masks) -> tuple:
@@ -201,12 +188,17 @@ class VOracle:
 
     Query-complexity statements (the 2k+1 successor bound, the FPTAS grid
     size) are phrased in V-oracle calls, so callers that need accounting
-    route every evaluation through one oracle instance.  The evaluator
-    follows from the instance: a certified class is lifted once
-    (``kernel``) and answered by the greedy; any other class, which the
-    brute-force limit must allow, takes its critical profile once
-    (``profile``, the envelope of all 2**n subset lines) and answers by
-    bisection over the critical values: V is a step function that jumps
+    route every evaluation through one oracle instance.  The query
+    ``oracle(p, q)`` takes a contract value as an int pair (q > 0, reduced
+    or not) and returns the int level V(p/q)*D, for a D fixed per oracle,
+    so callers compare levels by cross-multiplication; ``oracle(alpha)``
+    is its Fraction view, level / D.  Either form counts once.  The
+    evaluator follows from the instance: a certified class is lifted once
+    (``kernel``, D its lift denominator) and answered by the greedy; any
+    other class, which the brute-force limit must allow, takes its critical
+    profile once (``profile``, the envelope of all 2**n subset lines, D the
+    LCM of its V denominators) and answers by an int binary search over the
+    critical values as (num, den) pairs: V is a step function that jumps
     exactly there, and is 0 below the first one because costs are positive.
     """
 
@@ -215,6 +207,7 @@ class VOracle:
         self.kernel = self.profile = None
         if inst.f.gs_certified:
             self.kernel = GreedyKernel(inst)
+            self.D = self.kernel.D
         elif inst.n > brute_force_limit():
             raise ResourceLimitError(
                 "no V oracle available: function class is not certified for "
@@ -224,24 +217,41 @@ class VOracle:
             from .contract import brute_force_critical_set  # contract imports demand
 
             self.profile = brute_force_critical_set(inst)
+            self.D, levels = _lift(self.profile.values)
+            self._levels = (0, *levels)  # by the number of critical values passed
+            self._cuts = [a.as_integer_ratio() for a in self.profile.alphas]
         self.queries = 0
 
-    def _segment(self, alpha) -> int:
-        """The number of critical values at or below alpha."""
-        return bisect_right(self.profile.alphas, _check_alpha(alpha))
+    def _rank(self, p: int, q: int) -> int:
+        """The number of critical values at or below p/q."""
+        cuts, lo, hi = self._cuts, 0, len(self._cuts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            num, den = cuts[mid]
+            if num * q <= p * den:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
-    def __call__(self, alpha) -> Fraction:
+    def __call__(self, p, q=None):
         self.queries += 1
-        if self.kernel is not None:
-            return self.kernel.v(alpha)
-        i = self._segment(alpha)
-        return self.profile.values[i - 1] if i else Fraction(0)
+        fraction_view = q is None
+        if fraction_view:
+            alpha = _check_alpha(p)
+            p, q = alpha.numerator, alpha.denominator
+        elif not (type(p) is type(q) is int and 0 <= p <= q and q):
+            raise DomainError(f"contract value {p!r}/{q!r} is not an int pair in [0, 1]")
+        level = self.kernel.greedy(p, q)[1] if self.kernel else self._levels[self._rank(p, q)]
+        return Fraction(level, self.D) if fraction_view else level
 
     def best_response(self, alpha) -> frozenset:
         """The action set reported at alpha (not counted as a query): the
         kernel's greedy set (its last run, when alpha was just queried), else
         the profile's canonical set, the lexicographically smallest of D*."""
+        alpha = _check_alpha(alpha)
+        p, q = alpha.numerator, alpha.denominator
         if self.kernel is not None:
-            return frozenset(a + 1 for a in self.kernel.greedy(alpha)[1])
-        i = self._segment(alpha)
+            return frozenset(a + 1 for a in self.kernel.greedy(p, q)[0])
+        i = self._rank(p, q)
         return self.profile.demand_sets[i - 1] if i else frozenset()

@@ -355,7 +355,7 @@ class Coverage(SuccessFunction):
         object.__setattr__(
             self, "covers", tuple(frozenset(int(j) for j in c) for c in self.covers)
         )
-        size = self.universe_size
+        size = len(self.weights)
         for a, cover in enumerate(self.covers, 1):
             if any(not 0 <= j < size for j in cover):
                 raise DomainError(f"action {a} covers an element outside 0..{size - 1}")
@@ -363,10 +363,6 @@ class Coverage(SuccessFunction):
     @property
     def n(self) -> int:
         return len(self.covers)
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.weights)
 
     def _cover_mask(self, i: int) -> int:
         mask = 0
@@ -548,15 +544,24 @@ def _lift(fracs) -> tuple:
     return D, tuple([x.numerator * (D // x.denominator) for x in fracs])
 
 
+def _subset_sums(w) -> list:
+    """The 2**len(w) subset sums of the ints w, indexed by bitmask, by
+    doubling: the masks with bit i set are those below 2**i plus w[i]."""
+    t = [0]
+    for x in w:
+        t += [s + x for s in t]
+    return t
+
+
 def lifted_values(f: SuccessFunction) -> tuple:
     """(D, T): all 2**n values of f as integers over one denominator D (the
     LCM of f's parameter denominators), indexed by bitmask: f(mask) = T[mask]/D.
 
     A table returns the tuple lifted when it was made; the others grow by
-    doubling: the masks with bit i set are those below 2**i plus action i+1,
-    never through Fractions or ``value_mask``.  Unit demand and matroid rank
-    read their ``_matroid_form()`` and add the actions heaviest first, each
-    joining a set's basis iff its block has room there.
+    doubling (``_subset_sums`` for the sums), never through Fractions or
+    ``value_mask``.  Unit demand and matroid rank read their
+    ``_matroid_form()`` and add the actions heaviest first, each joining a
+    set's basis iff its block has room there.
     """
     if isinstance(f, ExplicitTable):
         return f._lifted
@@ -564,13 +569,12 @@ def lifted_values(f: SuccessFunction) -> tuple:
     if n > EXPLICIT_TABLE_MAX_ACTIONS:
         raise ResourceLimitError(f"cannot tabulate {n} actions")
     D, w = _lift(f.parameter_fractions())
-    t = [0]
     if isinstance(f, (Additive, BudgetAdditive)):
-        for x in w[:n]:
-            t += [s + x for s in t]
+        t = _subset_sums(w[:n])
         if isinstance(f, BudgetAdditive):
             t = [s if s < w[n] else w[n] for s in t]
     elif isinstance(f, Coverage):
+        t = [0]
         for cover in map(f._cover_mask, range(n)):
             t += [u | cover for u in t]
         weight_of = {u: sum(w[j] for j in bit_indices(u)) for u in set(t)}
@@ -597,7 +601,8 @@ def _scan_tables(inst: Instance) -> tuple:
         raise ResourceLimitError(
             f"brute force limited to {limit} actions, instance has {inst.n}"
         )
-    return (*lifted_values(inst.f), *lifted_values(Additive(inst.costs)))
+    Dc, costs = _lift(inst.costs)
+    return (*lifted_values(inst.f), Dc, _subset_sums(costs))
 
 
 @lru_cache(maxsize=512)

@@ -164,11 +164,8 @@ class TowerLevel:
     beta_1: Fraction | None
     beta_2: Fraction | None
 
-    def weights_dict(self) -> dict:
-        return {frozenset(t): w for t, w in self.group_weights}
-
     def instance(self) -> Instance:
-        f = _coverage_from_groups(self.weights_dict(), self.n)
+        f = _coverage_from_groups({frozenset(t): w for t, w in self.group_weights}, self.n)
         scale = sum((w for _, w in self.group_weights), Fraction(0))
         return Instance(f, self.costs, scale=scale)
 

@@ -571,8 +571,8 @@ def _broken_path(name):
     from combicontracts import approx, contract, demand
 
     if name == "v-oracle-vs-brute-demand":
-        call = demand.VOracle.__call__
-        return demand.VOracle, "__call__", lambda self, alpha: 2 * call(self, alpha)
+        call = demand.VOracle.__call__  # both forms: the int level and V
+        return demand.VOracle, "__call__", lambda self, *at: 2 * call(self, *at)
     if name == "succ-gs-vs-envelope":
         return contract, "succ_gs", lambda inst, alpha, **kw: None
     if name == "greedy-vs-brute-demand":
@@ -625,9 +625,9 @@ def test_verify_reports_a_miscounted_grid(tmp_path, capsys, monkeypatch):
     path = _generated_file(tmp_path, capsys, "additive")
     call = demand.VOracle.__call__
 
-    def counted_twice(self, alpha):
+    def counted_twice(self, *at):
         self.queries += 1
-        return call(self, alpha)
+        return call(self, *at)
 
     monkeypatch.setattr(demand.VOracle, "__call__", counted_twice)
     code, out = run_cli(capsys, "verify", path)

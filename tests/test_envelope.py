@@ -1,9 +1,11 @@
-"""Property tests for the integer subset tables and the profile-backed V oracle.
+"""Property tests for the integer subset tables, the envelope and the V oracle.
 
 The references avoid the code under test: lifted tables are checked against
-``value_mask`` and ``cost_mask`` (per-set Fraction sums), and the V oracle,
-which bisects over the envelope's critical values, against the separate
-argmax scan of ``brute_force_demand``.
+``value_mask`` and ``cost_mask`` (per-set Fraction sums); the envelope
+against a naive one built here from every pair of subset lines in
+Fractions; and the V oracle, whose int levels come from the greedy kernel
+or from an int binary search over the envelope's critical values, against
+the separate argmax scan of ``brute_force_demand``.
 """
 
 import dataclasses
@@ -109,6 +111,118 @@ def test_v_oracle_matches_brute_force_demand(inst, data):
         assert oracle(alpha) == reference.v
         assert oracle.best_response(alpha) == canonical_best_response(reference)
     assert oracle.queries == len(points)
+
+
+@st.composite
+def duplicated_instances(draw):
+    """n <= 6 actions, each a copy of one of at most three prototypes (the
+    same value parameters and the same cost), so that many masks share one
+    (F, C) line and D* has several members on most segments.  Prototype 1
+    may double prototype 0, and a budget may be a multiple of its value, so
+    that sets of different prototypes tie too: {2} and {1, 3} under a
+    budget of twice prototype 0's value when actions 1 and 3 copy it and
+    action 2 copies prototype 1.  Then the first mask on a line is not the
+    canonical set."""
+    n, kinds = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    proto = [draw(st.integers(0, kinds - 1)) for _ in range(n)]
+    dens = draw(st.sampled_from(DENOMINATORS))
+    doubled = kinds > 1 and draw(st.booleans())
+
+    def copies(positive):
+        drawn = [draw(rationals(dens, positive)) for _ in range(kinds)]
+        if doubled:
+            drawn[1] = 2 * drawn[0]
+        return [drawn[p] for p in proto], drawn[0]
+
+    klass = draw(st.sampled_from(CLASSES))
+    values, first = copies(positive=False)
+    if klass == "additive":
+        f = Additive(values)
+    elif klass == "unit-demand":
+        f = UnitDemand(values)
+    elif klass == "matroid-rank":
+        f = WeightedMatroidRank(values, UniformMatroid(draw(st.integers(0, n))))
+    elif klass == "budget-additive":
+        unit = first if first > 0 and draw(st.booleans()) else draw(rationals(dens, True))
+        f = BudgetAdditive(values, unit * draw(st.integers(1, n)))
+    else:  # a coverage function, or its table
+        size = draw(st.integers(1, 4))
+        covers = [draw(st.frozensets(st.integers(0, size - 1))) for _ in range(kinds)]
+        weights = [draw(rationals(dens, positive=False)) for _ in range(size)]
+        f = Coverage(weights, [covers[p] for p in proto])
+        if klass == "table":
+            f = ExplicitTable(n, [f.value_mask(m) for m in range(1 << n)])
+    at_value = [draw(st.booleans()) for _ in range(kinds)]  # a crossing at 1
+    singles, costs = f.singleton_values(), copies(positive=True)[0]
+    costs = [v if v > 0 and at_value[p] else c for v, c, p in zip(singles, costs, proto)]
+    return Instance(f, costs)
+
+
+# {2} and {1, 3} share the line of the only critical value, 1/2: the first
+# mask on it is {2}, the canonical set {1, 3}
+TIED_ACROSS_PROTOTYPES = Instance(
+    BudgetAdditive([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], Fraction(1, 2)),
+    [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8)],
+)
+
+
+def naive_envelope(inst, beyond_one):
+    """(alphas, values, demand sets) from every pair of subset lines in
+    Fractions.  Each crossing x > 0 (x <= 1 unless ``beyond_one``) is a
+    candidate.  V(x) is the largest f among the agent's optima at x, and V
+    is constant between candidates, so x is critical iff V(x) exceeds V at
+    the candidate before it (V = 0 up to the first).  The set is the
+    lexicographically smallest optimum with f = V(x)."""
+    masks = range(1 << inst.n)
+    lines = [(inst.f.value_mask(m), inst.cost_mask(m)) for m in masks]
+    distinct = set(lines)
+    crossings = {(c1 - c0) / (f1 - f0) for f0, c0 in distinct for f1, c1 in distinct if f1 > f0}
+    rows, v_before = [], Fraction(0)
+    for x in sorted(a for a in crossings if a > 0 and (beyond_one or a <= 1)):
+        utils = [x * f - c for f, c in lines]
+        top = max(utils)
+        v = max(f for (f, _), u in zip(lines, utils) if u == top)
+        if v > v_before:
+            tied = [m for m in masks if utils[m] == top and lines[m][0] == v]
+            best = min(sorted(i + 1 for i in bit_indices(m)) for m in tied)
+            rows.append((x, v, frozenset(best)))
+        v_before = v
+    return tuple(map(tuple, zip(*rows))) or ((), (), ())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    inst=st.one_of(duplicated_instances(), instances(CLASSES).filter(lambda i: i.n <= 5)),
+    beyond_one=st.booleans(),
+)
+@example(inst=TIED_ACROSS_PROTOTYPES, beyond_one=False)
+@example(inst=TIED_ACROSS_PROTOTYPES, beyond_one=True)
+def test_envelope_matches_the_naive_pairwise_envelope(inst, beyond_one):
+    profile = brute_force_critical_set(inst, beyond_one)
+    expected = naive_envelope(inst, beyond_one)
+    assert (profile.alphas, profile.values, profile.demand_sets) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inst=st.one_of(duplicated_instances(), instances(CLASSES)), m=st.integers(2, 5))
+def test_int_pair_query_on_both_backends(inst, m):
+    """``oracle(p, q)`` is V(p/q) * D in ints: the same for an unreduced pair,
+    one count per call in either form, and the Fraction view is level / D
+    at each critical value and just below it."""
+    oracle = VOracle(inst)
+    assert (oracle.kernel is None) == (not inst.f.gs_certified)
+    criticals = brute_force_critical_set(inst).alphas
+    below = [a - (a - prev) / 1024 for prev, a in zip((0,) + criticals, criticals)]
+    points = [Fraction(0), Fraction(1), *criticals, *below]
+    for alpha in points:
+        p, q = alpha.numerator, alpha.denominator
+        before = oracle.queries
+        level = oracle(p, q)
+        assert type(level) is int and oracle.queries == before + 1
+        assert oracle(m * p, m * q) == level and oracle.queries == before + 2
+        v = oracle(alpha)
+        assert v == Fraction(level, oracle.D) and oracle.queries == before + 3
+        assert v == brute_force_demand(inst, alpha).v
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -66,9 +66,9 @@ class RecordingOracle(VOracle):
         super().__init__(inst)
         self.asked = []
 
-    def __call__(self, alpha):
-        self.asked.append(alpha)
-        return super().__call__(alpha)
+    def __call__(self, p, q=None):
+        self.asked.append((p, q))
+        return super().__call__(p, q)
 
 
 def reference_queries(inst, alpha):
@@ -95,8 +95,10 @@ def test_succ_search_asks_the_fraction_midpoints(small_corpus, non_gs_corpus):
             oracle = RecordingOracle(inst)
             got = succ_search(inst, alpha, oracle=oracle)
             assert got == successor_from_profile(profile, alpha)
-            assert oracle.asked == reference_queries(inst, alpha)
-            assert all(type(a) is Fraction for a in oracle.asked)
+            # int pairs, equal once reduced to the Fraction midpoints
+            assert all(type(p) is type(q) is int for p, q in oracle.asked)
+            reduced = [Fraction(p, q).as_integer_ratio() for p, q in oracle.asked]
+            assert reduced == [a.as_integer_ratio() for a in reference_queries(inst, alpha)]
 
 
 def least_denominator(lo, hi, lo_open, hi_open):

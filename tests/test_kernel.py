@@ -187,33 +187,42 @@ def test_greedy_matches_fraction_greedy_at_workload_sizes(klass):
             mids = tuple((a + b) / 2 for a, b in zip(points, points[1:]))
             kernel = GreedyKernel(inst)
             for alpha in set(map(Fraction, points + mids)):
-                alpha, order, utils, total = kernel.greedy(alpha)
-                actions = tuple(a + 1 for a in order)
-                den = kernel.D * alpha.denominator
-                assert (actions, tuple(Fraction(u, den) for u in utils)) == reference_greedy(
+                ordered = greedy_demand(inst, alpha)
+                assert (ordered.actions, ordered.step_utilities) == reference_greedy(
                     inst, alpha
                 ), (n, seed, alpha)
-                assert Fraction(total, kernel.D) == inst.f.value(actions)
+                total = kernel.greedy(alpha.numerator, alpha.denominator)[1]
+                assert Fraction(total, kernel.D) == inst.f.value(ordered.actions)
 
 
 def test_repeat_at_the_same_contract_value_keeps_validation():
-    kernel = GreedyKernel(sample_instance("matroid-rank", 6, 4, 0))
-    last = kernel.greedy(Fraction(1, 2))
+    # a repeat at the last run's value, reduced or not, is free, and every
+    # entry point still refuses a contract value outside [0, 1] after it
+    inst = sample_instance("matroid-rank", 6, 4, 0)
+    oracle = VOracle(inst)
+    oracle(1, 2)
+    last = oracle.kernel._last
     for bad in (0.5, Fraction(3, 2), -1):
+        for call in (oracle, oracle.best_response, lambda a: greedy_demand(inst, a)):
+            with pytest.raises(DomainError):
+                call(bad)
+    for pair in ((1, 0), (-1, 2), (3, 2), (0.5, 1), (Fraction(1, 2), 1)):
         with pytest.raises(DomainError):
-            kernel.greedy(bad)
-    assert kernel.greedy(Fraction(2, 4)) is last
+            oracle(*pair)
+    assert oracle.kernel.greedy(2, 4) is last
 
 
 class RecordingOracle(VOracle):
+    """Records each counted int-pair query as (contract value, V) in Fractions."""
+
     def __init__(self, inst):
         super().__init__(inst)
         self.probes = []
 
-    def __call__(self, alpha):
-        v = super().__call__(alpha)
-        self.probes.append((alpha, v))
-        return v
+    def __call__(self, p, q):
+        level = super().__call__(p, q)
+        self.probes.append((Fraction(p, q), Fraction(level, self.D)))
+        return level
 
 
 def assert_probes_ascend(inst, alpha, profile):
@@ -259,11 +268,11 @@ def test_one_greedy_run_per_contract_value(monkeypatch):
     runs = []
     greedy = GreedyKernel.greedy
 
-    def counted(kernel, alpha):
+    def counted(kernel, p, q):
         last = kernel._last
-        result = greedy(kernel, alpha)
+        result = greedy(kernel, p, q)
         if result is not last:
-            runs.append(alpha)
+            runs.append(Fraction(p, q))
         return result
 
     monkeypatch.setattr(GreedyKernel, "greedy", counted)

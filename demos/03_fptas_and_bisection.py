@@ -3,8 +3,8 @@
 When every value is a multiple of 2**-k, critical contract values are
 ratios of k-bit integers.  Two consequences, both demonstrated here:
 a geometric grid of ~k/eps contracts contains a (1-eps)-approximate one,
-and a successor query needs only 2k+1 V evaluations -- bisect, then
-reconstruct the unique k-bit rational in the final interval.
+and a successor query needs at most 2k+1 V evaluations -- bisect until the
+interval holds one k-bit rational, then reconstruct it.
 """
 
 from fractions import Fraction as F

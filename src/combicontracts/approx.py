@@ -2,13 +2,15 @@
 
 Both routines need a declared k; ``Instance`` then guarantees every f and
 c value is a multiple of 2**-k, which confines critical values to ratios
-of k-bit integers.  V is asked at int pairs and answers int levels; grid
-points, interval endpoints and reconstructed fractions are exact, with no
-logarithms or floats anywhere.
+of ``critical_bits``-bit integers (k when f <= 1).  V is asked at int pairs
+and answers int levels; grid points, interval endpoints and reconstructed
+fractions are exact, with no logarithms or floats anywhere.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,11 +83,16 @@ def grid_spec(epsilon, k: int) -> GridSpec:
     return GridSpec(epsilon, k, len(points), tuple(points))
 
 
-def require_k(inst: Instance) -> int:
-    """The declared k, refused before anything of size 2**k is built."""
+def critical_bits(inst: Instance) -> int:
+    """b with every critical value a/c in lowest terms at a, c <= 2**b: k +
+    ceil(log2 W), as a critical value dC/dF <= 1 has dF a multiple of 2**-k
+    up to the range W of f.  It is k when f <= 1; the declared k is refused
+    first, as ``_bounded_k`` does.
+    """
     if inst.k is None:
         raise PrecisionError("instance does not declare a bit precision k")
-    return _bounded_k(inst.k)
+    _bounded_k(inst.k)
+    return inst.k + (max(math.ceil(inst.f._range), 1) - 1).bit_length()
 
 
 def fptas(inst: Instance, epsilon) -> ContractSolution:
@@ -96,9 +103,10 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
     returns the best; ties go to the smallest alpha.  At num/den the utility
     is (den - num) * level / (den * D) for the oracle's int level, so the
     pairs ((den - num) * level, den) are ranked by cross-multiplication.
-    The returned utility is at least (1 - eps) times the optimum.
+    The grid is built at ``critical_bits(inst)``; the returned utility is at
+    least (1 - eps) times the optimum.
     """
-    spec = grid_spec(epsilon, require_k(inst))
+    spec = grid_spec(epsilon, critical_bits(inst))
     oracle = VOracle(inst)
     best_alpha, best_u, best_w = Fraction(0), 0, 1
     for alpha in spec.points:
@@ -110,29 +118,26 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
     return ContractSolution(best_alpha, util, actions, v_queries=oracle.queries)
 
 
-def _simplest_in(a: int, b: int, c: int, d: int, lo_open, hi_open) -> tuple:
-    """(p, q) in lowest terms: the minimal-denominator (then minimal-numerator)
-    fraction between a/b and c/d (b, d > 0), each end open or closed by its flag.
+def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
+    """(a, b, c, d): the Stern-Brocot parents a/b < c/d of (a+c)/(b+d), the
+    fraction of least denominator (then numerator) in (L/Q, H/Q], 0 <= L < H.
 
-    Stern-Brocot descent as an integer loop: strip the floor f, swap to the
-    reciprocals of the fractional parts (ends and flags swap; c/0 is an
-    infinite end), then fold the terms back as f + 1/(p/q) = (f*p + q)/p.
+    The descent starts from ``parents`` with a/b <= L/Q and c/d > H/Q: the
+    root 0/1, 1/0, or those found for an interval around this one.  Each run
+    of equal steps is one integer division: a mediant at or below L/Q moves
+    a/b as far towards c/d as stays there, one above H/Q moves c/d likewise.
     """
-    if a * d > c * b or (a * d == c * b and (lo_open or hi_open)):
-        raise DomainError("empty interval")
-    terms = []
+    a, b, c, d = parents
     while True:
-        f, r = divmod(a, b)
-        p = f if (r == 0 and not lo_open) else f + 1  # least admissible integer
-        if p * d < c or (p * d == c and not hi_open):
-            break
-        terms.append(f)
-        a, b, c, d = d, c - f * d, b, r
-        lo_open, hi_open = hi_open, lo_open
-    q = 1
-    for f in reversed(terms):
-        p, q = f * p + q, p
-    return p, q
+        p, q = a + c, b + d
+        if p * Q <= L * q:
+            t = (L * b - a * Q) // (c * Q - L * d)
+            a, b = a + t * c, b + t * d
+        elif p * Q > H * q:
+            s = (c * Q - H * d - 1) // (H * b - a * Q)
+            c, d = c + s * a, d + s * b
+        else:
+            return a, b, c, d
 
 
 def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
@@ -153,7 +158,9 @@ def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
         raise DomainError(
             f"interval width {_shown(hi - lo)} exceeds 2**-{2 * k}; uniqueness would fail"
         )
-    p, q = _simplest_in(*lo.as_integer_ratio(), *hi.as_integer_ratio(), True, False)
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    a, b, c, d = _simplest_in(ln * hd, hn * ld, ld * hd)
+    p, q = a + c, b + d
     bound = 1 << k
     if p > bound or q > bound:
         raise NotFoundError(
@@ -169,21 +176,31 @@ def succ_search(
     *,
     oracle: VOracle | None = None,
     v_alpha=None,
+    probes: list | None = None,
 ) -> Fraction | None:
     """Successor critical value by bisection, within 2k+1 counted V queries.
 
-    Returns None if V(1) = V(alpha) (one query).  Otherwise bisects the
-    half-open interval (alpha, 1], descending into the half whose left
-    boundary sees V increase, until the width is at most 2**-2k; the unique
-    k-bit-bounded rational in the final interval is the successor.  The
-    interval is kept in ints as (L/Q, H/Q]; halving doubles all three.
+    k is ``critical_bits(inst)``, so every critical value has parts at most
+    N = 2**k.  Returns None if V(1) = V(alpha); else halves an interval
+    (L/Q, H/Q] holding the successor, keeping the half whose left end sees V
+    increase, until it is at most 2**-k wide and its simplest fraction p/q,
+    from ``_simplest_in`` resumed at the last parents a/b and c/d, is the
+    only one with denominator <= N: q <= N and the order-N Farey neighbours
+    (a+tp)/(b+tq), t = (N-b)//q, and (c+sp)/(d+sq), s = (N-d)//q, lie
+    outside (Graham, Knuth & Patashnik, Concrete Mathematics, 4.5).  Width
+    2**-2k always suffices.
 
-    The baseline V(alpha) is taken as known: pass ``v_alpha`` (the iterating
-    caller always has it); when omitted it is computed without charging the
-    counted oracle, matching the query accounting of the 2k+1 bound.  A
-    level L exceeds V(alpha) = vn/vd iff L*vd > vn*D.
+    ``probes``, bound by ``_search_backend``, records a walk's queries as
+    (p, q, level) ascending in p/q.  A call starts between the last probe at
+    level V(alpha) (else alpha) and the first above it and adds its own, so
+    a walk asks V(1) once; a fresh call asks a prefix of the midpoints of
+    the plain bisection of (alpha, 1].
+
+    V(alpha) is taken as known: pass ``v_alpha`` (the walk has it); when
+    omitted it is computed without charging the counted oracle, as the 2k+1
+    bound counts.  A level exceeds V(alpha) = vn/vd iff level*vd > vn*D.
     """
-    k = require_k(inst)
+    bits = critical_bits(inst)
     alpha = _check_alpha(alpha)
     if oracle is None:
         oracle = VOracle(inst)
@@ -191,22 +208,45 @@ def succ_search(
         v_alpha = v_value(inst, alpha)
     vn, vd = as_fraction(v_alpha).as_integer_ratio()
     bar = vn * oracle.D
+    probes = [] if probes is None else probes
+    if not probes:
+        probes.append((1, 1, oracle(1, 1)))
 
-    v_one = oracle(1, 1) * vd
-    if v_one == bar:
+    # V is monotone, so the levels ascend with the record
+    i = bisect_right(probes, bar, key=lambda probe: probe[2] * vd)
+    if i == len(probes):
+        if probes[-1][2] * vd < bar:
+            raise InvariantError("V decreased between alpha and 1")
         return None
-    if v_one < bar:
-        raise InvariantError("V decreased between alpha and 1")
+    lp, lq = alpha.as_integer_ratio()
+    if i and probes[i - 1][2] * vd == bar:  # above alpha, or V is flat from it to alpha
+        lp, lq, _ = probes[i - 1]
+    hp, hq, _ = probes[i]
+    g = math.gcd(lq, hq)
+    L, H, Q = lp * (hq // g), hp * (lq // g), lq // g * hq
 
-    L, H, Q = alpha.numerator, alpha.denominator, alpha.denominator
-    while (H - L) << (2 * k) > Q:
+    N = 1 << bits
+    parents = (0, 1, 1, 0)
+    while True:
+        if (H - L) << bits <= Q:
+            parents = a, b, c, d = _simplest_in(L, H, Q, parents)
+            p, q = a + c, b + d
+            if q <= N:
+                t, s = (N - b) // q, (N - d) // q
+                if (a + t * p) * Q <= L * (b + t * q) and (c + s * p) * Q > H * (d + s * q):
+                    return Fraction(p, q)
+            if (H - L) << (2 * bits) <= Q:
+                raise NotFoundError(
+                    f"no fraction with numerator and denominator in [{N}] inside "
+                    f"({_shown(Fraction(L, Q))}, {_shown(Fraction(H, Q))}]"
+                )
         M = L + H
         L, H, Q = 2 * L, 2 * H, 2 * Q
-        v_mid = oracle(M, Q) * vd
-        if v_mid > bar:
+        level = oracle(M, Q)
+        probes.insert(i, (M, Q, level))
+        if level * vd > bar:
             H = M
-        elif v_mid == bar:
-            L = M
+        elif level * vd == bar:
+            L, i = M, i + 1
         else:
             raise InvariantError("V decreased along the bisection")
-    return unique_rational_in(Fraction(L, Q), Fraction(H, Q), k)

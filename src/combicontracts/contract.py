@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .demand import VOracle, _check_alpha
 from .errors import DomainError, InvariantError, UnsupportedClassError
@@ -235,10 +235,10 @@ def _gs_backend(inst: Instance):
 
 
 def _search_backend(inst: Instance):
-    from .approx import require_k, succ_search
+    from .approx import critical_bits, succ_search
 
     oracle = VOracle(inst)  # a missing V oracle is reported before a missing k
-    return oracle, succ_search, 1 << (2 * require_k(inst))
+    return oracle, partial(succ_search, probes=[]), 1 << (2 * critical_bits(inst))
 
 
 # The successor backends, by method.  Each entry checks that the backend

@@ -66,8 +66,10 @@ def checks(inst: Instance, epsilon):
 
     expected = _optimum(profile)
     if inst.k is not None:
-        ok = all(in_bounded_set(a, inst.k) for a in profile.alphas)
-        yield "k-bit-critical-values", _verdict(ok), f"k={inst.k}"
+        bits = approx.critical_bits(inst)  # k, unless f exceeds 1
+        ok = all(in_bounded_set(a, bits) for a in profile.alphas)
+        note = f"k={inst.k}" if bits == inst.k else f"k={inst.k}, {bits} bits"
+        yield "k-bit-critical-values", _verdict(ok), note
 
         runs = []  # (successor right, queries) from each start
         for a in starts:
@@ -75,14 +77,14 @@ def checks(inst: Instance, epsilon):
             got = approx.succ_search(inst, a, oracle=oracle)
             runs.append((got == contract.successor_from_profile(profile, a), oracle.queries))
         yield "succ-search-vs-envelope", _verdict(all(ok for ok, _ in runs)), ""
-        bound = 2 * inst.k + 1
+        bound = 2 * bits + 1
         ok = all(queries <= bound for _, queries in runs)
         yield "succ-search-query-bound", _verdict(ok), f"<= {bound}"
 
         sol = approx.fptas(inst, epsilon)
         ok = sol.utility >= (1 - epsilon) * expected[1]
         yield "fptas-guarantee", _verdict(ok), f"epsilon={format_rational(epsilon)}"
-        spec = approx.grid_spec(epsilon, inst.k)
+        spec = approx.grid_spec(epsilon, bits)
         ok = sol.v_queries == spec.size
         yield "fptas-query-count", _verdict(ok), f"{sol.v_queries} == {spec.size}"
     else:

@@ -19,7 +19,7 @@ import operator
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, ClassVar, Iterable, Union
 
 from .errors import DomainError, PrecisionError, ResourceLimitError
@@ -132,6 +132,12 @@ class SuccessFunction:
 
     def singleton_values(self) -> tuple:
         return tuple(self.value_mask(1 << i) for i in range(self.n))
+
+    @cached_property
+    def _range(self) -> Fraction:
+        """max - min of f over all sets, taken once: f of the full set, as
+        every class but the table is monotone with f(empty set) = 0."""
+        return self.value_mask((1 << self.n) - 1)
 
     def parameter_fractions(self) -> tuple:
         """Every rational parameter entering f values (for k-validity checks):
@@ -409,6 +415,11 @@ class ExplicitTable(SuccessFunction):
     def __hash__(self) -> int:
         return hash((self.n_actions,) + self._lifted)
 
+    @cached_property
+    def _range(self) -> Fraction:
+        D, ints = self._lifted
+        return Fraction(max(ints) - min(ints), D)
+
     @property
     def n(self) -> int:
         return self.n_actions
@@ -477,6 +488,14 @@ class Instance:
                             f"a value with denominator {den} is not a multiple "
                             f"of 2**-{self.k}"
                         )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the compared fields (``meta`` is not one), taken once."""
+        return hash((self.f, self.costs, self.k, self.scale))
 
     @property
     def n(self) -> int:

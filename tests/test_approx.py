@@ -291,15 +291,28 @@ def test_single_action_end_to_end():
         assert (sol.alpha_star, sol.utility) == (Fraction(1, 4), Fraction(9, 16))
 
 
-def test_a_continued_fraction_longer_than_the_recursion_limit(tmp_path, capsys):
-    # F_1475 / F_1476, the two largest consecutive Fibonacci numbers below
-    # 2**1024, has about 1475 continued-fraction terms
+def fibonacci_instance():
+    """(instance, its critical value) at k = 1024: F_1475 / F_1476, the two
+    largest consecutive Fibonacci numbers below 2**1024, has about 1475
+    continued-fraction terms, all ones, so Stern-Brocot runs have length 1."""
     small, big = 0, 1
     while small + big < 1 << 1024:
         small, big = big, small + big
     k = 1024
     inst = Instance(Additive((Fraction(big, 1 << k),)), (Fraction(small, 1 << k),), k=k)
-    critical = Fraction(small, big)
+    return inst, Fraction(small, big)
+
+
+def test_succ_search_at_k_1024_takes_well_under_a_second():
+    inst, critical = fibonacci_instance()
+    start = time.perf_counter()
+    assert succ_search(inst, 0) == critical
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_continued_fraction_longer_than_the_recursion_limit(tmp_path, capsys):
+    inst, critical = fibonacci_instance()
+    k = inst.k
     assert succ_search(inst, 0) == critical
     assert unique_rational_in(critical - Fraction(1, 1 << 2 * k), critical, k) == critical
     path = tmp_path / "fibonacci.json"
@@ -307,7 +320,7 @@ def test_a_continued_fraction_longer_than_the_recursion_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["succ", str(path), "--method", "search", "--alpha", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert f"successor     {critical}" in lines and "v_queries     2049" in lines
+    assert f"successor     {critical}" in lines and "v_queries     2047" in lines
     assert main(["solve", str(path), "--method", "search"]) == 0
     assert f"alpha_star    {critical}" in capsys.readouterr().out.splitlines()
     assert main(["verify", str(path)]) == 0

@@ -369,3 +369,14 @@ def test_sampled_matroid_forms_name_each_actions_block(name):
         assert caps == f.matroid.capacities
     kernel = GreedyKernel(Instance(f, (Q(1, 8),) * f.n))
     assert (kernel.blocks, kernel.caps) == (blocks, caps)
+
+
+
+def test_instance_hash_is_taken_once_and_ignores_meta(monkeypatch):
+    inst = make_small_corpus()[5]
+    twin = Instance(inst.f, inst.costs, k=inst.k, scale=inst.scale, meta={"seed": 1})
+    assert twin == inst and hash(twin) == hash(inst)
+    f_hash, calls = type(inst.f).__hash__, []
+    monkeypatch.setattr(type(inst.f), "__hash__", lambda f: calls.append(f) or f_hash(f))
+    fresh = Instance(inst.f, inst.costs, k=inst.k, scale=inst.scale)
+    assert hash(fresh) == hash(fresh) == hash(inst) and len(calls) == 1

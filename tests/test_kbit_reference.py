@@ -1,12 +1,15 @@
 """The k-bit query path (grid, FPTAS ranking, bisection, Stern-Brocot
 descent) runs in ints; these tests pin it to Fraction references written
 here: the grid by Fraction powering, V by the separate argmax scan of
-``brute_force_demand``, the bisection by Fraction halving and the simplest
-fraction by enumerating denominators.
+``brute_force_demand`` or by the envelope, the bisection by Fraction
+halving, and the simplest fraction and an early stop's lone fraction by
+enumerating denominators.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 import pytest
@@ -17,7 +20,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from combicontracts import (  # noqa: E402
     Additive,
-    DomainError,
     Instance,
     VOracle,
     brute_force_critical_set,
@@ -26,7 +28,11 @@ from combicontracts import (  # noqa: E402
     succ_search,
     successor_from_profile,
 )
-from combicontracts.approx import _simplest_in  # noqa: E402
+from combicontracts.approx import _simplest_in, critical_bits  # noqa: E402
+from combicontracts.contract import _search_backend, _walk  # noqa: E402
+from conftest import make_gs_corpus, make_non_gs_corpus, make_small_corpus  # noqa: E402
+
+SEEDED = make_gs_corpus() + make_non_gs_corpus() + make_small_corpus()
 
 EPSILONS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 7), Fraction(1, 10))
 
@@ -71,20 +77,46 @@ class RecordingOracle(VOracle):
         return super().__call__(p, q)
 
 
-def reference_queries(inst, alpha):
-    """V(1), then each midpoint of Fraction halving of (alpha, 1] to width 2**-2k."""
-    asked = [Fraction(1)]
-    if V(inst, 1) == V(inst, alpha):
-        return asked
-    lo, hi, v_lo = alpha, Fraction(1), V(inst, alpha)
-    while hi - lo > Fraction(1, 4**inst.k):
+def reference_bisection(V, alpha, k):
+    """The plain bisection of (alpha, 1] to width 2**-2k by Fraction halving:
+    V(1), then each midpoint, with the interval (lo, hi] left after each."""
+    asked, left = [Fraction(1)], [(alpha, Fraction(1))]
+    if V(1) == V(alpha):
+        return asked, left
+    lo, hi, v_lo = alpha, Fraction(1), V(alpha)
+    while hi - lo > Fraction(1, 4**k):
         mid = (lo + hi) / 2
         asked.append(mid)
-        if V(inst, mid) > v_lo:
+        if V(mid) > v_lo:
             hi = mid
         else:
-            lo, v_lo = mid, V(inst, mid)
-    return asked
+            lo, v_lo = mid, V(mid)
+        left.append((lo, hi))
+    return asked, left
+
+
+def bounded_fractions(lo, hi, k):
+    """Every fraction with denominator at most 2**k in (lo, hi], by denominator."""
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return {
+        Fraction(p, q) for q in range(1, 2**k + 1) for p in range(a * q // b + 1, c * q // d + 1)
+    }
+
+
+def check_fresh_call(inst, V, profile, alpha, k):
+    """A call with a fresh oracle: the right successor, a prefix of the plain
+    bisection's queries within 2k+1, and an early stop only where the
+    interval left holds one fraction with denominator at most 2**k."""
+    oracle = RecordingOracle(inst)
+    got = succ_search(inst, alpha, oracle=oracle)
+    assert got == successor_from_profile(profile, alpha)
+    # int pairs, equal once reduced to the Fraction midpoints
+    assert all(type(p) is type(q) is int for p, q in oracle.asked)
+    reduced = [Fraction(p, q) for p, q in oracle.asked]
+    asked, left = reference_bisection(V, alpha, k)
+    assert reduced == asked[: len(reduced)] and len(reduced) <= 2 * k + 1
+    if len(reduced) < len(asked):
+        assert bounded_fractions(*left[len(reduced) - 1], k) == {got}
 
 
 def test_succ_search_asks_the_fraction_midpoints(small_corpus, non_gs_corpus):
@@ -92,47 +124,64 @@ def test_succ_search_asks_the_fraction_midpoints(small_corpus, non_gs_corpus):
         profile = brute_force_critical_set(inst)
         mids = [(a + b) / 2 for a, b in zip(profile.alphas, profile.alphas[1:])]
         for alpha in [Fraction(0), Fraction(1, 3), *profile.alphas, *mids]:
-            oracle = RecordingOracle(inst)
-            got = succ_search(inst, alpha, oracle=oracle)
-            assert got == successor_from_profile(profile, alpha)
-            # int pairs, equal once reduced to the Fraction midpoints
-            assert all(type(p) is type(q) is int for p, q in oracle.asked)
-            reduced = [Fraction(p, q).as_integer_ratio() for p, q in oracle.asked]
-            assert reduced == [a.as_integer_ratio() for a in reference_queries(inst, alpha)]
+            check_fresh_call(inst, partial(V, inst), profile, alpha, inst.k)
 
 
-def least_denominator(lo, hi, lo_open, hi_open):
-    def inside(x):
-        return (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SEEDED), st.sampled_from((1, 2, 3, 4)))
+def test_search_is_exact_when_f_exceeds_one(inst, scale):
+    """f times 1 to 4 with the same costs and k: the critical values need up
+    to ceil(log2 scale) bits beyond k.  The walk, which remembers its probes,
+    finds the envelope's profile asking V(1) once; each fresh call is checked
+    against the plain bisection on the envelope's V."""
+    inst = Instance(inst.f.scaled(scale), inst.costs, k=inst.k, scale=scale)
+    profile = brute_force_critical_set(inst)
+    top, bits = inst.f.value_mask((1 << inst.n) - 1), inst.k
+    while top > 2 ** (bits - inst.k):
+        bits += 1
+    assert critical_bits(inst) == bits
 
+    oracle = RecordingOracle(inst)
+    _, successor, cap = _search_backend(inst)
+    walked, _ = _walk(inst, oracle, successor, cap)
+    assert (walked.alphas, walked.values) == (profile.alphas, profile.values)
+    # the walk asks V at each successor itself, 1 included
+    assert [Fraction(p, q) for p, q in oracle.asked].count(1) == 1 + (1 in profile.alphas)
+
+    def envelope_v(alpha):
+        i = bisect_right(profile.alphas, alpha)
+        return profile.values[i - 1] if i else Fraction(0)
+
+    mids = [(a + b) / 2 for a, b in zip(profile.alphas, profile.alphas[1:])]
+    for alpha in [Fraction(0), *profile.alphas, *mids]:
+        check_fresh_call(inst, envelope_v, profile, alpha, bits)
+
+
+def least_denominator(lo, hi):
+    """The fraction of least denominator in (lo, hi], by enumeration."""
     for q in count(1):
-        for p in range(math.floor(lo * q), math.ceil(hi * q) + 1):
-            if inside(Fraction(p, q)):
-                return Fraction(p, q)
+        for p in range(math.floor(lo * q) + 1, math.floor(hi * q) + 1):
+            return Fraction(p, q)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(
-    st.integers(0, 40),
-    st.integers(1, 12),
-    st.integers(0, 40),
-    st.integers(1, 12),
-    st.booleans(),
-    st.booleans(),
-)
-@example(2, 1, 3, 1, True, True)  # integer ends, all four flag combinations
-@example(2, 1, 3, 1, True, False)
-@example(2, 1, 3, 1, False, True)
-@example(2, 1, 3, 1, False, False)
-@example(1, 3, 2, 4, True, True)  # unreduced ends
-@example(3, 3, 3, 3, False, False)  # a single point
-@example(3, 3, 3, 3, True, False)  # empty
-def test_simplest_in_is_the_least_denominator(a, b, c, d, lo_open, hi_open):
-    lo, hi = Fraction(a, b), Fraction(c, d)
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
-        with pytest.raises(DomainError, match="empty interval"):
-            _simplest_in(a, b, c, d, lo_open, hi_open)
+@given(st.integers(0, 40), st.integers(1, 12), st.integers(0, 40), st.integers(1, 12))
+@example(2, 1, 3, 1)  # integer ends
+@example(1, 3, 2, 4)  # unreduced ends
+@example(0, 1, 1, 40)  # one run of forty equal steps
+def test_simplest_in_is_the_least_denominator(a, b, c, d):
+    lo, hi = sorted([Fraction(a, b), Fraction(c, d)])
+    if lo == hi:
         return
-    p, q = _simplest_in(a, b, c, d, lo_open, hi_open)
-    assert q > 0 and math.gcd(p, q) == 1
-    assert Fraction(p, q) == least_denominator(lo, hi, lo_open, hi_open)
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    L, H, Q = ln * hd, hn * ld, ld * hd
+    pa, pb, pc, pd = parents = _simplest_in(L, H, Q)
+    assert pb * pc - pa * pd == 1  # adjacent, so (pa+pc)/(pb+pd) is in lowest terms
+    assert Fraction(pa + pc, pb + pd) == least_denominator(lo, hi)
+    # resumed from these parents, each half finds its own simplest fraction
+    for half in ((2 * L, L + H, 2 * Q), (L + H, 2 * H, 2 * Q)):
+        pa, pb, pc, pd = _simplest_in(*half, parents)
+        assert _simplest_in(*half) == (pa, pb, pc, pd)
+        assert Fraction(pa + pc, pb + pd) == least_denominator(
+            Fraction(half[0], half[2]), Fraction(half[1], half[2])
+        )

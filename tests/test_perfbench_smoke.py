@@ -15,7 +15,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-V_QUERIES = {"gs-path": 4906, "enum-path": 6577, "cli-files": 374}
+V_QUERIES = {"gs-path": 4906, "enum-path": 5065, "cli-files": 374}
 
 
 @pytest.mark.parametrize("workload", sorted(V_QUERIES))

@@ -3,8 +3,9 @@
 When every value is a multiple of 2**-k, critical contract values are
 ratios of k-bit integers.  Two consequences, both demonstrated here:
 a geometric grid of ~k/eps contracts contains a (1-eps)-approximate one,
-and a successor query needs at most 2k+1 V evaluations -- bisect until the
-interval holds one k-bit rational, then reconstruct it.
+and a successor query needs at most 2k+1 V evaluations -- bisect, and stop
+at the first interval that holds a single k-bit rational, which is the
+successor.
 """
 
 from fractions import Fraction as F
@@ -13,10 +14,10 @@ from combicontracts import (
     VOracle,
     fptas,
     grid_spec,
+    in_bounded_set,
     optimal_contract,
     sample_instance,
     succ_search,
-    unique_rational_in,
 )
 
 inst = sample_instance("budget-additive", 6, 6, seed=12)
@@ -43,6 +44,5 @@ nxt = succ_search(inst, F(0), oracle=oracle)
 print(f"  succ(0) = {nxt} using {oracle.queries} V queries (bound {2 * inst.k + 1})")
 
 print()
-print("the reconstruction step alone: the only fraction with 6-bit parts in")
-lo, hi = nxt - F(1, 2**13), nxt + F(1, 2**13)
-print(f"  ({lo}, {hi}] is {unique_rational_in(lo, hi, inst.k)}")
+print("the bisection stopped at the first interval holding one 6-bit fraction:")
+print(f"  {nxt} has parts in [2**{inst.k}]: {in_bounded_set(nxt, inst.k)}")

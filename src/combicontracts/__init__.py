@@ -9,7 +9,7 @@ bisection successor for k-bit instances, hardness-instance generators, and
 the multi-outcome linearization machinery.
 """
 
-from .approx import GridSpec, fptas, grid_spec, succ_search, unique_rational_in
+from .approx import GridSpec, fptas, grid_spec, succ_search
 from .contract import (
     ContractSolution,
     CriticalProfile,

@@ -3,8 +3,8 @@
 Both routines need a declared k; ``Instance`` then guarantees every f and
 c value is a multiple of 2**-k, which confines critical values to ratios
 of ``critical_bits``-bit integers (k when f <= 1).  V is asked at int pairs
-and answers int levels; grid points, interval endpoints and reconstructed
-fractions are exact, with no logarithms or floats anywhere.
+and answers int levels; grid points, interval endpoints and the fractions
+found are exact, with no logarithms or floats anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import ContractSolution
-from .demand import VOracle, _check_alpha, v_value
+from .demand import VOracle, _check_alpha
 from .errors import (
     DomainError,
     InvariantError,
@@ -24,13 +24,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .functions import Instance
-from .rational import _bounded_k, _shown, as_fraction
+from .rational import MAX_K, _bounded_k, _shown, as_fraction
 
 __all__ = [
     "GridSpec",
     "grid_spec",
     "fptas",
-    "unique_rational_in",
     "succ_search",
 ]
 
@@ -103,10 +102,16 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
     returns the best; ties go to the smallest alpha.  At num/den the utility
     is (den - num) * level / (den * D) for the oracle's int level, so the
     pairs ((den - num) * level, den) are ranked by cross-multiplication.
-    The grid is built at ``critical_bits(inst)``; the returned utility is at
-    least (1 - eps) times the optimum.
+    The grid is built at ``critical_bits(inst)``, refused past MAX_K; the
+    returned utility is at least (1 - eps) times the optimum.
     """
-    spec = grid_spec(epsilon, critical_bits(inst))
+    bits = critical_bits(inst)
+    if bits > MAX_K:  # k itself is bounded; the range of f adds the rest
+        raise ResourceLimitError(
+            f"critical bit count {bits} (k = {inst.k} plus {bits - inst.k} for the "
+            f"range of f) exceeds the limit {MAX_K}"
+        )
+    spec = grid_spec(epsilon, bits)
     oracle = VOracle(inst)
     best_alpha, best_u, best_w = Fraction(0), 0, 1
     for alpha in spec.points:
@@ -140,42 +145,12 @@ def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
             return a, b, c, d
 
 
-def unique_rational_in(alpha_l, alpha_r, k: int) -> Fraction:
-    """The unique a/b with a, b in [2**k] inside the half-open (alpha_l, alpha_r].
-
-    Requires the interval width to be at most 2**-2k, which guarantees at
-    most one such fraction exists (two of them differ by at least 2**-2k).
-    Found by exact Stern-Brocot descent: the minimal-denominator fraction in
-    the interval is the bounded one whenever a bounded one exists.
-    """
-    _bounded_k(k)
-    lo, hi = as_fraction(alpha_l), as_fraction(alpha_r)
-    if lo < 0:
-        raise DomainError("interval must lie in the non-negative reals")
-    if not lo < hi:
-        raise DomainError("need alpha_l < alpha_r")
-    if hi - lo > Fraction(1, 1 << (2 * k)):
-        raise DomainError(
-            f"interval width {_shown(hi - lo)} exceeds 2**-{2 * k}; uniqueness would fail"
-        )
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    a, b, c, d = _simplest_in(ln * hd, hn * ld, ld * hd)
-    p, q = a + c, b + d
-    bound = 1 << k
-    if p > bound or q > bound:
-        raise NotFoundError(
-            f"no fraction with numerator and denominator in [{bound}] inside "
-            f"({_shown(lo)}, {_shown(hi)}]"
-        )
-    return Fraction(p, q)
-
-
 def succ_search(
     inst: Instance,
     alpha,
     *,
     oracle: VOracle | None = None,
-    v_alpha=None,
+    level: int | None = None,
     probes: list | None = None,
 ) -> Fraction | None:
     """Successor critical value by bisection, within 2k+1 counted V queries.
@@ -196,30 +171,29 @@ def succ_search(
     a walk asks V(1) once; a fresh call asks a prefix of the midpoints of
     the plain bisection of (alpha, 1].
 
-    V(alpha) is taken as known: pass ``v_alpha`` (the walk has it); when
-    omitted it is computed without charging the counted oracle, as the 2k+1
-    bound counts.  A level exceeds V(alpha) = vn/vd iff level*vd > vn*D.
+    V(alpha) is taken as known: pass ``level``, the oracle's int level
+    V(alpha)*D (the walk has it); when omitted it is computed on a throwaway
+    oracle of the same D, so the counted oracle is not charged, as the 2k+1
+    bound counts.
     """
     bits = critical_bits(inst)
     alpha = _check_alpha(alpha)
     if oracle is None:
         oracle = VOracle(inst)
-    if v_alpha is None:
-        v_alpha = v_value(inst, alpha)
-    vn, vd = as_fraction(v_alpha).as_integer_ratio()
-    bar = vn * oracle.D
+    if level is None:
+        level = VOracle(inst)(*alpha.as_integer_ratio())
     probes = [] if probes is None else probes
     if not probes:
         probes.append((1, 1, oracle(1, 1)))
 
     # V is monotone, so the levels ascend with the record
-    i = bisect_right(probes, bar, key=lambda probe: probe[2] * vd)
+    i = bisect_right(probes, level, key=lambda probe: probe[2])
     if i == len(probes):
-        if probes[-1][2] * vd < bar:
+        if probes[-1][2] < level:
             raise InvariantError("V decreased between alpha and 1")
         return None
     lp, lq = alpha.as_integer_ratio()
-    if i and probes[i - 1][2] * vd == bar:  # above alpha, or V is flat from it to alpha
+    if i and probes[i - 1][2] == level:  # above alpha, or V is flat from it to alpha
         lp, lq, _ = probes[i - 1]
     hp, hq, _ = probes[i]
     g = math.gcd(lq, hq)
@@ -242,11 +216,11 @@ def succ_search(
                 )
         M = L + H
         L, H, Q = 2 * L, 2 * H, 2 * Q
-        level = oracle(M, Q)
-        probes.insert(i, (M, Q, level))
-        if level * vd > bar:
+        at_mid = oracle(M, Q)
+        probes.insert(i, (M, Q, at_mid))
+        if at_mid > level:
             H = M
-        elif level * vd == bar:
+        elif at_mid == level:
             L, i = M, i + 1
         else:
             raise InvariantError("V decreased along the bisection")

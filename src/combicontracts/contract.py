@@ -16,7 +16,6 @@ from functools import lru_cache, partial
 from .demand import VOracle, _check_alpha
 from .errors import DomainError, InvariantError, UnsupportedClassError
 from .functions import Instance, _scan_tables, actions_of
-from .rational import as_fraction
 
 __all__ = [
     "CriticalProfile",
@@ -151,7 +150,7 @@ def successor_from_profile(profile: CriticalProfile, alpha) -> Fraction | None:
     return profile.alphas[idx]
 
 
-def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=None):
+def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, level: int | None = None):
     """Successor critical value for a certified instance.
 
     Builds the greedy ordered set at alpha, then enumerates the finite
@@ -162,8 +161,10 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     full greedy set.  Candidates in (alpha, 1] are kept as integer pairs
     (num, den); each probe, an int-pair V query, takes the smallest ratio
     strictly above the last one (cross-multiplied), so distinct values are
-    probed in ascending order with early exit at the first one whose V
-    exceeds V(alpha); V-equal candidates are not critical.
+    probed in ascending order with early exit at the first one whose level
+    exceeds ``level``, the oracle's int level V(alpha)*D (the walk has it;
+    when omitted, the kernel's greedy total at alpha, uncounted); V-equal
+    candidates are not critical.
 
     The replay keeps f(a | prefix) in one list.  It is w(a) while a's
     block has room, 0 once a is picked, and max(w(a) - floor, 0) once the
@@ -180,9 +181,7 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
     kernel, alpha = oracle.kernel, _check_alpha(alpha)
     p, q = alpha.numerator, alpha.denominator
     order, total = kernel.greedy(p, q)
-    # V(beta) = level/D exceeds V(alpha) = vn/vd iff level*vd > vn*D
-    vn, vd = (total, kernel.D) if v_alpha is None else as_fraction(v_alpha).as_integer_ratio()
-    bar = vn * kernel.D
+    bar = total if level is None else level
 
     # Replay the greedy order; gains and costs are integers over the same
     # denominator, so each ratio num/den is already the candidate beta and
@@ -216,7 +215,7 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, v_alpha=Non
         for num, den in candidates:
             if num * bd < bn * den:
                 bn, bd = num, den
-        if oracle(bn, bd) * vd > bar:
+        if oracle(bn, bd) > bar:
             return Fraction(bn, bd)
         candidates = [(num, den) for num, den in candidates if num * bd > bn * den]
     return None
@@ -252,8 +251,8 @@ SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
     """(profile, V queries): each successor from zero, V and best response there."""
     alphas, values, sets = [], [], []
-    alpha, v_alpha, level = Fraction(0), Fraction(0), 0
-    while (nxt := successor(inst, alpha, oracle=oracle, v_alpha=v_alpha)) is not None:
+    alpha, level = Fraction(0), 0
+    while (nxt := successor(inst, alpha, oracle=oracle, level=level)) is not None:
         if not nxt > alpha:
             raise InvariantError("successor did not advance")
         if len(alphas) == step_cap:
@@ -263,9 +262,9 @@ def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
         nxt_level = oracle(nxt.numerator, nxt.denominator)
         if not nxt_level > level:
             raise InvariantError("V did not increase across a successor step")
-        alpha, v_alpha, level = nxt, Fraction(nxt_level, oracle.D), nxt_level
+        alpha, level = nxt, nxt_level
         alphas.append(alpha)
-        values.append(v_alpha)
+        values.append(Fraction(level, oracle.D))
         sets.append(oracle.best_response(alpha))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(sets)), oracle.queries
 

@@ -8,7 +8,6 @@ from combicontracts import (
     DomainError,
     ExplicitTable,
     Instance,
-    NotFoundError,
     PrecisionError,
     ResourceLimitError,
     VOracle,
@@ -18,7 +17,6 @@ from combicontracts import (
     optimal_contract,
     succ_search,
     successor_from_profile,
-    unique_rational_in,
 )
 from combicontracts.cli import main
 from combicontracts.instancefile import dump_instance
@@ -131,13 +129,29 @@ def test_huge_k_is_refused_before_any_grid():
     inst = Instance(Additive((Fraction(1, 2),)), (Fraction(1, 4),), k=1 << 62)
     for call in (
         lambda: grid_spec(Fraction(1, 2), MAX_K + 1),
-        lambda: unique_rational_in(Fraction(0), Fraction(1), 1 << 62),
         lambda: fptas(inst, Fraction(1, 2)),
         lambda: succ_search(inst, Fraction(0)),
         lambda: optimal_contract(inst, "search"),
     ):
         with pytest.raises(ResourceLimitError, match="exceeds the limit"):
             call()
+
+
+def test_a_range_past_one_at_the_largest_k_names_the_bit_count(tmp_path, capsys):
+    # f = 2 at k = 1024 needs 1025 critical bits: the grid is refused by that
+    # count, not by a k the file does not declare, and search still answers
+    inst = Instance(Additive((2,)), (Fraction(1, 1 << MAX_K),), k=MAX_K, scale=2)
+    message = "critical bit count 1025 (k = 1024 plus 1 for the range of f) exceeds the limit 1024"
+    with pytest.raises(ResourceLimitError) as info:
+        fptas(inst, Fraction(1, 2))
+    assert str(info.value) == message
+    assert optimal_contract(inst, "search").alpha_star == Fraction(1, 1 << MAX_K + 1)
+    path = str(tmp_path / "wide.json")
+    dump_instance(inst, path)
+    for argv in (["fptas", path, "--epsilon", "1/2"], ["verify", path]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_fptas_single_action_example():
@@ -163,56 +177,6 @@ def test_fptas_exact_when_grid_hits_optimum():
 def test_fptas_requires_k(worked_additive):
     with pytest.raises(PrecisionError):
         fptas(worked_additive, Fraction(1, 2))
-
-
-def enumerate_bounded(lo, hi, k):
-    found = set()
-    bound = 1 << k
-    for b in range(1, bound + 1):
-        for a in range(1, bound + 1):
-            x = Fraction(a, b)
-            if lo < x <= hi:
-                found.add(x)
-    return found
-
-
-def test_unique_rational_examples():
-    assert unique_rational_in(Fraction(49, 100), Fraction(51, 100), 2) == Fraction(1, 2)
-    assert unique_rational_in(Fraction(3, 10), Fraction(17, 50), 2) == Fraction(1, 3)
-    with pytest.raises(DomainError):
-        unique_rational_in(Fraction(0), Fraction(1), 1)  # width 1 > 1/4
-
-
-def test_unique_rational_agrees_with_enumeration():
-    import random
-
-    rng = random.Random(99)
-    for k in (1, 2, 3, 4, 5):
-        width_cap = Fraction(1, 1 << (2 * k))
-        for _ in range(60):
-            target = Fraction(rng.randint(1, 1 << k), rng.randint(1, 1 << k))
-            # random half-open window of admissible width ending at/after target
-            shrink = Fraction(rng.randint(1, 64), 64)
-            width = width_cap * shrink
-            offset = width * Fraction(rng.randint(0, 63), 64)
-            lo = target - width + offset
-            hi = lo + width
-            if lo < 0:
-                continue
-            expected = enumerate_bounded(lo, hi, k)
-            if len(expected) == 1:
-                assert unique_rational_in(lo, hi, k) == expected.pop()
-            elif not expected:
-                with pytest.raises(NotFoundError):
-                    unique_rational_in(lo, hi, k)
-
-
-def test_unique_rational_not_found():
-    # (1/5, 1/5 + 1/70] contains no fraction with parts <= 4
-    lo = Fraction(1, 5)
-    hi = lo + Fraction(1, 70)
-    with pytest.raises(NotFoundError):
-        unique_rational_in(lo, hi, 2)
 
 
 def test_succ_search_single_action_example():
@@ -312,9 +276,7 @@ def test_succ_search_at_k_1024_takes_well_under_a_second():
 
 def test_a_continued_fraction_longer_than_the_recursion_limit(tmp_path, capsys):
     inst, critical = fibonacci_instance()
-    k = inst.k
     assert succ_search(inst, 0) == critical
-    assert unique_rational_in(critical - Fraction(1, 1 << 2 * k), critical, k) == critical
     path = tmp_path / "fibonacci.json"
     dump_instance(inst, str(path))
     capsys.readouterr()

@@ -106,10 +106,16 @@ def bounded_fractions(lo, hi, k):
 def check_fresh_call(inst, V, profile, alpha, k):
     """A call with a fresh oracle: the right successor, a prefix of the plain
     bisection's queries within 2k+1, and an early stop only where the
-    interval left holds one fraction with denominator at most 2**k."""
-    oracle = RecordingOracle(inst)
+    interval left holds one fraction with denominator at most 2**k.  Given
+    V(alpha) as the oracle's int level, it returns the same successor after
+    the same queries as when left to find the level itself."""
+    oracle, given = RecordingOracle(inst), RecordingOracle(inst)
     got = succ_search(inst, alpha, oracle=oracle)
     assert got == successor_from_profile(profile, alpha)
+    level = V(alpha) * given.D
+    assert level.denominator == 1
+    assert succ_search(inst, alpha, oracle=given, level=level.numerator) == got
+    assert given.asked == oracle.asked
     # int pairs, equal once reduced to the Fraction midpoints
     assert all(type(p) is type(q) is int for p, q in oracle.asked)
     reduced = [Fraction(p, q) for p, q in oracle.asked]

@@ -227,11 +227,17 @@ class RecordingOracle(VOracle):
 
 def assert_probes_ascend(inst, alpha, profile):
     """succ_gs probes distinct values above alpha in ascending order, and
-    every probe before the successor it returns has V = V(alpha)."""
+    every probe before the successor it returns has V = V(alpha).  Given
+    V(alpha) as the oracle's int level, it returns the same successor after
+    the same queries as when left to find the level itself."""
     v_alpha = v_value(inst, alpha)
-    oracle = RecordingOracle(inst)
-    beta = succ_gs(inst, alpha, oracle=oracle, v_alpha=v_alpha)
+    oracle, given = RecordingOracle(inst), RecordingOracle(inst)
+    beta = succ_gs(inst, alpha, oracle=oracle)
     assert beta == successor_from_profile(profile, alpha)
+    level = v_alpha * given.D
+    assert level.denominator == 1
+    assert succ_gs(inst, alpha, oracle=given, level=level.numerator) == beta
+    assert given.probes == oracle.probes
     probed = [a for a, _ in oracle.probes]
     assert probed == sorted(set(probed)) and all(a > alpha for a in probed)
     misses = oracle.probes if beta is None else oracle.probes[:-1]

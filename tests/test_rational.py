@@ -113,7 +113,6 @@ def _big_value_calls():
         sample_instance,
         succ_gs,
         successor_from_profile,
-        unique_rational_in,
         v_value,
         worst_case_utility_twopoint,
     )
@@ -146,10 +145,6 @@ def _big_value_calls():
         "fptas epsilon": lambda: fptas(inst, -BIG),
         "in_bounded_set": lambda: in_bounded_set(-BIG, 4),
         "is_k_valid k": lambda: is_k_valid(1, -BIG),
-        "interval width": lambda: unique_rational_in(0, BIG, 4),
-        "no bounded fraction": lambda: unique_rational_in(
-            Fraction(1, BIG), Fraction(2, BIG), 4
-        ),
         "unobserved level": lambda: worst_case_utility_twopoint(
             GeneralContract.tabular({BIG: 1}), embed_binary(inst)
         ),

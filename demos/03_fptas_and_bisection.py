@@ -5,7 +5,10 @@ ratios of k-bit integers.  Two consequences, both demonstrated here:
 a geometric grid of ~k/eps contracts contains a (1-eps)-approximate one,
 and a successor query needs at most 2k+1 V evaluations -- bisect, and stop
 at the first interval that holds a single k-bit rational, which is the
-successor.
+successor.  The stop comes sooner still: a critical value's denominator is
+at most the jump of V there times 2**k, so an interval (lo, hi] over which V
+rises by J holds the successor among the fractions of denominator at most
+J * 2**k, and the bisection stops once it holds one of those.
 """
 
 from fractions import Fraction as F
@@ -44,5 +47,8 @@ nxt = succ_search(inst, F(0), oracle=oracle)
 print(f"  succ(0) = {nxt} using {oracle.queries} V queries (bound {2 * inst.k + 1})")
 
 print()
-print("the bisection stopped at the first interval holding one 6-bit fraction:")
+print("the bisection stopped at the first interval holding one fraction whose")
+print("denominator is at most the jump of V over it times 2**6:")
 print(f"  {nxt} has parts in [2**{inst.k}]: {in_bounded_set(nxt, inst.k)}")
+jump = VOracle(inst)(nxt) * 2**inst.k  # V(0) = 0
+print(f"  V jumps by {jump}/2**{inst.k} up to it, and {nxt.denominator} <= {jump}")

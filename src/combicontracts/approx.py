@@ -2,15 +2,15 @@
 
 Both routines need a declared k; ``Instance`` then guarantees every f and
 c value is a multiple of 2**-k, which confines critical values to ratios
-of ``critical_bits``-bit integers (k when f <= 1).  V is asked at int pairs
-and answers int levels; grid points, interval endpoints and the fractions
-found are exact, with no logarithms or floats anywhere.
+of ``critical_bits``-bit integers (k when f <= 1), each with denominator at
+most V's jump there times 2**k.  V is asked at int pairs and answers int
+levels; grid points, interval endpoints and the fractions found are exact.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,6 +145,12 @@ def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
             return a, b, c, d
 
 
+def _probed_level(probes: list, oracle: VOracle, p: int, q: int) -> int:
+    """V's level at a successor p/q found with ``probes``: that of the first
+    probe H at or above p/q, as the search stops with no critical value in (p/q, H]."""
+    return probes[bisect_left(probes, Fraction(p, q), key=lambda e: Fraction(*e[:2]))][2]
+
+
 def succ_search(
     inst: Instance,
     alpha,
@@ -156,20 +162,25 @@ def succ_search(
     """Successor critical value by bisection, within 2k+1 counted V queries.
 
     k is ``critical_bits(inst)``, so every critical value has parts at most
-    N = 2**k.  Returns None if V(1) = V(alpha); else halves an interval
+    2**k.  Returns None if V(1) = V(alpha); else halves an interval
     (L/Q, H/Q] holding the successor, keeping the half whose left end sees V
-    increase, until it is at most 2**-k wide and its simplest fraction p/q,
+    increase, until it is at most 1/N wide and its simplest fraction p/q,
     from ``_simplest_in`` resumed at the last parents a/b and c/d, is the
     only one with denominator <= N: q <= N and the order-N Farey neighbours
     (a+tp)/(b+tq), t = (N-b)//q, and (c+sp)/(d+sq), s = (N-d)//q, lie
     outside (Graham, Knuth & Patashnik, Concrete Mathematics, 4.5).  Width
-    2**-2k always suffices.
+    2**-2k always suffices.  N is the jump bound, min(2**k, J * 2**inst.k)
+    for the rise J = V(H/Q) - V(alpha): a critical value is (C1-C0)/(F1-F0)
+    for the lines demanded below and at it, both differences multiples of
+    2**-inst.k and F1-F0 the jump of V there, at most J inside the interval.
+    So p/q is the successor and no critical value lies in (p/q, H/Q].
 
     ``probes``, bound by ``_search_backend``, records a walk's queries as
     (p, q, level) ascending in p/q.  A call starts between the last probe at
     level V(alpha) (else alpha) and the first above it and adds its own, so
-    a walk asks V(1) once; a fresh call asks a prefix of the midpoints of
-    the plain bisection of (alpha, 1].
+    a walk asks V(1) once and reads V at the successor from the first probe
+    at or above it; a fresh call asks a prefix of the midpoints of the plain
+    bisection of (alpha, 1].
 
     V(alpha) is taken as known: pass ``level``, the oracle's int level
     V(alpha)*D (the walk has it); when omitted it is computed on a throwaway
@@ -195,14 +206,14 @@ def succ_search(
     lp, lq = alpha.as_integer_ratio()
     if i and probes[i - 1][2] == level:  # above alpha, or V is flat from it to alpha
         lp, lq, _ = probes[i - 1]
-    hp, hq, _ = probes[i]
+    hp, hq, hlev = probes[i]
     g = math.gcd(lq, hq)
     L, H, Q = lp * (hq // g), hp * (lq // g), lq // g * hq
 
-    N = 1 << bits
     parents = (0, 1, 1, 0)
     while True:
-        if (H - L) << bits <= Q:
+        N = min(1 << bits, ((hlev - level) << inst.k) // oracle.D)  # V * 2**k is an int
+        if (H - L) * N <= Q:
             parents = a, b, c, d = _simplest_in(L, H, Q, parents)
             p, q = a + c, b + d
             if q <= N:
@@ -211,7 +222,7 @@ def succ_search(
                     return Fraction(p, q)
             if (H - L) << (2 * bits) <= Q:
                 raise NotFoundError(
-                    f"no fraction with numerator and denominator in [{N}] inside "
+                    f"no fraction with numerator and denominator in [{1 << bits}] inside "
                     f"({_shown(Fraction(L, Q))}, {_shown(Fraction(H, Q))}]"
                 )
         M = L + H
@@ -219,7 +230,7 @@ def succ_search(
         at_mid = oracle(M, Q)
         probes.insert(i, (M, Q, at_mid))
         if at_mid > level:
-            H = M
+            H, hlev = M, at_mid
         elif at_mid == level:
             L, i = M, i + 1
         else:

@@ -180,7 +180,7 @@ def _cmd_succ(args) -> int:
         result = contract.successor_from_profile(profile, alpha)
         queries = 0
     else:
-        oracle, successor, _ = contract.SUCCESSORS[args.method](inst)
+        oracle, successor, *_ = contract.SUCCESSORS[args.method](inst)
         result = successor(inst, alpha, oracle=oracle)
         queries = oracle.queries
     pairs = [

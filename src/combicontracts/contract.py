@@ -230,25 +230,26 @@ def _require_certified(inst: Instance) -> None:
 
 def _gs_backend(inst: Instance):
     _require_certified(inst)  # before any oracle is built
-    return VOracle(inst), succ_gs, inst.n * (inst.n + 1) // 2
+    return VOracle(inst), succ_gs, VOracle.__call__, inst.n * (inst.n + 1) // 2
 
 
 def _search_backend(inst: Instance):
-    from .approx import critical_bits, succ_search
+    from .approx import _probed_level, critical_bits, succ_search
 
-    oracle = VOracle(inst)  # a missing V oracle is reported before a missing k
-    return oracle, partial(succ_search, probes=[]), 1 << (2 * critical_bits(inst))
+    oracle, probes = VOracle(inst), []  # a missing V oracle is reported before a missing k
+    successor = partial(succ_search, probes=probes)
+    return oracle, successor, partial(_probed_level, probes), 1 << (2 * critical_bits(inst))
 
 
 # The successor backends, by method.  Each entry checks that the backend
-# applies to the instance and returns (counted V oracle, successor, bound on
-# the number of critical values).  The successor is looked up when the entry
-# runs, so a rebound module attribute is the one called.  "brute" is not a
-# successor walk: optimal_contract reads the whole envelope for it.
+# applies to the instance and returns (counted V oracle, successor, V's level
+# at a successor p/q as level_at(oracle, p, q), bound on the number of
+# critical values).  Both are looked up when the entry runs, so a rebound
+# attribute is the one called.  "brute" is the whole envelope, not a walk.
 SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 
 
-def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
+def _walk(inst: Instance, oracle: VOracle, successor, level_at, step_cap: int):
     """(profile, V queries): each successor from zero, V and best response there."""
     alphas, values, sets = [], [], []
     alpha, level = Fraction(0), 0
@@ -259,7 +260,7 @@ def _walk(inst: Instance, oracle: VOracle, successor, step_cap: int):
             raise InvariantError(
                 f"successor iteration exceeded the critical-set bound {step_cap}"
             )
-        nxt_level = oracle(nxt.numerator, nxt.denominator)
+        nxt_level = level_at(oracle, nxt.numerator, nxt.denominator)
         if not nxt_level > level:
             raise InvariantError("V did not increase across a successor step")
         alpha, level = nxt, nxt_level

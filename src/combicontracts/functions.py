@@ -577,10 +577,10 @@ def lifted_values(f: SuccessFunction) -> tuple:
     LCM of f's parameter denominators), indexed by bitmask: f(mask) = T[mask]/D.
 
     A table returns the tuple lifted when it was made; the others grow by
-    doubling (``_subset_sums`` for the sums), never through Fractions or
-    ``value_mask``.  Unit demand and matroid rank read their
-    ``_matroid_form()`` and add the actions heaviest first, each joining a
-    set's basis iff its block has room there.
+    doubling (``_subset_sums`` for the sums, coverage's by bytes of its
+    universe), never through Fractions or ``value_mask``.  Unit demand and
+    matroid rank read their ``_matroid_form()`` and add the actions heaviest
+    first, each joining a set's basis iff its block has room there.
     """
     if isinstance(f, ExplicitTable):
         return f._lifted
@@ -596,8 +596,10 @@ def lifted_values(f: SuccessFunction) -> tuple:
         t = [0]
         for cover in map(f._cover_mask, range(n)):
             t += [u | cover for u in t]
-        weight_of = {u: sum(w[j] for j in bit_indices(u)) for u in set(t)}
-        t = [weight_of[u] for u in t]
+        sums = [_subset_sums(w[j : j + 8]) for j in range(0, len(w), 8)]  # one per byte
+        m = len(sums)
+        weight = {u: sum(map(list.__getitem__, sums, u.to_bytes(m, "little"))) for u in set(t)}
+        t = [weight[u] for u in t]
     else:  # unit demand and matroid rank: one member mask per block
         blocks, caps = f._matroid_form()
         members = [0] * len(caps)

@@ -33,6 +33,7 @@ from combicontracts import (  # noqa: E402
     brute_force_critical_set,
     brute_force_demand,
     canonical_best_response,
+    gen_exponential_coverage,
     sample_instance,
     validate,
 )
@@ -417,3 +418,37 @@ def test_table_consumers_read_the_stored_lift(monkeypatch):
     assert brute_force_critical_set(inst).size > 0
     brute_force_demand(inst, Fraction(1, 2))
     assert lifted_values(inst.f) is lifted
+
+
+def assert_jump_bound(profile, unit):
+    """Each critical value is (C1 - C0) / (F1 - F0) for the lines demanded
+    at it and just below it, both differences multiples of 1/unit, and
+    F1 - F0 is the jump of V there: its reduced denominator is at most
+    that jump times unit."""
+    below = Fraction(0)
+    for beta, v in zip(profile.alphas, profile.values):
+        jump = (v - below) * unit
+        assert jump.denominator == 1 and 0 < beta.denominator <= jump.numerator
+        below = v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    klass=st.sampled_from(CLASSES),
+    n=st.integers(1, 7),
+    k=st.integers(1, 8),
+    scale=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_a_critical_value_has_a_denominator_within_its_v_jump(klass, n, k, scale, seed):
+    inst = sample_instance(klass, n, k, seed=seed)
+    inst = Instance(inst.f.scaled(scale), inst.costs, k=k, scale=scale)
+    assert_jump_bound(brute_force_critical_set(inst), 2**k)
+
+
+def test_the_coverage_tower_meets_the_jump_bound():
+    for n in range(1, 6):
+        inst = gen_exponential_coverage(n)  # integer values and costs: k = 0
+        profile = brute_force_critical_set(inst)
+        assert profile.size == 2**n - 1
+        assert_jump_bound(profile, 1)

@@ -95,20 +95,21 @@ def reference_bisection(V, alpha, k):
     return asked, left
 
 
-def bounded_fractions(lo, hi, k):
-    """Every fraction with denominator at most 2**k in (lo, hi], by denominator."""
+def bounded_fractions(lo, hi, order):
+    """Every fraction with denominator at most ``order`` in (lo, hi], by denominator."""
     (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
     return {
-        Fraction(p, q) for q in range(1, 2**k + 1) for p in range(a * q // b + 1, c * q // d + 1)
+        Fraction(p, q) for q in range(1, order + 1) for p in range(a * q // b + 1, c * q // d + 1)
     }
 
 
 def check_fresh_call(inst, V, profile, alpha, k):
     """A call with a fresh oracle: the right successor, a prefix of the plain
     bisection's queries within 2k+1, and an early stop only where the
-    interval left holds one fraction with denominator at most 2**k.  Given
-    V(alpha) as the oracle's int level, it returns the same successor after
-    the same queries as when left to find the level itself."""
+    interval (lo, hi] left holds one fraction with denominator at most the
+    jump bound min(2**k, (V(hi) - V(alpha)) * 2**inst.k).  Given V(alpha) as
+    the oracle's int level, it returns the same successor after the same
+    queries as when left to find the level itself."""
     oracle, given = RecordingOracle(inst), RecordingOracle(inst)
     got = succ_search(inst, alpha, oracle=oracle)
     assert got == successor_from_profile(profile, alpha)
@@ -122,7 +123,10 @@ def check_fresh_call(inst, V, profile, alpha, k):
     asked, left = reference_bisection(V, alpha, k)
     assert reduced == asked[: len(reduced)] and len(reduced) <= 2 * k + 1
     if len(reduced) < len(asked):
-        assert bounded_fractions(*left[len(reduced) - 1], k) == {got}
+        lo, hi = left[len(reduced) - 1]
+        jump = (V(hi) - V(alpha)) * 2**inst.k
+        assert jump.denominator == 1 and jump > 0
+        assert bounded_fractions(lo, hi, min(2**k, jump.numerator)) == {got}
 
 
 def test_succ_search_asks_the_fraction_midpoints(small_corpus, non_gs_corpus):
@@ -148,11 +152,11 @@ def test_search_is_exact_when_f_exceeds_one(inst, scale):
     assert critical_bits(inst) == bits
 
     oracle = RecordingOracle(inst)
-    _, successor, cap = _search_backend(inst)
-    walked, _ = _walk(inst, oracle, successor, cap)
+    _, successor, level_at, cap = _search_backend(inst)
+    walked, _ = _walk(inst, oracle, successor, level_at, cap)
     assert (walked.alphas, walked.values) == (profile.alphas, profile.values)
-    # the walk asks V at each successor itself, 1 included
-    assert [Fraction(p, q) for p, q in oracle.asked].count(1) == 1 + (1 in profile.alphas)
+    # V at a successor is read from the probes, so V(1) is asked once
+    assert [Fraction(p, q) for p, q in oracle.asked].count(1) == 1
 
     def envelope_v(alpha):
         i = bisect_right(profile.alphas, alpha)
@@ -161,6 +165,18 @@ def test_search_is_exact_when_f_exceeds_one(inst, scale):
     mids = [(a + b) / 2 for a, b in zip(profile.alphas, profile.alphas[1:])]
     for alpha in [Fraction(0), *profile.alphas, *mids]:
         check_fresh_call(inst, envelope_v, profile, alpha, bits)
+
+
+@pytest.mark.parametrize("scale", (1, 3))
+def test_a_search_walk_asks_v_once_per_contract_value(scale):
+    for inst in SEEDED[::3]:
+        inst = Instance(inst.f.scaled(scale), inst.costs, k=inst.k, scale=scale)
+        oracle = RecordingOracle(inst)
+        _, successor, level_at, cap = _search_backend(inst)
+        walked, queries = _walk(inst, oracle, successor, level_at, cap)
+        asked = [Fraction(p, q) for p, q in oracle.asked]
+        assert len(set(asked)) == len(asked) == queries
+        assert walked.alphas == brute_force_critical_set(inst).alphas
 
 
 def least_denominator(lo, hi):

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -842,3 +843,31 @@ def test_parser_is_built_once_and_reused(worked_file, capsys):
     alone.append(outcome(*solve))
     assert alone[0][0] == 1 and alone[1][0] == 0
     assert [outcome(*usage), outcome(*solve)] == alone
+
+
+HELP_SNAPSHOT = Path(__file__).parent / "cli_help.txt"
+HELP_COMMANDS = [
+    [], ["solve"], ["critical-set"], ["demand"], ["succ"], ["fptas"], ["gen"],
+    ["gen", "subset-sum"], ["gen", "coverage-tower"], ["gen", "random"], ["robust"],
+    ["robust", "linearize"], ["robust", "solve-linear"], ["verify"],
+]
+
+
+def render_help(capsys) -> str:
+    """Every parser's --help text, each under a `$ combicontracts ... --help` line."""
+    from combicontracts.cli import build_parser
+
+    parts = []
+    for prefix in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*prefix, "--help"])
+        assert exit_info.value.code == 0
+        parts.append(f"$ {' '.join(['combicontracts', *prefix, '--help'])}\n")
+        parts.append(capsys.readouterr().out)
+    return "".join(parts)
+
+
+def test_help_texts_match_the_snapshot(capsys, monkeypatch):
+    # argparse wraps help at the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert render_help(capsys) == HELP_SNAPSHOT.read_text()

@@ -183,16 +183,15 @@ def succ_search(
     bisection of (alpha, 1].
 
     V(alpha) is taken as known: pass ``level``, the oracle's int level
-    V(alpha)*D (the walk has it); when omitted it is computed on a throwaway
-    oracle of the same D, so the counted oracle is not charged, as the 2k+1
-    bound counts.
+    V(alpha)*D (the walk has it); when omitted it is read from the same
+    oracle uncounted (``VOracle._level``), as the 2k+1 bound counts.
     """
     bits = critical_bits(inst)
     alpha = _check_alpha(alpha)
     if oracle is None:
         oracle = VOracle(inst)
     if level is None:
-        level = VOracle(inst)(*alpha.as_integer_ratio())
+        level = oracle._level(*alpha.as_integer_ratio())
     probes = [] if probes is None else probes
     if not probes:
         probes.append((1, 1, oracle(1, 1)))

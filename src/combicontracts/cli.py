@@ -111,25 +111,31 @@ class _ValidationFailure(Exception):
     pass
 
 
-def _cmd_solve(args) -> int:
-    inst = _load_binary(args.instance)
-    sol = contract.optimal_contract(inst, method=args.method)
-    pairs = [
-        ("command", "solve"),
-        ("input_digest", _digest(args.instance)),
-        ("method", args.method),
-        ("alpha_star", _fmt(sol.alpha_star, args.decimal)),
-        ("utility", _fmt(sol.utility, args.decimal)),
+def _head(command: str, args) -> list:
+    """The rows every command on an instance file opens with."""
+    return [("command", command), ("input_digest", _digest(args.instance))]
+
+
+def _answer(sol, decimal: int | None, alpha_key: str = "alpha_star") -> list:
+    """The rows of a solved contract: its value, utility, action set and V queries."""
+    return [
+        (alpha_key, _fmt(sol.alpha_star, decimal)),
+        ("utility", _fmt(sol.utility, decimal)),
         ("actions", _fmt_set(sol.actions)),
         ("v_queries", sol.v_queries),
     ]
-    _print_pairs(pairs, args.format)
-    return EXIT_OK
 
 
-def _cmd_critical_set(args) -> int:
-    inst = _load_binary(args.instance)
-    profile = contract.brute_force_critical_set(inst)
+# Each handler returns the rows of its answer, or prints a table itself and returns None.
+
+
+def _cmd_solve(args) -> list:
+    sol = contract.optimal_contract(_load_binary(args.instance), method=args.method)
+    return _head("solve", args) + [("method", args.method)] + _answer(sol, args.decimal)
+
+
+def _cmd_critical_set(args) -> None:
+    profile = contract.brute_force_critical_set(_load_binary(args.instance))
     header, d = ["index", "alpha", "v", "utility", "demand"], args.decimal
     rows = [
         [i, _fmt(a, d), _fmt(v, d), _fmt((1 - a) * v, d), _fmt_set(dset)]
@@ -138,17 +144,12 @@ def _cmd_critical_set(args) -> int:
         )
     ]
     _print_table(header, rows, args.format)
-    return EXIT_OK
 
 
-def _cmd_demand(args) -> int:
+def _cmd_demand(args) -> list:
     inst = _load_binary(args.instance)
     alpha = parse_rational(args.alpha, inst.k)
-    pairs = [
-        ("command", "demand"),
-        ("input_digest", _digest(args.instance)),
-        ("alpha", _fmt(alpha, args.decimal)),
-    ]
+    pairs = _head("demand", args) + [("alpha", _fmt(alpha, args.decimal))]
     if inst.f.gs_certified:
         ordered = demand.greedy_demand(inst, alpha)
         pairs.append(("greedy_order", "[" + ",".join(map(str, ordered.actions)) + "]"))
@@ -159,20 +160,16 @@ def _cmd_demand(args) -> int:
             )
         )
     profile = demand.brute_force_demand(inst, alpha)
-    pairs.extend(
-        [
-            ("demand_sets", " ".join(_fmt_set(s) for s in profile.demand)),
-            ("d_star", " ".join(_fmt_set(s) for s in profile.d_star)),
-            ("best_response", _fmt_set(demand.canonical_best_response(profile))),
-            ("agent_utility", _fmt(profile.u_agent, args.decimal)),
-            ("v", _fmt(profile.v, args.decimal)),
-        ]
-    )
-    _print_pairs(pairs, args.format)
-    return EXIT_OK
+    return pairs + [
+        ("demand_sets", " ".join(_fmt_set(s) for s in profile.demand)),
+        ("d_star", " ".join(_fmt_set(s) for s in profile.d_star)),
+        ("best_response", _fmt_set(demand.canonical_best_response(profile))),
+        ("agent_utility", _fmt(profile.u_agent, args.decimal)),
+        ("v", _fmt(profile.v, args.decimal)),
+    ]
 
 
-def _cmd_succ(args) -> int:
+def _cmd_succ(args) -> list:
     inst = _load_binary(args.instance)
     alpha = parse_rational(args.alpha, inst.k)
     if args.method == "brute":
@@ -183,37 +180,27 @@ def _cmd_succ(args) -> int:
         oracle, successor, *_ = contract.SUCCESSORS[args.method](inst)
         result = successor(inst, alpha, oracle=oracle)
         queries = oracle.queries
-    pairs = [
-        ("command", "succ"),
-        ("input_digest", _digest(args.instance)),
+    return _head("succ", args) + [
         ("method", args.method),
         ("alpha", _fmt(alpha, args.decimal)),
         ("successor", "NULL" if result is None else _fmt(result, args.decimal)),
         ("v_queries", queries),
     ]
-    _print_pairs(pairs, args.format)
-    return EXIT_OK
 
 
-def _cmd_fptas(args) -> int:
+def _cmd_fptas(args) -> list:
     inst = _load_binary(args.instance)
     epsilon = parse_rational(args.epsilon)
-    sol = approx.fptas(inst, epsilon)  # one V query per grid point
-    pairs = [
-        ("command", "fptas"),
-        ("input_digest", _digest(args.instance)),
-        ("epsilon", format_rational(epsilon)),
-        ("grid_size", sol.v_queries),
-        ("alpha", _fmt(sol.alpha_star, args.decimal)),
-        ("utility", _fmt(sol.utility, args.decimal)),
-        ("actions", _fmt_set(sol.actions)),
-        ("v_queries", sol.v_queries),
-    ]
-    _print_pairs(pairs, args.format)
-    return EXIT_OK
+    sol = approx.fptas(inst, epsilon)
+    grid = approx.grid_spec(epsilon, approx.critical_bits(inst))
+    return (
+        _head("fptas", args)
+        + [("epsilon", format_rational(epsilon)), ("grid_size", grid.size)]
+        + _answer(sol, args.decimal, "alpha")
+    )
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> list:
     if args.generator == "subset-sum":
         try:
             values = tuple(int(x) for x in args.values.split(","))
@@ -231,15 +218,13 @@ def _cmd_gen(args) -> int:
     if not report.ok:
         raise InvariantError(f"generator produced an invalid instance:\n{report}")
     dump_instance(inst, args.output)
-    pairs = [
+    return [
         ("command", f"gen {args.generator}"),
         ("output", args.output),
         ("n", inst.n),
         ("class", inst.f.kind),
         ("output_digest", _digest(args.output)),
     ]
-    _print_pairs(pairs, args.format)
-    return EXIT_OK
 
 
 def _parse_contract(args) -> GeneralContract:
@@ -256,35 +241,25 @@ def _parse_contract(args) -> GeneralContract:
     return GeneralContract.tabular(table)
 
 
-def _cmd_robust(args) -> int:
+def _cmd_linearize(args) -> list:
     ginst = _load_general(args.instance)
-    if args.robust_command == "linearize":
-        t = _parse_contract(args)
-        alpha = robust.linearize(t, ginst)
-        original = robust.worst_case_utility_twopoint(t, ginst)
-        linear = robust.worst_case_utility_twopoint(GeneralContract.linear(alpha), ginst)
-        pairs = [
-            ("command", "robust linearize"),
-            ("input_digest", _digest(args.instance)),
-            ("alpha", _fmt(alpha, args.decimal)),
-            ("worst_case_utility_original", _fmt(original, args.decimal)),
-            ("worst_case_utility_linear", _fmt(linear, args.decimal)),
-        ]
-    else:
-        sol = robust.optimal_linear_general(ginst, method=args.method)
-        pairs = [
-            ("command", "robust solve-linear"),
-            ("input_digest", _digest(args.instance)),
-            ("alpha_star", _fmt(sol.alpha_star, args.decimal)),
-            ("utility", _fmt(sol.utility, args.decimal)),
-            ("actions", _fmt_set(sol.actions)),
-            ("v_queries", sol.v_queries),
-        ]
-    _print_pairs(pairs, args.format)
-    return EXIT_OK
+    t = _parse_contract(args)
+    alpha = robust.linearize(t, ginst)
+    original = robust.worst_case_utility_twopoint(t, ginst)
+    linear = robust.worst_case_utility_twopoint(GeneralContract.linear(alpha), ginst)
+    return _head("robust linearize", args) + [
+        ("alpha", _fmt(alpha, args.decimal)),
+        ("worst_case_utility_original", _fmt(original, args.decimal)),
+        ("worst_case_utility_linear", _fmt(linear, args.decimal)),
+    ]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_solve_linear(args) -> list:
+    sol = robust.optimal_linear_general(_load_general(args.instance), method=args.method)
+    return _head("robust solve-linear", args) + _answer(sol, args.decimal)
+
+
+def _cmd_verify(args) -> None:
     inst = _load_binary(args.instance)
     epsilon = parse_rational(args.epsilon)
     checks = []
@@ -296,17 +271,66 @@ def _cmd_verify(args) -> int:
             _print_table(["check", "status", "note"], checks, args.format)
     if any(status == "FAIL" for _, status, _ in checks):
         raise InvariantError("verification uncovered an internal inconsistency")
-    return EXIT_OK
 
 
 @functools.cache  # built once; argparse reads the terminal width when it formats
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="combicontracts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []  # (parser, decimal), given --format and --decimal after their own flags
 
-    def common(p, with_decimal=True):
+    def command(group, name, func, *, instance=True, decimal=True, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        if instance:
+            p.add_argument("instance")
+        p.set_defaults(func=func)
+        leaves.append((p, decimal))
+        return p
+
+    methods = ["auto", *contract.SUCCESSORS, "brute"]
+    p = command(sub, "solve", _cmd_solve, help="optimal linear contract")
+    p.add_argument("--method", choices=methods, default="auto")
+    command(sub, "critical-set", _cmd_critical_set, help="full critical profile (envelope)")
+    p = command(sub, "demand", _cmd_demand, help="agent best response at a contract value")
+    p.add_argument("--alpha", required=True)
+    p = command(sub, "succ", _cmd_succ, help="successor critical value")
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--method", choices=methods[1:], default="brute")
+    p = command(sub, "fptas", _cmd_fptas, help="(1-eps)-approximate contract on the grid")
+    p.add_argument("--epsilon", required=True)
+
+    p = sub.add_parser("gen", help="write a generated instance file")
+    gsub = p.add_subparsers(dest="generator", required=True)
+    g = command(gsub, "subset-sum", _cmd_gen, instance=False, decimal=False)
+    g.add_argument("--values", required=True, help="comma-separated integers")
+    g.add_argument("--target", required=True, type=int)
+    g = command(gsub, "coverage-tower", _cmd_gen, instance=False, decimal=False)
+    g.add_argument("--n", required=True, type=int)
+    g.add_argument("--normalize", action="store_true")
+    g = command(gsub, "random", _cmd_gen, instance=False, decimal=False)
+    g.add_argument("--class", dest="klass", required=True, choices=generators.SAMPLE_CLASSES)
+    g.add_argument("--n", required=True, type=int)
+    g.add_argument("--k", required=True, type=int)
+    g.add_argument("--seed", required=True, type=int)
+    for g in gsub.choices.values():
+        g.add_argument("-o", "--output", required=True)
+
+    p = sub.add_parser("robust", help="multi-outcome linear contracts")
+    rsub = p.add_subparsers(dest="robust_command", required=True)
+    r = command(rsub, "linearize", _cmd_linearize)
+    r.add_argument("--slope", default=None)
+    r.add_argument("--payments", default=None, help="level=payment,level=payment,...")
+    r = command(rsub, "solve-linear", _cmd_solve_linear)
+    r.add_argument("--method", choices=methods, default="auto")
+
+    p = command(
+        sub, "verify", _cmd_verify, decimal=False, help="run the brute-force cross-check suite"
+    )
+    p.add_argument("--epsilon", default="1/2")
+
+    for p, decimal in leaves:
         p.add_argument("--format", choices=["table", "csv"], default="table")
-        if with_decimal:
+        if decimal:
             p.add_argument(
                 "--decimal",
                 type=int,
@@ -314,85 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="D",
                 help="add a rounded display column with D digits",
             )
-
-    p = sub.add_parser("solve", help="optimal linear contract")
-    p.add_argument("instance")
-    p.add_argument("--method", choices=["auto", *contract.SUCCESSORS, "brute"], default="auto")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("critical-set", help="full critical profile (envelope)")
-    p.add_argument("instance")
-    common(p)
-    p.set_defaults(func=_cmd_critical_set)
-
-    p = sub.add_parser("demand", help="agent best response at a contract value")
-    p.add_argument("instance")
-    p.add_argument("--alpha", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_demand)
-
-    p = sub.add_parser("succ", help="successor critical value")
-    p.add_argument("instance")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--method", choices=[*contract.SUCCESSORS, "brute"], default="brute")
-    common(p)
-    p.set_defaults(func=_cmd_succ)
-
-    p = sub.add_parser("fptas", help="(1-eps)-approximate contract on the grid")
-    p.add_argument("instance")
-    p.add_argument("--epsilon", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_fptas)
-
-    p = sub.add_parser("gen", help="write a generated instance file")
-    gsub = p.add_subparsers(dest="generator", required=True)
-
-    g = gsub.add_parser("subset-sum")
-    g.add_argument("--values", required=True, help="comma-separated integers")
-    g.add_argument("--target", required=True, type=int)
-    g.add_argument("-o", "--output", required=True)
-    common(g, with_decimal=False)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("coverage-tower")
-    g.add_argument("--n", required=True, type=int)
-    g.add_argument("--normalize", action="store_true")
-    g.add_argument("-o", "--output", required=True)
-    common(g, with_decimal=False)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("random")
-    g.add_argument("--class", dest="klass", required=True, choices=generators.SAMPLE_CLASSES)
-    g.add_argument("--n", required=True, type=int)
-    g.add_argument("--k", required=True, type=int)
-    g.add_argument("--seed", required=True, type=int)
-    g.add_argument("-o", "--output", required=True)
-    common(g, with_decimal=False)
-    g.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("robust", help="multi-outcome linear contracts")
-    rsub = p.add_subparsers(dest="robust_command", required=True)
-
-    r = rsub.add_parser("linearize")
-    r.add_argument("instance")
-    r.add_argument("--slope", default=None)
-    r.add_argument("--payments", default=None, help="level=payment,level=payment,...")
-    common(r)
-    r.set_defaults(func=_cmd_robust)
-
-    r = rsub.add_parser("solve-linear")
-    r.add_argument("instance")
-    r.add_argument("--method", choices=["auto", *contract.SUCCESSORS, "brute"], default="auto")
-    common(r)
-    r.set_defaults(func=_cmd_robust)
-
-    p = sub.add_parser("verify", help="run the brute-force cross-check suite")
-    p.add_argument("instance")
-    p.add_argument("--epsilon", default="1/2")
-    common(p, with_decimal=False)
-    p.set_defaults(func=_cmd_verify)
-
     return parser
 
 
@@ -401,7 +346,10 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        pairs = args.func(args)
+        if pairs is not None:
+            _print_pairs(pairs, args.format)
+        code = EXIT_OK
     except _ValidationFailure as exc:
         print(f"validation failed:\n{exc}", file=sys.stderr)
         code = EXIT_VALIDATION

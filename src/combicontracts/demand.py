@@ -234,6 +234,11 @@ class VOracle:
                 hi = mid
         return lo
 
+    def _level(self, p: int, q: int) -> int:
+        """The int level V(p/q)*D, uncounted: the kernel's greedy total, else
+        the profile's level at the rank of p/q."""
+        return self.kernel.greedy(p, q)[1] if self.kernel else self._levels[self._rank(p, q)]
+
     def __call__(self, p, q=None):
         self.queries += 1
         fraction_view = q is None
@@ -242,7 +247,7 @@ class VOracle:
             p, q = alpha.numerator, alpha.denominator
         elif not (type(p) is type(q) is int and 0 <= p <= q and q):
             raise DomainError(f"contract value {p!r}/{q!r} is not an int pair in [0, 1]")
-        level = self.kernel.greedy(p, q)[1] if self.kernel else self._levels[self._rank(p, q)]
+        level = self._level(p, q)
         return Fraction(level, self.D) if fraction_view else level
 
     def best_response(self, alpha) -> frozenset:

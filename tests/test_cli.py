@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,6 +217,44 @@ def _bad_file(tmp_path, field, value):
     parent[keys[-1]] = value
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+# (file, command before its path, flags after it, stderr); each a DomainError
+REFUSALS = {
+    "missing field": (_binary({"class": "additive"}), ["solve"], [],
+                      "error: function: missing fields ['values']\n"),
+    "matroid not an object": (_matroid(3), ["solve"], [],
+                              "error: function.matroid: expected an object\n"),
+    "unknown matroid type": (_matroid({"type": "graphic", "rank": 1}), ["solve"], [],
+                             "error: unknown matroid type 'graphic'\n"),
+    "top level not an object": ([TABLE], ["solve"], [],
+                                "error: instance file must be a JSON object\n"),
+    "cost count": ({**TABLE, "costs": ["1/8"]}, ["solve"], [],
+                   "error: 1 costs for 2 actions\n"),
+    "general file to solve": (GENERAL, ["solve"], [],
+                              "error: this command needs a binary-model instance file\n"),
+    "no contract": (GENERAL, ["robust", "linearize"], [],
+                    "error: supply --slope or --payments\n"),
+    "payment without =": (GENERAL, ["robust", "linearize"], ["--payments", "0=0,1"],
+                          "error: bad payment entry '1'; use level=payment\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refused_inputs_exit_1(tmp_path, capsys, case):
+    from combicontracts.cli import build_parser
+
+    obj, command, flags, err_head = REFUSALS[case]
+    path = tmp_path / "refused.inst"
+    path.write_text(json.dumps(obj))
+    argv = [*command, str(path), *flags]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(DomainError):
+        args.func(args)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(err_head)
 
 
 @pytest.mark.parametrize(
@@ -439,6 +478,18 @@ def test_fptas_command(tmp_path, capsys):
     assert rows["v_queries"] == "5"
 
 
+def test_fptas_grid_size_is_read_from_the_grid(tmp_path, capsys, monkeypatch):
+    from combicontracts import approx
+
+    path = tmp_path / "ba.inst"
+    path.write_text(dumps_instance(sample_instance("budget-additive", 4, 5, seed=11)))
+    fptas = approx.fptas
+    monkeypatch.setattr(approx, "fptas", lambda *a: replace(fptas(*a), v_queries=99))
+    code, out = run_cli(capsys, "fptas", str(path), "--epsilon", "1/2")
+    assert code == 0
+    assert (pairs_of(out)["grid_size"], pairs_of(out)["v_queries"]) == ("5", "99")
+
+
 def test_gen_commands_round_trip(tmp_path, capsys):
     out_path = tmp_path / "gen.inst"
     code, _ = run_cli(
@@ -572,8 +623,8 @@ def _broken_path(name):
     from combicontracts import approx, contract, demand
 
     if name == "v-oracle-vs-brute-demand":
-        call = demand.VOracle.__call__  # both forms: the int level and V
-        return demand.VOracle, "__call__", lambda self, *at: 2 * call(self, *at)
+        level = demand.VOracle._level  # every level, counted or not, and so V
+        return demand.VOracle, "_level", lambda self, p, q: 2 * level(self, p, q)
     if name == "succ-gs-vs-envelope":
         return contract, "succ_gs", lambda inst, alpha, **kw: None
     if name == "greedy-vs-brute-demand":

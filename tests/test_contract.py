@@ -120,6 +120,11 @@ def test_optimal_contract_examples(worked_additive, example_three_action):
     assert sol.profile is not None and sol.profile.size == 3
 
 
+def test_unknown_method_is_refused(worked_additive):
+    with pytest.raises(DomainError, match="unknown successor method 'nope'"):
+        optimal_contract(worked_additive, "nope")
+
+
 def test_non_positive_costs_are_refused():
     # a free action gives V(0) = 1/2, so walking successors from V(0) = 0
     # would be wrong: such instances cannot be built

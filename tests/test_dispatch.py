@@ -22,6 +22,7 @@ from combicontracts import (
     brute_force_critical_set,
     fptas,
     optimal_contract,
+    sample_instance,
     succ_gs,
     succ_search,
     v_value,
@@ -99,6 +100,20 @@ def test_one_kernel_per_certified_solve(monkeypatch):
     built.clear()
     assert fptas(inst, Fraction(1, 2)).actions
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("klass", ["additive", "coverage"])
+def test_fresh_succ_search_asks_only_its_own_oracle(monkeypatch, klass):
+    # V(alpha) is read uncounted from the oracle given, not from a second one
+    built, calls = [], []
+    init, call = GreedyKernel.__init__, VOracle.__call__
+    monkeypatch.setattr(GreedyKernel, "__init__", lambda self, i: built.append(i) or init(self, i))
+    monkeypatch.setattr(VOracle, "__call__", lambda self, *a: calls.append(a) or call(self, *a))
+    inst = sample_instance(klass, 6, 6, 3)
+    oracle = VOracle(inst)
+    assert succ_search(inst, Fraction(1, 7), oracle=oracle) is not None
+    assert len(calls) == oracle.queries > 0
+    assert len(built) == (klass == "additive")
 
 
 def test_one_envelope_per_uncertified_solve(monkeypatch):

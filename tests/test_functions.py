@@ -11,13 +11,14 @@ from combicontracts import (
     Instance,
     PartitionMatroid,
     PrecisionError,
+    ResourceLimitError,
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
     validate,
 )
 from combicontracts.demand import GreedyKernel
-from combicontracts.functions import _monotone, actions_of, mask_of
+from combicontracts.functions import _monotone, actions_of, brute_force_limit, mask_of
 from combicontracts.generators import SAMPLE_CLASSES, sample_instance
 
 from conftest import make_small_corpus
@@ -187,11 +188,25 @@ HALF = Fraction(1, 2)
         (lambda: PartitionMatroid((frozenset({1}), frozenset({1})), (1, 1)), "overlap"),
         (lambda: Instance(Additive(()), ()), "empty action set"),
         (lambda: Instance(Additive((HALF,)), (HALF,), scale=0), "non-positive scale"),
+        (lambda: Instance(Additive((HALF, HALF)), (HALF,)), "1 costs for 2 actions"),
     ],
 )
 def test_constructors_refuse_invalid_parameters(build, match):
     with pytest.raises(DomainError, match=match):
         build()
+
+
+@pytest.mark.parametrize("raw, match", [("x", "must be an integer, got 'x'"), ("0", "positive")])
+def test_brute_force_limit_refuses_a_bad_setting(monkeypatch, raw, match):
+    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", raw)
+    with pytest.raises(DomainError, match=match):
+        brute_force_limit()
+
+
+def test_to_table_refuses_more_than_24_actions():
+    # refused before any of the 2**25 entries is built
+    with pytest.raises(ResourceLimitError, match="at most 24 actions"):
+        Additive((Fraction(1, 32),) * 25).to_table()
 
 
 def test_partition_needs_one_capacity_per_block():

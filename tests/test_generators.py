@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
+    Additive,
     Coverage,
     DomainError,
+    Instance,
     SubsetSumSpec,
     brute_force_critical_set,
     brute_force_demand,
@@ -191,11 +193,12 @@ def test_normalize_tower():
 
 
 def test_normalize_identity_when_normalized():
-    inst = sample_instance("additive", 3, 4, seed=2)
-    scaled = normalize(inst)
-    full = inst.f.value(range(1, 4))
-    if full == 1:
-        assert scaled == inst
+    norm = normalize(sample_instance("additive", 3, 4, seed=2))  # f(A) = 1/2 there
+    assert norm.f.value(range(1, 4)) == 1 and norm.k is None
+    assert normalize(norm) is norm
+    # an instance already normalized keeps its declared k
+    inst = Instance(Additive((Fraction(1, 2), Fraction(1, 2))), (Fraction(1, 8),) * 2, k=3)
+    assert normalize(inst) is inst
 
 
 def test_perturb_identity_and_determinism(worked_additive):

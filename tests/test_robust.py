@@ -124,6 +124,8 @@ def test_contract_construction_rules():
         GeneralContract.tabular({Fraction(0): Fraction(-1, 2)})
     with pytest.raises(DomainError):
         GeneralContract.linear(Fraction(-1, 2))
+    with pytest.raises(DomainError, match="duplicate reward level"):
+        GeneralContract.tabular([(Fraction(1, 2), 0), ("1/2", Fraction(1, 4))])
 
 
 def test_unobserved_levels_rejected():
@@ -306,10 +308,28 @@ def three_outcome(tables, n=2):
             ("outcome probabilities sum to 11/12 on mask 1",),
         ),
         ([["1", "2/3", "1/2", "0"], ["0", "1/3", "1/4", "1/4"], ["0", "0", "1/4", "3/4"]], ()),
+        # R = (1/4, 1/4, 3/8, 5/8), then R = (0, 1, 0, 1/2)
+        (
+            [["1/2", "1/2", "1/2", "1/4"], ["1/2", "1/2", "1/4", "1/4"], ["0", "0", "1/4", "1/2"]],
+            ("expected reward of the empty set is not 0",),
+        ),
+        (
+            [["1", "0", "1", "1/2"], ["0", "0", "0", "0"], ["0", "1", "0", "1/2"]],
+            ("expected reward is not monotone",),
+        ),
     ],
 )
 def test_validate_general_messages(tables, violations):
     assert validate_general(three_outcome(tables)).violations == violations
+
+
+def test_distributions_must_be_tables_of_n_actions():
+    half = (Fraction(1, 2),) * 2
+    with pytest.raises(DomainError, match="distributions must be explicit tables"):
+        GeneralInstance(half, (0, 1), distributions=(Additive(half), Additive(half)))
+    one_action = (ExplicitTable(1, (1, Fraction(1, 2))), ExplicitTable(1, (0, Fraction(1, 2))))
+    with pytest.raises(DomainError, match="distribution table size mismatch"):
+        GeneralInstance(half, (0, 1), distributions=one_action)
 
 
 def test_reward_table_is_the_fraction_formula(general_corpus):
@@ -394,3 +414,5 @@ def test_worst_case_refusals():
     )
     with pytest.raises(ResourceLimitError, match="enumerates all subsets"):
         worst_case_utility_twopoint(t, wide)
+    with pytest.raises(ResourceLimitError, match="enumerates all subsets"):
+        utility_under_family(t, wide, two_point_family(wide))

@@ -39,7 +39,8 @@ class GridSpec:
     """Geometric contract grid {1 - (1-eps)**i : i in [m]}.
 
     m is the least integer with (1-eps)**m <= 2**-k, so the grid reaches
-    past every feasible optimal contract below 1.
+    past every feasible optimal contract below 1.  ``points`` holds the grid
+    ascending as int pairs (num, den) in lowest terms.
     """
 
     epsilon: Fraction
@@ -61,7 +62,8 @@ def _check_epsilon(epsilon) -> Fraction:
 
 def grid_spec(epsilon, k: int) -> GridSpec:
     """The grid built in ints: (1-eps)**i is qn**i / qd**i for 1 - eps = qn/qd,
-    compared with 2**-k by a shift; refused past MAX_GRID points up front."""
+    compared with 2**-k by a shift; refused past MAX_GRID points up front.
+    Each point (qd**i - qn**i, qd**i) is reduced, as gcd(qn, qd) = 1."""
     epsilon = _check_epsilon(epsilon)
     _bounded_k(k)
     q = 1 - epsilon
@@ -78,7 +80,7 @@ def grid_spec(epsilon, k: int) -> GridSpec:
     a = b = 1
     while a << k > b:
         a, b = a * qn, b * qd
-        points.append(Fraction(b - a, b))
+        points.append((b - a, b))
     return GridSpec(epsilon, k, len(points), tuple(points))
 
 
@@ -113,14 +115,13 @@ def fptas(inst: Instance, epsilon) -> ContractSolution:
         )
     spec = grid_spec(epsilon, bits)
     oracle = VOracle(inst)
-    best_alpha, best_u, best_w = Fraction(0), 0, 1
-    for alpha in spec.points:
-        num, den = alpha.numerator, alpha.denominator
+    best_num, best_den, best_u = 0, 1, 0
+    for num, den in spec.points:
         u = (den - num) * oracle(num, den)
-        if u * best_w > best_u * den:
-            best_alpha, best_u, best_w = alpha, u, den
-    util, actions = Fraction(best_u, best_w * oracle.D), oracle.best_response(best_alpha)
-    return ContractSolution(best_alpha, util, actions, v_queries=oracle.queries)
+        if u * best_den > best_u * den:
+            best_num, best_den, best_u = num, den, u
+    alpha, util = Fraction(best_num, best_den), Fraction(best_u, best_den * oracle.D)
+    return ContractSolution(alpha, util, oracle.best_response(alpha), v_queries=oracle.queries)
 
 
 def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
@@ -145,20 +146,15 @@ def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
             return a, b, c, d
 
 
-def _probed_level(probes: list, oracle: VOracle, p: int, q: int) -> int:
-    """V's level at a successor p/q found with ``probes``: that of the first
-    probe H at or above p/q, as the search stops with no critical value in (p/q, H]."""
+def _probed_level(oracle: VOracle, p: int, q: int) -> int:
+    """V's level at a successor p/q that ``succ_search`` found on ``oracle``:
+    that of the first probe H at or above p/q in the oracle's record, as the
+    search stops with no critical value in (p/q, H]."""
+    probes = oracle._probes
     return probes[bisect_left(probes, Fraction(p, q), key=lambda e: Fraction(*e[:2]))][2]
 
 
-def succ_search(
-    inst: Instance,
-    alpha,
-    *,
-    oracle: VOracle | None = None,
-    level: int | None = None,
-    probes: list | None = None,
-) -> Fraction | None:
+def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Fraction | None:
     """Successor critical value by bisection, within 2k+1 counted V queries.
 
     k is ``critical_bits(inst)``, so every critical value has parts at most
@@ -175,24 +171,19 @@ def succ_search(
     2**-inst.k and F1-F0 the jump of V there, at most J inside the interval.
     So p/q is the successor and no critical value lies in (p/q, H/Q].
 
-    ``probes``, bound by ``_search_backend``, records a walk's queries as
-    (p, q, level) ascending in p/q.  A call starts between the last probe at
-    level V(alpha) (else alpha) and the first above it and adds its own, so
-    a walk asks V(1) once and reads V at the successor from the first probe
-    at or above it; a fresh call asks a prefix of the midpoints of the plain
-    bisection of (alpha, 1].
-
-    V(alpha) is taken as known: pass ``level``, the oracle's int level
-    V(alpha)*D (the walk has it); when omitted it is read from the same
-    oracle uncounted (``VOracle._level``), as the 2k+1 bound counts.
+    V(alpha) is read from the oracle uncounted (``VOracle._level``), as the
+    2k+1 bound counts.  The queries go into the oracle's record
+    (``_probes``, ascending in p/q).  A call starts between the last probe
+    at level V(alpha) (else alpha) and the first above it and adds its own,
+    so a walk on one oracle asks V(1) once and reads V at the successor from
+    the first probe at or above it; a call on a fresh oracle asks a prefix
+    of the midpoints of the plain bisection of (alpha, 1].
     """
     bits = critical_bits(inst)
     alpha = _check_alpha(alpha)
     if oracle is None:
         oracle = VOracle(inst)
-    if level is None:
-        level = oracle._level(*alpha.as_integer_ratio())
-    probes = [] if probes is None else probes
+    level, probes = oracle._level(*alpha.as_integer_ratio()), oracle._probes
     if not probes:
         probes.append((1, 1, oracle(1, 1)))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .demand import VOracle, _check_alpha
 from .errors import DomainError, InvariantError, UnsupportedClassError
@@ -150,7 +150,7 @@ def successor_from_profile(profile: CriticalProfile, alpha) -> Fraction | None:
     return profile.alphas[idx]
 
 
-def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, level: int | None = None):
+def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
     """Successor critical value for a certified instance.
 
     Builds the greedy ordered set at alpha, then enumerates the finite
@@ -162,9 +162,9 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, level: int 
     (num, den); each probe, an int-pair V query, takes the smallest ratio
     strictly above the last one (cross-multiplied), so distinct values are
     probed in ascending order with early exit at the first one whose level
-    exceeds ``level``, the oracle's int level V(alpha)*D (the walk has it;
-    when omitted, the kernel's greedy total at alpha, uncounted); V-equal
-    candidates are not critical.
+    exceeds V(alpha)'s, the greedy total at alpha (uncounted; in a walk the
+    kernel's last run is there, so it is free); V-equal candidates are not
+    critical.
 
     The replay keeps f(a | prefix) in one list.  It is w(a) while a's
     block has room, 0 once a is picked, and max(w(a) - floor, 0) once the
@@ -181,7 +181,6 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, level: int 
     kernel, alpha = oracle.kernel, _check_alpha(alpha)
     p, q = alpha.numerator, alpha.denominator
     order, total = kernel.greedy(p, q)
-    bar = total if level is None else level
 
     # Replay the greedy order; gains and costs are integers over the same
     # denominator, so each ratio num/den is already the candidate beta and
@@ -215,7 +214,7 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None, level: int 
         for num, den in candidates:
             if num * bd < bn * den:
                 bn, bd = num, den
-        if oracle(bn, bd) > bar:
+        if oracle(bn, bd) > total:
             return Fraction(bn, bd)
         candidates = [(num, den) for num, den in candidates if num * bd > bn * den]
     return None
@@ -236,16 +235,17 @@ def _gs_backend(inst: Instance):
 def _search_backend(inst: Instance):
     from .approx import _probed_level, critical_bits, succ_search
 
-    oracle, probes = VOracle(inst), []  # a missing V oracle is reported before a missing k
-    successor = partial(succ_search, probes=probes)
-    return oracle, successor, partial(_probed_level, probes), 1 << (2 * critical_bits(inst))
+    oracle = VOracle(inst)  # a missing V oracle is reported before a missing k
+    return oracle, succ_search, _probed_level, 1 << (2 * critical_bits(inst))
 
 
 # The successor backends, by method.  Each entry checks that the backend
 # applies to the instance and returns (counted V oracle, successor, V's level
 # at a successor p/q as level_at(oracle, p, q), bound on the number of
-# critical values).  Both are looked up when the entry runs, so a rebound
-# attribute is the one called.  "brute" is the whole envelope, not a walk.
+# critical values).  The oracle is the walk's only state: a successor is
+# called as successor(inst, alpha, oracle=oracle) and reads V(alpha) from it.
+# Both are looked up when the entry runs, so a rebound attribute is the one
+# called.  "brute" is the whole envelope, not a walk.
 SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 
 
@@ -253,7 +253,7 @@ def _walk(inst: Instance, oracle: VOracle, successor, level_at, step_cap: int):
     """(profile, V queries): each successor from zero, V and best response there."""
     alphas, values, sets = [], [], []
     alpha, level = Fraction(0), 0
-    while (nxt := successor(inst, alpha, oracle=oracle, level=level)) is not None:
+    while (nxt := successor(inst, alpha, oracle=oracle)) is not None:
         if not nxt > alpha:
             raise InvariantError("successor did not advance")
         if len(alphas) == step_cap:

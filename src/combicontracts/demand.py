@@ -200,6 +200,10 @@ class VOracle:
     LCM of its V denominators) and answers by an int binary search over the
     critical values as (num, den) pairs: V is a step function that jumps
     exactly there, and is 0 below the first one because costs are positive.
+
+    ``_probes`` is the record of the bisection successor ``succ_search``:
+    its queries as (p, q, level), ascending in p/q, so later calls on the
+    same oracle start from them (read by ``approx._probed_level``).
     """
 
     def __init__(self, inst: Instance):
@@ -220,7 +224,7 @@ class VOracle:
             self.D, levels = _lift(self.profile.values)
             self._levels = (0, *levels)  # by the number of critical values passed
             self._cuts = [a.as_integer_ratio() for a in self.profile.alphas]
-        self.queries = 0
+        self.queries, self._probes = 0, []
 
     def _rank(self, p: int, q: int) -> int:
         """The number of critical values at or below p/q."""

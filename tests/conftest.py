@@ -10,11 +10,39 @@ from combicontracts import (
     ExplicitTable,
     GeneralInstance,
     Instance,
+    VOracle,
     sample_instance,
 )
 
+try:
+    from hypothesis import strategies as st
+except ImportError:  # the property suites skip themselves
+    st = None
+
 GS_CLASSES = ("additive", "unit-demand", "matroid-rank")
 NON_GS_CLASSES = ("budget-additive", "coverage", "table")
+
+
+class RecordingOracle(VOracle):
+    """A V oracle that keeps each counted int-pair query as (p, q, level)."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.asked = []
+
+    def __call__(self, p, q):
+        level = super().__call__(p, q)
+        self.asked.append((p, q, level))
+        return level
+
+
+if st is not None:
+
+    @st.composite
+    def rationals(draw, dens, positive):
+        """j/den for den drawn from ``dens`` and j in [0, den], or [1, den]."""
+        den = draw(st.sampled_from(dens))
+        return Fraction(draw(st.integers(1 if positive else 0, den)), den)
 
 
 def make_gs_corpus(count: int = 210):

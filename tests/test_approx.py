@@ -26,19 +26,14 @@ from combicontracts.rational import MAX_K
 def test_grid_spec_example():
     spec = grid_spec(Fraction(1, 2), 4)
     assert spec.size == 4
-    assert spec.points == (
-        Fraction(1, 2),
-        Fraction(3, 4),
-        Fraction(7, 8),
-        Fraction(15, 16),
-    )
+    assert spec.points == ((1, 2), (3, 4), (7, 8), (15, 16))
 
 
 def test_grid_reaches_past_every_feasible_contract():
     for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 7)):
         for k in (1, 2, 5, 8):
             spec = grid_spec(eps, k)
-            assert spec.points[-1] >= 1 - Fraction(1, 2**k)
+            assert Fraction(*spec.points[-1]) >= 1 - Fraction(1, 2**k)
             # size is the least such m: one fewer power stays above 2**-k
             assert (1 - eps) ** (spec.size - 1) > Fraction(1, 2**k)
             assert (1 - eps) ** spec.size <= Fraction(1, 2**k)
@@ -92,8 +87,11 @@ def test_grid_points_match_the_definition():
     ):
         for k in range(1, 15):
             spec = grid_spec(eps, k)
-            assert spec.points == reference_grid(eps, k)
+            assert tuple(Fraction(*p) for p in spec.points) == reference_grid(eps, k)
             assert spec.size == len(spec.points)
+            # int pairs in lowest terms, so each is its Fraction's ratio
+            assert all(p == Fraction(*p).as_integer_ratio() for p in spec.points)
+            assert all(type(a) is type(b) is int for a, b in spec.points)
 
 
 def test_grid_size_is_decided_before_any_point(monkeypatch):

@@ -14,49 +14,7 @@ from combicontracts import (
 )
 from combicontracts.demand import brute_force_demand
 
-from conftest import make_gs_corpus, make_small_corpus
-
-
-def pairwise_critical_set(inst):
-    """Independent oracle: pairwise-intersection candidates + midpoint V walks.
-
-    Every critical value is the intersection abscissa of two subset lines,
-    so collecting all pairwise ratios (including c(S)/f(S) via the empty
-    set) and testing V at each candidate against V at the midpoint to its
-    left recovers the critical set exactly.  Exponential in n; tests only.
-    """
-    size = 1 << inst.n
-    ftab = [inst.f.value_mask(m) for m in range(size)]
-    ctab = [inst.cost_mask(m) for m in range(size)]
-    candidates = set()
-    for a in range(size):
-        for b in range(a + 1, size):
-            df = ftab[a] - ftab[b]
-            if df == 0:
-                continue
-            x = (ctab[a] - ctab[b]) / df
-            if 0 < x <= 1:
-                candidates.add(x)
-    criticals = []
-    prev = Fraction(0)
-    v_prev = brute_force_demand(inst, 0).v
-    for x in sorted(candidates):
-        v_left = brute_force_demand(inst, (prev + x) / 2).v
-        assert v_left == v_prev  # V constant between consecutive candidates
-        v_here = brute_force_demand(inst, x).v
-        if v_here > v_left:
-            criticals.append((x, v_here))
-        prev, v_prev = x, v_here
-    return criticals
-
-
-def test_envelope_matches_pairwise_oracle():
-    insts = [i for i in make_small_corpus(30) if i.n <= 5][:18]
-    assert len(insts) >= 12
-    for inst in insts:
-        profile = brute_force_critical_set(inst)
-        expected = pairwise_critical_set(inst)
-        assert list(zip(profile.alphas, profile.values)) == expected
+from conftest import make_gs_corpus
 
 
 def test_critical_set_worked_table(example_three_action):

@@ -38,18 +38,13 @@ from combicontracts import (  # noqa: E402
     validate,
 )
 from combicontracts.functions import _lift, bit_indices, lifted_values  # noqa: E402
+from conftest import make_small_corpus, rationals  # noqa: E402
 
 DYADIC = (1, 2, 4, 8, 16)
 # dyadic (with or without k = 4), non-dyadic and mixed denominators
 DENOMINATORS = (DYADIC, (3, 5, 7), (2, 3, 4, 5, 7))
 UNCERTIFIED = ("budget-additive", "coverage", "table")
 CLASSES = ("additive", "unit-demand", "matroid-rank") + UNCERTIFIED
-
-
-@st.composite
-def rationals(draw, dens, positive):
-    den = draw(st.sampled_from(dens))
-    return Fraction(draw(st.integers(1 if positive else 0, den)), den)
 
 
 @st.composite
@@ -202,6 +197,14 @@ def test_envelope_matches_the_naive_pairwise_envelope(inst, beyond_one):
     profile = brute_force_critical_set(inst, beyond_one)
     expected = naive_envelope(inst, beyond_one)
     assert (profile.alphas, profile.values, profile.demand_sets) == expected
+
+
+def test_envelope_matches_the_naive_envelope_on_seeded_instances():
+    insts = [i for i in make_small_corpus(30) if i.n <= 5][:18]
+    assert len(insts) >= 12
+    for inst in insts:
+        profile = brute_force_critical_set(inst)
+        assert (profile.alphas, profile.values, profile.demand_sets) == naive_envelope(inst, False)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

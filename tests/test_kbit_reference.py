@@ -10,7 +10,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import count, product
 
 import pytest
 
@@ -21,7 +21,6 @@ from hypothesis import strategies as st  # noqa: E402
 from combicontracts import (  # noqa: E402
     Additive,
     Instance,
-    VOracle,
     brute_force_critical_set,
     brute_force_demand,
     fptas,
@@ -30,7 +29,12 @@ from combicontracts import (  # noqa: E402
 )
 from combicontracts.approx import _simplest_in, critical_bits  # noqa: E402
 from combicontracts.contract import _search_backend, _walk  # noqa: E402
-from conftest import make_gs_corpus, make_non_gs_corpus, make_small_corpus  # noqa: E402
+from conftest import (  # noqa: E402
+    RecordingOracle,
+    make_gs_corpus,
+    make_non_gs_corpus,
+    make_small_corpus,
+)
 
 SEEDED = make_gs_corpus() + make_non_gs_corpus() + make_small_corpus()
 
@@ -67,16 +71,6 @@ def test_fptas_matches_the_fraction_argmax(small_corpus, non_gs_corpus):
             assert type(sol.utility) is Fraction
 
 
-class RecordingOracle(VOracle):
-    def __init__(self, inst):
-        super().__init__(inst)
-        self.asked = []
-
-    def __call__(self, p, q=None):
-        self.asked.append((p, q))
-        return super().__call__(p, q)
-
-
 def reference_bisection(V, alpha, k):
     """The plain bisection of (alpha, 1] to width 2**-2k by Fraction halving:
     V(1), then each midpoint, with the interval (lo, hi] left after each."""
@@ -107,19 +101,13 @@ def check_fresh_call(inst, V, profile, alpha, k):
     """A call with a fresh oracle: the right successor, a prefix of the plain
     bisection's queries within 2k+1, and an early stop only where the
     interval (lo, hi] left holds one fraction with denominator at most the
-    jump bound min(2**k, (V(hi) - V(alpha)) * 2**inst.k).  Given V(alpha) as
-    the oracle's int level, it returns the same successor after the same
-    queries as when left to find the level itself."""
-    oracle, given = RecordingOracle(inst), RecordingOracle(inst)
+    jump bound min(2**k, (V(hi) - V(alpha)) * 2**inst.k)."""
+    oracle = RecordingOracle(inst)
     got = succ_search(inst, alpha, oracle=oracle)
     assert got == successor_from_profile(profile, alpha)
-    level = V(alpha) * given.D
-    assert level.denominator == 1
-    assert succ_search(inst, alpha, oracle=given, level=level.numerator) == got
-    assert given.asked == oracle.asked
     # int pairs, equal once reduced to the Fraction midpoints
-    assert all(type(p) is type(q) is int for p, q in oracle.asked)
-    reduced = [Fraction(p, q) for p, q in oracle.asked]
+    assert all(type(p) is type(q) is int for p, q, _ in oracle.asked)
+    reduced = [Fraction(p, q) for p, q, _ in oracle.asked]
     asked, left = reference_bisection(V, alpha, k)
     assert reduced == asked[: len(reduced)] and len(reduced) <= 2 * k + 1
     if len(reduced) < len(asked):
@@ -135,6 +123,30 @@ def test_succ_search_asks_the_fraction_midpoints(small_corpus, non_gs_corpus):
         mids = [(a + b) / 2 for a, b in zip(profile.alphas, profile.alphas[1:])]
         for alpha in [Fraction(0), Fraction(1, 3), *profile.alphas, *mids]:
             check_fresh_call(inst, partial(V, inst), profile, alpha, inst.k)
+
+
+def test_succ_search_resumes_from_the_record_on_its_oracle(small_corpus, non_gs_corpus):
+    """Two calls on one oracle, at any two of 0, 1/3 and the critical values:
+    each returns the envelope's successor within 2k+1 queries, every query
+    goes into the oracle's record, and the record stays ascending in p/q
+    with V's levels, which never decrease along it."""
+    for inst in small_corpus[:20] + non_gs_corpus[:10]:
+        profile, bits = brute_force_critical_set(inst), critical_bits(inst)
+        starts = [Fraction(0), Fraction(1, 3), *profile.alphas]
+        for first, second in product(starts, starts):
+            oracle = RecordingOracle(inst)
+            for alpha in (first, second):
+                before = oracle.queries
+                assert succ_search(inst, alpha, oracle=oracle) == successor_from_profile(
+                    profile, alpha
+                )
+                assert oracle.queries - before <= 2 * bits + 1
+            record = oracle._probes
+            assert sorted(record) == sorted(oracle.asked)
+            points = [Fraction(p, q) for p, q, _ in record]
+            levels = [level for _, _, level in record]
+            assert points == sorted(set(points)) and levels == sorted(levels)
+            assert levels == [V(inst, a) * oracle.D for a in points]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -156,7 +168,7 @@ def test_search_is_exact_when_f_exceeds_one(inst, scale):
     walked, _ = _walk(inst, oracle, successor, level_at, cap)
     assert (walked.alphas, walked.values) == (profile.alphas, profile.values)
     # V at a successor is read from the probes, so V(1) is asked once
-    assert [Fraction(p, q) for p, q in oracle.asked].count(1) == 1
+    assert [Fraction(p, q) for p, q, _ in oracle.asked].count(1) == 1
 
     def envelope_v(alpha):
         i = bisect_right(profile.alphas, alpha)
@@ -174,7 +186,7 @@ def test_a_search_walk_asks_v_once_per_contract_value(scale):
         oracle = RecordingOracle(inst)
         _, successor, level_at, cap = _search_backend(inst)
         walked, queries = _walk(inst, oracle, successor, level_at, cap)
-        asked = [Fraction(p, q) for p, q in oracle.asked]
+        asked = [Fraction(p, q) for p, q, _ in oracle.asked]
         assert len(set(asked)) == len(asked) == queries
         assert walked.alphas == brute_force_critical_set(inst).alphas
 

@@ -34,15 +34,10 @@ from combicontracts import (  # noqa: E402
     v_value,
 )
 from combicontracts.demand import GreedyKernel  # noqa: E402
+from conftest import RecordingOracle, rationals  # noqa: E402
 
 # dyadic, non-dyadic (no k, so the common denominator is a true LCM), mixed
 DENOMINATORS = ((1, 2, 4, 8, 16), (3, 5, 7), (2, 3, 4, 5, 7))
-
-
-@st.composite
-def rationals(draw, dens, positive):
-    den = draw(st.sampled_from(dens))
-    return Fraction(draw(st.integers(1 if positive else 0, den)), den)
 
 
 @st.composite
@@ -212,38 +207,20 @@ def test_repeat_at_the_same_contract_value_keeps_validation():
     assert oracle.kernel.greedy(2, 4) is last
 
 
-class RecordingOracle(VOracle):
-    """Records each counted int-pair query as (contract value, V) in Fractions."""
-
-    def __init__(self, inst):
-        super().__init__(inst)
-        self.probes = []
-
-    def __call__(self, p, q):
-        level = super().__call__(p, q)
-        self.probes.append((Fraction(p, q), Fraction(level, self.D)))
-        return level
-
-
 def assert_probes_ascend(inst, alpha, profile):
     """succ_gs probes distinct values above alpha in ascending order, and
-    every probe before the successor it returns has V = V(alpha).  Given
-    V(alpha) as the oracle's int level, it returns the same successor after
-    the same queries as when left to find the level itself."""
+    every probe before the successor it returns has V = V(alpha)."""
     v_alpha = v_value(inst, alpha)
-    oracle, given = RecordingOracle(inst), RecordingOracle(inst)
+    oracle = RecordingOracle(inst)
     beta = succ_gs(inst, alpha, oracle=oracle)
     assert beta == successor_from_profile(profile, alpha)
-    level = v_alpha * given.D
-    assert level.denominator == 1
-    assert succ_gs(inst, alpha, oracle=given, level=level.numerator) == beta
-    assert given.probes == oracle.probes
-    probed = [a for a, _ in oracle.probes]
+    probes = [(Fraction(p, q), Fraction(level, oracle.D)) for p, q, level in oracle.asked]
+    probed = [a for a, _ in probes]
     assert probed == sorted(set(probed)) and all(a > alpha for a in probed)
-    misses = oracle.probes if beta is None else oracle.probes[:-1]
+    misses = probes if beta is None else probes[:-1]
     assert all(v == v_alpha for _, v in misses)
     if beta is not None:
-        assert oracle.probes[-1] == (beta, v_value(inst, beta)) and v_value(inst, beta) > v_alpha
+        assert probes[-1] == (beta, v_value(inst, beta)) and v_value(inst, beta) > v_alpha
     return len(misses)
 
 

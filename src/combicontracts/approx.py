@@ -149,9 +149,11 @@ def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
 def _probed_level(oracle: VOracle, p: int, q: int) -> int:
     """V's level at a successor p/q that ``succ_search`` found on ``oracle``:
     that of the first probe H at or above p/q in the oracle's record, as the
-    search stops with no critical value in (p/q, H]."""
+    search stops with no critical value in (p/q, H].  The bisection key
+    cross-multiplies (False below p/q, True from it on), so (p, q) need not
+    be reduced."""
     probes = oracle._probes
-    return probes[bisect_left(probes, Fraction(p, q), key=lambda e: Fraction(*e[:2]))][2]
+    return probes[bisect_left(probes, True, key=lambda e: e[0] * q >= p * e[1])][2]
 
 
 def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Fraction | None:
@@ -177,7 +179,9 @@ def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Frac
     at level V(alpha) (else alpha) and the first above it and adds its own,
     so a walk on one oracle asks V(1) once and reads V at the successor from
     the first probe at or above it; a call on a fresh oracle asks a prefix
-    of the midpoints of the plain bisection of (alpha, 1].
+    of the midpoints of the plain bisection of (alpha, 1].  A resumed call
+    can ask more queries than a fresh one from the same alpha (a narrower
+    bracket can take more halvings), still within 2k+1.
     """
     bits = critical_bits(inst)
     alpha = _check_alpha(alpha)

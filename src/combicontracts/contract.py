@@ -43,10 +43,10 @@ class CriticalProfile:
     demand_sets: tuple
 
     def __post_init__(self):
-        for i in range(1, len(self.alphas)):
-            if not self.alphas[i - 1] < self.alphas[i]:
+        for a, b, v, w in zip(self.alphas, self.alphas[1:], self.values, self.values[1:]):
+            if not a.numerator * b.denominator < b.numerator * a.denominator:
                 raise InvariantError("critical values not strictly increasing")
-            if not self.values[i - 1] < self.values[i]:
+            if not v.numerator * w.denominator < w.numerator * v.denominator:
                 raise InvariantError("V not strictly increasing along criticals")
 
     @property
@@ -79,37 +79,36 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     V(alpha) is the slope of the envelope segment at alpha (the maximal
     slope at breakpoints, matching principal-favoring tie-breaks), so the
     critical set is exactly the envelope breakpoints inside (0, 1].  The
-    sweep runs on f = F/Df and c = C/Dc lifted to integers: every critical
-    value is the intersection abscissa (C1 - C0)*Df / ((F1 - F0)*Dc) of two
-    subset lines, the same finite candidate family the definition
-    quantifies over, and only the reported alphas and V values are
-    Fractions.
+    sweep runs on f = F/D and c = C/D lifted to integers over one
+    denominator, so the mask loop and the hull compare ints: every critical
+    value is the intersection abscissa (C1 - C0) / (F1 - F0) of two subset
+    lines, the same finite candidate family the definition quantifies over,
+    and only the reported alphas and V values F1/D are Fractions.
 
     ``beyond_one`` lifts the upper cap and reports every demand change on
     (0, infinity); cost perturbations shift breakpoints upward, so the
     perturbation-monotonicity law compares these uncapped counts (a jump
     sitting exactly at 1 would otherwise leave the capped window).
     """
-    Df, ftab, Dc, ctab = _scan_tables(inst)
+    D, ftab, ctab = _scan_tables(inst)
 
-    # One line per distinct slope F: the min cost C, the first mask attaining
-    # it, and whether another mask ties (then D* on the segment has several
-    # members).  Below the cap, a line with C/Dc > F/Df lies under the empty
-    # set's line on all of [0, 1] and never reaches the envelope there.
-    best: dict = {}
-    for mask, (F, C) in enumerate(zip(ftab, ctab)):
-        if C * Df > F * Dc and not beyond_one:
+    # Per slope F: the least cost C, the first mask on it, and tied[F] = C
+    # once a second mask reaches it (D* on that line has several members).
+    # Below the cap, a line with C > F lies under the empty set's on [0, 1].
+    least, first, tied = {}, {}, {}
+    for mask, F, C in zip(range(len(ftab)), ftab, ctab):
+        if C > F and not beyond_one:
             continue
-        cur = best.get(F)
-        if cur is None or C < cur[0]:
-            best[F] = [C, mask, False]
-        elif C == cur[0]:
-            cur[2] = True
+        c = least.get(F, C + 1)
+        if C < c:
+            least[F], first[F] = C, mask
+        elif C == c:
+            tied[F] = C
 
     hull: list = []
-    for F, (C, mask, shared) in sorted(best.items()):
+    for F, C in sorted(least.items()):
         while hull:
-            F1, C1, _ = hull[-1]
+            F1, C1 = hull[-1]
             if C <= C1:
                 # Same-or-lower cost with a higher slope dominates the
                 # previous line everywhere on alpha >= 0.
@@ -118,25 +117,25 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
             if len(hull) < 2:
                 break
             # The new line meets hull[-2] no later than hull[-1] does.
-            F0, C0, _ = hull[-2]
+            F0, C0 = hull[-2]
             if (C - C0) * (F1 - F0) <= (C1 - C0) * (F - F0):
                 hull.pop()
             else:
                 break
-        hull.append((F, C, (mask, shared)))
+        hull.append((F, C))
 
     # Slopes and costs strictly increase along the hull, so every
-    # breakpoint is positive.  A shared line's canonical set takes a rescan.
+    # breakpoint is positive.  A tied line's canonical set takes a rescan.
     alphas, values, demand_sets = [], [], []
-    for (F0, C0, _), (F1, C1, (mask, shared)) in zip(hull, hull[1:]):
-        num, den = (C1 - C0) * Df, (F1 - F0) * Dc
-        if num > den and not beyond_one:
+    for (F0, C0), (F1, C1) in zip(hull, hull[1:]):
+        if C1 - C0 > F1 - F0 and not beyond_one:
             break
-        if shared:
-            tied = (m for m in range(mask, len(ftab)) if ftab[m] == F1 and ctab[m] == C1)
-            mask = min(tied, key=lambda m: sorted(actions_of(m)))
-        alphas.append(Fraction(num, den))
-        values.append(Fraction(F1, Df))
+        mask = first[F1]
+        if tied.get(F1) == C1:
+            rows = (m for m in range(mask, len(ftab)) if ftab[m] == F1 and ctab[m] == C1)
+            mask = min(rows, key=lambda m: sorted(actions_of(m)))
+        alphas.append(Fraction(C1 - C0, F1 - F0))
+        values.append(Fraction(F1, D))
         demand_sets.append(actions_of(mask))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(demand_sets))
 

@@ -149,13 +149,13 @@ def _sorted_sets(masks) -> tuple:
 def brute_force_demand(inst: Instance, alpha) -> DemandProfile:
     """Exhaustive maximization of alpha*f(S) - c(S) over all 2**n subsets.
 
-    With f = F/Df and c = C/Dc lifted to integers and alpha = p/q, the
-    agent's utility is (p*Dc*F - q*Df*C) / (q*Df*Dc), so the scan compares ints.
+    With f = F/D and c = C/D lifted to integers over one D and alpha = p/q,
+    the agent's utility is (p*F - q*C) / (q*D), so the scan compares ints.
     """
-    Df, ftab, Dc, ctab = _scan_tables(inst)
+    D, ftab, ctab = _scan_tables(inst)
     alpha = _check_alpha(alpha)
-    a, b = alpha.numerator * Dc, alpha.denominator * Df
-    utils = [a * F - b * C for F, C in zip(ftab, ctab)]
+    p, q = alpha.numerator, alpha.denominator
+    utils = [p * F - q * C for F, C in zip(ftab, ctab)]
     best_u = max(utils)
     argmax = [m for m, u in enumerate(utils) if u == best_u]
     best_f = max(ftab[m] for m in argmax)
@@ -164,8 +164,8 @@ def brute_force_demand(inst: Instance, alpha) -> DemandProfile:
         alpha=alpha,
         demand=_sorted_sets(argmax),
         d_star=_sorted_sets(star),
-        u_agent=Fraction(best_u, b * Dc),
-        v=Fraction(best_f, Df),
+        u_agent=Fraction(best_u, q * D),
+        v=Fraction(best_f, D),
     )
 
 

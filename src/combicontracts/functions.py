@@ -615,15 +615,19 @@ def lifted_values(f: SuccessFunction) -> tuple:
 
 
 def _scan_tables(inst: Instance) -> tuple:
-    """(Df, F, Dc, C): f and the costs lifted to int tables over all 2**n
-    masks for an exhaustive scan, refused past the brute-force limit first."""
+    """(D, F, C): f(mask) = F[mask]/D and c(mask) = C[mask]/D over all 2**n
+    masks for an exhaustive scan, refused past the brute-force limit first.
+    D is the LCM of the lift denominators Df of f and Dc of the costs."""
     limit = brute_force_limit()
     if inst.n > limit:
         raise ResourceLimitError(
             f"brute force limited to {limit} actions, instance has {inst.n}"
         )
-    Dc, costs = _lift(inst.costs)
-    return (*lifted_values(inst.f), Dc, _subset_sums(costs))
+    (Df, F), (Dc, costs) = lifted_values(inst.f), _lift(inst.costs)
+    D = math.lcm(Df, Dc)
+    if D != Df:
+        F = list(map((D // Df).__mul__, F))
+    return D, F, _subset_sums([c * (D // Dc) for c in costs])
 
 
 @lru_cache(maxsize=512)

@@ -37,7 +37,12 @@ from combicontracts import (  # noqa: E402
     sample_instance,
     validate,
 )
-from combicontracts.functions import _lift, bit_indices, lifted_values  # noqa: E402
+from combicontracts.functions import (  # noqa: E402
+    _lift,
+    _scan_tables,
+    bit_indices,
+    lifted_values,
+)
 from conftest import make_small_corpus, rationals  # noqa: E402
 
 DYADIC = (1, 2, 4, 8, 16)
@@ -231,12 +236,22 @@ def test_int_pair_query_on_both_backends(inst, m):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(inst=instances(CLASSES))
+@example(inst=Instance(ExplicitTable(2, ("0", "1/2", "1/4", "3/4")), ["1/3", "1/5"]))
 def test_lifted_tables_match_per_set_values(inst):
+    """The lifted f and cost tables, and the scan tables of the envelope and
+    ``brute_force_demand``, which put both over one D, the LCM of theirs
+    (the example's f table is rescaled: D = 60 against its own 4)."""
     masks = range(1 << inst.n)
-    D, table = lifted_values(inst.f)
-    assert [Fraction(v, D) for v in table] == [inst.f.value_mask(m) for m in masks]
-    D, table = lifted_values(Additive(inst.costs))
-    assert [Fraction(c, D) for c in table] == [inst.cost_mask(m) for m in masks]
+    Df, table = lifted_values(inst.f)
+    values = [inst.f.value_mask(m) for m in masks]
+    assert [Fraction(v, Df) for v in table] == values
+    Dc, table = lifted_values(Additive(inst.costs))
+    costs = [inst.cost_mask(m) for m in masks]
+    assert [Fraction(c, Dc) for c in table] == costs
+    D, F, C = _scan_tables(inst)
+    assert D == math.lcm(Df, Dc)
+    assert [Fraction(v, D) for v in F] == values
+    assert [Fraction(c, D) for c in C] == costs
 
 
 def _uniform(weights, rank):

@@ -376,6 +376,36 @@ def test_table_literals_load_or_fail_as_written(tmp_path, capsys, table, costs, 
         assert loads_instance(path.read_text()).f.table == (0,) + (1,) * 7
 
 
+PARSE_ERROR = "cannot parse rational '1/x': Invalid literal for Fraction: '1/x'"
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        (["1/x", True], PARSE_ERROR),
+        (["1/x", 1.5], PARSE_ERROR),
+        ([True, "1/x"], "function.table: rationals must be strings, got True"),
+        ([1.5, "1/x"], "function.table: rationals must be strings, got 1.5"),
+        ([1, True], "function.table: rationals must be strings, got True"),
+        (["1", 1, True], "function.table: rationals must be strings, got True"),
+    ],
+)
+def test_first_bad_table_entry_in_file_order_is_refused(entries, error):
+    """A malformed string and a non-string entry are refused in file order,
+    and JSON true is never merged with an equal 1 seen before it."""
+    table = ["0", *entries, *["1"] * (8 - 1 - len(entries))]
+    obj = {
+        "version": 1,
+        "model": "binary",
+        "n": 3,
+        "function": {"class": "table", "table": table},
+        "costs": ["1/8", "1/8", "1/8"],
+    }
+    with pytest.raises(DomainError) as info:
+        loads_instance(json.dumps(obj))
+    assert str(info.value) == error
+
+
 def test_each_distinct_table_literal_is_parsed_once(monkeypatch):
     from combicontracts import instancefile
     from combicontracts.rational import parse_rational

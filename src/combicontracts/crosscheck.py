@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import approx, contract, demand
 from .errors import PrecisionError, UnsupportedClassError
-from .functions import Instance
+from .functions import Instance, _scan_tables
 from .rational import format_rational, in_bounded_set
 
 
@@ -35,7 +35,8 @@ def checks(inst: Instance, epsilon):
     midpoints = [(a + b) / 2 for a, b in zip(profile.alphas, profile.alphas[1:])]
     probes = starts + [Fraction(1)] + midpoints
 
-    brute = {a: demand.brute_force_demand(inst, a) for a in probes}
+    tables = _scan_tables(inst)  # once for every probe
+    brute = {a: demand._ranked_demand(*tables, a) for a in probes}
     oracle = demand.VOracle(inst)
     ok = all(
         oracle(a) == prof.v and oracle.best_response(a) in prof.d_star

@@ -152,7 +152,10 @@ def brute_force_demand(inst: Instance, alpha) -> DemandProfile:
     With f = F/D and c = C/D lifted to integers over one D and alpha = p/q,
     the agent's utility is (p*F - q*C) / (q*D), so the scan compares ints.
     """
-    D, ftab, ctab = _scan_tables(inst)
+    return _ranked_demand(*_scan_tables(inst), alpha)
+
+
+def _ranked_demand(D: int, ftab, ctab, alpha) -> DemandProfile:
     alpha = _check_alpha(alpha)
     p, q = alpha.numerator, alpha.denominator
     utils = [p * F - q * C for F, C in zip(ftab, ctab)]

@@ -386,11 +386,13 @@ class Coverage(SuccessFunction):
 @dataclass(frozen=True)
 class ExplicitTable(SuccessFunction):
     """All 2**n values given explicitly; the universal interchange format.
-    Construction lifts the entries once to ``_lifted``, the (D, ints) tuple
-    that ``lifted_values`` returns and the hash reads."""
+    Construction lifts the entries once to ``_lifted``, the (D, ints) tuple that
+    ``lifted_values`` returns, ``value_mask``, ``==`` and the hash read.  A table
+    made from ints stores only that, and builds its ``table`` on first read."""
 
     n_actions: int
-    table: tuple
+    table: tuple = field(compare=False)
+    _lifted: tuple = field(init=False, repr=False)
 
     kind: ClassVar[str] = "table"
     _params: ClassVar[tuple] = ("table",)
@@ -403,17 +405,17 @@ class ExplicitTable(SuccessFunction):
     @classmethod
     def _from_ints(cls, n: int, D: int, ints) -> "ExplicitTable":
         """The table of T[mask] / D, made from its ints: (D, ints) reduced by
-        their gcd is the stored lift, and each distinct value is one Fraction."""
+        their gcd is the stored lift, and no Fraction is built."""
         ints = _table_shape(n, ints)
         g = math.gcd(D, *ints)
         D, ints = D // g, tuple([v // g for v in ints]) if g > 1 else ints
-        table = tuple(map({v: Fraction(v, D) for v in set(ints)}.__getitem__, ints))
         tab = object.__new__(cls)  # frozen: fill the fields __init__ would set
-        tab.__dict__.update(n_actions=n, table=table, _lifted=(D, ints))
+        tab.__dict__.update(n_actions=n, _lifted=(D, ints))
         return tab
 
-    def __hash__(self) -> int:
-        return hash((self.n_actions,) + self._lifted)
+    def _fractions(self) -> tuple:  # one Fraction per distinct value
+        D, ints = self._lifted
+        return tuple(map({v: Fraction(v, D) for v in set(ints)}.__getitem__, ints))
 
     @cached_property
     def _range(self) -> Fraction:
@@ -425,9 +427,14 @@ class ExplicitTable(SuccessFunction):
         return self.n_actions
 
     def value_mask(self, mask: int) -> Fraction:
-        if not 0 <= mask < len(self.table):
+        if not 0 <= mask < 1 << self.n_actions:
             raise DomainError(f"subset mask {_shown(mask)} outside the table")
-        return self.table[mask]
+        return Fraction(self._lifted[1][mask], self._lifted[0])
+
+
+# Set after the class body, where dataclass would take it as the field's default.
+ExplicitTable.table = cached_property(ExplicitTable._fractions)
+ExplicitTable.table.__set_name__(ExplicitTable, "table")
 
 
 def _table_shape(n: int, entries) -> tuple:
@@ -477,11 +484,11 @@ class Instance:
             raise DomainError("f(empty set) != 0")
         if self.k is not None:
             _check_k(self.k)
-            params = self.f.parameter_fractions() + self.costs
-            quick = params
-            if isinstance(self.f, ExplicitTable):  # its entries' LCM is its lifted D
-                quick = (Fraction(1, self.f._lifted[0]),) + self.costs
-            if not all(is_k_valid(x, self.k) for x in quick):
+            dens = (self.f._lifted[0],) if isinstance(self.f, ExplicitTable) else (
+                x.denominator for x in self.f.parameter_fractions())  # a table's LCM is its D
+            lcm = math.lcm(*dens, *(c.denominator for c in self.costs))
+            if not is_k_valid(Fraction(1, lcm), self.k):  # iff some denominator is not
+                params = self.f.parameter_fractions() + self.costs
                 for den in {x.denominator for x in params}:  # name an off-grid one
                     if not is_k_valid(Fraction(1, den), self.k):
                         raise PrecisionError(

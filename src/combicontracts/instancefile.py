@@ -77,14 +77,13 @@ def _rat_list(values, where: str, k: int | None = None) -> tuple:
 
 
 def _table(values, n: int, where: str, k: int | None = None) -> ExplicitTable:
-    """The table of a list of literals, each distinct one parsed and lifted once;
-    anything but a str or an int (JSON true too) is refused, never merged with 1."""
-    parsed: dict = {}
+    """The table of a list of literals, each distinct one parsed once, lifted together;
+    anything but a str or int (JSON true too) is refused in file order, never merged with 1."""
     values = _list(values, where)
-    for v in values:
-        if type(v) not in (str, int) or v not in parsed:
-            parsed[v] = _rat(v, where, k)
-    D, ints = _lift(parsed.values())
+    if not set(map(type, values)) <= {str, int}:
+        _rat_list(values, where, k)
+    parsed = dict.fromkeys(values)
+    D, ints = _lift([_rat(v, where, k) for v in parsed])
     lifted = dict(zip(parsed, ints))
     return ExplicitTable._from_ints(n, D, map(lifted.__getitem__, values))
 

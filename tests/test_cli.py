@@ -430,6 +430,33 @@ def test_each_distinct_table_literal_is_parsed_once(monkeypatch):
     assert calls == list(dict.fromkeys(table))  # once each, in first-seen order
 
 
+def test_file_commands_never_build_a_tables_fractions(tmp_path, monkeypatch, general_corpus):
+    """Each table a command loads or derives is made from its ints, and its
+    tuple of Fractions is never read."""
+    made = []
+    from_ints = ExplicitTable._from_ints.__func__
+    monkeypatch.setattr(
+        ExplicitTable, "_from_ints", classmethod(lambda *a: made.append(from_ints(*a)) or made[-1])
+    )
+    monkeypatch.setattr(ExplicitTable, "__post_init__", lambda tab: pytest.fail("made from Fractions"))
+    binary, general = tmp_path / "table.inst", tmp_path / "general.inst"
+    binary.write_text(dumps_instance(sample_instance("table", 6, 4, seed=7)))
+    general.write_text(dumps_instance(general_corpus[4]))
+    for argv in (
+        ["solve", binary],
+        ["solve", binary, "--method", "search"],
+        ["critical-set", binary],
+        ["demand", binary, "--alpha", "1/2"],
+        ["succ", binary, "--alpha", "0"],
+        ["succ", binary, "--alpha", "0", "--method", "search"],
+        ["fptas", binary, "--epsilon", "1/4"],
+        ["robust", "solve-linear", general],
+    ):
+        made.clear()
+        assert main([str(a) for a in argv]) == 0, argv
+        assert made and all("table" not in tab.__dict__ for tab in made), argv
+
+
 @pytest.fixture()
 def worked_file(tmp_path, worked_additive):
     path = tmp_path / "worked.inst"

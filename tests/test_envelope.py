@@ -349,16 +349,40 @@ def int_tables(draw):
     return n, c * D, [c * v for v in ints]
 
 
+def outcome(make):
+    """(result, None), or (None, (class, text)) of the ContractError raised."""
+    try:
+        return make(), None
+    except ContractError as exc:
+        return None, (type(exc), str(exc))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=int_tables())
-def test_table_from_ints_is_the_table_of_its_fractions(case):
+@given(
+    case=st.one_of(int_tables(), raw_tables().map(lambda tab: (tab.n, *tab._lifted))),
+    mask=st.integers(-2, 1 << 6),
+    factor=st.sampled_from((0, 1, Fraction(2, 3), 5)),
+)
+def test_table_from_ints_is_the_table_of_its_fractions(case, mask, factor):
+    """A table from ints stores only its lift until ``table`` is read, and
+    behaves as the table of the same Fractions in every other respect."""
     n, D, ints = case
     made = ExplicitTable._from_ints(n, D, ints)
     ref = ExplicitTable(n, [Fraction(v, D) for v in ints])
-    assert made == ref and hash(made) == hash(ref) and repr(made) == repr(ref)
-    assert made._lifted == ref._lifted
+    assert made == ref and hash(made) == hash(ref) and made._lifted == ref._lifted
+    got = outcome(lambda: made.value_mask(mask))
+    assert got == outcome(lambda: ref.value_mask(mask))
+    assert got[0] is None or type(got[0]) is Fraction
+    assert "table" not in made.__dict__  # nothing above built the Fractions
+    assert repr(made) == repr(ref) and made.table == ref.table
+    assert made.__dict__["table"] is made.table  # built once, then kept
+    assert all(type(x) is Fraction for x in made.table)
     assert_stored_lift(made)
     assert len({id(x) for x in made.table}) == len(set(ints))  # one object per value
+    for a, b in ((made.scaled(factor), ref.scaled(factor)),
+                 (dataclasses.replace(made), dataclasses.replace(ref)),
+                 (dataclasses.replace(made, table=ints), dataclasses.replace(ref, table=ints))):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -370,12 +394,6 @@ def test_table_from_ints_is_the_table_of_its_fractions(case):
 @example(n=24, count=5)
 @example(n=25, count=0)
 def test_table_from_ints_refuses_what_the_constructor_refuses(n, count):
-    def outcome(make):
-        try:
-            return make(), None
-        except ContractError as exc:
-            return None, (type(exc), str(exc))
-
     made, error = outcome(lambda: ExplicitTable._from_ints(n, 4, [1] * count))
     ref, ref_error = outcome(lambda: ExplicitTable(n, [Fraction(1, 4)] * count))
     assert (made, error) == (ref, ref_error)

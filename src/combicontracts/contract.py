@@ -1,9 +1,9 @@
 """The optimal-contract engine.
 
 Successor computation for certified gross-substitutes instances, the
-critical-set envelope (an integer sweep over all 2**n subset lines, which
-verifies everything and serves V queries on the other classes), and the
-generic iterate-the-successors algorithm for the optimal linear contract.
+critical-set envelope (an integer sweep over the cheapest line per f-state,
+which verifies everything and serves V queries on the other classes), and
+the generic iterate-the-successors algorithm for the optimal linear contract.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .demand import VOracle, _check_alpha
 from .errors import DomainError, InvariantError, UnsupportedClassError
-from .functions import Instance, _scan_tables, actions_of
+from .functions import Instance, _before, _least_cost_states, actions_of
 
 __all__ = [
     "CriticalProfile",
@@ -73,16 +73,15 @@ class ContractSolution:
 
 @lru_cache(maxsize=512)
 def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> CriticalProfile:
-    """Exact critical set from the upper envelope of all 2**n subset lines.
+    """Exact critical set from the upper envelope of the subset lines.
 
     Each subset S induces the agent-utility line alpha -> alpha*f(S) - c(S).
     V(alpha) is the slope of the envelope segment at alpha (the maximal
     slope at breakpoints, matching principal-favoring tie-breaks), so the
-    critical set is exactly the envelope breakpoints inside (0, 1].  The
-    sweep runs on f = F/D and c = C/D lifted to integers over one
-    denominator, so the mask loop and the hull compare ints: every critical
-    value is the intersection abscissa (C1 - C0) / (F1 - F0) of two subset
-    lines, the same finite candidate family the definition quantifies over,
+    critical set is exactly the envelope breakpoints inside (0, 1].  Only a
+    cheapest line per slope can reach the envelope, so the sweep reads one
+    row per f-state (``_least_cost_states``) in ints over one denominator
+    D: every critical value is (C1 - C0) / (F1 - F0) for two hull lines,
     and only the reported alphas and V values F1/D are Fractions.
 
     ``beyond_one`` lifts the upper cap and reports every demand change on
@@ -90,20 +89,17 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     perturbation-monotonicity law compares these uncapped counts (a jump
     sitting exactly at 1 would otherwise leave the capped window).
     """
-    D, ftab, ctab = _scan_tables(inst)
+    D, masks, ftab, ctab = _least_cost_states(inst)
 
-    # Per slope F: the least cost C, the first mask on it, and tied[F] = C
-    # once a second mask reaches it (D* on that line has several members).
-    # Below the cap, a line with C > F lies under the empty set's on [0, 1].
-    least, first, tied = {}, {}, {}
-    for mask, F, C in zip(range(len(ftab)), ftab, ctab):
+    # Per slope F: the least cost C and the canonical mask on it.  Below the
+    # cap, a line with C > F lies under the empty set's on [0, 1].
+    least, first = {}, {}
+    for mask, F, C in zip(masks, ftab, ctab):
         if C > F and not beyond_one:
             continue
         c = least.get(F, C + 1)
-        if C < c:
+        if C < c or C == c and _before(mask, first[F]):
             least[F], first[F] = C, mask
-        elif C == c:
-            tied[F] = C
 
     hull: list = []
     for F, C in sorted(least.items()):
@@ -125,18 +121,14 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
         hull.append((F, C))
 
     # Slopes and costs strictly increase along the hull, so every
-    # breakpoint is positive.  A tied line's canonical set takes a rescan.
+    # breakpoint is positive.
     alphas, values, demand_sets = [], [], []
     for (F0, C0), (F1, C1) in zip(hull, hull[1:]):
         if C1 - C0 > F1 - F0 and not beyond_one:
             break
-        mask = first[F1]
-        if tied.get(F1) == C1:
-            rows = (m for m in range(mask, len(ftab)) if ftab[m] == F1 and ctab[m] == C1)
-            mask = min(rows, key=lambda m: sorted(actions_of(m)))
         alphas.append(Fraction(C1 - C0, F1 - F0))
         values.append(Fraction(F1, D))
-        demand_sets.append(actions_of(mask))
+        demand_sets.append(actions_of(first[F1]))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(demand_sets))
 
 

@@ -199,8 +199,8 @@ class VOracle:
     evaluator follows from the instance: a certified class is lifted once
     (``kernel``, D its lift denominator) and answered by the greedy; any
     other class, which the brute-force limit must allow, takes its critical
-    profile once (``profile``, the envelope of all 2**n subset lines, D the
-    LCM of its V denominators) and answers by an int binary search over the
+    profile once (``profile``, the envelope of the subset lines, D the LCM
+    of its V denominators) and answers by an int binary search over the
     critical values as (num, den) pairs: V is a step function that jumps
     exactly there, and is 0 below the first one because costs are positive.
 

@@ -603,10 +603,7 @@ def lifted_values(f: SuccessFunction) -> tuple:
         t = [0]
         for cover in map(f._cover_mask, range(n)):
             t += [u | cover for u in t]
-        sums = [_subset_sums(w[j : j + 8]) for j in range(0, len(w), 8)]  # one per byte
-        m = len(sums)
-        weight = {u: sum(map(list.__getitem__, sums, u.to_bytes(m, "little"))) for u in set(t)}
-        t = [weight[u] for u in t]
+        t = list(map(_weigh_covers(w, set(t)).__getitem__, t))
     else:  # unit demand and matroid rank: one member mask per block
         blocks, caps = f._matroid_form()
         members = [0] * len(caps)
@@ -621,20 +618,70 @@ def lifted_values(f: SuccessFunction) -> tuple:
     return D, t
 
 
+def _weigh_covers(w, covered) -> dict:
+    """{u: weight of u} for each covered mask u of a coverage universe whose
+    element weights are the ints w: one subset-sum table per byte of u."""
+    sums = [_subset_sums(w[j : j + 8]) for j in range(0, len(w), 8)]
+    m = len(sums)
+    return {u: sum(map(list.__getitem__, sums, u.to_bytes(m, "little"))) for u in covered}
+
+
+def _check_brute_limit(n: int) -> None:
+    if n > (limit := brute_force_limit()):
+        raise ResourceLimitError(f"brute force limited to {limit} actions, instance has {n}")
+
+
 def _scan_tables(inst: Instance) -> tuple:
     """(D, F, C): f(mask) = F[mask]/D and c(mask) = C[mask]/D over all 2**n
     masks for an exhaustive scan, refused past the brute-force limit first.
     D is the LCM of the lift denominators Df of f and Dc of the costs."""
-    limit = brute_force_limit()
-    if inst.n > limit:
-        raise ResourceLimitError(
-            f"brute force limited to {limit} actions, instance has {inst.n}"
-        )
+    _check_brute_limit(inst.n)
     (Df, F), (Dc, costs) = lifted_values(inst.f), _lift(inst.costs)
     D = math.lcm(Df, Dc)
-    if D != Df:
-        F = list(map((D // Df).__mul__, F))
+    F = F if D == Df else list(map((D // Df).__mul__, F))
     return D, F, _subset_sums([c * (D // Dc) for c in costs])
+
+
+def _before(a: int, b: int) -> bool:
+    """True iff mask a's sorted actions come before b's, for masks neither of
+    which contains the other: the lowest action in exactly one is in a."""
+    return bool(a & (a ^ b) & -(a ^ b))
+
+
+def _least_cost_states(inst: Instance) -> tuple:
+    """(D, masks, F, C): per reachable f-state, the canonical least-cost mask,
+    f = F/D and c = C/D there, refused past the brute-force limit first.  The
+    state is what f reads of a set: the capped sum (budget additive), the
+    covered mask (coverage) or the max (unit demand); the other classes keep
+    ``_scan_tables``' rows, one per mask.  On a tie the 0/1 doubling keeps the
+    mask ``_before`` the other: as costs are positive, tied masks are never
+    nested, and adding one highest action keeps their order."""
+    f, n = inst.f, inst.n
+    if not isinstance(f, (BudgetAdditive, Coverage, UnitDemand)):
+        D, F, C = _scan_tables(inst)
+        return D, range(len(F)), F, C
+    _check_brute_limit(n)
+    (Df, w), (Dc, costs) = _lift(f.parameter_fractions()), _lift(inst.costs)
+    D = math.lcm(Df, Dc)
+    w, costs = [x * (D // Df) for x in w], [c * (D // Dc) for c in costs]
+    if isinstance(f, Coverage):
+        xs, grow = map(f._cover_mask, range(n)), lambda ss, x: [s | x for s in ss]
+    elif isinstance(f, UnitDemand):
+        xs, grow = w, lambda ss, x: [s if s > x else x for s in ss]
+    else:  # budget additive: the sum, capped at the budget
+        B = w[n]
+        xs, grow = w[:n], lambda ss, x: [s + x if s + x < B else B for s in ss]
+    best = {0: (0, 0)}  # per state: the least cost and the canonical mask
+    for i, (x, c) in enumerate(zip(xs, costs)):
+        bit = 1 << i
+        for t, (C, m) in zip(grow(best, x), list(best.values())):
+            C, m = C + c, m | bit
+            old = best.get(t)
+            if old is None or C < old[0] or C == old[0] and _before(m, old[1]):
+                best[t] = C, m
+    F = list(map(_weigh_covers(w, best).get, best)) if isinstance(f, Coverage) else list(best)
+    C, masks = zip(*best.values())
+    return D, masks, F, C
 
 
 @lru_cache(maxsize=512)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from combicontracts import (  # noqa: E402
@@ -26,6 +26,7 @@ from combicontracts import (  # noqa: E402
     ExplicitTable,
     Instance,
     PartitionMatroid,
+    ResourceLimitError,
     UniformMatroid,
     UnitDemand,
     VOracle,
@@ -37,12 +38,17 @@ from combicontracts import (  # noqa: E402
     sample_instance,
     validate,
 )
+from combicontracts import demand, functions  # noqa: E402
+from combicontracts.cli import main  # noqa: E402
 from combicontracts.functions import (  # noqa: E402
+    _before,
     _lift,
     _scan_tables,
+    actions_of,
     bit_indices,
     lifted_values,
 )
+from combicontracts.instancefile import dumps_instance  # noqa: E402
 from conftest import make_small_corpus, rationals  # noqa: E402
 
 DYADIC = (1, 2, 4, 8, 16)
@@ -165,6 +171,19 @@ TIED_ACROSS_PROTOTYPES = Instance(
     BudgetAdditive([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], Fraction(1, 2)),
     [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8)],
 )
+# {2} and {3} share the line of the first critical value, 1/4, through the
+# covered sets {0, 1} and {1, 2}; {1, 2} is found first (by action 1), so the
+# canonical set {2} lies in the state found second
+TIED_ACROSS_COVERED_SETS = Instance(
+    Coverage([Fraction(1, 4)] * 3, [{1, 2}, {0, 1}, {1, 2}]),
+    [Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
+)
+# {2} (sum 1/2) and {1, 3} (sum 3/4) share the line of the critical value 1
+# only under the budget: they merge at the capped sum 1/2, {1, 3} second
+TIED_AT_THE_CAP = Instance(
+    BudgetAdditive([Fraction(3, 8), Fraction(1, 2), Fraction(3, 8)], Fraction(1, 2)),
+    [Fraction(1, 16), Fraction(3, 16), Fraction(1, 8)],
+)
 
 
 def naive_envelope(inst, beyond_one):
@@ -198,10 +217,32 @@ def naive_envelope(inst, beyond_one):
 )
 @example(inst=TIED_ACROSS_PROTOTYPES, beyond_one=False)
 @example(inst=TIED_ACROSS_PROTOTYPES, beyond_one=True)
+@example(inst=TIED_ACROSS_COVERED_SETS, beyond_one=False)
+@example(inst=TIED_AT_THE_CAP, beyond_one=False)
+@example(inst=TIED_AT_THE_CAP, beyond_one=True)
 def test_envelope_matches_the_naive_pairwise_envelope(inst, beyond_one):
     profile = brute_force_critical_set(inst, beyond_one)
     expected = naive_envelope(inst, beyond_one)
     assert (profile.alphas, profile.values, profile.demand_sets) == expected
+
+
+def test_the_tie_examples_are_decided_by_the_canonical_set():
+    assert brute_force_critical_set(TIED_ACROSS_COVERED_SETS).demand_sets == (
+        frozenset({2}), frozenset({2, 3}))
+    assert brute_force_critical_set(TIED_AT_THE_CAP).demand_sets == (
+        frozenset({1}), frozenset({1, 3}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.integers(0, 1 << 10), b=st.integers(0, 1 << 10))
+@example(a=0b0110, b=0b1001)
+@example(a=0b0101, b=0b0011)
+def test_before_is_the_order_of_sorted_action_tuples(a, b):
+    """For masks neither of which contains the other (equal-cost sets, as
+    costs are positive), ``_before`` is the canonical order."""
+    assume(a & b not in (a, b))
+    assert _before(a, b) == (sorted(actions_of(a)) < sorted(actions_of(b)))
+    assert _before(b, a) != _before(a, b)
 
 
 def test_envelope_matches_the_naive_envelope_on_seeded_instances():
@@ -439,8 +480,6 @@ def test_scaled_and_replaced_tables_lift_afresh():
 
 
 def test_table_consumers_read_the_stored_lift(monkeypatch):
-    from combicontracts import functions
-
     inst = sample_instance("table", 6, 4, seed=3)
     lifted = lifted_values(inst.f)
 
@@ -488,3 +527,48 @@ def test_the_coverage_tower_meets_the_jump_bound():
         profile = brute_force_critical_set(inst)
         assert profile.size == 2**n - 1
         assert_jump_bound(profile, 1)
+
+
+def test_state_classes_never_tabulate_their_subsets(monkeypatch):
+    """The envelope and the V oracle of budget additive, coverage and unit
+    demand build no 2**n table; ``brute_force_demand`` still scans one."""
+    calls = []
+    for module, name in ((functions, "lifted_values"), (functions, "_scan_tables"),
+                         (demand, "_scan_tables")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    insts = [sample_instance(klass, 8, 6, seed=3)
+             for klass in ("budget-additive", "coverage", "unit-demand")]
+    brute_force_critical_set.cache_clear()
+    for inst in insts:
+        assert brute_force_critical_set(inst).size > 0
+        assert VOracle(inst)(Fraction(1)) > 0
+    assert calls == []
+    brute_force_demand(insts[0], Fraction(1, 2))
+    assert calls == ["_scan_tables", "lifted_values"]
+
+
+@pytest.mark.parametrize("klass", ["unit-demand", "budget-additive", "coverage"])
+def test_state_classes_are_refused_past_the_brute_force_limit(monkeypatch, tmp_path, capsys, klass):
+    inst = sample_instance(klass, 4, 5, seed=2)
+    path = tmp_path / "inst.json"
+    path.write_text(dumps_instance(inst))
+    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", "3")
+    brute_force_critical_set.cache_clear()
+    text = "brute force limited to 3 actions, instance has 4"
+    with pytest.raises(ResourceLimitError) as caught:
+        brute_force_critical_set(inst)
+    assert str(caught.value) == text
+    if not inst.f.gs_certified:  # a certified class's oracle is the greedy
+        with pytest.raises(ResourceLimitError) as caught:
+            VOracle(inst)
+        assert str(caught.value) == (
+            "no V oracle available: function class is not certified for "
+            "greedy and 4 actions exceed the brute-force limit"
+        )
+    assert main(["critical-set", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == f"resource limit: {text}"

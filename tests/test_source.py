@@ -1,8 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and the solver modules hold no float.
 
-``__init__.py`` is left out, since it imports names only to export them.
-A name counts as used when the module reads it anywhere or lists it in
-``__all__``.
+``__init__.py`` is left out of the import check, since it imports names
+only to export them.  A name counts as used when the module reads it
+anywhere or lists it in ``__all__``.
 """
 
 import ast
@@ -42,3 +43,32 @@ def test_no_module_imports_a_name_it_never_uses():
                 found[path.name] = unused
     assert found == {}
 
+
+
+# The modules on a solver path: every answer there is exact.
+EXACT_MODULES = ("approx", "contract", "demand", "functions")
+
+
+def float_uses(tree: ast.AST) -> list:
+    """(line, what) for each float literal, ``float`` name and true division."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+    return sorted(found)
+
+
+def test_no_solver_module_holds_a_float():
+    probe = ast.parse("x = 0.5\ny = float(x)\nz = x / 2\nz /= 2\nw = x // 2\ns = '1/2'\n")
+    assert float_uses(probe) == [(1, "0.5"), (2, "float"), (3, "/"), (4, "/")]
+    found = {}
+    for name in EXACT_MODULES:
+        path = SRC / f"{name}.py"
+        uses = float_uses(ast.parse(path.read_text(), str(path)))
+        if uses:
+            found[path.name] = uses
+    assert found == {}

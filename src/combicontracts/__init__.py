@@ -53,14 +53,12 @@ from .functions import (
     validate,
 )
 from .generators import (
-    CoverageTower,
     SubsetSumSpec,
     coverage_lift_weights,
     coverage_tower,
     gen_exponential_coverage,
     gen_subset_sum,
     normalize,
-    perturb_costs,
     sample_instance,
 )
 from .instancefile import dump_instance, dumps_instance, load_instance, loads_instance
@@ -71,9 +69,6 @@ from .robust import (
     embed_binary,
     linearize,
     optimal_linear_general,
-    reduce_binary_contract,
-    two_point_family,
-    utility_under_family,
     validate_general,
     worst_case_utility_twopoint,
 )

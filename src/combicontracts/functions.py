@@ -96,6 +96,19 @@ def actions_of(mask: int) -> frozenset:
     return frozenset(i + 1 for i in bit_indices(mask))
 
 
+def _check_mask(n: int, mask: int) -> None:
+    """Refuse a subset mask of n actions that is no int in 0..2**n - 1."""
+    if not isinstance(mask, int) or not 0 <= mask < 1 << n:
+        raise DomainError(f"subset mask {_shown(mask)} outside the table")
+
+
+def _integer(x, name: str) -> int:
+    """x, refused unless it is an int (a bool is not one)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{name}: expected an integer, got {_shown(x)}")
+    return x
+
+
 class SuccessFunction:
     """Base value-oracle interface; subclasses implement ``value_mask``.
 
@@ -158,13 +171,6 @@ class SuccessFunction:
             changes[name] = tuple(v * c for v in x) if isinstance(x, tuple) else x * c
         return replace(self, **changes)
 
-    def to_table(self) -> "ExplicitTable":
-        if self.n > EXPLICIT_TABLE_MAX_ACTIONS:
-            raise ResourceLimitError(
-                f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
-            )
-        return ExplicitTable._from_ints(self.n, *lifted_values(self))
-
 
 def _coerce_fractions(obj, name: str) -> tuple:
     """obj as a tuple of exact Fractions, none of them negative."""
@@ -203,6 +209,7 @@ class Additive(SuccessFunction):
         return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
+        _check_mask(self.n, mask)
         return sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
 
     def _matroid_form(self) -> tuple:
@@ -227,6 +234,7 @@ class UnitDemand(SuccessFunction):
         return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
+        _check_mask(self.n, mask)
         return max([Fraction(0)] + [self.values[i] for i in bit_indices(mask)])
 
     def _matroid_form(self) -> tuple:
@@ -240,7 +248,7 @@ class UniformMatroid:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 0:
+        if _integer(self.rank, "matroid rank") < 0:
             raise DomainError(f"negative matroid rank {_shown(self.rank)}")
 
 
@@ -252,8 +260,10 @@ class PartitionMatroid:
     capacities: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
-        object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
+        blocks = tuple(frozenset(_integer(a, "block entries") for a in b) for b in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        caps = tuple(_integer(c, "block capacities") for c in self.capacities)
+        object.__setattr__(self, "capacities", caps)
         if len(self.blocks) != len(self.capacities):
             raise DomainError(
                 f"{len(self.blocks)} partition blocks, "
@@ -294,6 +304,7 @@ class WeightedMatroidRank(SuccessFunction):
         return len(self.weights)
 
     def value_mask(self, mask: int) -> Fraction:
+        _check_mask(self.n, mask)
         members = [i + 1 for i in bit_indices(mask)]
         # Greedy by weight is optimal on matroids.
         members.sort(key=lambda a: self.weights[a - 1], reverse=True)
@@ -338,6 +349,7 @@ class BudgetAdditive(SuccessFunction):
         return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
+        _check_mask(self.n, mask)
         total = sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
         return min(self.budget, total)
 
@@ -358,9 +370,8 @@ class Coverage(SuccessFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _coerce_fractions(self.weights, "weights"))
-        object.__setattr__(
-            self, "covers", tuple(frozenset(int(j) for j in c) for c in self.covers)
-        )
+        covers = tuple(frozenset(_integer(j, "cover entries") for j in c) for c in self.covers)
+        object.__setattr__(self, "covers", covers)
         size = len(self.weights)
         for a, cover in enumerate(self.covers, 1):
             if any(not 0 <= j < size for j in cover):
@@ -377,6 +388,7 @@ class Coverage(SuccessFunction):
         return mask
 
     def value_mask(self, mask: int) -> Fraction:
+        _check_mask(self.n, mask)
         covered = 0
         for i in bit_indices(mask):
             covered |= self._cover_mask(i)
@@ -427,8 +439,7 @@ class ExplicitTable(SuccessFunction):
         return self.n_actions
 
     def value_mask(self, mask: int) -> Fraction:
-        if not 0 <= mask < 1 << self.n_actions:
-            raise DomainError(f"subset mask {_shown(mask)} outside the table")
+        _check_mask(self.n_actions, mask)
         return Fraction(self._lifted[1][mask], self._lifted[0])
 
 
@@ -507,14 +518,6 @@ class Instance:
     @property
     def n(self) -> int:
         return self.f.n
-
-    def cost(self, actions: Iterable[int]) -> Fraction:
-        return sum(
-            (self.costs[a - 1] for a in action_set(self.n, actions)), Fraction(0)
-        )
-
-    def cost_mask(self, mask: int) -> Fraction:
-        return sum((self.costs[i] for i in bit_indices(mask)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The subset-sum hardness reduction, the recursive coverage construction
 with exponentially many critical values (plus its explicit group-weight
-lift), cost perturbations on a rational grid, and seeded random sampling
-of k-valid instances of every class.
+lift), joint normalization, and seeded random sampling of k-valid
+instances of every class.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .functions import (
     UniformMatroid,
     UnitDemand,
     WeightedMatroidRank,
+    _integer,
     lifted_values,
 )
 from .rational import _STR_LIMIT, _bounded_k, _shown, as_fraction
@@ -33,18 +34,15 @@ __all__ = [
     "SubsetSumSpec",
     "gen_subset_sum",
     "TowerLevel",
-    "CoverageTower",
     "coverage_tower",
     "gen_exponential_coverage",
     "normalize",
     "coverage_lift_weights",
-    "perturb_costs",
     "sample_instance",
     "SAMPLE_CLASSES",
 ]
 
 MAX_TOWER_ACTIONS = 5
-_PERTURB_RESOLUTION = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,12 +53,13 @@ class SubsetSumSpec:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(x) for x in self.values))
+        values = tuple(_integer(x, "subset-sum values") for x in self.values)
+        object.__setattr__(self, "values", values)
         if not self.values:
             raise DomainError("subset-sum needs at least one value")
         if any(x <= 0 for x in self.values):
             raise DomainError("subset-sum values must be positive integers")
-        if self.target <= 0:
+        if _integer(self.target, "subset-sum target") <= 0:
             raise DomainError("subset-sum target must be positive")
         if any(x >= self.target for x in self.values):
             raise DomainError("every value must be smaller than the target")
@@ -170,24 +169,14 @@ class TowerLevel:
         return Instance(f, self.costs, scale=scale)
 
 
-@dataclass(frozen=True)
-class CoverageTower:
-    """The full recursion; the top level has 2**n - 1 critical values."""
-
-    levels: tuple
-
-    @property
-    def top(self) -> TowerLevel:
-        return self.levels[-1]
-
-
 def _freeze_groups(weights: Mapping) -> tuple:
     keys = sorted(weights, key=lambda t: (len(t), tuple(sorted(t))))
     return tuple((tuple(sorted(t)), as_fraction(weights[t])) for t in keys)
 
 
-def coverage_tower(n: int) -> CoverageTower:
-    """Build all levels 1..n of the recursive coverage construction.
+def coverage_tower(n: int) -> tuple:
+    """Build all levels 1..n of the recursive coverage construction, as a
+    tuple of ``TowerLevel``s; the last, level n, has 2**n - 1 critical values.
 
     The base level is a single action with f(1) = 2 and c(1) = 1.  Each
     subsequent level picks beta_1 = 10 * (largest critical) / (smallest
@@ -213,13 +202,13 @@ def coverage_tower(n: int) -> CoverageTower:
         levels.append(
             TowerLevel(size + 1, _freeze_groups(weights), costs, beta_1, beta_2)
         )
-    return CoverageTower(tuple(levels))
+    return tuple(levels)
 
 
 def gen_exponential_coverage(n: int) -> Instance:
     """Unnormalized coverage instance whose critical set has size 2**n - 1."""
     tower = coverage_tower(n)
-    inst = tower.top.instance()
+    inst = tower[-1].instance()
     meta = {
         "generator": "coverage-tower",
         "levels": [
@@ -228,7 +217,7 @@ def gen_exponential_coverage(n: int) -> Instance:
                 "beta_1": None if lvl.beta_1 is None else str(lvl.beta_1),
                 "beta_2": None if lvl.beta_2 is None else str(lvl.beta_2),
             }
-            for lvl in tower.levels
+            for lvl in tower
         ],
     }
     return Instance(inst.f, inst.costs, scale=inst.scale, meta=meta)
@@ -255,26 +244,6 @@ def normalize(inst: Instance) -> Instance:
         scale=Fraction(1),
         meta=inst.meta,
     )
-
-
-def perturb_costs(inst: Instance, epsilon, seed: int) -> Instance:
-    """Seeded draw of perturbed costs from the rational grid [c, c + eps].
-
-    Each cost moves up by eps * j / 2**16 for a uniform integer j in
-    [0, 2**16]; eps = 0 returns the instance unchanged.  The declared k is
-    dropped (perturbed costs are generally not k-valid).
-    """
-    epsilon = as_fraction(epsilon)
-    if epsilon < 0:
-        raise DomainError("perturbation radius must be non-negative")
-    if epsilon == 0:
-        return inst
-    rng = random.Random(seed)
-    costs = tuple(
-        c + epsilon * Fraction(rng.randint(0, _PERTURB_RESOLUTION), _PERTURB_RESOLUTION)
-        for c in inst.costs
-    )
-    return Instance(inst.f, costs, k=None, scale=inst.scale, meta=inst.meta)
 
 
 SAMPLE_CLASSES = (

@@ -5,8 +5,9 @@ levels (or declares only the expected reward R per set).  Linear contracts
 hand the agent a fixed fraction of the realized reward; against the
 adversarial two-point reward family they weakly dominate every other
 contract, and the optimal linear contract is the binary model's optimum
-with f = R.  A binary contract (t0, t1) reduces to a linear one through
-the envelope of the agent's utility lines.
+with f = R.  Under that family the agent faces t(0) plus a linear
+contract on R, so a contract's worst-case utility is read from the
+envelope of f = R.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any
 
 from .contract import ContractSolution, brute_force_critical_set, optimal_contract
 from .errors import (
@@ -34,7 +35,6 @@ from .functions import (
     _lift,
     _monotone,
     _positive_costs,
-    bit_indices,
     brute_force_limit,
     lifted_values,
 )
@@ -45,11 +45,8 @@ __all__ = [
     "GeneralContract",
     "embed_binary",
     "validate_general",
-    "reduce_binary_contract",
     "linearize",
-    "two_point_family",
     "worst_case_utility_twopoint",
-    "utility_under_family",
     "optimal_linear_general",
 ]
 
@@ -245,36 +242,6 @@ def _positive_top(ginst: GeneralInstance) -> Fraction:
     return top
 
 
-def _envelope_v(inst: Instance, s: Fraction) -> Fraction:
-    """f of the principal-favored best response to the linear contract s,
-    read from the envelope uncapped past 1 (0 before its first breakpoint).
-    The principal keeps f(S) * (1 - s), so among the agent's optima at a
-    breakpoint it favors the largest f while s < 1 (bisect_right) and the
-    smallest once s >= 1 (bisect_left)."""
-    profile = brute_force_critical_set(inst, beyond_one=True)
-    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
-    return profile.values[i - 1] if i else Fraction(0)
-
-
-def reduce_binary_contract(t0, t1, inst: Instance) -> Fraction:
-    """Linear slope that weakly dominates the binary contract (t0, t1).
-
-    Preserves the expected payment at the agent's original best response
-    (alpha * f(S) = (1 - f(S)) * t0 + f(S) * t1), clamped to [0, 1]; with a
-    zero-probability best response the all-zero contract already dominates.
-    Up to the constant t0 the agent faces the linear contract s = t1 - t0,
-    so f(S) is ``_envelope_v`` at s.
-    """
-    t0, t1 = as_fraction(t0), as_fraction(t1)
-    if t0 < 0 or t1 < 0:
-        raise DomainError("negative payments are not allowed")
-    s = t1 - t0
-    v = _envelope_v(inst, s)
-    if v == 0:
-        return Fraction(0)
-    return min(t0 / v + s, Fraction(1))
-
-
 def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     """Slope (t(R(A)) - t(0)) / R(A), or 0 when the contract pays more on failure.
 
@@ -287,50 +254,14 @@ def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     return max(t.pay(top) - t.pay(Fraction(0)), Fraction(0)) / top
 
 
-def two_point_family(ginst: GeneralInstance) -> Callable:
-    """The proof's adversarial family: X_S on {0, R(A)} with mean R(S)."""
-    top = _positive_top(ginst)
-
-    def family(mask: int):
-        rs = ginst.expected_reward_mask(mask)
-        if rs > top or rs < 0:
-            raise InvariantError("expected reward outside [0, R(A)]")
-        p = rs / top
-        return ((Fraction(0), 1 - p), (top, p))
-
-    return family
-
-
-def utility_under_family(
-    t: GeneralContract, ginst: GeneralInstance, family: Callable
-) -> Fraction:
-    """Principal utility when the agent best-responds under a reward family.
-
-    ``family(mask)`` yields (reward level, probability) pairs for the set's
-    distribution; ties in the agent's utility break toward the principal.
-    """
-    if ginst.n > brute_force_limit():
-        raise ResourceLimitError("family evaluation enumerates all subsets")
-    t.check_observable(ginst)
-    best_key = None
-    for mask in range(1 << ginst.n):
-        u_agent = -sum((ginst.costs[i] for i in bit_indices(mask)), Fraction(0))
-        u_principal = Fraction(0)
-        for level, prob in family(mask):
-            pay = t.pay(level)
-            u_agent += prob * pay
-            u_principal += prob * (level - pay)
-        key = (u_agent, u_principal)
-        if best_key is None or key > best_key:
-            best_key = key
-    return best_key[1]
-
-
 def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     """Principal utility against the adversarial two-point reward family: the
-    agent gets t(0) plus the linear contract s = ``linearize(t)`` on R (V is 0
-    at s <= 0), and the principal R(S) * (1 - s) - t(0), with R(S) the
-    ``_envelope_v`` of f = R at s."""
+    agent gets t(0) plus the linear contract s = ``linearize(t)`` on R, and
+    the principal R(S) * (1 - s) - t(0).  R(S) is read from the envelope of
+    f = R uncapped past 1 (0 before its first breakpoint, so at s <= 0).  The
+    principal keeps R(S) * (1 - s), so among the agent's optima at a
+    breakpoint it favors the largest R while s < 1 (bisect_right) and the
+    smallest once s >= 1 (bisect_left)."""
     top = _positive_top(ginst)
     if ginst.n > brute_force_limit():
         raise ResourceLimitError("family evaluation enumerates all subsets")
@@ -339,7 +270,10 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     if min(table) < 0 or max(table) > table[-1]:
         raise InvariantError("expected reward outside [0, R(A)]")
     binary = Instance(ginst.reward, ginst.costs, scale=top)
-    return _envelope_v(binary, s) * (1 - s) - t.pay(Fraction(0))
+    profile = brute_force_critical_set(binary, beyond_one=True)
+    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
+    rs = profile.values[i - 1] if i else Fraction(0)
+    return rs * (1 - s) - t.pay(Fraction(0))
 
 
 def optimal_linear_general(

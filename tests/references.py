@@ -1,0 +1,62 @@
+"""Set-by-set references the tests check the library against.
+
+They take only the package's data types (instances, contracts, errors)
+and import nothing from ``contract``, ``demand`` or ``approx``, so they
+share no code with the paths they check: a cost is summed here per set,
+and a utility is maximized here over all 2**n sets.
+"""
+
+import random
+from fractions import Fraction
+
+from combicontracts import Instance, InvariantError
+
+PERTURB_RESOLUTION = 1 << 16
+
+
+def cost_of(inst, mask: int) -> Fraction:
+    """c(S) for the set S of mask, summed in Fractions."""
+    return sum((c for i, c in enumerate(inst.costs) if mask >> i & 1), Fraction(0))
+
+
+def two_point_family(ginst):
+    """The robust proof's adversarial family: X_S on {0, R(A)} with mean R(S)."""
+    top = ginst.top_reward
+
+    def family(mask: int):
+        rs = ginst.expected_reward_mask(mask)
+        if not 0 <= rs <= top:
+            raise InvariantError("expected reward outside [0, R(A)]")
+        return ((Fraction(0), 1 - rs / top), (top, rs / top))
+
+    return family
+
+
+def utility_under_family(t, ginst, family) -> Fraction:
+    """Principal utility when the agent best-responds to the contract t under a
+    reward family, by a scan over all 2**n sets.  ``family(mask)`` yields
+    (reward level, probability) pairs; ties in the agent's utility break
+    toward the principal."""
+
+    def utilities(mask: int) -> tuple:
+        agent, principal = -cost_of(ginst, mask), Fraction(0)
+        for level, prob in family(mask):
+            pay = t.pay(level)
+            agent += prob * pay
+            principal += prob * (level - pay)
+        return agent, principal
+
+    return max(map(utilities, range(1 << ginst.n)))[1]
+
+
+def perturb_costs(inst: Instance, epsilon, seed: int) -> Instance:
+    """Seeded draw of costs from the grid [c, c + eps]: each cost moves up by
+    eps * j / 2**16 for a uniform integer j in [0, 2**16].  eps = 0 returns
+    the instance; otherwise the declared k is dropped, as perturbed costs are
+    generally off the 2**-k grid."""
+    if epsilon == 0:
+        return inst
+    rng = random.Random(seed)
+    step = Fraction(epsilon) / PERTURB_RESOLUTION
+    costs = tuple(c + step * rng.randint(0, PERTURB_RESOLUTION) for c in inst.costs)
+    return Instance(inst.f, costs, scale=inst.scale, meta=inst.meta)

@@ -27,11 +27,12 @@ from combicontracts import (
     linearize,
     optimal_contract,
     optimal_linear_general,
-    perturb_costs,
     worst_case_utility_twopoint,
 )
 from combicontracts.contract import ContractSolution
 from combicontracts.crosscheck import checks
+
+from references import perturb_costs
 
 
 @contextmanager
@@ -131,7 +132,7 @@ def test_criterion_7_exponential_coverage():
         assert two.alphas == (Fraction(1, 20), Fraction(19, 180), Fraction(1, 2))
 
         tower = coverage_tower(4)
-        for prev, cur in zip(tower.levels, tower.levels[1:]):
+        for prev, cur in zip(tower, tower[1:]):
             weights = dict(cur.group_weights)
             assert all(w >= 0 for w in weights.values())
             prev_f = prev.instance().f

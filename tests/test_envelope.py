@@ -1,7 +1,7 @@
 """Property tests for the integer subset tables, the envelope and the V oracle.
 
 The references avoid the code under test: lifted tables are checked against
-``value_mask`` and ``cost_mask`` (per-set Fraction sums); the envelope
+``value_mask`` and ``references.cost_of`` (per-set Fraction sums); the envelope
 against a naive one built here from every pair of subset lines in
 Fractions; and the V oracle, whose int levels come from the greedy kernel
 or from an int binary search over the envelope's critical values, against
@@ -50,6 +50,7 @@ from combicontracts.functions import (  # noqa: E402
 )
 from combicontracts.instancefile import dumps_instance  # noqa: E402
 from conftest import make_small_corpus, rationals  # noqa: E402
+from references import cost_of  # noqa: E402
 
 DYADIC = (1, 2, 4, 8, 16)
 # dyadic (with or without k = 4), non-dyadic and mixed denominators
@@ -194,7 +195,7 @@ def naive_envelope(inst, beyond_one):
     the candidate before it (V = 0 up to the first).  The set is the
     lexicographically smallest optimum with f = V(x)."""
     masks = range(1 << inst.n)
-    lines = [(inst.f.value_mask(m), inst.cost_mask(m)) for m in masks]
+    lines = [(inst.f.value_mask(m), cost_of(inst, m)) for m in masks]
     distinct = set(lines)
     crossings = {(c1 - c0) / (f1 - f0) for f0, c0 in distinct for f1, c1 in distinct if f1 > f0}
     rows, v_before = [], Fraction(0)
@@ -287,7 +288,7 @@ def test_lifted_tables_match_per_set_values(inst):
     values = [inst.f.value_mask(m) for m in masks]
     assert [Fraction(v, Df) for v in table] == values
     Dc, table = lifted_values(Additive(inst.costs))
-    costs = [inst.cost_mask(m) for m in masks]
+    costs = [cost_of(inst, m) for m in masks]
     assert [Fraction(c, Dc) for c in table] == costs
     D, F, C = _scan_tables(inst)
     assert D == math.lcm(Df, Dc)

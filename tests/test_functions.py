@@ -18,7 +18,13 @@ from combicontracts import (
     validate,
 )
 from combicontracts.demand import GreedyKernel
-from combicontracts.functions import _monotone, actions_of, brute_force_limit, mask_of
+from combicontracts.functions import (
+    _monotone,
+    actions_of,
+    brute_force_limit,
+    cost_table,
+    mask_of,
+)
 from combicontracts.generators import SAMPLE_CLASSES, sample_instance
 
 from conftest import make_small_corpus
@@ -51,13 +57,13 @@ def test_marginal_rejects_members():
 
 
 def test_cost_examples(example_three_action):
-    assert example_three_action.cost({1, 2}) == Fraction(1, 5)
-    assert example_three_action.cost(set()) == 0
+    assert cost_table(example_three_action)[0b011] == Fraction(1, 5)
+    assert cost_table(example_three_action)[0] == 0
     inst = Instance(
         Additive((Fraction(3, 8), Fraction(5, 8))),
         (Fraction(3, 64), Fraction(5, 64)),
     )
-    assert inst.cost({1, 2}) == Fraction(1, 8)
+    assert cost_table(inst)[0b11] == Fraction(1, 8)
 
 
 def test_validate_examples(example_three_action):
@@ -186,6 +192,13 @@ HALF = Fraction(1, 2)
         (lambda: UniformMatroid(-1), "negative matroid rank"),
         (lambda: PartitionMatroid((frozenset({1}),), (-1,)), "negative partition"),
         (lambda: PartitionMatroid((frozenset({1}), frozenset({1})), (1, 1)), "overlap"),
+        # integer fields take ints only: no float, bool or numeric string
+        (lambda: UniformMatroid(1.5), "matroid rank: expected an integer, got 1.5"),
+        (lambda: UniformMatroid(True), "matroid rank: expected an integer, got True"),
+        (lambda: PartitionMatroid(({1},), (1.5,)), "capacities: expected an integer, got 1.5"),
+        (lambda: PartitionMatroid(({1},), ("2",)), "capacities: expected an integer, got '2'"),
+        (lambda: PartitionMatroid(({1.0},), (1,)), "entries: expected an integer, got 1.0"),
+        (lambda: Coverage((HALF, HALF), ({1.7},)), "entries: expected an integer, got 1.7"),
         (lambda: Instance(Additive(()), ()), "empty action set"),
         (lambda: Instance(Additive((HALF,)), (HALF,), scale=0), "non-positive scale"),
         (lambda: Instance(Additive((HALF, HALF)), (HALF,)), "1 costs for 2 actions"),
@@ -204,9 +217,35 @@ def test_brute_force_limit_refuses_a_bad_setting(monkeypatch, raw, match):
 
 
 def test_to_table_refuses_more_than_24_actions():
-    # refused before any of the 2**25 entries is built
+    # refused before any of the 2**25 entries is read
+    def entries():
+        raise AssertionError("an entry was read")
+        yield
+
     with pytest.raises(ResourceLimitError, match="at most 24 actions"):
-        Additive((Fraction(1, 32),) * 25).to_table()
+        ExplicitTable(25, entries())
+    with pytest.raises(ResourceLimitError, match="at most 24 actions"):
+        ExplicitTable._from_ints(25, 1, entries())
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Additive((HALF, HALF)),
+        UnitDemand((HALF, HALF)),
+        WeightedMatroidRank((HALF, HALF), UniformMatroid(1)),
+        WeightedMatroidRank((HALF, HALF), PartitionMatroid(({1}, {2}), (1, 1))),
+        BudgetAdditive((HALF, HALF), HALF),
+        Coverage((HALF,), ({0}, {0})),
+        ExplicitTable(2, (0, HALF, HALF, 1)),
+    ],
+    ids=["additive", "unit-demand", "uniform", "partition", "budget-additive", "coverage",
+         "table"],
+)
+def test_value_mask_refuses_a_mask_outside_the_subsets(f):
+    for mask in (-1, 1 << f.n, HALF):
+        with pytest.raises(DomainError, match=f"subset mask {mask} outside the table"):
+            f.value_mask(mask)
 
 
 def test_partition_needs_one_capacity_per_block():
@@ -248,12 +287,6 @@ def test_monotone_and_submodular_exhaustively():
                     )
                     mm ^= j
                 m ^= i
-
-
-def test_to_table_round_trip(worked_additive):
-    table = worked_additive.f.to_table()
-    for mask in range(4):
-        assert table.value_mask(mask) == worked_additive.f.value_mask(mask)
 
 
 def test_mask_helpers():

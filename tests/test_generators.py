@@ -17,12 +17,13 @@ from combicontracts import (
     gen_subset_sum,
     normalize,
     optimal_contract,
-    perturb_costs,
     sample_instance,
     validate,
 )
 from combicontracts.generators import SAMPLE_CLASSES
 from combicontracts.instancefile import dumps_instance
+
+from references import perturb_costs
 
 # SHA-256 over the files of every class at n in {1, 3, 8, 12}, k in {4, 8},
 # seeds 0-2: a changed draw changes the stored perfbench references too
@@ -44,6 +45,11 @@ def test_subset_sum_spec_invariants():
         SubsetSumSpec((1, 2), 8)  # sums below target
     with pytest.raises(DomainError):
         SubsetSumSpec((0, 5), 8)
+    # ints only: int() would cut 1.5 and 2.7 to 1 and 2, a different instance
+    with pytest.raises(DomainError, match="values: expected an integer, got 1.5"):
+        SubsetSumSpec((1.5, 2.7), 3)
+    with pytest.raises(DomainError, match="target: expected an integer, got 2.5"):
+        SubsetSumSpec((1, 2), 2.5)
     SubsetSumSpec((3, 5), 8)  # sum == target is allowed (trivially YES)
 
 
@@ -157,7 +163,7 @@ def test_lift_weights_degenerate_betas():
 
 def test_lift_reproduces_level_values():
     tower = coverage_tower(3)
-    for prev, cur in zip(tower.levels, tower.levels[1:]):
+    for prev, cur in zip(tower, tower[1:]):
         prev_f = prev.instance().f
         cur_f = cur.instance().f
         beta_1, beta_2 = cur.beta_1, cur.beta_2

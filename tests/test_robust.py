@@ -19,29 +19,18 @@ from combicontracts import (
     linearize,
     optimal_contract,
     optimal_linear_general,
-    reduce_binary_contract,
     sample_instance,
-    two_point_family,
-    utility_under_family,
     validate_general,
     worst_case_utility_twopoint,
 )
 from combicontracts.demand import brute_force_demand
 from combicontracts.generators import SAMPLE_CLASSES
 
+from references import cost_of, two_point_family, utility_under_family
+
 
 def single_action(f1=Fraction(1, 2), c1=Fraction(1, 10)) -> Instance:
     return Instance(Additive((f1,)), (c1,))
-
-
-def test_reduce_binary_contract_examples():
-    inst = single_action()
-    assert reduce_binary_contract(Fraction(0), Fraction(2, 5), inst) == Fraction(2, 5)
-    # best response has f = 1/2; expected payment (1/2)(1/10) + (1/2)(1/2) = 3/10
-    assert reduce_binary_contract(Fraction(1, 10), Fraction(1, 2), inst) == Fraction(3, 5)
-    assert reduce_binary_contract(Fraction(0), Fraction(0), inst) == Fraction(0)
-    with pytest.raises(DomainError):
-        reduce_binary_contract(Fraction(-1, 10), Fraction(0), inst)
 
 
 def binary_best_response(inst, t0, t1):
@@ -51,7 +40,7 @@ def binary_best_response(inst, t0, t1):
     for mask in range(1 << inst.n):
         fs = inst.f.value_mask(mask)
         pay = t0 + fs * (t1 - t0)
-        key = (pay - inst.cost_mask(mask), fs - pay)
+        key = (pay - cost_of(inst, mask), fs - pay)
         if best is None or key > best:
             best, best_f = key, fs
     return best[1], best_f
@@ -61,31 +50,16 @@ def binary_principal_utility(inst, t0, t1):
     return binary_best_response(inst, t0, t1)[0]
 
 
-def test_reduce_binary_contract_matches_scan(small_corpus):
-    # the payment-preserving slope at the scanned best response, over
-    # t1 < t0, s = t1 - t0 = 0, every breakpoint and midpoint, s = 1, s > 1;
-    # the last instance's first breakpoint is 1, where the empty set ties
-    for inst in small_corpus + [single_action(c1=Fraction(1, 2))]:
-        alphas = brute_force_critical_set(inst, beyond_one=True).alphas
-        mids = [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
-        slopes = {Fraction(-1, 4), Fraction(0), Fraction(1), Fraction(5, 4), *alphas, *mids}
-        for s in slopes:
-            for t0 in (Fraction(0), Fraction(1, 8), Fraction(3, 2)):
-                if t0 + s < 0:
-                    continue
-                _, f = binary_best_response(inst, t0, t0 + s)
-                expected = 0 if f == 0 else min(max(t0 / f + s, Fraction(0)), Fraction(1))
-                assert reduce_binary_contract(t0, t0 + s, inst) == expected
-
-
 def test_reduce_binary_never_hurts_principal(small_corpus):
+    # the linear slope that keeps the expected payment at the agent's best
+    # response f to (t0, t1): alpha f = (1 - f) t0 + f t1, capped at 1
     rng = random.Random(17)
     for inst in small_corpus[:18]:
         for _ in range(4):
             t0 = Fraction(rng.randint(0, 8), 16)
             t1 = Fraction(rng.randint(0, 16), 16)
-            alpha = reduce_binary_contract(t0, t1, inst)
-            before = binary_principal_utility(inst, t0, t1)
+            before, f = binary_best_response(inst, t0, t1)
+            alpha = 0 if f == 0 else min(t0 / f + t1 - t0, Fraction(1))
             after = binary_principal_utility(inst, Fraction(0), alpha)
             assert after >= before
 
@@ -414,5 +388,3 @@ def test_worst_case_refusals():
     )
     with pytest.raises(ResourceLimitError, match="enumerates all subsets"):
         worst_case_utility_twopoint(t, wide)
-    with pytest.raises(ResourceLimitError, match="enumerates all subsets"):
-        utility_under_family(t, wide, two_point_family(wide))

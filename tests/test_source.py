@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and the solver modules hold no float.
+no public name is there for the tests alone, and the solver modules hold
+no float.
 
 ``__init__.py`` is left out of the import check, since it imports names
 only to export them.  A name counts as used when the module reads it
@@ -12,6 +13,17 @@ from pathlib import Path
 import combicontracts
 
 SRC = Path(combicontracts.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def all_entries(tree: ast.Module) -> list:
+    """The constant nodes listed in the module's ``__all__``, or none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return node.value.elts
+    return []
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -24,11 +36,7 @@ def unused_imports(tree: ast.Module) -> list:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
+    used |= {elt.value for elt in all_entries(tree)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -43,6 +51,41 @@ def test_no_module_imports_a_name_it_never_uses():
                 found[path.name] = unused
     assert found == {}
 
+
+def names_read(tree: ast.Module) -> set:
+    """Every name the code reads, imports or attribute-accesses, and every
+    string constant (perfbench wraps functions by name); ``__all__``'s own
+    entries are not reads."""
+    listed = set(map(id, all_entries(tree)))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in listed:
+                out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A name in a module's ``__all__`` is read by the package (its own
+    module counts, ``__init__`` does not), a demo or the benchmark."""
+    probe = ast.parse("__all__ = ['a', 'b']\nx = b\ny.c = 'd'\nfrom e import f\n")
+    assert names_read(probe) == {"b", "y", "c", "d", "f"}
+    callers = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    callers += [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    read = set().union(*(names_read(ast.parse(p.read_text(), str(p))) for p in callers))
+    dead = {}
+    for path in sorted(SRC.glob("*.py")):
+        entries = all_entries(ast.parse(path.read_text(), str(path)))
+        names = [elt.value for elt in entries if elt.value not in read]
+        if names:
+            dead[path.name] = names
+    assert dead == {}
 
 
 # The modules on a solver path: every answer there is exact.

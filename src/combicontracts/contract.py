@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .demand import VOracle, _check_alpha
-from .errors import DomainError, InvariantError, UnsupportedClassError
+from .demand import VOracle, _check_alpha, _require_certified
+from .errors import DomainError, InvariantError
 from .functions import Instance, _before, _least_cost_states, actions_of
 
 __all__ = [
@@ -166,7 +166,7 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
 
     Returns None when no critical value above alpha exists.
     """
-    _require_certified(inst)
+    _require_certified(inst, "succ_gs")
     if oracle is None:
         oracle = VOracle(inst)
     kernel, alpha = oracle.kernel, _check_alpha(alpha)
@@ -211,15 +211,8 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
     return None
 
 
-def _require_certified(inst: Instance) -> None:
-    if not inst.f.gs_certified:
-        raise UnsupportedClassError(
-            f"succ_gs requires a greedy-certified class, got {inst.f.kind!r}"
-        )
-
-
 def _gs_backend(inst: Instance):
-    _require_certified(inst)  # before any oracle is built
+    _require_certified(inst, "method 'gs'")  # before any oracle is built
     return VOracle(inst), succ_gs, VOracle.__call__, inst.n * (inst.n + 1) // 2
 
 

@@ -58,6 +58,13 @@ class DemandProfile:
     v: Fraction
 
 
+def _require_certified(inst: Instance, what: str) -> None:
+    if not inst.f.gs_certified:
+        raise UnsupportedClassError(
+            f"{what} requires a greedy-certified class, got {inst.f.kind!r}"
+        )
+
+
 def _check_alpha(alpha) -> Fraction:
     alpha = as_fraction(alpha)
     if not 0 <= alpha.numerator <= alpha.denominator:  # the denominator is positive
@@ -80,13 +87,8 @@ class GreedyKernel:
     """
 
     def __init__(self, inst: Instance):
-        f = inst.f
-        if not f.gs_certified:
-            raise UnsupportedClassError(
-                f"greedy demand is not certified for class {f.kind!r}; "
-                "use brute_force_demand"
-            )
-        n = inst.n
+        _require_certified(inst, "greedy demand")
+        f, n = inst.f, inst.n
         self.D, lifted = _lift(f.parameter_fractions() + inst.costs)
         self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
         self.blocks, self.caps = f._matroid_form()
@@ -210,7 +212,6 @@ class VOracle:
     """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         self.kernel = self.profile = None
         if inst.f.gs_certified:
             self.kernel = GreedyKernel(inst)

@@ -114,7 +114,10 @@ class SuccessFunction:
 
     Each class states its form once.  ``_params`` names the dataclass fields
     that hold f's rationals (a tuple field or one value), which
-    ``parameter_fractions`` and ``scaled`` read.  The certified classes are
+    ``parameter_fractions`` and ``scaled`` read.  ``_params[0]`` is the
+    per-action tuple: the constructor makes it a tuple of non-negative
+    Fractions, and ``n`` is its length (coverage, with one cover per action,
+    and the explicit table override ``n``).  The certified classes are
     weighted matroid ranks, and ``_matroid_form()`` gives their blocks and
     capacities, which the greedy kernel and ``lifted_values`` read.
     """
@@ -123,9 +126,13 @@ class SuccessFunction:
     kind: ClassVar[str] = "abstract"
     _params: ClassVar[tuple] = ()
 
+    def __post_init__(self):
+        name = self._params[0]
+        object.__setattr__(self, name, _coerce_fractions(getattr(self, name), name))
+
     @property
     def n(self) -> int:
-        raise NotImplementedError
+        return len(getattr(self, self._params[0]))
 
     def value_mask(self, mask: int) -> Fraction:
         raise NotImplementedError
@@ -136,8 +143,7 @@ class SuccessFunction:
     def marginal(self, a: int, actions: Iterable[int]) -> Fraction:
         """f(S + a) - f(S); requires a outside S."""
         s = action_set(self.n, actions)
-        if not 1 <= a <= self.n:
-            raise DomainError(f"action {_shown(a)} outside ground set 1..{self.n}")
+        action_set(self.n, (a,))
         if a in s:
             raise DomainError(f"action {a} already in the set")
         mask = mask_of(self.n, s)
@@ -201,13 +207,6 @@ class Additive(SuccessFunction):
     gs_certified: ClassVar[bool] = True
     _params: ClassVar[tuple] = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def value_mask(self, mask: int) -> Fraction:
         _check_mask(self.n, mask)
         return sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
@@ -225,13 +224,6 @@ class UnitDemand(SuccessFunction):
     kind: ClassVar[str] = "unit-demand"
     gs_certified: ClassVar[bool] = True
     _params: ClassVar[tuple] = ("values",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
         _check_mask(self.n, mask)
@@ -293,15 +285,11 @@ class WeightedMatroidRank(SuccessFunction):
     _params: ClassVar[tuple] = ("weights",)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _coerce_fractions(self.weights, "weights"))
+        super().__post_init__()
         m = self.matroid
         actions = frozenset(range(1, self.n + 1))
         if isinstance(m, PartitionMatroid) and frozenset().union(*m.blocks) != actions:
             raise DomainError(f"partition blocks do not cover the actions 1..{self.n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
 
     def value_mask(self, mask: int) -> Fraction:
         _check_mask(self.n, mask)
@@ -339,14 +327,10 @@ class BudgetAdditive(SuccessFunction):
     _params: ClassVar[tuple] = ("values", "budget")
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_fractions(self.values, "values"))
+        super().__post_init__()
         object.__setattr__(self, "budget", as_fraction(self.budget))
         if self.budget < 0:
             raise DomainError(f"negative budget {_shown(self.budget)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     def value_mask(self, mask: int) -> Fraction:
         _check_mask(self.n, mask)
@@ -359,7 +343,7 @@ class Coverage(SuccessFunction):
     """Weighted coverage: actions cover universe elements, f sums covered weight.
 
     ``weights[j]`` is the weight of universe element j; ``covers[i]`` lists the
-    element indices covered by action i+1.
+    element indices covered by action i+1, and ``_masks[i]`` has their bits.
     """
 
     weights: tuple
@@ -369,29 +353,25 @@ class Coverage(SuccessFunction):
     _params: ClassVar[tuple] = ("weights",)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _coerce_fractions(self.weights, "weights"))
+        super().__post_init__()
         covers = tuple(frozenset(_integer(j, "cover entries") for j in c) for c in self.covers)
         object.__setattr__(self, "covers", covers)
         size = len(self.weights)
         for a, cover in enumerate(self.covers, 1):
             if any(not 0 <= j < size for j in cover):
                 raise DomainError(f"action {a} covers an element outside 0..{size - 1}")
+        # after the check: 1 << j is a raw ValueError for j < 0, a MemoryError for a huge j
+        object.__setattr__(self, "_masks", tuple(sum(1 << j for j in c) for c in covers))
 
     @property
     def n(self) -> int:
         return len(self.covers)
 
-    def _cover_mask(self, i: int) -> int:
-        mask = 0
-        for j in self.covers[i]:
-            mask |= 1 << j
-        return mask
-
     def value_mask(self, mask: int) -> Fraction:
         _check_mask(self.n, mask)
         covered = 0
         for i in bit_indices(mask):
-            covered |= self._cover_mask(i)
+            covered |= self._masks[i]
         return sum((self.weights[j] for j in bit_indices(covered)), Fraction(0))
 
 
@@ -604,7 +584,7 @@ def lifted_values(f: SuccessFunction) -> tuple:
             t = [s if s < w[n] else w[n] for s in t]
     elif isinstance(f, Coverage):
         t = [0]
-        for cover in map(f._cover_mask, range(n)):
+        for cover in f._masks:
             t += [u | cover for u in t]
         t = list(map(_weigh_covers(w, set(t)).__getitem__, t))
     else:  # unit demand and matroid rank: one member mask per block
@@ -668,7 +648,7 @@ def _least_cost_states(inst: Instance) -> tuple:
     D = math.lcm(Df, Dc)
     w, costs = [x * (D // Df) for x in w], [c * (D // Dc) for c in costs]
     if isinstance(f, Coverage):
-        xs, grow = map(f._cover_mask, range(n)), lambda ss, x: [s | x for s in ss]
+        xs, grow = f._masks, lambda ss, x: [s | x for s in ss]
     elif isinstance(f, UnitDemand):
         xs, grow = w, lambda ss, x: [s if s > x else x for s in ss]
     else:  # budget additive: the sum, capped at the budget

@@ -143,16 +143,6 @@ def coverage_lift_weights(
     return lifted
 
 
-def _coverage_from_groups(weights: Mapping, n: int) -> Coverage:
-    """Coverage function whose universe is the weighted groups themselves."""
-    keys = sorted(weights, key=lambda t: (len(t), tuple(sorted(t))))
-    w = tuple(as_fraction(weights[t]) for t in keys)
-    covers = tuple(
-        frozenset(j for j, t in enumerate(keys) if a in t) for a in range(1, n + 1)
-    )
-    return Coverage(w, covers)
-
-
 @dataclass(frozen=True)
 class TowerLevel:
     """One level of the recursive construction (betas are None at the base)."""
@@ -164,9 +154,13 @@ class TowerLevel:
     beta_2: Fraction | None
 
     def instance(self) -> Instance:
-        f = _coverage_from_groups({frozenset(t): w for t, w in self.group_weights}, self.n)
-        scale = sum((w for _, w in self.group_weights), Fraction(0))
-        return Instance(f, self.costs, scale=scale)
+        """Coverage whose universe is the weighted groups, in their frozen order."""
+        groups = self.group_weights
+        w = tuple(w for _, w in groups)
+        covers = [
+            frozenset(j for j, (t, _) in enumerate(groups) if a in t) for a in range(1, self.n + 1)
+        ]
+        return Instance(Coverage(w, covers), self.costs, scale=sum(w, Fraction(0)))
 
 
 def _freeze_groups(weights: Mapping) -> tuple:

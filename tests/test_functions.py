@@ -54,6 +54,9 @@ def test_marginal_rejects_members():
         f.marginal(1, {1})
     with pytest.raises(DomainError):
         f.value({3})
+    for a in (1.5, "1"):  # a non-int action is refused as value refuses one in a set
+        with pytest.raises(DomainError, match=f"action {a!r} outside ground set 1..2"):
+            f.marginal(a, set())
 
 
 def test_cost_examples(example_three_action):
@@ -188,6 +191,9 @@ HALF = Fraction(1, 2)
         (lambda: BudgetAdditive((HALF,), -HALF), "negative budget"),
         (lambda: Coverage((-HALF,), (frozenset({0}),)), "negative value"),
         (lambda: Coverage((HALF,), (frozenset({1}),)), "outside 0..0"),
+        # refused before a mask is built: 1 << j would raise or exhaust memory
+        (lambda: Coverage((HALF,), ({-1},)), "outside 0..0"),
+        (lambda: Coverage((HALF,), ({2**62},)), "outside 0..0"),
         (lambda: WeightedMatroidRank((-HALF,), UniformMatroid(1)), "negative value"),
         (lambda: UniformMatroid(-1), "negative matroid rank"),
         (lambda: PartitionMatroid((frozenset({1}),), (-1,)), "negative partition"),
@@ -207,6 +213,28 @@ HALF = Fraction(1, 2)
 def test_constructors_refuse_invalid_parameters(build, match):
     with pytest.raises(DomainError, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (Additive, "values"),
+        (UnitDemand, "values"),
+        (lambda v: WeightedMatroidRank(v, UniformMatroid(1)), "weights"),
+        (lambda v: BudgetAdditive(v, 1), "values"),
+        (lambda v: Coverage(v, [[0, 2], [], [1, 2]]), "weights"),
+    ],
+)
+def test_the_per_action_field_is_derived_by_the_base_class(build, name):
+    f = build([1, "1/2", 0])
+    values = getattr(f, name)
+    assert values == (1, HALF, 0) and type(values) is tuple
+    assert all(type(v) is Fraction for v in values)
+    assert f.n == 3
+    if isinstance(f, Coverage):
+        assert f._masks == tuple(mask_of(3, [j + 1 for j in c]) for c in f.covers)
+    with pytest.raises(DomainError, match=f"^{name} include the negative value -1/2$"):
+        build([1, "-1/2", 0])
 
 
 @pytest.mark.parametrize("raw, match", [("x", "must be an integer, got 'x'"), ("0", "positive")])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import ContractSolution
-from .demand import VOracle, _check_alpha
+from .demand import VOracle, _pair
 from .errors import (
     DomainError,
     InvariantError,
@@ -156,7 +156,7 @@ def _probed_level(oracle: VOracle, p: int, q: int) -> int:
     return probes[bisect_left(probes, True, key=lambda e: e[0] * q >= p * e[1])][2]
 
 
-def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Fraction | None:
+def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None):
     """Successor critical value by bisection, within 2k+1 counted V queries.
 
     k is ``critical_bits(inst)``, so every critical value has parts at most
@@ -182,12 +182,15 @@ def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Frac
     of the midpoints of the plain bisection of (alpha, 1].  A resumed call
     can ask more queries than a fresh one from the same alpha (a narrower
     bracket can take more halvings), still within 2k+1.
+    ``succ_search(inst, p, q, oracle=...)``, the int-pair form, returns a
+    reduced pair.
     """
     bits = critical_bits(inst)
-    alpha = _check_alpha(alpha)
+    pair_form = q is not None
+    lp, lq = _pair(alpha, q)
     if oracle is None:
         oracle = VOracle(inst)
-    level, probes = oracle._level(*alpha.as_integer_ratio()), oracle._probes
+    level, probes = oracle._level(lp, lq), oracle._probes
     if not probes:
         probes.append((1, 1, oracle(1, 1)))
 
@@ -197,7 +200,6 @@ def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Frac
         if probes[-1][2] < level:
             raise InvariantError("V decreased between alpha and 1")
         return None
-    lp, lq = alpha.as_integer_ratio()
     if i and probes[i - 1][2] == level:  # above alpha, or V is flat from it to alpha
         lp, lq, _ = probes[i - 1]
     hp, hq, hlev = probes[i]
@@ -213,7 +215,7 @@ def succ_search(inst: Instance, alpha, *, oracle: VOracle | None = None) -> Frac
             if q <= N:
                 t, s = (N - b) // q, (N - d) // q
                 if (a + t * p) * Q <= L * (b + t * q) and (c + s * p) * Q > H * (d + s * q):
-                    return Fraction(p, q)
+                    return (p, q) if pair_form else Fraction(p, q)
             if (H - L) << (2 * bits) <= Q:
                 raise NotFoundError(
                     f"no fraction with numerator and denominator in [{1 << bits}] inside "

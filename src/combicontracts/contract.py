@@ -12,8 +12,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .demand import VOracle, _check_alpha, _require_certified
+from .demand import VOracle, _pair, _require_certified
 from .errors import DomainError, InvariantError
 from .functions import Instance, _before, _least_cost_states, actions_of
 
@@ -134,14 +135,13 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
 
 def successor_from_profile(profile: CriticalProfile, alpha) -> Fraction | None:
     """Smallest critical value strictly above alpha, or None."""
-    alpha = _check_alpha(alpha)
-    idx = bisect_right(profile.alphas, alpha)
+    idx = bisect_right(profile.alphas, Fraction(*_pair(alpha)))
     if idx == len(profile.alphas):
         return None
     return profile.alphas[idx]
 
 
-def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
+def succ_gs(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None):
     """Successor critical value for a certified instance.
 
     Builds the greedy ordered set at alpha, then enumerates the finite
@@ -149,13 +149,13 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
     (c(a) - c(s_i)) / (f(a | prefix) - f(s_i | prefix)) over every action a
     and greedy step i with strictly positive denominator, plus the entry
     ratios c(a) / f(a | S) for actions with positive marginal on top of the
-    full greedy set.  Candidates in (alpha, 1] are kept as integer pairs
-    (num, den); each probe, an int-pair V query, takes the smallest ratio
-    strictly above the last one (cross-multiplied), so distinct values are
-    probed in ascending order with early exit at the first one whose level
-    exceeds V(alpha)'s, the greedy total at alpha (uncounted; in a walk the
-    kernel's last run is there, so it is free); V-equal candidates are not
-    critical.
+    full greedy set.  Candidates in (alpha, 1] are int pairs (num, den)
+    with den in [1, W] (g - g_s with g_s >= 1, or g), so the kernel's exact
+    int key num * W**2 // den orders them and merges equal values.  Each
+    probe, an int-pair V query, takes the next key upward, with early exit
+    at the first one whose level exceeds V(alpha)'s, the greedy total at
+    alpha (uncounted; in a walk the kernel's last run is there, so it is
+    free); V-equal candidates are not critical.
 
     The replay keeps f(a | prefix) in one list.  It is w(a) while a's
     block has room, 0 once a is picked, and max(w(a) - floor, 0) once the
@@ -164,30 +164,33 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
     positive: the greedy picks nothing from a full block (see
     ``GreedyKernel.greedy``).
 
-    Returns None when no critical value above alpha exists.
+    ``succ_gs(inst, p, q, oracle=...)``, the int-pair form, returns a
+    reduced pair.  Returns None when no critical value above alpha exists.
     """
     _require_certified(inst, "succ_gs")
     if oracle is None:
         oracle = VOracle(inst)
-    kernel, alpha = oracle.kernel, _check_alpha(alpha)
-    p, q = alpha.numerator, alpha.denominator
+    kernel, pair_form = oracle.kernel, q is not None
+    p, q = _pair(alpha, q)
     order, total = kernel.greedy(p, q)
 
     # Replay the greedy order; gains and costs are integers over the same
     # denominator, so each ratio num/den is already the candidate beta and
-    # alpha = p/q < beta <= 1 reads p*den < q*num and num <= den.  A step's
-    # own entry in gains equals g_s, so g > g_s skips it.
+    # alpha = p/q < beta <= 1 reads p*den < q*num <= q*den.  A step's own
+    # entry in gains equals g_s, so g > g_s skips it.
     w, costs, blocks = kernel.weights, kernel.costs, kernel.blocks
-    room = list(kernel.caps)
+    room, scale = list(kernel.caps), kernel.key_scale
     gains = [w[a] if room[b] else 0 for a, b in enumerate(blocks)]
-    candidates = []
+    candidates = {}
     for s in order:
         g_s, c_s = gains[s], costs[s]
-        candidates += [
-            (c - c_s, g - g_s)
-            for c, g in zip(costs, gains)
-            if g > g_s and p * (g - g_s) < q * (c - c_s) and c - c_s <= g - g_s
-        ]
+        for w_a, c, a in kernel.heaviest:  # a gain is at most its weight
+            if w_a <= g_s:
+                break
+            if (g := gains[a]) > g_s:
+                num, den = c - c_s, g - g_s
+                if p * den < q * num <= q * den:
+                    candidates[num * scale // den] = num, den
         gains[s] = 0
         room[b := blocks[s]] -= 1
         if not room[b]:
@@ -195,19 +198,16 @@ def succ_gs(inst: Instance, alpha, *, oracle: VOracle | None = None):
             for a, b_a in enumerate(blocks):
                 if b_a == b and gains[a]:
                     gains[a] = max(w[a] - floor, 0)
-    candidates += [
-        (c, g) for c, g in zip(costs, gains) if g > 0 and p * g < q * c and c <= g
-    ]
+    for c, g in zip(costs, gains):
+        if g and p * g < q * c <= q * g:
+            candidates[c * scale // g] = c, g
 
     # V is monotone: probe upward, building a Fraction only for the successor
-    while candidates:
-        bn, bd = candidates[0]
-        for num, den in candidates:
-            if num * bd < bn * den:
-                bn, bd = num, den
-        if oracle(bn, bd) > total:
-            return Fraction(bn, bd)
-        candidates = [(num, den) for num, den in candidates if num * bd > bn * den]
+    for key in sorted(candidates):
+        num, den = candidates[key]
+        if oracle(num, den) > total:
+            d = gcd(num, den)
+            return (num // d, den // d) if pair_form else Fraction(num, den)
     return None
 
 
@@ -227,30 +227,36 @@ def _search_backend(inst: Instance):
 # applies to the instance and returns (counted V oracle, successor, V's level
 # at a successor p/q as level_at(oracle, p, q), bound on the number of
 # critical values).  The oracle is the walk's only state: a successor is
-# called as successor(inst, alpha, oracle=oracle) and reads V(alpha) from it.
+# called as successor(inst, p, q=q, oracle=oracle) and reads V(p/q) from it.
 # Both are looked up when the entry runs, so a rebound attribute is the one
 # called.  "brute" is the whole envelope, not a walk.
 SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 
 
-def _walk(inst: Instance, oracle: VOracle, successor, level_at, step_cap: int):
-    """(profile, V queries): each successor from zero, V and best response there."""
+def _walk(inst: Instance, method: str, oracle: VOracle, successor, level_at, step_cap: int):
+    """(profile, V queries): each successor from zero, V and best response
+    there, with alpha as the successors' reduced int pair p/q.  The set is
+    read before the level, which then reuses the kernel's run for it.  An
+    InvariantError names the method and the alpha of the failing step."""
+
+    def fail(what):
+        raise InvariantError(f"method {method!r}, step from alpha {p}/{q}: {what}")
+
     alphas, values, sets = [], [], []
-    alpha, level = Fraction(0), 0
-    while (nxt := successor(inst, alpha, oracle=oracle)) is not None:
-        if not nxt > alpha:
-            raise InvariantError("successor did not advance")
+    p, q, level = 0, 1, 0
+    while (nxt := successor(inst, p, q=q, oracle=oracle)) is not None:
+        bp, bq = nxt
+        if not bp * q > p * bq:
+            fail(f"successor {bp}/{bq} did not advance")
         if len(alphas) == step_cap:
-            raise InvariantError(
-                f"successor iteration exceeded the critical-set bound {step_cap}"
-            )
-        nxt_level = level_at(oracle, nxt.numerator, nxt.denominator)
+            fail(f"successor iteration exceeded the critical-set bound {step_cap}")
+        sets.append(oracle.best_response(bp, bq))
+        nxt_level = level_at(oracle, bp, bq)
         if not nxt_level > level:
-            raise InvariantError("V did not increase across a successor step")
-        alpha, level = nxt, nxt_level
-        alphas.append(alpha)
+            fail(f"V did not increase across the successor step to {bp}/{bq}")
+        p, q, level = bp, bq, nxt_level
+        alphas.append(Fraction(p, q))
         values.append(Fraction(level, oracle.D))
-        sets.append(oracle.best_response(alpha))
     return CriticalProfile(tuple(alphas), tuple(values), tuple(sets)), oracle.queries
 
 
@@ -269,7 +275,7 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     if method == "brute":
         profile, queries = brute_force_critical_set(inst), 0
     elif method in SUCCESSORS:
-        profile, queries = _walk(inst, *SUCCESSORS[method](inst))
+        profile, queries = _walk(inst, method, *SUCCESSORS[method](inst))
     else:
         raise DomainError(f"unknown successor method {method!r}")
 

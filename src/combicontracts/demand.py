@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, ResourceLimitError, UnsupportedClassError
 from .functions import Instance, _lift, _scan_tables, actions_of, brute_force_limit
@@ -65,11 +66,30 @@ def _require_certified(inst: Instance, what: str) -> None:
         )
 
 
-def _check_alpha(alpha) -> Fraction:
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha.numerator <= alpha.denominator:  # the denominator is positive
-        raise DomainError(f"contract value {_shown(alpha)} outside [0, 1]")
-    return alpha
+def _pair(p, q=None) -> tuple:
+    """A contract value in [0, 1] as an int pair: a Fraction-like p (q None)
+    reduced, or ints p/q (q > 0) as given; anything else is a DomainError."""
+    if q is None:
+        alpha = as_fraction(p)
+        p, q = alpha.numerator, alpha.denominator
+        if not 0 <= p <= q:  # the denominator is positive
+            raise DomainError(f"contract value {_shown(alpha)} outside [0, 1]")
+    elif not (type(p) is type(q) is int and 0 <= p <= q and q):
+        raise DomainError(f"contract value {p!r}/{q!r} is not an int pair in [0, 1]")
+    return p, q
+
+
+def _rank(cuts, p: int, q: int) -> int:
+    """The number of entries (num, den, ...) of ``cuts``, ascending in
+    num/den (den > 0), at or below p/q."""
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cuts[mid][0] * q <= p * cuts[mid][1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class GreedyKernel:
@@ -82,8 +102,9 @@ class GreedyKernel:
     boundary.  All three certified classes are weighted matroid ranks of
     one form, ``f._matroid_form()``: the block of each action (``blocks``)
     and each block's capacity (``caps``); f(S) sums, per block, the
-    heaviest weights of S up to the capacity.  ``greedy()`` runs once per
-    contract value.  Actions are 0-based here.
+    heaviest weights of S up to the capacity.  ``greedy()`` runs at most
+    once per contract value, and ``level()`` answers V alone, without the
+    order where it can.  Actions are 0-based here.
     """
 
     def __init__(self, inst: Instance):
@@ -92,14 +113,26 @@ class GreedyKernel:
         self.D, lifted = _lift(f.parameter_fractions() + inst.costs)
         self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
         self.blocks, self.caps = f._matroid_form()
+        # num/den with den in [1, W], W the largest weight (at least 1), has
+        # the exact key num * W**2 // den: distinct ratios differ by >= 1/W**2.
+        # The actions with w > 0 as (c, w, a) by c/w, the first _rank(_table,
+        # p, q) eligible (p*w >= q*c), and as (w, c, a) heaviest first.
+        self.key_scale = scale = max(1, *self.weights) ** 2
+        self._table = sorted(
+            ((c, w, a) for a, (w, c) in enumerate(zip(self.weights, self.costs)) if w),
+            key=lambda t: t[0] * scale // t[1],
+        )
+        self._sums = tuple(accumulate((t[1] for t in self._table), initial=0))
+        self.heaviest = sorted(((w, c, a) for c, w, a in self._table), reverse=True)
+        self._least_cap = min(self.caps)
         self._at, self._last = (1, 0), None  # the last run's p/q (1/0 is none) and result
 
     def greedy(self, p: int, q: int) -> tuple:
         """(order, total): the ``greedy_demand`` rule at the contract value
         p/q (q > 0, reduced or not), in ints; V(p/q) is ``total / D``.
 
-        Sort and cap: the actions with p*w >= q*c are sorted once by
-        (q*c - p*w, -c, a), and each is taken while its block has room.
+        Sort and cap: the eligible actions (``_table``) are sorted once
+        by (q*c - p*w, -c, a), and each is taken while its block has room.
         While a block has room its actions' gains are their weights.  Once
         it is full with lightest pick m, every action a left in it was not
         preferred to m, so q*c_a - p*w_a >= q*c_m - p*w_m and its key with
@@ -108,21 +141,32 @@ class GreedyKernel:
         walk.  The last run is kept, and a repeat at its value is free.
         """
         lp, lq = self._at
-        if p * lq == q * lp:
-            return self._last
-        weights, blocks, room = self.weights, self.blocks, list(self.caps)
+        if p * lq != q * lp:
+            self._run(p, q, _rank(self._table, p, q))
+        return self._last
+
+    def _run(self, p: int, q: int, count: int) -> None:
+        blocks, room = self.blocks, list(self.caps)
         order, total = [], 0
-        for _, _, a in sorted(
-            (q * c - p * w, -c, a)
-            for a, (w, c) in enumerate(zip(weights, self.costs))
-            if p * w >= q * c
-        ):
+        for _, _, a, w in sorted((q * c - p * w, -c, a, w) for c, w, a in self._table[:count]):
             if room[b := blocks[a]]:
                 room[b] -= 1
                 order.append(a)
-                total += weights[a]
+                total += w
         self._at, self._last = (p, q), (tuple(order), total)
-        return self._last
+
+    def level(self, p: int, q: int) -> int:
+        """The greedy total at p/q.  With no more eligible actions than the
+        smallest capacity no block fills, so the greedy takes them all and
+        the total is their prefix weight sum: no sort and no run kept."""
+        lp, lq = self._at
+        if p * lq == q * lp:
+            return self._last[1]
+        count = _rank(self._table, p, q)
+        if count <= self._least_cap:
+            return self._sums[count]
+        self._run(p, q, count)
+        return self._last[1]
 
 
 def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
@@ -135,8 +179,7 @@ def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
     step utility of a picked action a is (p*w_a - q*c_a) / (D*q) in the
     kernel's ints at alpha = p/q.
     """
-    kernel, alpha = GreedyKernel(inst), _check_alpha(alpha)
-    p, q = alpha.numerator, alpha.denominator
+    kernel, (p, q) = GreedyKernel(inst), _pair(alpha)
     w, c, order = kernel.weights, kernel.costs, kernel.greedy(p, q)[0]
     utils = tuple(Fraction(p * w[a] - q * c[a], kernel.D * q) for a in order)
     return OrderedDemand(tuple(a + 1 for a in order), utils)
@@ -158,15 +201,14 @@ def brute_force_demand(inst: Instance, alpha) -> DemandProfile:
 
 
 def _ranked_demand(D: int, ftab, ctab, alpha) -> DemandProfile:
-    alpha = _check_alpha(alpha)
-    p, q = alpha.numerator, alpha.denominator
+    p, q = _pair(alpha)
     utils = [p * F - q * C for F, C in zip(ftab, ctab)]
     best_u = max(utils)
     argmax = [m for m, u in enumerate(utils) if u == best_u]
     best_f = max(ftab[m] for m in argmax)
     star = [m for m in argmax if ftab[m] == best_f]
     return DemandProfile(
-        alpha=alpha,
+        alpha=Fraction(p, q),
         demand=_sorted_sets(argmax),
         d_star=_sorted_sets(star),
         u_agent=Fraction(best_u, q * D),
@@ -197,14 +239,16 @@ class VOracle:
     ``oracle(p, q)`` takes a contract value as an int pair (q > 0, reduced
     or not) and returns the int level V(p/q)*D, for a D fixed per oracle,
     so callers compare levels by cross-multiplication; ``oracle(alpha)``
-    is its Fraction view, level / D.  Either form counts once.  The
-    evaluator follows from the instance: a certified class is lifted once
-    (``kernel``, D its lift denominator) and answered by the greedy; any
-    other class, which the brute-force limit must allow, takes its critical
-    profile once (``profile``, the envelope of the subset lines, D the LCM
-    of its V denominators) and answers by an int binary search over the
-    critical values as (num, den) pairs: V is a step function that jumps
-    exactly there, and is 0 below the first one because costs are positive.
+    is its Fraction view, level / D.  Either form counts once, and
+    ``best_response`` takes either form too.  The evaluator follows from
+    the instance: a certified class is lifted once (``kernel``, D its lift
+    denominator) and answered by the kernel's ``level``, which sorts only
+    when a block can fill; any other class, which the brute-force limit
+    must allow, takes its critical profile once (``profile``, the envelope
+    of the subset lines, D the LCM of its V denominators) and answers by an
+    int binary search (``_rank``) over the critical values as (num, den)
+    pairs: V is a step function that jumps exactly there, and is 0 below
+    the first one because costs are positive.
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the
@@ -230,41 +274,24 @@ class VOracle:
             self._cuts = [a.as_integer_ratio() for a in self.profile.alphas]
         self.queries, self._probes = 0, []
 
-    def _rank(self, p: int, q: int) -> int:
-        """The number of critical values at or below p/q."""
-        cuts, lo, hi = self._cuts, 0, len(self._cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            num, den = cuts[mid]
-            if num * q <= p * den:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def _level(self, p: int, q: int) -> int:
         """The int level V(p/q)*D, uncounted: the kernel's greedy total, else
         the profile's level at the rank of p/q."""
-        return self.kernel.greedy(p, q)[1] if self.kernel else self._levels[self._rank(p, q)]
+        return self.kernel.level(p, q) if self.kernel else self._levels[_rank(self._cuts, p, q)]
 
     def __call__(self, p, q=None):
         self.queries += 1
-        fraction_view = q is None
-        if fraction_view:
-            alpha = _check_alpha(p)
-            p, q = alpha.numerator, alpha.denominator
-        elif not (type(p) is type(q) is int and 0 <= p <= q and q):
-            raise DomainError(f"contract value {p!r}/{q!r} is not an int pair in [0, 1]")
-        level = self._level(p, q)
-        return Fraction(level, self.D) if fraction_view else level
+        if q is None:
+            return Fraction(self._level(*_pair(p)), self.D)
+        return self._level(*_pair(p, q))
 
-    def best_response(self, alpha) -> frozenset:
-        """The action set reported at alpha (not counted as a query): the
-        kernel's greedy set (its last run, when alpha was just queried), else
-        the profile's canonical set, the lexicographically smallest of D*."""
-        alpha = _check_alpha(alpha)
-        p, q = alpha.numerator, alpha.denominator
+    def best_response(self, alpha, q=None) -> frozenset:
+        """The action set reported at alpha, or at the int pair alpha/q (not
+        counted as a query): the kernel's greedy set (its last run, when that
+        was at alpha), else the profile's canonical set, the
+        lexicographically smallest of D*."""
+        p, q = _pair(alpha, q)
         if self.kernel is not None:
             return frozenset(a + 1 for a in self.kernel.greedy(p, q)[0])
-        i = self._rank(p, q)
+        i = _rank(self._cuts, p, q)
         return self.profile.demand_sets[i - 1] if i else frozenset()

@@ -69,12 +69,16 @@ def brute_force_limit() -> int:
 
 
 def action_set(n: int, actions: Iterable[int]) -> frozenset:
-    """Validate and freeze a subset of the ground set {1, .., n}."""
-    s = frozenset(actions)
-    for a in s:
-        if not isinstance(a, int) or not 1 <= a <= n:
+    """Validate and freeze a subset of the ground set {1, .., n}; anything
+    else, a non-iterable or a bool action included, raises DomainError."""
+    try:
+        actions = tuple(actions)
+    except TypeError:
+        raise DomainError(f"actions {_shown(actions)} are not an iterable") from None
+    for a in actions:
+        if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= n:
             raise DomainError(f"action {_shown(a)} outside ground set 1..{n}")
-    return s
+    return frozenset(actions)
 
 
 def mask_of(n: int, actions: Iterable[int]) -> int:

@@ -7,11 +7,15 @@ from combicontracts import (
     CriticalProfile,
     DomainError,
     Instance,
+    InvariantError,
     UnsupportedClassError,
+    VOracle,
     brute_force_critical_set,
     optimal_contract,
     succ_gs,
+    succ_search,
 )
+from combicontracts import approx, contract
 from combicontracts.demand import brute_force_demand
 
 from conftest import make_gs_corpus
@@ -127,3 +131,78 @@ def test_profile_rows_match_demand_oracle(gs_corpus, example_three_action):
             assert prof.v == v
             assert canonical_best_response(prof) == dset
             assert v_value(inst, alpha) == v
+
+
+def test_pair_forms_agree_with_fraction_forms(gs_corpus, non_gs_corpus):
+    """succ_gs, succ_search and best_response at p/q and at (m*p, m*q) answer
+    as at the Fraction p/q; the successors return reduced pairs."""
+    for inst in gs_corpus[:30] + non_gs_corpus[:12]:
+        points = (Fraction(0),) + brute_force_critical_set(inst).alphas + (Fraction(1),)
+        mids = tuple((a + b) / 2 for a, b in zip(points, points[1:]))
+        successors = (succ_gs, succ_search) if inst.f.gs_certified else (succ_search,)
+        for alpha in points + mids:
+            for m in (1, 3):
+                p, q = alpha.numerator * m, alpha.denominator * m
+                for successor in successors:
+                    beta = successor(inst, alpha, oracle=VOracle(inst))
+                    pair = successor(inst, p, q, oracle=VOracle(inst))
+                    assert pair == (None if beta is None else beta.as_integer_ratio())
+                assert VOracle(inst).best_response(p, q) == VOracle(inst).best_response(alpha)
+
+
+# critical values 1/4 and 1/2; k is declared, so search runs too
+DYADIC = Instance(Additive((Fraction(1, 2), Fraction(1, 4))), (Fraction(1, 8), Fraction(1, 8)), k=3)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(1, 0), (-1, 2), (3, 2), (0.5, 1), (Fraction(1, 2), 1), (True, 1), (1, 2.0)],
+    ids=["q-zero", "negative", "above-one", "float-p", "fraction-p", "bool-p", "float-q"],
+)
+def test_pair_forms_refuse_what_the_oracle_refuses(pair):
+    oracle = VOracle(DYADIC)
+    calls = (
+        oracle,
+        oracle.best_response,
+        lambda p, q: succ_gs(DYADIC, p, q, oracle=oracle),
+        lambda p, q: succ_search(DYADIC, p, q, oracle=oracle),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="is not an int pair in"):
+            call(*pair)
+
+
+def stalled_after(module, name, steps):
+    """The named successor, answering truly for ``steps`` calls and then
+    returning its own alpha, which does not advance."""
+    real, calls = getattr(module, name), []
+
+    def successor(inst, p, q=None, **kw):
+        calls.append((p, q))
+        return real(inst, p, q, **kw) if len(calls) <= steps else (p, q)
+
+    return successor
+
+
+@pytest.mark.parametrize(
+    "module, name, method", [(contract, "succ_gs", "gs"), (approx, "succ_search", "search")]
+)
+def test_walk_errors_name_the_method_and_the_step(monkeypatch, module, name, method):
+    for steps, alpha in ((0, "0/1"), (1, "1/4")):
+        monkeypatch.setattr(module, name, stalled_after(module, name, steps))
+        message = f"^method '{method}', step from alpha {alpha}: successor {alpha} did not advance$"
+        with pytest.raises(InvariantError, match=message):
+            optimal_contract(DYADIC, method)
+        monkeypatch.undo()
+
+
+def test_walk_errors_name_the_bound_and_a_flat_step(monkeypatch):
+    oracle, successor, level_at, _ = contract._gs_backend(DYADIC)
+    with pytest.raises(InvariantError, match="^method 'gs', step from alpha 0/1: .* bound 0$"):
+        contract._walk(DYADIC, "gs", oracle, successor, level_at, 0)
+    # short of the first critical value, V has not moved yet
+    monkeypatch.setattr(contract, "succ_gs", lambda inst, p, q=None, **kw: (p + 1, 10 * q))
+    with pytest.raises(
+        InvariantError, match="^method 'gs', step from alpha 0/1: V did not increase .* to 1/10$"
+    ):
+        optimal_contract(DYADIC, "gs")

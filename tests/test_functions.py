@@ -59,6 +59,23 @@ def test_marginal_rejects_members():
             f.marginal(a, set())
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: f.value([[1]]), r"action \[1\] outside ground set 1..1"),
+        (lambda f: f.marginal([1], set()), r"action \[1\] outside ground set 1..1"),
+        (lambda f: f.value(5), "actions 5 are not an iterable"),
+        (lambda f: f.value([True]), "action True outside ground set 1..1"),
+        (lambda f: f.marginal(True, set()), "action True outside ground set 1..1"),
+    ],
+    ids=["unhashable-in-value", "unhashable-marginal", "not-iterable", "bool-in-value", "bool-marginal"],
+)
+def test_action_sets_refuse_what_is_not_a_set_of_actions(call, message):
+    # each raised a raw TypeError, or read True as action 1
+    with pytest.raises(DomainError, match=message):
+        call(Additive((1,)))
+
+
 def test_cost_examples(example_three_action):
     assert cost_table(example_three_action)[0b011] == Fraction(1, 5)
     assert cost_table(example_three_action)[0] == 0

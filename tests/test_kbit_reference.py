@@ -180,7 +180,7 @@ def test_search_is_exact_when_f_exceeds_one(inst, scale):
 
     oracle = RecordingOracle(inst)
     _, successor, level_at, cap = _search_backend(inst)
-    walked, _ = _walk(inst, oracle, successor, level_at, cap)
+    walked, _ = _walk(inst, "search", oracle, successor, level_at, cap)
     assert (walked.alphas, walked.values) == (profile.alphas, profile.values)
     # V at a successor is read from the probes, so V(1) is asked once
     assert [Fraction(p, q) for p, q, _ in oracle.asked].count(1) == 1
@@ -200,7 +200,7 @@ def test_a_search_walk_asks_v_once_per_contract_value(scale):
         inst = Instance(inst.f.scaled(scale), inst.costs, k=inst.k, scale=scale)
         oracle = RecordingOracle(inst)
         _, successor, level_at, cap = _search_backend(inst)
-        walked, queries = _walk(inst, oracle, successor, level_at, cap)
+        walked, queries = _walk(inst, "search", oracle, successor, level_at, cap)
         asked = [Fraction(p, q) for p, q, _ in oracle.asked]
         assert len(set(asked)) == len(asked) == queries
         assert walked.alphas == brute_force_critical_set(inst).alphas

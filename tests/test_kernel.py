@@ -244,10 +244,11 @@ def test_succ_gs_probes_strictly_increase_along_sampled_walks():
 
 
 def test_one_greedy_run_per_contract_value(monkeypatch):
-    # A solve runs the greedy once per probe, once at 0 and at most once for
-    # the reported set; the re-query at each successor and the replay's
-    # greedy at it reuse the last run.  A call is a run when it returns a
-    # new tuple rather than the kernel's previous one.
+    # A solve runs the greedy at most once per probe (none where the level
+    # alone answers), once at 0 and at most once for the reported set; the
+    # re-query at each successor and the replay's greedy at it reuse the
+    # last run.  A call is a run when it returns a new tuple rather than the
+    # kernel's previous one.
     runs = []
     greedy = GreedyKernel.greedy
 
@@ -266,3 +267,44 @@ def test_one_greedy_run_per_contract_value(monkeypatch):
             runs.clear()
             sol = optimal_contract(inst, "gs")
             assert 0 < len(runs) <= sol.v_queries + 3, (klass, seed)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ratio_keys_order_as_the_ratios(data):
+    # num * W**2 // den, the key of succ_gs's candidates and of the kernel's
+    # entry order, for dens in [1, W]: W = 1 and den = W included
+    W = data.draw(st.one_of(st.just(1), st.integers(1, 1 << 14)))
+    dens = st.one_of(st.just(W), st.integers(1, W))
+    n1, n2 = data.draw(st.integers(0, 3 * W)), data.draw(st.integers(0, 3 * W))
+    d1, d2 = data.draw(dens), data.draw(dens)
+    k1, k2 = n1 * W * W // d1, n2 * W * W // d2
+    assert (k1 < k2) == (Fraction(n1, d1) < Fraction(n2, d2))
+    assert (k1 == k2) == (Fraction(n1, d1) == Fraction(n2, d2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(inst=st.one_of(coarse_instances(), certified_instances()), data=st.data())
+def test_level_is_the_greedy_total(inst, data):
+    # on fresh kernels, so neither reads the other's last run; reduced or not
+    alpha, m = contract_values(data.draw, inst), data.draw(st.integers(1, 3))
+    p, q = alpha.numerator, alpha.denominator
+    kernel = GreedyKernel(inst)
+    assert kernel.level(p * m, q * m) == GreedyKernel(inst).greedy(p, q)[1]
+    assert kernel.key_scale == max(1, *kernel.weights) ** 2
+    entry = [Fraction(c, w) for c, w, _ in kernel._table]
+    assert entry == sorted(entry)
+
+
+@pytest.mark.parametrize("klass", ["additive", "unit-demand", "matroid-rank"])
+def test_level_is_the_greedy_total_on_walks(klass):
+    # at 0, 1, every critical value and every midpoint, where the eligible
+    # actions often exceed the smallest capacity and the greedy runs
+    for seed in range(6):
+        inst = sample_instance(klass, 12, 8, seed)
+        points = (Fraction(0),) + optimal_contract(inst, "gs").profile.alphas + (Fraction(1),)
+        mids = tuple((a + b) / 2 for a, b in zip(points, points[1:]))
+        for alpha in points + mids:
+            p, q = alpha.numerator, alpha.denominator
+            level = GreedyKernel(inst).level(p, q)
+            assert level == GreedyKernel(inst).greedy(p, q)[1], (seed, alpha)

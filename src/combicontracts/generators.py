@@ -9,7 +9,7 @@ instances of every class.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -202,7 +202,6 @@ def coverage_tower(n: int) -> tuple:
 def gen_exponential_coverage(n: int) -> Instance:
     """Unnormalized coverage instance whose critical set has size 2**n - 1."""
     tower = coverage_tower(n)
-    inst = tower[-1].instance()
     meta = {
         "generator": "coverage-tower",
         "levels": [
@@ -214,7 +213,7 @@ def gen_exponential_coverage(n: int) -> Instance:
             for lvl in tower
         ],
     }
-    return Instance(inst.f, inst.costs, scale=inst.scale, meta=meta)
+    return replace(tower[-1].instance(), meta=meta)
 
 
 def normalize(inst: Instance) -> Instance:
@@ -253,116 +252,85 @@ SAMPLE_CLASSES = (
 def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:
     """Seeded random k-valid instance of the requested class, f(A) <= 1.
 
-    All values are multiples of 2**-k.  Costs are biased to sit below the
-    matching singleton value so sampled instances have nonempty critical
-    sets; zero-value actions fall back to an arbitrary positive cost.
-    Per-item caps floor at one grid step, so a draw with many items can
-    pass f(A) = 1; its values are then cut, in drawing order, to total 1.
+    Each class's branch only draws: ``make``, which builds f from its
+    values; the values, as numerators over 2**k; and ``most``, the bound on
+    f(A) in units of 2**-k.  One shared tail builds f.  Per-item caps floor
+    at one grid step, so when ``most`` passes 2**k and f(A) > 1, the values
+    are cut, in drawing order, to total 1.  Each cost is then drawn below a
+    target: the action's own value, or its singleton value f({a}) for
+    coverage and the table, whose values lie over a universe.  So sampled
+    instances have nonempty critical sets; a zero target falls back to one
+    grid step.
     """
     if klass not in SAMPLE_CLASSES:
         raise DomainError(f"unknown class {klass!r}; choose from {SAMPLE_CLASSES}")
-    if not isinstance(n, int) or n < 1:
+    if _integer(n, "n") < 1:
         raise DomainError("need at least one action")
     _bounded_k(k)
-    for name, x in (("n", n), ("seed", seed)):
-        if isinstance(x, int) and abs(x) >= _STR_LIMIT:  # the seed string needs str(x)
+    for name, x in (("n", n), ("seed", _integer(seed, "seed"))):
+        if abs(x) >= _STR_LIMIT:  # the seed string needs str(x)
             raise DomainError(f"{name} = {_shown(x)} has over 4300 digits")
     # str seeding is stable across processes (unlike hash() of a str)
     rng = random.Random(f"{klass}|{n}|{k}|{seed}")
     unit = 1 << k
 
-    def k_frac(numer: int) -> Fraction:
-        return Fraction(numer, unit)
-
-    def costs_below(numers) -> tuple:
-        return tuple(k_frac(rng.randint(1, max(1, v))) for v in numers)
-
-    def fitted(make, numers, most):
-        """(f, numers) for f = make(values of numers), whose caps bound f(A)
-        by most / 2**k; numers are first cut if f(A) > 1."""
-        f = make(tuple(map(k_frac, numers)))
-        if most > unit and f.value_mask((1 << n) - 1) > 1:
-            left, cut = unit, []
-            for v in numers:
-                cut.append(min(v, left))
-                left -= cut[-1]
-            numers, f = cut, make(tuple(map(k_frac, cut)))
-        return f, numers
-
     if klass == "additive":
         cap = max(1, unit // n)
-        f, numers = fitted(Additive, [rng.randint(1, cap) for _ in range(n)], cap * n)
-        return Instance(f, costs_below(numers), k=k)
-
-    if klass == "unit-demand":
-        numers = [rng.randint(1, unit) for _ in range(n)]
-        return Instance(
-            UnitDemand(tuple(map(k_frac, numers))), costs_below(numers), k=k
-        )
-
-    if klass == "matroid-rank":
+        make, numers, most = Additive, [rng.randint(1, cap) for _ in range(n)], cap * n
+    elif klass == "unit-demand":
+        make, numers, most = UnitDemand, [rng.randint(1, unit) for _ in range(n)], unit
+    elif klass == "matroid-rank":
         if rng.random() < 0.5 or n == 1:
-            rank = rng.randint(1, n)
-            matroid = UniformMatroid(rank)
-            countable = rank
+            countable = rng.randint(1, n)
+            matroid = UniformMatroid(countable)
         else:
             actions = list(range(1, n + 1))
             rng.shuffle(actions)
             n_blocks = rng.randint(2, min(n, 4))
-            blocks = [[] for _ in range(n_blocks)]
-            for i, a in enumerate(actions):
-                blocks[i % n_blocks].append(a)
+            blocks = [frozenset(actions[i::n_blocks]) for i in range(n_blocks)]
             caps = tuple(rng.randint(1, len(b)) for b in blocks)
-            matroid = PartitionMatroid(tuple(map(frozenset, blocks)), caps)
+            matroid = PartitionMatroid(tuple(blocks), caps)
             countable = sum(caps)
-        cap = max(1, unit // max(countable, 1))
+        cap = max(1, unit // countable)
         numers = [rng.randint(1, cap) for _ in range(n)]
-        f, numers = fitted(
-            lambda w: WeightedMatroidRank(w, matroid), numers, cap * countable
-        )
-        return Instance(f, costs_below(numers), k=k)
-
-    if klass == "budget-additive":
+        make, most = (lambda w: WeightedMatroidRank(w, matroid)), cap * countable
+    elif klass == "budget-additive":
         numers = [rng.randint(1, unit) for _ in range(n)]
-        budget = k_frac(rng.randint(1, unit))
-        return Instance(
-            BudgetAdditive(tuple(map(k_frac, numers)), budget),
-            costs_below(numers),
-            k=k,
-        )
-
-    if klass == "coverage":
+        budget = rng.randint(1, unit)
+        make, most = (lambda w: BudgetAdditive(w, Fraction(budget, unit))), budget
+    else:  # coverage, and the table as coverage plus additive (monotone, submodular)
         universe = rng.randint(n, 2 * n)
-        cap = max(1, unit // universe)
+        # the table leaves half of f(A) to its additive part
+        cap = max(1, unit // (universe if klass == "coverage" else 2 * universe))
         numers = [rng.randint(1, cap) for _ in range(universe)]
-        covers = []
-        for _ in range(n):
-            size = rng.randint(1, universe)
-            covers.append(frozenset(rng.sample(range(universe), size)))
-        f, _ = fitted(lambda w: Coverage(w, tuple(covers)), numers, cap * universe)
-        single_numers = [int(v * unit) for v in f.singleton_values()]
-        return Instance(f, costs_below(single_numers), k=k)
-
-    # explicit table: a coverage-plus-additive mixture, so the sampled table
-    # is monotone and submodular
-    universe = rng.randint(n, 2 * n)
-    w_cap = max(1, unit // (2 * universe))
-    numers = [rng.randint(1, w_cap) for _ in range(universe)]
-    covers = tuple(
-        frozenset(rng.sample(range(universe), rng.randint(1, universe)))
-        for _ in range(n)
-    )
-    a_cap = max(1, unit // (2 * n))
-    numers += [rng.randint(0, a_cap) for _ in range(n)]
-
-    def table_of(values) -> ExplicitTable:
-        Dw, cover = lifted_values(Coverage(values[:universe], covers))
-        Da, extra = lifted_values(Additive(values[universe:]))
-        sw, sa = unit // Dw, unit // Da
-        return ExplicitTable._from_ints(
-            n, unit, [w * sw + a * sa for w, a in zip(cover, extra)]
+        covers = tuple(
+            frozenset(rng.sample(range(universe), rng.randint(1, universe)))
+            for _ in range(n)
         )
+        if klass == "coverage":
+            make, most = (lambda w: Coverage(w, covers)), cap * universe
+        else:
+            a_cap = max(1, unit // (2 * n))
+            numers += [rng.randint(0, a_cap) for _ in range(n)]
+            most = cap * universe + a_cap * n
 
-    f, _ = fitted(table_of, numers, w_cap * universe + a_cap * n)
-    single_numers = [int(v * unit) for v in f.singleton_values()]
-    return Instance(f, costs_below(single_numers), k=k)
+            def make(values) -> ExplicitTable:
+                Dw, cover = lifted_values(Coverage(values[:universe], covers))
+                Da, extra = lifted_values(Additive(values[universe:]))
+                sw, sa = unit // Dw, unit // Da
+                return ExplicitTable._from_ints(
+                    n, unit, [w * sw + a * sa for w, a in zip(cover, extra)]
+                )
+
+    f = make(tuple(Fraction(v, unit) for v in numers))
+    if most > unit and f.value_mask((1 << n) - 1) > 1:
+        left, cut = unit, []
+        for v in numers:
+            cut.append(min(v, left))
+            left -= cut[-1]
+        numers = cut
+        f = make(tuple(Fraction(v, unit) for v in numers))
+    if klass in ("coverage", "table"):
+        numers = [int(v * unit) for v in f.singleton_values()]
+    costs = tuple(Fraction(rng.randint(1, max(1, v)), unit) for v in numers)
+    return Instance(f, costs, k=k)

@@ -61,7 +61,7 @@ def _shown(x) -> str:
 
 
 def _check_k(k: int) -> int:
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError(f"bit precision must be a positive integer, got {_shown(k)}")
     return k
 

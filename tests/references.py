@@ -9,7 +9,7 @@ and a utility is maximized here over all 2**n sets.
 import random
 from fractions import Fraction
 
-from combicontracts import Instance, InvariantError
+from combicontracts import GeneralContract, Instance, InvariantError
 
 PERTURB_RESOLUTION = 1 << 16
 
@@ -47,6 +47,24 @@ def utility_under_family(t, ginst, family) -> Fraction:
         return agent, principal
 
     return max(map(utilities, range(1 << ginst.n)))[1]
+
+
+def subset_sum_decider(values, target) -> bool:
+    """Whether some subset of values sums to target, by a bitset dynamic program."""
+    reachable = 1
+    for x in values:
+        reachable |= reachable << x
+    return bool((reachable >> target) & 1)
+
+
+def random_tabular_contract(ginst, rng) -> GeneralContract:
+    """A seeded tabular contract: each observable level pays a multiple of
+    1/24 of twice max(level, 1)."""
+    table = {}
+    for level in sorted(ginst.observable_levels()):
+        cap = max(level, Fraction(1)) * 2
+        table[level] = cap * Fraction(rng.randint(0, 12), 24)
+    return GeneralContract.tabular(table)
 
 
 def perturb_costs(inst: Instance, epsilon, seed: int) -> Instance:

@@ -32,7 +32,7 @@ from combicontracts import (
 from combicontracts.contract import ContractSolution
 from combicontracts.crosscheck import checks
 
-from references import perturb_costs
+from references import perturb_costs, random_tabular_contract, subset_sum_decider
 
 
 @contextmanager
@@ -148,14 +148,6 @@ def test_criterion_7_exponential_coverage():
                 assert cur_f.value(actions) == expected
 
 
-def subset_sum_decider(values, target) -> bool:
-    """Independent exhaustive decider (bitset dynamic program)."""
-    reachable = 1
-    for x in values:
-        reachable |= reachable << x
-    return bool((reachable >> target) & 1)
-
-
 def seeded_subset_sum_specs(count=50):
     rng = random.Random("acceptance-subset-sum")
     specs = []
@@ -219,14 +211,6 @@ def test_criterion_9_perturbation_properties(small_corpus):
                 eps /= 2
             else:
                 raise AssertionError(f"instance {idx} never stabilized")
-
-
-def random_tabular_contract(ginst, rng) -> GeneralContract:
-    table = {}
-    for level in sorted(ginst.observable_levels()):
-        cap = max(level, Fraction(1)) * 2
-        table[level] = cap * Fraction(rng.randint(0, 12), 24)
-    return GeneralContract.tabular(table)
 
 
 def test_criterion_10_robust_dominance(general_corpus, gs_corpus, non_gs_corpus):

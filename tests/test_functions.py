@@ -225,6 +225,8 @@ HALF = Fraction(1, 2)
         (lambda: Instance(Additive(()), ()), "empty action set"),
         (lambda: Instance(Additive((HALF,)), (HALF,), scale=0), "non-positive scale"),
         (lambda: Instance(Additive((HALF, HALF)), (HALF,)), "1 costs for 2 actions"),
+        # its file would write "k": true, which the loader refuses
+        pytest.param(lambda: Instance(Additive((HALF,)), (HALF,), k=True), "got True", id="bool k"),
     ],
 )
 def test_constructors_refuse_invalid_parameters(build, match):

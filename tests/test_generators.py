@@ -8,6 +8,7 @@ from combicontracts import (
     Coverage,
     DomainError,
     Instance,
+    ResourceLimitError,
     SubsetSumSpec,
     brute_force_critical_set,
     brute_force_demand,
@@ -23,19 +24,15 @@ from combicontracts import (
 from combicontracts.generators import SAMPLE_CLASSES
 from combicontracts.instancefile import dumps_instance
 
-from references import perturb_costs
+from references import perturb_costs, subset_sum_decider
 
 # SHA-256 over the files of every class at n in {1, 3, 8, 12}, k in {4, 8},
 # seeds 0-2: a changed draw changes the stored perfbench references too
 SAMPLE_DIGEST = "da4d34cc6fb1615a3eb83654841f11a2991b2c06f3454fa5897301daf60d41a7"
-
-
-def subset_sum_decider(values, target) -> bool:
-    """Independent exhaustive decider (bitset dynamic program)."""
-    reachable = 1
-    for x in values:
-        reachable |= reachable << x
-    return bool((reachable >> target) & 1)
+# the same over coarse grids, seeds 0-7: there per-item caps floor at 2**-k,
+# so the sampler cuts the values to f(A) = 1 (the table refuses n = 40)
+CUT_CASES = ((17, 4), (20, 4), (40, 6), (6, 3), (12, 4), (1, 1), (2, 1))
+CUT_DIGEST = "e6e81fd090ea60010b3bb87d6c807f48e3903bc3a0b6e1d362fc498104f9ef1a"
 
 
 def test_subset_sum_spec_invariants():
@@ -45,6 +42,8 @@ def test_subset_sum_spec_invariants():
         SubsetSumSpec((1, 2), 8)  # sums below target
     with pytest.raises(DomainError):
         SubsetSumSpec((0, 5), 8)
+    with pytest.raises(DomainError, match="needs at least one value"):
+        SubsetSumSpec((), 3)
     # ints only: int() would cut 1.5 and 2.7 to 1 and 2, a different instance
     with pytest.raises(DomainError, match="values: expected an integer, got 1.5"):
         SubsetSumSpec((1.5, 2.7), 3)
@@ -159,6 +158,10 @@ def test_lift_weights_degenerate_betas():
         coverage_lift_weights({frozenset({1}): Fraction(2)}, 2, 1)
     with pytest.raises(DomainError):
         coverage_lift_weights({frozenset({1}): Fraction(2)}, Fraction(1, 2), 1)
+    with pytest.raises(DomainError, match="over nonempty action sets"):
+        coverage_lift_weights({frozenset(): Fraction(2)}, 1, 1)
+    with pytest.raises(DomainError, match="must be non-negative"):
+        coverage_lift_weights({frozenset({1}): Fraction(-2)}, 1, 1)
 
 
 def test_lift_reproduces_level_values():
@@ -196,6 +199,9 @@ def test_normalize_tower():
     assert base.f.value([1]) == 1
     assert base.costs == (Fraction(1, 2),)
     assert brute_force_critical_set(base).alphas == (Fraction(1, 2),)
+
+    with pytest.raises(DomainError, match="f of the full set is not positive"):
+        normalize(Instance(Additive((Fraction(0),)), (Fraction(1),)))
 
 
 def test_normalize_identity_when_normalized():
@@ -282,9 +288,39 @@ def test_sample_instance_valid_all_classes():
     assert digest.hexdigest() == SAMPLE_DIGEST
 
 
+def test_sample_instance_cut_draws_are_pinned():
+    digest = hashlib.sha256()
+    for klass in SAMPLE_CLASSES:
+        for n, k in CUT_CASES:
+            if klass == "table" and n == 40:
+                continue
+            for seed in range(8):
+                digest.update(dumps_instance(sample_instance(klass, n, k, seed)).encode())
+    assert digest.hexdigest() == CUT_DIGEST
+
+
 def test_sample_instance_refuses_integers_too_long_to_seed():
     # the seed string holds str(n) and str(seed), which stop at 4300 digits
     for n, seed in ((3, 10**5000), (3, -(10**5000)), (10**5000, 0)):
         with pytest.raises(DomainError, match="integer of 5001 digits"):
             sample_instance("additive", n, 4, seed)
     assert validate(sample_instance("additive", 3, 4, 10**4299)).ok
+
+
+@pytest.mark.parametrize(
+    "args, error, match",
+    [
+        # a bool k was kept, and its file ("k": true) did not load back
+        (("unit-demand", 2, True, 0), DomainError, "bit precision .* got True"),
+        # a bool n or seed was read as 1 or 0 and seeded the draw as "True"
+        (("additive", True, 4, 0), DomainError, "n: expected an integer, got True"),
+        (("additive", 3, 4, False), DomainError, "seed: expected an integer, got False"),
+        (("additive", 2.5, 4, 0), DomainError, "n: expected an integer, got 2.5"),
+        (("additive", 3, 4, 1.5), DomainError, "seed: expected an integer, got 1.5"),
+        (("table", 25, 4, 0), ResourceLimitError, "cannot tabulate 25 actions"),
+    ],
+    ids=["bool k", "bool n", "bool seed", "float n", "float seed", "table too large"],
+)
+def test_sample_instance_refuses_what_it_cannot_draw(args, error, match):
+    with pytest.raises(error, match=match):
+        sample_instance(*args)

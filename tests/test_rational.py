@@ -57,6 +57,8 @@ def test_in_bounded_set_examples():
 def test_bad_bit_precision():
     with pytest.raises(DomainError):
         is_k_valid(Fraction(1, 2), 0)
+    with pytest.raises(DomainError, match="positive integer, got True"):
+        is_k_valid(Fraction(1, 2), True)  # a bool is not a bit precision
 
 
 def test_parse_and_format():

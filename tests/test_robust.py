@@ -26,7 +26,12 @@ from combicontracts import (
 from combicontracts.demand import brute_force_demand
 from combicontracts.generators import SAMPLE_CLASSES
 
-from references import cost_of, two_point_family, utility_under_family
+from references import (
+    cost_of,
+    random_tabular_contract,
+    two_point_family,
+    utility_under_family,
+)
 
 
 def single_action(f1=Fraction(1, 2), c1=Fraction(1, 10)) -> Instance:
@@ -125,15 +130,6 @@ def test_worst_case_examples():
     assert worst_case_utility_twopoint(t, g) == binary_principal_utility(
         inst, Fraction(1, 16), Fraction(1, 4)
     )
-
-
-def random_tabular_contract(ginst, rng) -> GeneralContract:
-    levels = sorted(ginst.observable_levels())
-    table = {}
-    for level in levels:
-        cap = max(level, Fraction(1)) * 2
-        table[level] = cap * Fraction(rng.randint(0, 12), 24)
-    return GeneralContract.tabular(table)
 
 
 def test_linearization_dominates_twopoint(general_corpus):

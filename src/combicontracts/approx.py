@@ -61,21 +61,21 @@ def _check_epsilon(epsilon) -> Fraction:
 
 
 def grid_spec(epsilon, k: int) -> GridSpec:
-    """The grid built in ints: (1-eps)**i is qn**i / qd**i for 1 - eps = qn/qd,
-    compared with 2**-k by a shift; refused past MAX_GRID points up front.
-    Each point (qd**i - qn**i, qd**i) is reduced, as gcd(qn, qd) = 1."""
+    """The grid built in ints: for eps = en/qd in lowest terms, (1-eps)**i is
+    qn**i / qd**i with qn = qd - en, compared with 2**-k by a shift; refused
+    past MAX_GRID points up front.  Each point (qd**i - qn**i, qd**i) is
+    reduced, as gcd(qn, qd) = gcd(en, qd) = 1."""
     epsilon = _check_epsilon(epsilon)
     _bounded_k(k)
-    q = 1 - epsilon
+    en, qd = epsilon.numerator, epsilon.denominator
+    qn = qd - en
     # as 69/100 < ln 2 < 7/10, 69k(1-eps)/(100 eps) < m <= ceil(7k/(10 eps))
-    if 100 * MAX_GRID * epsilon <= 69 * k * q or (
-        7 * k > 10 * MAX_GRID * epsilon
-        and q.numerator**MAX_GRID << k > q.denominator**MAX_GRID
+    if 100 * MAX_GRID * en <= 69 * k * qn or (
+        7 * k * qd > 10 * MAX_GRID * en and qn**MAX_GRID << k > qd**MAX_GRID
     ):
         raise ResourceLimitError(
             f"epsilon {_shown(epsilon)} needs over {MAX_GRID} grid points"
         )
-    qn, qd = q.numerator, q.denominator
     points = []
     a = b = 1
     while a << k > b:

@@ -3,18 +3,18 @@
 Successor computation for certified gross-substitutes instances, the
 critical-set envelope (an integer sweep over the cheapest line per f-state,
 which verifies everything and serves V queries on the other classes), and
-the generic iterate-the-successors algorithm for the optimal linear contract.
+the generic iterate-the-successors algorithm for the optimal linear contract,
+which picks its optimum in the ints that every critical profile keeps.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .demand import VOracle, _pair, _require_certified
+from .demand import VOracle, _pair, _rank, _require_certified
 from .errors import DomainError, InvariantError
 from .functions import Instance, _before, _least_cost_states, actions_of
 
@@ -31,28 +31,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CriticalProfile:
-    """Sorted critical contract values with V values and demand sets.
+    """Sorted critical contract values with V values and demand sets, in ints.
 
-    V strictly increases along the sorted list; the number of rows is always
-    below 2**n and at most n(n+1)/2 for certified gross-substitutes classes.
+    ``cuts`` holds the critical values as (num, den) pairs and ``levels`` V
+    there over ``D``, both kept in lowest terms (D is then the LCM of the V
+    denominators), so ``==`` and the hash agree with the Fraction views
+    ``alphas`` and ``values``, built on first read.  Both strictly increase;
+    there are below 2**n rows, at most n(n+1)/2 for certified classes.
     Demand sets are best responses: the greedy set on certified classes,
     else the canonical one (lexicographically smallest member of D*).
     """
 
-    alphas: tuple
-    values: tuple
+    cuts: tuple
+    levels: tuple
+    D: int
     demand_sets: tuple
 
     def __post_init__(self):
-        for a, b, v, w in zip(self.alphas, self.alphas[1:], self.values, self.values[1:]):
-            if not a.numerator * b.denominator < b.numerator * a.denominator:
-                raise InvariantError("critical values not strictly increasing")
-            if not v.numerator * w.denominator < w.numerator * v.denominator:
-                raise InvariantError("V not strictly increasing along criticals")
+        cuts = tuple([(p // (g := gcd(p, q)), q // g) for p, q in self.cuts])
+        g = gcd(self.D, *self.levels)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "levels", tuple([v // g for v in self.levels]))
+        object.__setattr__(self, "D", self.D // g)
+        if any(a * d >= c * b for (a, b), (c, d) in zip(cuts, cuts[1:])):
+            raise InvariantError("critical values not strictly increasing")
+        if any(v >= w for v, w in zip(self.levels, self.levels[1:])):
+            raise InvariantError("V not strictly increasing along criticals")
+
+    @cached_property
+    def alphas(self) -> tuple:
+        return tuple([Fraction(p, q) for p, q in self.cuts])
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple([Fraction(v, self.D) for v in self.levels])
 
     @property
     def size(self) -> int:
-        return len(self.alphas)
+        return len(self.cuts)
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,7 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     cheapest line per slope can reach the envelope, so the sweep reads one
     row per f-state (``_least_cost_states``) in ints over one denominator
     D: every critical value is (C1 - C0) / (F1 - F0) for two hull lines,
-    and only the reported alphas and V values F1/D are Fractions.
+    and V there is F1 / D; the profile takes these ints as they are.
 
     ``beyond_one`` lifts the upper cap and reports every demand change on
     (0, infinity); cost perturbations shift breakpoints upward, so the
@@ -123,22 +139,20 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
 
     # Slopes and costs strictly increase along the hull, so every
     # breakpoint is positive.
-    alphas, values, demand_sets = [], [], []
+    cuts, levels, demand_sets = [], [], []
     for (F0, C0), (F1, C1) in zip(hull, hull[1:]):
         if C1 - C0 > F1 - F0 and not beyond_one:
             break
-        alphas.append(Fraction(C1 - C0, F1 - F0))
-        values.append(Fraction(F1, D))
+        cuts.append((C1 - C0, F1 - F0))
+        levels.append(F1)
         demand_sets.append(actions_of(first[F1]))
-    return CriticalProfile(tuple(alphas), tuple(values), tuple(demand_sets))
+    return CriticalProfile(tuple(cuts), tuple(levels), D, tuple(demand_sets))
 
 
 def successor_from_profile(profile: CriticalProfile, alpha) -> Fraction | None:
     """Smallest critical value strictly above alpha, or None."""
-    idx = bisect_right(profile.alphas, Fraction(*_pair(alpha)))
-    if idx == len(profile.alphas):
-        return None
-    return profile.alphas[idx]
+    idx = _rank(profile.cuts, *_pair(alpha))
+    return Fraction(*profile.cuts[idx]) if idx < profile.size else None
 
 
 def succ_gs(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None):
@@ -235,29 +249,30 @@ SUCCESSORS = {"gs": _gs_backend, "search": _search_backend}
 
 def _walk(inst: Instance, method: str, oracle: VOracle, successor, level_at, step_cap: int):
     """(profile, V queries): each successor from zero, V and best response
-    there, with alpha as the successors' reduced int pair p/q.  The set is
-    read before the level, which then reuses the kernel's run for it.  An
-    InvariantError names the method and the alpha of the failing step."""
+    there, with alpha as the successors' reduced int pair p/q and V as the
+    oracle's int level, as the profile keeps them.  The set is read before the
+    level, which then reuses the kernel's run for it.  An InvariantError names
+    the method and the alpha of the failing step."""
 
     def fail(what):
         raise InvariantError(f"method {method!r}, step from alpha {p}/{q}: {what}")
 
-    alphas, values, sets = [], [], []
+    cuts, levels, sets = [], [], []
     p, q, level = 0, 1, 0
     while (nxt := successor(inst, p, q=q, oracle=oracle)) is not None:
         bp, bq = nxt
         if not bp * q > p * bq:
             fail(f"successor {bp}/{bq} did not advance")
-        if len(alphas) == step_cap:
+        if len(cuts) == step_cap:
             fail(f"successor iteration exceeded the critical-set bound {step_cap}")
         sets.append(oracle.best_response(bp, bq))
         nxt_level = level_at(oracle, bp, bq)
         if not nxt_level > level:
             fail(f"V did not increase across the successor step to {bp}/{bq}")
         p, q, level = bp, bq, nxt_level
-        alphas.append(Fraction(p, q))
-        values.append(Fraction(level, oracle.D))
-    return CriticalProfile(tuple(alphas), tuple(values), tuple(sets)), oracle.queries
+        cuts.append(nxt)
+        levels.append(level)
+    return CriticalProfile(tuple(cuts), tuple(levels), oracle.D, tuple(sets)), oracle.queries
 
 
 def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
@@ -268,7 +283,8 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     successors, needs declared k), "brute" (the envelope, no V queries),
     or "auto" ("gs" on certified classes, else "brute").  The argmax of
     (1 - alpha) * V(alpha) includes the alpha = 0 baseline, and ties go to
-    the smallest alpha; utilities are compared by cross-multiplication.
+    the smallest alpha.  The utility at a cut p/q with level L is
+    (q - p) * L / (q * D): rows are ranked by cross-multiplication in ints.
     """
     if method == "auto":
         method = "gs" if inst.f.gs_certified else "brute"
@@ -279,9 +295,9 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
     else:
         raise DomainError(f"unknown successor method {method!r}")
 
-    best_alpha, best_u, best_w, best_set = Fraction(0), 0, 1, frozenset()
-    for a, v, dset in zip(profile.alphas, profile.values, profile.demand_sets):
-        u, w = (a.denominator - a.numerator) * v.numerator, a.denominator * v.denominator
-        if u * best_w > best_u * w:
-            best_alpha, best_u, best_w, best_set = a, u, w, dset
-    return ContractSolution(best_alpha, Fraction(best_u, best_w), best_set, profile, queries)
+    best_cut, best_u, best_q, best_set = (0, 1), 0, 1, frozenset()
+    for (p, q), level, dset in zip(profile.cuts, profile.levels, profile.demand_sets):
+        if (u := (q - p) * level) * best_q > best_u * q:
+            best_cut, best_u, best_q, best_set = (p, q), u, q, dset
+    utility = Fraction(best_u, best_q * profile.D)
+    return ContractSolution(Fraction(*best_cut), utility, best_set, profile, queries)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, ResourceLimitError, UnsupportedClassError
-from .functions import Instance, _lift, _scan_tables, actions_of, brute_force_limit
+from .functions import Instance, _scan_tables, actions_of, brute_force_limit
 from .rational import _shown, as_fraction
 
 __all__ = [
@@ -95,11 +95,11 @@ def _rank(cuts, p: int, q: int) -> int:
 class GreedyKernel:
     """Exact integer greedy for one certified instance.
 
-    Every f parameter and every cost is lifted once to an integer over D,
-    the LCM of their denominators.  At alpha = p/q the agent's marginal
-    utility alpha*g/D - c/D then has the sign and order of p*g - q*c, so
-    the greedy compares ints and results become Fractions only at the API
-    boundary.  All three certified classes are weighted matroid ranks of
+    Every f parameter and every cost is an int over D, the LCM of their
+    denominators, as ``Instance._lifted`` holds them.  At alpha = p/q the
+    agent's marginal utility alpha*g/D - c/D has the sign and order of
+    p*g - q*c, so the greedy compares ints and results become Fractions
+    only at the API boundary.  All three certified classes are weighted matroid ranks of
     one form, ``f._matroid_form()``: the block of each action (``blocks``)
     and each block's capacity (``caps``); f(S) sums, per block, the
     heaviest weights of S up to the capacity.  ``greedy()`` runs at most
@@ -109,10 +109,8 @@ class GreedyKernel:
 
     def __init__(self, inst: Instance):
         _require_certified(inst, "greedy demand")
-        f, n = inst.f, inst.n
-        self.D, lifted = _lift(f.parameter_fractions() + inst.costs)
-        self.weights, self.costs = tuple(lifted[:n]), tuple(lifted[n:])
-        self.blocks, self.caps = f._matroid_form()
+        self.D, self.weights, self.costs = inst._lifted
+        self.blocks, self.caps = inst.f._matroid_form()
         # num/den with den in [1, W], W the largest weight (at least 1), has
         # the exact key num * W**2 // den: distinct ratios differ by >= 1/W**2.
         # The actions with w > 0 as (c, w, a) by c/w, the first _rank(_table,
@@ -241,14 +239,14 @@ class VOracle:
     so callers compare levels by cross-multiplication; ``oracle(alpha)``
     is its Fraction view, level / D.  Either form counts once, and
     ``best_response`` takes either form too.  The evaluator follows from
-    the instance: a certified class is lifted once (``kernel``, D its lift
-    denominator) and answered by the kernel's ``level``, which sorts only
-    when a block can fill; any other class, which the brute-force limit
-    must allow, takes its critical profile once (``profile``, the envelope
-    of the subset lines, D the LCM of its V denominators) and answers by an
-    int binary search (``_rank``) over the critical values as (num, den)
-    pairs: V is a step function that jumps exactly there, and is 0 below
-    the first one because costs are positive.
+    the instance: a certified class builds its kernel once (``kernel``, D
+    the instance's lift denominator) and is answered by the kernel's
+    ``level``, which sorts only when a block can fill; any other class,
+    which the brute-force limit must allow, takes its critical profile once
+    (``profile``, the envelope of the subset lines) and its D, cuts and
+    levels as they are, and answers by an int binary search (``_rank``)
+    over the cuts: V is a step function that jumps exactly there, and is 0
+    below the first one because costs are positive.
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the
@@ -269,9 +267,8 @@ class VOracle:
             from .contract import brute_force_critical_set  # contract imports demand
 
             self.profile = brute_force_critical_set(inst)
-            self.D, levels = _lift(self.profile.values)
-            self._levels = (0, *levels)  # by the number of critical values passed
-            self._cuts = [a.as_integer_ratio() for a in self.profile.alphas]
+            self.D, self._cuts = self.profile.D, self.profile.cuts
+            self._levels = (0, *self.profile.levels)  # by the number of critical values passed
         self.queries, self._probes = 0, []
 
     def _level(self, p: int, q: int) -> int:

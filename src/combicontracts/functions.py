@@ -455,7 +455,9 @@ class Instance:
     [0, 1] regardless of scale.  Construction refuses an empty action set,
     a non-positive cost or scale, f(empty set) != 0 (DomainError) and, when
     k is declared, any parameter or cost off the 2**-k grid
-    (PrecisionError); ``validate`` checks the rest.
+    (PrecisionError); ``validate`` checks the rest.  It also lifts f (a
+    table by its own lift) and the costs once to ``_lifted``: (D, parameter
+    ints, cost ints) over D, the LCM of all their denominators.
     """
 
     f: SuccessFunction
@@ -463,6 +465,7 @@ class Instance:
     k: int | None = None
     scale: Fraction = Fraction(1)
     meta: Any = field(default=None, compare=False, repr=False)
+    _lifted: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "costs", _positive_costs(self.costs))
@@ -477,13 +480,16 @@ class Instance:
             raise DomainError(f"non-positive scale {_shown(self.scale)}")
         if self.f.value_mask(0) != 0:
             raise DomainError("f(empty set) != 0")
+        f = self.f
+        Df, w = f._lifted if isinstance(f, ExplicitTable) else _lift(f.parameter_fractions())
+        D = math.lcm(Df, *(x.denominator for x in self.costs))
+        w = w if D == Df else tuple([x * (D // Df) for x in w])
+        c = tuple([x.numerator * (D // x.denominator) for x in self.costs])
+        object.__setattr__(self, "_lifted", (D, w, c))
         if self.k is not None:
             _check_k(self.k)
-            dens = (self.f._lifted[0],) if isinstance(self.f, ExplicitTable) else (
-                x.denominator for x in self.f.parameter_fractions())  # a table's LCM is its D
-            lcm = math.lcm(*dens, *(c.denominator for c in self.costs))
-            if not is_k_valid(Fraction(1, lcm), self.k):  # iff some denominator is not
-                params = self.f.parameter_fractions() + self.costs
+            if not is_k_valid(Fraction(1, D), self.k):  # iff some denominator is not
+                params = f.parameter_fractions() + self.costs
                 for den in {x.denominator for x in params}:  # name an off-grid one
                     if not is_k_valid(Fraction(1, den), self.k):
                         raise PrecisionError(
@@ -621,12 +627,10 @@ def _check_brute_limit(n: int) -> None:
 def _scan_tables(inst: Instance) -> tuple:
     """(D, F, C): f(mask) = F[mask]/D and c(mask) = C[mask]/D over all 2**n
     masks for an exhaustive scan, refused past the brute-force limit first.
-    D is the LCM of the lift denominators Df of f and Dc of the costs."""
+    D is the instance's lift denominator, a multiple of f's own Df."""
     _check_brute_limit(inst.n)
-    (Df, F), (Dc, costs) = lifted_values(inst.f), _lift(inst.costs)
-    D = math.lcm(Df, Dc)
-    F = F if D == Df else list(map((D // Df).__mul__, F))
-    return D, F, _subset_sums([c * (D // Dc) for c in costs])
+    (Df, F), (D, _, costs) = lifted_values(inst.f), inst._lifted
+    return D, F if D == Df else [x * (D // Df) for x in F], _subset_sums(costs)
 
 
 def _before(a: int, b: int) -> bool:
@@ -648,9 +652,7 @@ def _least_cost_states(inst: Instance) -> tuple:
         D, F, C = _scan_tables(inst)
         return D, range(len(F)), F, C
     _check_brute_limit(n)
-    (Df, w), (Dc, costs) = _lift(f.parameter_fractions()), _lift(inst.costs)
-    D = math.lcm(Df, Dc)
-    w, costs = [x * (D // Df) for x in w], [c * (D // Dc) for c in costs]
+    D, w, costs = inst._lifted
     if isinstance(f, Coverage):
         xs, grow = f._masks, lambda ss, x: [s | x for s in ss]
     elif isinstance(f, UnitDemand):

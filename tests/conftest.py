@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from combicontracts import (
+# The suite tests the package that PYTHONPATH names; this checkout's src/ is
+# appended, so it serves only when nothing earlier on the path provides one.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+from combicontracts import (  # noqa: E402
     ExplicitTable,
     GeneralInstance,
     Instance,

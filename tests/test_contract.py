@@ -17,6 +17,7 @@ from combicontracts import (
 )
 from combicontracts import approx, contract
 from combicontracts.demand import brute_force_demand
+from combicontracts.generators import sample_instance
 
 from conftest import make_gs_corpus
 
@@ -206,3 +207,51 @@ def test_walk_errors_name_the_bound_and_a_flat_step(monkeypatch):
         InvariantError, match="^method 'gs', step from alpha 0/1: V did not increase .* to 1/10$"
     ):
         optimal_contract(DYADIC, "gs")
+
+
+SETS = (frozenset({1}), frozenset({1, 2}))
+
+
+@pytest.mark.parametrize(
+    "cuts, levels, message",
+    [
+        (((1, 2), (1, 2)), (1, 2), "critical values not strictly increasing"),
+        (((1, 2), (2, 4)), (1, 2), "critical values not strictly increasing"),
+        (((2, 3), (1, 2)), (1, 2), "critical values not strictly increasing"),
+        (((1, 3), (1, 2)), (2, 2), "V not strictly increasing along criticals"),
+        (((1, 3), (1, 2)), (3, 1), "V not strictly increasing along criticals"),
+    ],
+)
+def test_a_profile_out_of_order_is_refused(cuts, levels, message):
+    with pytest.raises(InvariantError, match=message):
+        CriticalProfile(cuts, levels, 4, SETS)
+
+
+def test_a_profile_is_kept_in_lowest_terms(example_three_action):
+    """Cuts are reduced pairs and levels are over the LCM of the V
+    denominators, so a profile given over 3 * D (and unreduced cuts) is the
+    same profile, equal and of equal hash, with the same Fraction views."""
+    profile = brute_force_critical_set(example_three_action)
+    assert profile.cuts == ((1, 3), (1, 2), (1, 1)) and profile.D == 10
+    assert profile.levels == (3, 5, 6)
+    scaled = CriticalProfile(
+        tuple((2 * p, 2 * q) for p, q in profile.cuts),
+        tuple(3 * v for v in profile.levels),
+        3 * profile.D,
+        profile.demand_sets,
+    )
+    assert scaled == profile and hash(scaled) == hash(profile)
+    assert (scaled.cuts, scaled.levels, scaled.D) == (profile.cuts, profile.levels, 10)
+    assert (scaled.alphas, scaled.values) == (profile.alphas, profile.values)
+    empty = CriticalProfile((), (), 12, ())
+    assert empty == CriticalProfile((), (), 1, ()) and empty.values == ()
+
+
+@pytest.mark.parametrize("klass", ["additive", "unit-demand", "matroid-rank"])
+def test_the_walks_and_the_envelope_give_one_profile(klass):
+    inst = sample_instance(klass, 6, 5, seed=4)
+    gs, search = (optimal_contract(inst, method).profile for method in ("gs", "search"))
+    envelope = brute_force_critical_set(inst)
+    assert gs.size > 1
+    assert gs == search == envelope and hash(gs) == hash(search) == hash(envelope)
+

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from combicontracts import (
 )
 from combicontracts.demand import GreedyKernel
 from combicontracts.functions import (
+    _lift,
     _monotone,
     actions_of,
     brute_force_limit,
@@ -475,3 +477,43 @@ def test_instance_hash_is_taken_once_and_ignores_meta(monkeypatch):
     monkeypatch.setattr(type(inst.f), "__hash__", lambda f: calls.append(f) or f_hash(f))
     fresh = Instance(inst.f, inst.costs, k=inst.k, scale=inst.scale)
     assert hash(fresh) == hash(fresh) == hash(inst) and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FUNCTIONS))
+def test_an_instance_is_lifted_once_over_one_denominator(name):
+    """``_lifted`` is the lift the kernel and the exhaustive scans used to take
+    per solve: every parameter and cost over the LCM of their denominators
+    (for a table, its own D and the costs' LCM, the same number)."""
+    f = ALL_FUNCTIONS[name]
+    for costs in ((Q(1, 8),) * f.n, tuple(Q(a, 2 + a) for a in range(1, f.n + 1))):
+        inst = Instance(f, costs)
+        params = f.parameter_fractions()
+        D, ints = _lift(params + costs)
+        assert inst._lifted == (D, ints[: len(params)], ints[len(params) :])
+        if isinstance(f, ExplicitTable) and D == f._lifted[0]:
+            assert inst._lifted[1] is f._lifted[1]  # no rescaled copy
+
+
+def test_a_replaced_instance_is_lifted_again():
+    inst = Instance(Additive((Q(1, 2), Q(1, 4))), (Q(1, 8), Q(1, 8)))
+    assert inst._lifted == (8, (4, 2), (1, 1))
+    assert dataclasses.replace(inst, costs=(Q(1, 3), Q(1, 8)))._lifted == (24, (12, 6), (8, 3))
+    other = dataclasses.replace(inst, f=Additive((Q(1, 5), Q(1, 2))))
+    assert other._lifted == (40, (8, 20), (5, 5))
+    assert dataclasses.replace(inst, meta="kept")._lifted == inst._lifted
+
+
+@pytest.mark.parametrize(
+    "f, costs, den",
+    [
+        (Additive((Q(1, 2), Q(1, 12))), (Q(1, 8), Q(1, 8)), 12),
+        (UnitDemand((Q(1, 2), Q(1, 4))), (Q(1, 8), Q(1, 5)), 5),
+        (WeightedMatroidRank((Q(1, 3), Q(1, 4)), UniformMatroid(1)), (Q(1, 8),) * 2, 3),
+        (BudgetAdditive((Q(1, 2), Q(1, 4)), Q(3, 7)), (Q(1, 8), Q(1, 8)), 7),
+        (Coverage((Q(1, 2), Q(1, 64)), (frozenset({0}), frozenset({1}))), (Q(1, 8),) * 2, 64),
+    ],
+)
+def test_an_off_grid_value_names_its_denominator(f, costs, den):
+    with pytest.raises(PrecisionError, match=f"denominator {den} is not a multiple of 2\\*\\*-4"):
+        Instance(f, costs, k=4)
+

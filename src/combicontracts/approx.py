@@ -173,8 +173,8 @@ def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None)
     2**-inst.k and F1-F0 the jump of V there, at most J inside the interval.
     So p/q is the successor and no critical value lies in (p/q, H/Q].
 
-    V(alpha) is read from the oracle uncounted (``VOracle._level``), as the
-    2k+1 bound counts.  The queries go into the oracle's record
+    V(alpha) is read uncounted from the oracle's evaluator, as the 2k+1
+    bound counts.  The queries go into the oracle's record
     (``_probes``, ascending in p/q).  A call starts between the last probe
     at level V(alpha) (else alpha) and the first above it and adds its own,
     so a walk on one oracle asks V(1) once and reads V at the successor from
@@ -190,7 +190,7 @@ def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None)
     lp, lq = _pair(alpha, q)
     if oracle is None:
         oracle = VOracle(inst)
-    level, probes = oracle._level(lp, lq), oracle._probes
+    level, probes = oracle.evaluator.level(lp, lq), oracle._probes
     if not probes:
         probes.append((1, 1, oracle(1, 1)))
 

@@ -40,6 +40,9 @@ class CriticalProfile:
     there are below 2**n rows, at most n(n+1)/2 for certified classes.
     Demand sets are best responses: the greedy set on certified classes,
     else the canonical one (lexicographically smallest member of D*).
+    As a ``VOracle`` evaluator it answers ``level`` and ``best_response`` at
+    an int pair from the row at its ``_rank``, and 0 and the empty set below
+    the first cut: V jumps exactly at the cuts, and costs are positive.
     """
 
     cuts: tuple
@@ -69,6 +72,14 @@ class CriticalProfile:
     @property
     def size(self) -> int:
         return len(self.cuts)
+
+    def level(self, p: int, q: int) -> int:
+        i = _rank(self.cuts, p, q)
+        return self.levels[i - 1] if i else 0
+
+    def best_response(self, p: int, q: int) -> frozenset:
+        i = _rank(self.cuts, p, q)
+        return self.demand_sets[i - 1] if i else frozenset()
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,7 @@ def succ_gs(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None):
     _require_certified(inst, "succ_gs")
     if oracle is None:
         oracle = VOracle(inst)
-    kernel, pair_form = oracle.kernel, q is not None
+    kernel, pair_form = oracle.evaluator, q is not None
     p, q = _pair(alpha, q)
     order, total = kernel.greedy(p, q)
 

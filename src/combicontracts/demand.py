@@ -99,12 +99,13 @@ class GreedyKernel:
     denominators, as ``Instance._lifted`` holds them.  At alpha = p/q the
     agent's marginal utility alpha*g/D - c/D has the sign and order of
     p*g - q*c, so the greedy compares ints and results become Fractions
-    only at the API boundary.  All three certified classes are weighted matroid ranks of
-    one form, ``f._matroid_form()``: the block of each action (``blocks``)
-    and each block's capacity (``caps``); f(S) sums, per block, the
-    heaviest weights of S up to the capacity.  ``greedy()`` runs at most
-    once per contract value, and ``level()`` answers V alone, without the
-    order where it can.  Actions are 0-based here.
+    only at the API boundary.  All three certified classes are weighted
+    matroid ranks of one form, ``f._matroid_form()``: the block of each
+    action (``blocks``) and each block's capacity (``caps``); f(S) sums,
+    per block, the heaviest weights of S up to the capacity.  ``greedy()``
+    runs at most once per contract value.  As a ``VOracle`` evaluator,
+    ``level()`` answers V alone, without the order where it can, and
+    ``best_response()`` the greedy set.  Actions are 0-based here.
     """
 
     def __init__(self, inst: Instance):
@@ -122,7 +123,12 @@ class GreedyKernel:
         )
         self._sums = tuple(accumulate((t[1] for t in self._table), initial=0))
         self.heaviest = sorted(((w, c, a) for c, w, a in self._table), reverse=True)
-        self._least_cap = min(self.caps)
+        room, self._whole = list(self.caps), 0  # the longest prefix that no block overfills
+        for _, _, a in self._table:
+            if not room[b := self.blocks[a]]:
+                break
+            room[b] -= 1
+            self._whole += 1
         self._at, self._last = (1, 0), None  # the last run's p/q (1/0 is none) and result
 
     def greedy(self, p: int, q: int) -> tuple:
@@ -154,17 +160,21 @@ class GreedyKernel:
         self._at, self._last = (p, q), (tuple(order), total)
 
     def level(self, p: int, q: int) -> int:
-        """The greedy total at p/q.  With no more eligible actions than the
-        smallest capacity no block fills, so the greedy takes them all and
-        the total is their prefix weight sum: no sort and no run kept."""
+        """V(p/q)*D, the greedy total.  When no block holds more eligible
+        actions than its capacity the greedy takes them all, so the total is
+        their prefix weight sum: no sort and no run kept."""
         lp, lq = self._at
         if p * lq == q * lp:
             return self._last[1]
         count = _rank(self._table, p, q)
-        if count <= self._least_cap:
+        if count <= self._whole:
             return self._sums[count]
         self._run(p, q, count)
         return self._last[1]
+
+    def best_response(self, p: int, q: int) -> frozenset:
+        """The greedy set at p/q, 1-based."""
+        return frozenset(a + 1 for a in self.greedy(p, q)[0])
 
 
 def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
@@ -238,15 +248,11 @@ class VOracle:
     or not) and returns the int level V(p/q)*D, for a D fixed per oracle,
     so callers compare levels by cross-multiplication; ``oracle(alpha)``
     is its Fraction view, level / D.  Either form counts once, and
-    ``best_response`` takes either form too.  The evaluator follows from
-    the instance: a certified class builds its kernel once (``kernel``, D
-    the instance's lift denominator) and is answered by the kernel's
-    ``level``, which sorts only when a block can fill; any other class,
-    which the brute-force limit must allow, takes its critical profile once
-    (``profile``, the envelope of the subset lines) and its D, cuts and
-    levels as they are, and answers by an int binary search (``_rank``)
-    over the cuts: V is a step function that jumps exactly there, and is 0
-    below the first one because costs are positive.
+    ``best_response`` takes either form too.  Both read one ``evaluator``,
+    built once from the instance, whose ``level(p, q)`` and
+    ``best_response(p, q)`` take ints and count nothing: a certified
+    class's ``GreedyKernel``, else, where the brute-force limit allows,
+    the ``CriticalProfile`` of its subset lines.
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the
@@ -254,10 +260,8 @@ class VOracle:
     """
 
     def __init__(self, inst: Instance):
-        self.kernel = self.profile = None
         if inst.f.gs_certified:
-            self.kernel = GreedyKernel(inst)
-            self.D = self.kernel.D
+            self.evaluator = GreedyKernel(inst)
         elif inst.n > brute_force_limit():
             raise ResourceLimitError(
                 "no V oracle available: function class is not certified for "
@@ -266,29 +270,14 @@ class VOracle:
         else:
             from .contract import brute_force_critical_set  # contract imports demand
 
-            self.profile = brute_force_critical_set(inst)
-            self.D, self._cuts = self.profile.D, self.profile.cuts
-            self._levels = (0, *self.profile.levels)  # by the number of critical values passed
-        self.queries, self._probes = 0, []
-
-    def _level(self, p: int, q: int) -> int:
-        """The int level V(p/q)*D, uncounted: the kernel's greedy total, else
-        the profile's level at the rank of p/q."""
-        return self.kernel.level(p, q) if self.kernel else self._levels[_rank(self._cuts, p, q)]
+            self.evaluator = brute_force_critical_set(inst)
+        self.D, self.queries, self._probes = self.evaluator.D, 0, []
 
     def __call__(self, p, q=None):
         self.queries += 1
-        if q is None:
-            return Fraction(self._level(*_pair(p)), self.D)
-        return self._level(*_pair(p, q))
+        level = self.evaluator.level(*_pair(p, q))
+        return level if q is not None else Fraction(level, self.D)
 
     def best_response(self, alpha, q=None) -> frozenset:
-        """The action set reported at alpha, or at the int pair alpha/q (not
-        counted as a query): the kernel's greedy set (its last run, when that
-        was at alpha), else the profile's canonical set, the
-        lexicographically smallest of D*."""
-        p, q = _pair(alpha, q)
-        if self.kernel is not None:
-            return frozenset(a + 1 for a in self.kernel.greedy(p, q)[0])
-        i = _rank(self._cuts, p, q)
-        return self.profile.demand_sets[i - 1] if i else frozenset()
+        """The action set reported at alpha, or at the int pair alpha/q, uncounted."""
+        return self.evaluator.best_response(*_pair(alpha, q))

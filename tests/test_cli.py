@@ -680,8 +680,8 @@ def _broken_path(name):
     from combicontracts import approx, contract, demand
 
     if name == "v-oracle-vs-brute-demand":
-        level = demand.VOracle._level  # every level, counted or not, and so V
-        return demand.VOracle, "_level", lambda self, p, q: 2 * level(self, p, q)
+        level = demand.GreedyKernel.level  # every level, counted or not, and so V
+        return demand.GreedyKernel, "level", lambda self, p, q: 2 * level(self, p, q)
     if name == "succ-gs-vs-envelope":
         return contract, "succ_gs", lambda inst, alpha, **kw: None
     if name == "greedy-vs-brute-demand":

@@ -15,7 +15,8 @@ from combicontracts import (
     greedy_demand,
     v_value,
 )
-from combicontracts.contract import brute_force_critical_set
+from combicontracts.contract import CriticalProfile, brute_force_critical_set
+from combicontracts.demand import GreedyKernel
 
 from conftest import make_gs_corpus
 
@@ -107,12 +108,12 @@ def test_canonical_best_response_lexicographic():
 
 def test_voracle_counts_and_dispatch(worked_additive, example_three_action):
     oracle = VOracle(worked_additive)
-    assert oracle.kernel is not None
+    assert type(oracle.evaluator) is GreedyKernel
     oracle(Fraction(1, 2))
     oracle(Fraction(1))
     assert oracle.queries == 2
     oracle2 = VOracle(example_three_action)
-    assert oracle2.kernel is None
+    assert type(oracle2.evaluator) is CriticalProfile
     with pytest.raises(UnsupportedClassError):
         greedy_demand(example_three_action, Fraction(1, 2))
 

@@ -4,8 +4,9 @@ The references avoid the code under test: lifted tables are checked against
 ``value_mask`` and ``references.cost_of`` (per-set Fraction sums); the envelope
 against a naive one built here from every pair of subset lines in
 Fractions; and the V oracle, whose int levels come from the greedy kernel
-or from an int binary search over the envelope's critical values, against
-the separate argmax scan of ``brute_force_demand``.
+or from an int binary search over the envelope's critical values, and the
+profile read as an evaluator on every class, against the separate argmax
+scan of ``brute_force_demand``.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from combicontracts import (  # noqa: E402
     BudgetAdditive,
     ContractError,
     Coverage,
+    CriticalProfile,
     ExplicitTable,
     Instance,
     PartitionMatroid,
@@ -40,6 +42,7 @@ from combicontracts import (  # noqa: E402
 )
 from combicontracts import demand, functions  # noqa: E402
 from combicontracts.cli import main  # noqa: E402
+from combicontracts.demand import GreedyKernel  # noqa: E402
 from combicontracts.functions import (  # noqa: E402
     _before,
     _lift,
@@ -55,8 +58,9 @@ from references import cost_of  # noqa: E402
 DYADIC = (1, 2, 4, 8, 16)
 # dyadic (with or without k = 4), non-dyadic and mixed denominators
 DENOMINATORS = (DYADIC, (3, 5, 7), (2, 3, 4, 5, 7))
+CERTIFIED = ("additive", "unit-demand", "matroid-rank")
 UNCERTIFIED = ("budget-additive", "coverage", "table")
-CLASSES = ("additive", "unit-demand", "matroid-rank") + UNCERTIFIED
+CLASSES = CERTIFIED + UNCERTIFIED
 
 
 @st.composite
@@ -102,18 +106,29 @@ def instances(draw, classes):
     return Instance(f, costs, k=k)
 
 
+def edges_and_midpoints(profile) -> list:
+    """0, every critical value and 1, then the midpoint of each gap."""
+    edges = [Fraction(0), *profile.alphas, Fraction(1)]
+    return edges + [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(inst=instances(UNCERTIFIED), data=st.data())
-def test_v_oracle_matches_brute_force_demand(inst, data):
-    criticals = brute_force_critical_set(inst).alphas
-    edges = (Fraction(0),) + criticals + (Fraction(1),)
-    midpoints = [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])]
+@given(inst=instances(UNCERTIFIED), certified=instances(CERTIFIED), data=st.data())
+def test_v_oracle_matches_brute_force_demand(inst, certified, data):
+    # the profile is an evaluator on every class: read directly here, as a
+    # certified instance's oracle takes the kernel instead
+    for each in (inst, certified):
+        profile = brute_force_critical_set(each)
+        for alpha in edges_and_midpoints(profile):
+            reference, p, q = brute_force_demand(each, alpha), alpha.numerator, alpha.denominator
+            assert Fraction(profile.level(p, q), profile.D) == reference.v
+            assert profile.best_response(p, q) == canonical_best_response(reference)
     randoms = data.draw(
         st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=4)
     )
-    points = list(edges) + midpoints + randoms
+    points = edges_and_midpoints(brute_force_critical_set(inst)) + randoms
     oracle = VOracle(inst)
-    assert oracle.kernel is None
+    assert type(oracle.evaluator) is CriticalProfile
     for alpha in points:
         reference = brute_force_demand(inst, alpha)
         assert oracle(alpha) == reference.v
@@ -261,7 +276,7 @@ def test_int_pair_query_on_both_backends(inst, m):
     one count per call in either form, and the Fraction view is level / D
     at each critical value and just below it."""
     oracle = VOracle(inst)
-    assert (oracle.kernel is None) == (not inst.f.gs_certified)
+    assert type(oracle.evaluator) is (GreedyKernel if inst.f.gs_certified else CriticalProfile)
     criticals = brute_force_critical_set(inst).alphas
     below = [a - (a - prev) / 1024 for prev, a in zip((0,) + criticals, criticals)]
     points = [Fraction(0), Fraction(1), *criticals, *below]

@@ -33,7 +33,7 @@ from combicontracts import (  # noqa: E402
     successor_from_profile,
     v_value,
 )
-from combicontracts.demand import GreedyKernel  # noqa: E402
+from combicontracts.demand import GreedyKernel, _rank  # noqa: E402
 from conftest import RecordingOracle, rationals  # noqa: E402
 
 # dyadic, non-dyadic (no k, so the common denominator is a true LCM), mixed
@@ -195,8 +195,7 @@ def test_repeat_at_the_same_contract_value_keeps_validation():
     # entry point still refuses a contract value outside [0, 1] after it
     inst = sample_instance("matroid-rank", 6, 4, 0)
     oracle = VOracle(inst)
-    oracle(1, 2)
-    last = oracle.kernel._last
+    last = oracle.evaluator.greedy(1, 2)
     for bad in (0.5, Fraction(3, 2), -1):
         for call in (oracle, oracle.best_response, lambda a: greedy_demand(inst, a)):
             with pytest.raises(DomainError):
@@ -204,7 +203,7 @@ def test_repeat_at_the_same_contract_value_keeps_validation():
     for pair in ((1, 0), (-1, 2), (3, 2), (0.5, 1), (Fraction(1, 2), 1)):
         with pytest.raises(DomainError):
             oracle(*pair)
-    assert oracle.kernel.greedy(2, 4) is last
+    assert oracle(2, 4) == last[1] and oracle.evaluator.greedy(2, 4) is last
 
 
 def assert_probes_ascend(inst, alpha, profile):
@@ -308,3 +307,21 @@ def test_level_is_the_greedy_total_on_walks(klass):
             p, q = alpha.numerator, alpha.denominator
             level = GreedyKernel(inst).level(p, q)
             assert level == GreedyKernel(inst).greedy(p, q)[1], (seed, alpha)
+
+
+def test_level_answers_a_whole_prefix_from_sums():
+    # blocks {1, 2} (capacity 2) and {3, 4} (capacity 1): at 1/2 the two
+    # eligible actions are more than the smallest capacity, yet they fit
+    # their block, so the level is their prefix sum and keeps no run
+    matroid = PartitionMatroid((frozenset({1, 2}), frozenset({3, 4})), (2, 1))
+    weights = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
+    costs = (Fraction(1, 8), Fraction(1, 32), Fraction(1, 5), Fraction(9, 40))
+    inst = Instance(WeightedMatroidRank(weights, matroid), costs)
+    kernel = GreedyKernel(inst)
+    assert _rank(kernel._table, 1, 2) == 2 > min(kernel.caps)
+    level = kernel.level(1, 2)
+    assert kernel._last is None and Fraction(level, kernel.D) == Fraction(3, 4)
+    assert level == GreedyKernel(inst).greedy(1, 2)[1]
+    # at 1 all four are eligible and the second block overfills: the greedy runs
+    assert kernel.level(1, 1) == GreedyKernel(inst).greedy(1, 1)[1]
+    assert kernel._last is not None

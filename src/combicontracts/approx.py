@@ -10,7 +10,7 @@ levels; grid points, interval endpoints and the fractions found are exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +43,6 @@ class GridSpec:
     ascending as int pairs (num, den) in lowest terms.
     """
 
-    epsilon: Fraction
-    k: int
     size: int
     points: tuple
 
@@ -81,7 +79,7 @@ def grid_spec(epsilon, k: int) -> GridSpec:
     while a << k > b:
         a, b = a * qn, b * qd
         points.append((b - a, b))
-    return GridSpec(epsilon, k, len(points), tuple(points))
+    return GridSpec(len(points), tuple(points))
 
 
 def critical_bits(inst: Instance) -> int:
@@ -146,16 +144,6 @@ def _simplest_in(L: int, H: int, Q: int, parents=(0, 1, 1, 0)) -> tuple:
             return a, b, c, d
 
 
-def _probed_level(oracle: VOracle, p: int, q: int) -> int:
-    """V's level at a successor p/q that ``succ_search`` found on ``oracle``:
-    that of the first probe H at or above p/q in the oracle's record, as the
-    search stops with no critical value in (p/q, H].  The bisection key
-    cross-multiplies (False below p/q, True from it on), so (p, q) need not
-    be reduced."""
-    probes = oracle._probes
-    return probes[bisect_left(probes, True, key=lambda e: e[0] * q >= p * e[1])][2]
-
-
 def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None):
     """Successor critical value by bisection, within 2k+1 counted V queries.
 
@@ -174,14 +162,14 @@ def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None)
     So p/q is the successor and no critical value lies in (p/q, H/Q].
 
     V(alpha) is read uncounted from the oracle's evaluator, as the 2k+1
-    bound counts.  The queries go into the oracle's record
-    (``_probes``, ascending in p/q).  A call starts between the last probe
-    at level V(alpha) (else alpha) and the first above it and adds its own,
-    so a walk on one oracle asks V(1) once and reads V at the successor from
-    the first probe at or above it; a call on a fresh oracle asks a prefix
-    of the midpoints of the plain bisection of (alpha, 1].  A resumed call
-    can ask more queries than a fresh one from the same alpha (a narrower
-    bracket can take more halvings), still within 2k+1.
+    bound counts, and a walk reads V at each successor the same way.  The
+    queries go into the oracle's record (``_probes``, ascending in p/q).  A
+    call starts between the last probe at level V(alpha) (else alpha) and
+    the first above it and adds its own, so a walk on one oracle asks V(1)
+    once; a call on a fresh oracle asks a prefix of the midpoints of the
+    plain bisection of (alpha, 1].  A resumed call can ask more queries than
+    a fresh one from the same alpha (a narrower bracket can take more
+    halvings), still within 2k+1.
     ``succ_search(inst, p, q, oracle=...)``, the int-pair form, returns a
     reduced pair.
     """

@@ -100,7 +100,7 @@ class ContractSolution:
 
 
 @lru_cache(maxsize=512)
-def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> CriticalProfile:
+def brute_force_critical_set(inst: Instance) -> CriticalProfile:
     """Exact critical set from the upper envelope of the subset lines.
 
     Each subset S induces the agent-utility line alpha -> alpha*f(S) - c(S).
@@ -111,19 +111,14 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     row per f-state (``_least_cost_states``) in ints over one denominator
     D: every critical value is (C1 - C0) / (F1 - F0) for two hull lines,
     and V there is F1 / D; the profile takes these ints as they are.
-
-    ``beyond_one`` lifts the upper cap and reports every demand change on
-    (0, infinity); cost perturbations shift breakpoints upward, so the
-    perturbation-monotonicity law compares these uncapped counts (a jump
-    sitting exactly at 1 would otherwise leave the capped window).
     """
     D, masks, ftab, ctab = _least_cost_states(inst)
 
-    # Per slope F: the least cost C and the canonical mask on it.  Below the
-    # cap, a line with C > F lies under the empty set's on [0, 1].
+    # Per slope F: the least cost C and the canonical mask on it.  A line
+    # with C > F lies under the empty set's on [0, 1].
     least, first = {}, {}
     for mask, F, C in zip(masks, ftab, ctab):
-        if C > F and not beyond_one:
+        if C > F:
             continue
         c = least.get(F, C + 1)
         if C < c or C == c and _before(mask, first[F]):
@@ -152,7 +147,7 @@ def brute_force_critical_set(inst: Instance, beyond_one: bool = False) -> Critic
     # breakpoint is positive.
     cuts, levels, demand_sets = [], [], []
     for (F0, C0), (F1, C1) in zip(hull, hull[1:]):
-        if C1 - C0 > F1 - F0 and not beyond_one:
+        if C1 - C0 > F1 - F0:
             break
         cuts.append((C1 - C0, F1 - F0))
         levels.append(F1)
@@ -242,10 +237,12 @@ def _gs_backend(inst: Instance):
 
 
 def _search_backend(inst: Instance):
-    from .approx import _probed_level, critical_bits, succ_search
+    from .approx import critical_bits, succ_search
 
     oracle = VOracle(inst)  # a missing V oracle is reported before a missing k
-    return oracle, succ_search, _probed_level, 1 << (2 * critical_bits(inst))
+    bound = 1 << (2 * critical_bits(inst))
+    # V at a successor is the evaluator's, uncounted, as succ_search reads V(alpha)
+    return oracle, succ_search, lambda o, p, q: o.evaluator.level(p, q), bound
 
 
 # The successor backends, by method.  Each entry checks that the backend

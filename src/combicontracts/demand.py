@@ -52,7 +52,6 @@ class DemandProfile:
     their sorted action tuples for determinism.
     """
 
-    alpha: Fraction
     demand: tuple
     d_star: tuple
     u_agent: Fraction
@@ -216,7 +215,6 @@ def _ranked_demand(D: int, ftab, ctab, alpha) -> DemandProfile:
     best_f = max(ftab[m] for m in argmax)
     star = [m for m in argmax if ftab[m] == best_f]
     return DemandProfile(
-        alpha=Fraction(p, q),
         demand=_sorted_sets(argmax),
         d_star=_sorted_sets(star),
         u_agent=Fraction(best_u, q * D),
@@ -256,7 +254,7 @@ class VOracle:
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the
-    same oracle start from them (read by ``approx._probed_level``).
+    same oracle start from them.
     """
 
     def __init__(self, inst: Instance):

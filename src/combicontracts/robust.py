@@ -6,20 +6,19 @@ hand the agent a fixed fraction of the realized reward; against the
 adversarial two-point reward family they weakly dominate every other
 contract, and the optimal linear contract is the binary model's optimum
 with f = R.  Under that family the agent faces t(0) plus a linear
-contract on R, so a contract's worst-case utility is read from the
-envelope of f = R.
+contract on R, so a contract's worst-case utility is read from one scan
+of the agent's problem on f = R at that slope.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any
 
-from .contract import ContractSolution, brute_force_critical_set, optimal_contract
+from .contract import ContractSolution, optimal_contract
 from .errors import (
     DegenerateInstanceError,
     DomainError,
@@ -34,6 +33,7 @@ from .functions import (
     _coerce_fractions,
     _lift,
     _monotone,
+    _least_cost_states,
     _positive_costs,
     brute_force_limit,
     lifted_values,
@@ -257,11 +257,11 @@ def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
 def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     """Principal utility against the adversarial two-point reward family: the
     agent gets t(0) plus the linear contract s = ``linearize(t)`` on R, and
-    the principal R(S) * (1 - s) - t(0).  R(S) is read from the envelope of
-    f = R uncapped past 1 (0 before its first breakpoint, so at s <= 0).  The
-    principal keeps R(S) * (1 - s), so among the agent's optima at a
-    breakpoint it favors the largest R while s < 1 (bisect_right) and the
-    smallest once s >= 1 (bisect_left)."""
+    the principal R(S) * (1 - s) - t(0).  R(S) comes from one int scan of
+    the agent's problem p*F - q*C at s = p/q on f = R, over the least-cost
+    row of each f-state (``_least_cost_states``), which holds every optimal
+    F.  As the principal keeps R(S) * (1 - s), among the agent's optima it
+    takes the largest R while s < 1 and the smallest once s >= 1."""
     top = _positive_top(ginst)
     if ginst.n > brute_force_limit():
         raise ResourceLimitError("family evaluation enumerates all subsets")
@@ -269,11 +269,12 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     _, table = lifted_values(ginst.reward)
     if min(table) < 0 or max(table) > table[-1]:
         raise InvariantError("expected reward outside [0, R(A)]")
-    binary = Instance(ginst.reward, ginst.costs, scale=top)
-    profile = brute_force_critical_set(binary, beyond_one=True)
-    i = (bisect_left if s >= 1 else bisect_right)(profile.alphas, s)
-    rs = profile.values[i - 1] if i else Fraction(0)
-    return rs * (1 - s) - t.pay(Fraction(0))
+    D, _, F, C = _least_cost_states(Instance(ginst.reward, ginst.costs, scale=top))
+    p, q = s.numerator, s.denominator
+    utils = [p * f - q * c for f, c in zip(F, C)]
+    best = max(utils)
+    rs = (max if s < 1 else min)(f for f, u in zip(F, utils) if u == best)
+    return Fraction(rs, D) * (1 - s) - t.pay(Fraction(0))
 
 
 def optimal_linear_general(

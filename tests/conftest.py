@@ -17,8 +17,10 @@ from combicontracts import (  # noqa: E402
     GeneralInstance,
     Instance,
     VOracle,
+    brute_force_critical_set,
     sample_instance,
 )
+from combicontracts.functions import lifted_values  # noqa: E402
 
 try:
     from hypothesis import strategies as st
@@ -40,6 +42,18 @@ class RecordingOracle(VOracle):
         level = super().__call__(p, q)
         self.asked.append((p, q, level))
         return level
+
+
+def uncapped_profile(inst):
+    """(alphas, values) of the envelope on (0, infinity): every demand change,
+    past 1 too.  It is the capped envelope of ``inst`` with every cost divided
+    by M = c(A) * Df, alphas multiplied back by M.  A critical value dC/dF has
+    dC <= c(A) and dF >= 1/Df (f's lift denominator), so after the division
+    each lands in (0, 1]."""
+    M = sum(inst.costs) * lifted_values(inst.f)[0]
+    scaled = Instance(inst.f, tuple(c / M for c in inst.costs), scale=inst.scale)
+    profile = brute_force_critical_set(scaled)
+    return tuple(a * M for a in profile.alphas), profile.values
 
 
 if st is not None:

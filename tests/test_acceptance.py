@@ -32,6 +32,7 @@ from combicontracts import (
 from combicontracts.contract import ContractSolution
 from combicontracts.crosscheck import checks
 
+from conftest import uncapped_profile
 from references import perturb_costs, random_tabular_contract, subset_sum_decider
 
 
@@ -193,7 +194,7 @@ def test_criterion_9_perturbation_properties(small_corpus):
             # demand-change counts compare uncapped: perturbing costs shifts
             # every breakpoint upward, so a jump at exactly 1 would otherwise
             # leave the (0, 1] window and hide a preserved demand change
-            full_count = brute_force_critical_set(inst, beyond_one=True).size
+            full_count = len(uncapped_profile(inst)[0])
 
             eps = Fraction(1, 8)
             for _ in range(60):
@@ -202,10 +203,7 @@ def test_criterion_9_perturbation_properties(small_corpus):
                     set(brute_force_demand(perturbed, alpha).demand) <= allowed[alpha]
                     for alpha in original.alphas
                 )
-                grew = (
-                    brute_force_critical_set(perturbed, beyond_one=True).size
-                    >= full_count
-                )
+                grew = len(uncapped_profile(perturbed)[0]) >= full_count
                 if contained and grew:
                     break
                 eps /= 2

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from combicontracts import (
     DomainError,
     ExplicitTable,
     Instance,
+    InvariantError,
     PrecisionError,
     ResourceLimitError,
     VOracle,
@@ -15,6 +17,7 @@ from combicontracts import (
     fptas,
     grid_spec,
     optimal_contract,
+    sample_instance,
     succ_search,
     successor_from_profile,
 )
@@ -232,6 +235,25 @@ def test_succ_search_null_costs_one_query():
     oracle = VOracle(inst)
     assert succ_search(inst, Fraction(1, 2), oracle=oracle) is None
     assert oracle.queries == 1
+
+
+@pytest.mark.parametrize(
+    "levels, match",
+    [
+        ({0: 2, 1: 1}, "V decreased between alpha and 1"),
+        # V(0) < V(1), but V at the first midpoint 1/2 is below V(0)
+        ({0: 1, 1: 2}, "V decreased along the bisection"),
+    ],
+)
+def test_succ_search_refuses_a_decreasing_v(levels, match):
+    """A stub evaluator answers V(p/q) as levels[p/q] times D, else 0; a
+    rise of D leaves the bisection room to halve."""
+    inst = sample_instance("coverage", 4, 4, seed=1)
+    oracle = VOracle(inst)
+    D = oracle.D
+    oracle.evaluator = SimpleNamespace(level=lambda p, q: levels.get(Fraction(p, q), 0) * D)
+    with pytest.raises(InvariantError, match=match):
+        succ_search(inst, 0, oracle=oracle)
 
 
 def test_fptas_when_nothing_incentivizable():

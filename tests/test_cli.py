@@ -41,6 +41,11 @@ def test_round_trip_every_class():
     assert again.meta["target"] == 8
 
 
+def test_dumps_instance_refuses_a_non_instance():
+    with pytest.raises(DomainError, match="cannot serialize dict"):
+        dumps_instance({"n": 1, "costs": ["1/2"]})
+
+
 def test_round_trip_general_both_forms(general_corpus, worked_additive):
     g = general_corpus[0]
     assert loads_instance(dumps_instance(g)) == g

@@ -202,19 +202,19 @@ TIED_AT_THE_CAP = Instance(
 )
 
 
-def naive_envelope(inst, beyond_one):
+def naive_envelope(inst):
     """(alphas, values, demand sets) from every pair of subset lines in
-    Fractions.  Each crossing x > 0 (x <= 1 unless ``beyond_one``) is a
-    candidate.  V(x) is the largest f among the agent's optima at x, and V
-    is constant between candidates, so x is critical iff V(x) exceeds V at
-    the candidate before it (V = 0 up to the first).  The set is the
-    lexicographically smallest optimum with f = V(x)."""
+    Fractions.  Each crossing x in (0, 1] is a candidate.  V(x) is the
+    largest f among the agent's optima at x, and V is constant between
+    candidates, so x is critical iff V(x) exceeds V at the candidate before
+    it (V = 0 up to the first).  The set is the lexicographically smallest
+    optimum with f = V(x)."""
     masks = range(1 << inst.n)
     lines = [(inst.f.value_mask(m), cost_of(inst, m)) for m in masks]
     distinct = set(lines)
     crossings = {(c1 - c0) / (f1 - f0) for f0, c0 in distinct for f1, c1 in distinct if f1 > f0}
     rows, v_before = [], Fraction(0)
-    for x in sorted(a for a in crossings if a > 0 and (beyond_one or a <= 1)):
+    for x in sorted(a for a in crossings if 0 < a <= 1):
         utils = [x * f - c for f, c in lines]
         top = max(utils)
         v = max(f for (f, _), u in zip(lines, utils) if u == top)
@@ -227,18 +227,13 @@ def naive_envelope(inst, beyond_one):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    inst=st.one_of(duplicated_instances(), instances(CLASSES).filter(lambda i: i.n <= 5)),
-    beyond_one=st.booleans(),
-)
-@example(inst=TIED_ACROSS_PROTOTYPES, beyond_one=False)
-@example(inst=TIED_ACROSS_PROTOTYPES, beyond_one=True)
-@example(inst=TIED_ACROSS_COVERED_SETS, beyond_one=False)
-@example(inst=TIED_AT_THE_CAP, beyond_one=False)
-@example(inst=TIED_AT_THE_CAP, beyond_one=True)
-def test_envelope_matches_the_naive_pairwise_envelope(inst, beyond_one):
-    profile = brute_force_critical_set(inst, beyond_one)
-    expected = naive_envelope(inst, beyond_one)
+@given(inst=st.one_of(duplicated_instances(), instances(CLASSES).filter(lambda i: i.n <= 5)))
+@example(inst=TIED_ACROSS_PROTOTYPES)
+@example(inst=TIED_ACROSS_COVERED_SETS)
+@example(inst=TIED_AT_THE_CAP)
+def test_envelope_matches_the_naive_pairwise_envelope(inst):
+    profile = brute_force_critical_set(inst)
+    expected = naive_envelope(inst)
     assert (profile.alphas, profile.values, profile.demand_sets) == expected
 
 
@@ -266,7 +261,7 @@ def test_envelope_matches_the_naive_envelope_on_seeded_instances():
     assert len(insts) >= 12
     for inst in insts:
         profile = brute_force_critical_set(inst)
-        assert (profile.alphas, profile.values, profile.demand_sets) == naive_envelope(inst, False)
+        assert (profile.alphas, profile.values, profile.demand_sets) == naive_envelope(inst)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -15,6 +15,7 @@ from combicontracts import (
     ResourceLimitError,
     UniformMatroid,
     UnitDemand,
+    ValidationReport,
     WeightedMatroidRank,
     validate,
 )
@@ -90,6 +91,7 @@ def test_cost_examples(example_three_action):
 
 def test_validate_examples(example_three_action):
     assert validate(example_three_action).ok
+    assert str(validate(example_three_action)) == str(ValidationReport(())) == "valid"
 
     # construction refuses f(empty set) != 0; with f(empty set) = 1/2,
     # alpha = 0 already earns 1/2, which the walk from V(0) = 0 would miss
@@ -197,6 +199,8 @@ def test_partition_must_cover_ground_set():
             (Fraction(1, 2), Fraction(1, 2)),
             PartitionMatroid((frozenset({1}),), (1,)),
         )
+    with pytest.raises(DomainError, match="action 2 not covered"):
+        PartitionMatroid((frozenset({1}),), (1,)).block_of(2)
 
 
 HALF = Fraction(1, 2)

@@ -24,6 +24,7 @@ from combicontracts import (
 from combicontracts.generators import SAMPLE_CLASSES
 from combicontracts.instancefile import dumps_instance
 
+from conftest import uncapped_profile
 from references import perturb_costs, subset_sum_decider
 
 # SHA-256 over the files of every class at n in {1, 3, 8, 12}, k in {4, 8},
@@ -248,10 +249,8 @@ def test_perturbation_properties_small(example_three_action):
         return True
 
     def count_monotone(perturbed):
-        return (
-            brute_force_critical_set(perturbed, beyond_one=True).size
-            >= brute_force_critical_set(example_three_action, beyond_one=True).size
-        )
+        before = len(uncapped_profile(example_three_action)[0])
+        return len(uncapped_profile(perturbed)[0]) >= before
 
     halve_until(containment, example_three_action, seed=21)
     halve_until(count_monotone, example_three_action, seed=22)

@@ -7,11 +7,10 @@ enumerating denominators.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from itertools import count, product
-from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +27,7 @@ from combicontracts import (  # noqa: E402
     succ_search,
     successor_from_profile,
 )
-from combicontracts.approx import _probed_level, _simplest_in, critical_bits  # noqa: E402
+from combicontracts.approx import _simplest_in, critical_bits  # noqa: E402
 from combicontracts.contract import _search_backend, _walk  # noqa: E402
 from conftest import (  # noqa: E402
     RecordingOracle,
@@ -150,20 +149,6 @@ def test_succ_search_resumes_from_the_record_on_its_oracle(small_corpus, non_gs_
             assert levels == [V(inst, a) * oracle.D for a in points]
 
 
-def test_probed_level_reads_the_first_probe_at_or_above():
-    """``_probed_level`` on a hand-made record, some probes unreduced as
-    ``succ_search`` inserts them, against a Fraction-keyed bisect: each
-    probe's point given reduced and doubled, and points between probes."""
-    record = [(1, 8, 0), (2, 4, 3), (5, 8, 4), (6, 8, 6), (1, 1, 9)]
-    oracle = SimpleNamespace(_probes=record)
-    points = [Fraction(p, q) for p, q, _ in record]
-    on_probes = [x.as_integer_ratio() for x in points]
-    between = [(1, 9), (3, 9), (1, 3), (9, 16), (2, 3), (14, 16)]
-    for p, q in on_probes + [(2 * p, 2 * q) for p, q in on_probes] + between:
-        expected = record[bisect_left(points, Fraction(p, q))][2]
-        assert _probed_level(oracle, p, q) == expected
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(SEEDED), st.sampled_from((1, 2, 3, 4)))
 def test_search_is_exact_when_f_exceeds_one(inst, scale):
@@ -182,7 +167,7 @@ def test_search_is_exact_when_f_exceeds_one(inst, scale):
     _, successor, level_at, cap = _search_backend(inst)
     walked, _ = _walk(inst, "search", oracle, successor, level_at, cap)
     assert (walked.alphas, walked.values) == (profile.alphas, profile.values)
-    # V at a successor is read from the probes, so V(1) is asked once
+    # V at a successor is read from the evaluator, so V(1) is asked once
     assert [Fraction(p, q) for p, q, _ in oracle.asked].count(1) == 1
 
     def envelope_v(alpha):
@@ -204,6 +189,12 @@ def test_a_search_walk_asks_v_once_per_contract_value(scale):
         asked = [Fraction(p, q) for p, q, _ in oracle.asked]
         assert len(set(asked)) == len(asked) == queries
         assert walked.alphas == brute_force_critical_set(inst).alphas
+        # the search stops with no critical value between a successor and
+        # the first probe at or above it, so that probe has the row's level
+        probes = oracle._probes
+        for (p, q), value in zip(walked.cuts, walked.values):
+            level = next(lev for pp, pq, lev in probes if pp * q >= p * pq)
+            assert Fraction(level, oracle.D) == value
 
 
 def least_denominator(lo, hi):

@@ -14,7 +14,6 @@ from combicontracts import (
     Instance,
     InvariantError,
     ResourceLimitError,
-    brute_force_critical_set,
     embed_binary,
     linearize,
     optimal_contract,
@@ -26,6 +25,7 @@ from combicontracts import (
 from combicontracts.demand import brute_force_demand
 from combicontracts.generators import SAMPLE_CLASSES
 
+from conftest import uncapped_profile
 from references import (
     cost_of,
     random_tabular_contract,
@@ -344,8 +344,7 @@ def test_worst_case_matches_the_family_scan(general_corpus):
     checked = 0
     for ginst in cases:
         top = ginst.top_reward
-        binary = Instance(ginst.reward, ginst.costs, scale=top)
-        alphas = brute_force_critical_set(binary, beyond_one=True).alphas
+        alphas, _ = uncapped_profile(Instance(ginst.reward, ginst.costs, scale=top))
         mids = [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
         slopes = {Fraction(-1, 4), Fraction(0), Fraction(1), Fraction(5, 4), *alphas, *mids}
         for s in slopes:

@@ -32,7 +32,6 @@ from .errors import (
     DegenerateInstanceError,
     DomainError,
     InvariantError,
-    NotFoundError,
     PrecisionError,
     ResourceLimitError,
     UnsupportedClassError,

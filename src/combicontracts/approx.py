@@ -19,7 +19,6 @@ from .demand import VOracle, _pair
 from .errors import (
     DomainError,
     InvariantError,
-    NotFoundError,
     PrecisionError,
     ResourceLimitError,
 )
@@ -155,11 +154,13 @@ def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None)
     only one with denominator <= N: q <= N and the order-N Farey neighbours
     (a+tp)/(b+tq), t = (N-b)//q, and (c+sp)/(d+sq), s = (N-d)//q, lie
     outside (Graham, Knuth & Patashnik, Concrete Mathematics, 4.5).  Width
-    2**-2k always suffices.  N is the jump bound, min(2**k, J * 2**inst.k)
-    for the rise J = V(H/Q) - V(alpha): a critical value is (C1-C0)/(F1-F0)
-    for the lines demanded below and at it, both differences multiples of
-    2**-inst.k and F1-F0 the jump of V there, at most J inside the interval.
-    So p/q is the successor and no critical value lies in (p/q, H/Q].
+    2**-2k always suffices, so an interval that narrow with no answer means
+    V broke the k-bit premise: an InvariantError.  N is the jump bound,
+    min(2**k, J * 2**inst.k) for the rise J = V(H/Q) - V(alpha): a critical
+    value is (C1-C0)/(F1-F0) for the lines demanded below and at it, both
+    differences multiples of 2**-inst.k and F1-F0 the jump of V there, at
+    most J inside the interval.  So p/q is the successor and no critical
+    value lies in (p/q, H/Q].
 
     V(alpha) is read uncounted from the oracle's evaluator, as the 2k+1
     bound counts, and a walk reads V at each successor the same way.  The
@@ -205,7 +206,7 @@ def succ_search(inst: Instance, alpha, q=None, *, oracle: VOracle | None = None)
                 if (a + t * p) * Q <= L * (b + t * q) and (c + s * p) * Q > H * (d + s * q):
                     return (p, q) if pair_form else Fraction(p, q)
             if (H - L) << (2 * bits) <= Q:
-                raise NotFoundError(
+                raise InvariantError(
                     f"no fraction with numerator and denominator in [{1 << bits}] inside "
                     f"({_shown(Fraction(L, Q))}, {_shown(Fraction(H, Q))}]"
                 )

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: validation problems exit 1, resource
-limits exit 2, and internal invariant breaches exit 3.
+Every error the package raises is a ``ContractError`` subclass; only the
+CLI's private signals and the abstract ``SuccessFunction.value_mask``
+raise anything else (``tests/test_source.py`` checks this).  The CLI maps
+these onto exit codes: validation problems exit 1, resource limits exit
+2, and internal invariant breaches exit 3.
 """
 
 
@@ -23,10 +26,6 @@ class ResourceLimitError(ContractError):
 
 class PrecisionError(ContractError):
     """A declared bit precision is missing or the instance violates it."""
-
-
-class NotFoundError(ContractError):
-    """A bounded rational was required inside an interval but none exists."""
 
 
 class DegenerateInstanceError(ContractError):

@@ -116,10 +116,11 @@ def _integer(x, name: str) -> int:
 class SuccessFunction:
     """Base value-oracle interface; subclasses implement ``value_mask``.
 
-    Each class states its form once.  ``_params`` names the dataclass fields
-    that hold f's rationals (a tuple field or one value), which
-    ``parameter_fractions`` and ``scaled`` read.  ``_params[0]`` is the
-    per-action tuple: the constructor makes it a tuple of non-negative
+    The subclasses are the closed list ``_CLASSES``, keyed by ``kind``, their
+    name in files.  Each class states its form once.  ``_params`` names the
+    dataclass fields that hold f's rationals (a tuple field or one value),
+    which ``parameter_fractions``, ``scaled`` and files read.  ``_params[0]``
+    is the per-action tuple: the constructor makes it a tuple of non-negative
     Fractions, and ``n`` is its length (coverage, with one cover per action,
     and the explicit table override ``n``).  The certified classes are
     weighted matroid ranks, and ``_matroid_form()`` gives their blocks and
@@ -127,8 +128,8 @@ class SuccessFunction:
     """
 
     gs_certified: ClassVar[bool] = False
-    kind: ClassVar[str] = "abstract"
-    _params: ClassVar[tuple] = ()
+    kind: ClassVar[str]
+    _params: ClassVar[tuple]
 
     def __post_init__(self):
         name = self._params[0]
@@ -291,6 +292,8 @@ class WeightedMatroidRank(SuccessFunction):
     def __post_init__(self):
         super().__post_init__()
         m = self.matroid
+        if type(m) not in (UniformMatroid, PartitionMatroid):
+            raise DomainError(f"matroid: expected a uniform or partition matroid, got {_shown(m)}")
         actions = frozenset(range(1, self.n + 1))
         if isinstance(m, PartitionMatroid) and frozenset().union(*m.blocks) != actions:
             raise DomainError(f"partition blocks do not cover the actions 1..{self.n}")
@@ -431,10 +434,17 @@ class ExplicitTable(SuccessFunction):
 ExplicitTable.table = cached_property(ExplicitTable._fractions)
 ExplicitTable.table.__set_name__(ExplicitTable, "table")
 
+# The closed list of function classes, by kind.  The solvers read f's class, so
+# ``Instance`` refuses any other f: a subclass would be solved as its parent.
+_CLASSES = {
+    cls.kind: cls
+    for cls in (Additive, UnitDemand, WeightedMatroidRank, BudgetAdditive, Coverage, ExplicitTable)
+}
+
 
 def _table_shape(n: int, entries) -> tuple:
     """entries as a tuple: a bad n is refused before any is read, then a count but 2**n."""
-    if n < 0:
+    if _integer(n, "action count") < 0:
         raise DomainError(f"negative action count {_shown(n)}")
     if n > EXPLICIT_TABLE_MAX_ACTIONS:
         raise ResourceLimitError(
@@ -452,12 +462,12 @@ class Instance:
 
     ``scale`` declares the upper bound for f values (1 unless a generator
     emitted an unnormalized construction); contract values always live in
-    [0, 1] regardless of scale.  Construction refuses an empty action set,
-    a non-positive cost or scale, f(empty set) != 0 (DomainError) and, when
-    k is declared, any parameter or cost off the 2**-k grid
-    (PrecisionError); ``validate`` checks the rest.  It also lifts f (a
-    table by its own lift) and the costs once to ``_lifted``: (D, parameter
-    ints, cost ints) over D, the LCM of all their denominators.
+    [0, 1] regardless of scale.  Construction refuses an f not in ``_CLASSES``,
+    an empty action set, a non-positive cost or scale, f(empty set) != 0
+    (DomainError) and, when k is declared, any parameter or cost off the
+    2**-k grid (PrecisionError); ``validate`` checks the rest.  It also lifts
+    f (a table by its own lift) and the costs once to ``_lifted``: (D,
+    parameter ints, cost ints) over D, the LCM of all their denominators.
     """
 
     f: SuccessFunction
@@ -468,6 +478,8 @@ class Instance:
     _lifted: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.f) not in _CLASSES.values():
+            raise DomainError(f"unknown function class {type(self.f).__name__}")
         object.__setattr__(self, "costs", _positive_costs(self.costs))
         object.__setattr__(self, "scale", as_fraction(self.scale))
         if self.f.n < 1:

@@ -16,6 +16,7 @@ from typing import Mapping
 from .contract import brute_force_critical_set
 from .errors import DomainError
 from .functions import (
+    _CLASSES,
     Additive,
     BudgetAdditive,
     Coverage,
@@ -177,10 +178,8 @@ def coverage_tower(n: int) -> tuple:
     critical) of the previous level, beta_2 = 10 * beta_1, lifts the group
     weights, and prices the new action at 20 * (largest critical) * f(A).
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_TOWER_ACTIONS:
-        raise DomainError(
-            f"tower size must be an integer in 1..{MAX_TOWER_ACTIONS}"
-        )
+    if not 1 <= _integer(n, "tower size") <= MAX_TOWER_ACTIONS:
+        raise DomainError(f"tower size must be in 1..{MAX_TOWER_ACTIONS}")
     weights: dict = {frozenset({1}): Fraction(2)}
     costs = (Fraction(1),)
     levels = [TowerLevel(1, _freeze_groups(weights), costs, None, None)]
@@ -239,14 +238,7 @@ def normalize(inst: Instance) -> Instance:
     )
 
 
-SAMPLE_CLASSES = (
-    "additive",
-    "unit-demand",
-    "matroid-rank",
-    "budget-additive",
-    "coverage",
-    "table",
-)
+SAMPLE_CLASSES = tuple(_CLASSES)
 
 
 def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .errors import DomainError
 from .functions import (
-    Additive,
-    BudgetAdditive,
+    _CLASSES,
     Coverage,
     ExplicitTable,
     Instance,
     PartitionMatroid,
     SuccessFunction,
     UniformMatroid,
-    UnitDemand,
     WeightedMatroidRank,
     _lift,
 )
@@ -96,49 +96,38 @@ def _int_sets(values, where: str) -> tuple:
     )
 
 
+def _matroid(mat, where: str) -> Union[UniformMatroid, PartitionMatroid]:
+    if not isinstance(mat, dict):
+        raise DomainError(f"{where}: expected an object")
+    if mat.get("type") == "uniform":
+        _require_keys(mat, {"type", "rank"}, set(), where)
+        return UniformMatroid(_int(mat["rank"], f"{where}.rank"))
+    if mat.get("type") != "partition":
+        raise DomainError(f"unknown matroid type {mat.get('type')!r}")
+    _require_keys(mat, {"type", "blocks", "capacities"}, set(), where)
+    blocks = _int_sets(mat["blocks"], f"{where}.blocks")
+    where += ".capacities"
+    return PartitionMatroid(blocks, tuple(_int(c, where) for c in _list(mat["capacities"], where)))
+
+
 def _function_from_json(obj: dict, n: int, k: int | None = None) -> SuccessFunction:
+    """The function of the listed class that "class" names: a table's entries
+    through ``_table``, any other class's declared fields in order."""
     if not isinstance(obj, dict):
         raise DomainError("function: expected an object")
     klass = obj.get("class")
-    if klass in ("additive", "unit-demand"):
-        _require_keys(obj, {"class", "values"}, set(), "function")
-        values = _rat_list(obj["values"], "function.values", k)
-        f = Additive(values) if klass == "additive" else UnitDemand(values)
-    elif klass == "matroid-rank":
-        _require_keys(obj, {"class", "weights", "matroid"}, set(), "function")
-        weights = _rat_list(obj["weights"], "function.weights", k)
-        mat = obj["matroid"]
-        if not isinstance(mat, dict):
-            raise DomainError("function.matroid: expected an object")
-        if mat.get("type") == "uniform":
-            _require_keys(mat, {"type", "rank"}, set(), "function.matroid")
-            matroid = UniformMatroid(_int(mat["rank"], "function.matroid.rank"))
-        elif mat.get("type") == "partition":
-            _require_keys(
-                mat, {"type", "blocks", "capacities"}, set(), "function.matroid"
-            )
-            blocks = _int_sets(mat["blocks"], "function.matroid.blocks")
-            where = "function.matroid.capacities"
-            caps = tuple(_int(c, where) for c in _list(mat["capacities"], where))
-            matroid = PartitionMatroid(blocks, caps)
-        else:
-            raise DomainError(f"unknown matroid type {mat.get('type')!r}")
-        f = WeightedMatroidRank(weights, matroid)
-    elif klass == "budget-additive":
-        _require_keys(obj, {"class", "values", "budget"}, set(), "function")
-        f = BudgetAdditive(
-            _rat_list(obj["values"], "function.values", k),
-            _rat(obj["budget"], "function.budget", k),
-        )
-    elif klass == "coverage":
-        _require_keys(obj, {"class", "weights", "covers"}, set(), "function")
-        weights = _rat_list(obj["weights"], "function.weights", k)
-        f = Coverage(weights, _int_sets(obj["covers"], "function.covers"))
-    elif klass == "table":
-        _require_keys(obj, {"class", "table"}, set(), "function")
-        f = _table(obj["table"], n, "function.table", k)
-    else:
+    cls = _CLASSES.get(klass) if isinstance(klass, str) else None
+    if cls is None:
         raise DomainError(f"unknown function class {klass!r}")
+    if cls is ExplicitTable:
+        _require_keys(obj, {"class", "table"}, set(), "function")
+        return _table(obj["table"], n, "function.table", k)
+    names = [x.name for x in fields(cls)]
+    _require_keys(obj, {"class", *names}, set(), "function")
+    # the first parameter is a list of rationals, each other one a rational
+    read = dict.fromkeys(cls._params, partial(_rat, k=k))
+    read |= {cls._params[0]: partial(_rat_list, k=k), "covers": _int_sets, "matroid": _matroid}
+    f = cls(*[read[name](obj[name], f"function.{name}") for name in names])
     if f.n != n:
         raise DomainError(f"function describes {f.n} actions, file says {n}")
     return f
@@ -156,8 +145,6 @@ def _formatted(x):
 def _function_to_json(f: SuccessFunction) -> dict:
     """The file form: each declared parameter under its field name, the
     matroid or covers beside them."""
-    if not f._params:
-        raise DomainError(f"cannot serialize function class {type(f).__name__}")
     obj = {"class": f.kind}
     for name in f._params:
         obj[name] = _formatted(f if isinstance(f, ExplicitTable) else getattr(f, name))

@@ -30,6 +30,7 @@ from .functions import (
     Instance,
     SuccessFunction,
     ValidationReport,
+    _CLASSES,
     _coerce_fractions,
     _lift,
     _monotone,
@@ -61,8 +62,9 @@ class GeneralInstance:
     way ``reward`` is R.  ``k`` is the bit precision of an embedded binary
     instance, if it declared one.  Construction refuses n < 1, a cost
     vector that is not n positive costs, an empty or negative reward
-    list and a declared k that is not a positive integer (DomainError);
-    ``validate_general`` checks the per-set conditions.
+    list, an ``expected`` not in ``_CLASSES`` and a declared k that is not
+    a positive integer (DomainError); ``validate_general`` checks the
+    per-set conditions.
     """
 
     costs: tuple
@@ -82,12 +84,14 @@ class GeneralInstance:
                 "provide exactly one of per-outcome distributions or an "
                 "expected-reward function"
             )
+        if self.expected is not None and type(self.expected) not in _CLASSES.values():
+            raise DomainError(f"unknown function class {type(self.expected).__name__}")
         if self.distributions is not None:
             object.__setattr__(self, "distributions", tuple(self.distributions))
             if len(self.distributions) != len(self.rewards):
                 raise DomainError("one distribution table per reward outcome")
             for tab in self.distributions:
-                if not isinstance(tab, ExplicitTable):
+                if type(tab) is not ExplicitTable:
                     raise DomainError("distributions must be explicit tables")
                 if tab.n != self.n:
                     raise DomainError("distribution table size mismatch")
@@ -266,9 +270,10 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     if ginst.n > brute_force_limit():
         raise ResourceLimitError("family evaluation enumerates all subsets")
     s = linearize(t, ginst)
-    _, table = lifted_values(ginst.reward)
-    if min(table) < 0 or max(table) > table[-1]:
-        raise InvariantError("expected reward outside [0, R(A)]")
+    if isinstance(ginst.reward, ExplicitTable):  # the other classes lie in [0, R(A)]
+        table = ginst.reward._lifted[1]
+        if min(table) < 0 or max(table) > table[-1]:
+            raise InvariantError("expected reward outside [0, R(A)]")
     D, _, F, C = _least_cost_states(Instance(ginst.reward, ginst.costs, scale=top))
     p, q = s.numerator, s.denominator
     utils = [p * f - q * c for f, c in zip(F, C)]

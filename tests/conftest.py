@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from combicontracts import (  # noqa: E402
+    Additive,
     ExplicitTable,
     GeneralInstance,
     Instance,
@@ -29,6 +31,15 @@ except ImportError:  # the property suites skip themselves
 
 GS_CLASSES = ("additive", "unit-demand", "matroid-rank")
 NON_GS_CLASSES = ("budget-additive", "coverage", "table")
+
+
+@dataclass(frozen=True)
+class Doubled(Additive):
+    """Twice an additive f: a class outside the closed list, which a solver
+    reading f's class would solve as plain ``Additive``."""
+
+    def value_mask(self, mask: int) -> Fraction:
+        return 2 * super().value_mask(mask)
 
 
 class RecordingOracle(VOracle):

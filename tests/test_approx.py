@@ -256,6 +256,19 @@ def test_succ_search_refuses_a_decreasing_v(levels, match):
         succ_search(inst, 0, oracle=oracle)
 
 
+def test_succ_search_refuses_a_v_past_the_k_bit_premise():
+    """A stub evaluator whose V jumps at 3/17: no fraction with parts at
+    most 2**4 lies at the jump, so the bisection narrows to width 2**-8 and
+    refuses, after 2k+1 = 9 queries, as only a broken V gets there."""
+    inst = sample_instance("additive", 3, 4, seed=1)
+    oracle = VOracle(inst)
+    D = oracle.D
+    oracle.evaluator = SimpleNamespace(level=lambda p, q: D if 17 * p >= 3 * q else 0)
+    with pytest.raises(InvariantError, match=r"no fraction .* inside \("):
+        succ_search(inst, 0, oracle=oracle)
+    assert oracle.queries == 9
+
+
 def test_fptas_when_nothing_incentivizable():
     # every cost/value ratio above 1: OPT = 0 and the grid returns alpha = 0
     inst = Instance(Additive((Fraction(1, 8),)), (Fraction(3, 8),), k=3)

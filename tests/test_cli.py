@@ -29,6 +29,8 @@ from combicontracts.rational import format_rational
 
 
 def test_round_trip_every_class():
+    """Every listed class: ``SAMPLE_CLASSES`` is ``functions._CLASSES``'s
+    kinds, so a class added to that list is round-trip tested here too."""
     for klass in SAMPLE_CLASSES:
         inst = sample_instance(klass, 4, 5, seed=3)
         again = loads_instance(dumps_instance(inst))
@@ -228,6 +230,10 @@ def _bad_file(tmp_path, field, value):
 REFUSALS = {
     "missing field": (_binary({"class": "additive"}), ["solve"], [],
                       "error: function: missing fields ['values']\n"),
+    "unknown class": (_binary({"class": "graphic"}), ["solve"], [],
+                      "error: unknown function class 'graphic'\n"),
+    "class not a string": (_binary({"class": ["additive"]}), ["solve"], [],
+                           "error: unknown function class ['additive']\n"),
     "matroid not an object": (_matroid(3), ["solve"], [],
                               "error: function.matroid: expected an object\n"),
     "unknown matroid type": (_matroid({"type": "graphic", "rank": 1}), ["solve"], [],

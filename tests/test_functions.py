@@ -13,6 +13,7 @@ from combicontracts import (
     PartitionMatroid,
     PrecisionError,
     ResourceLimitError,
+    SuccessFunction,
     UniformMatroid,
     UnitDemand,
     ValidationReport,
@@ -30,7 +31,7 @@ from combicontracts.functions import (
 )
 from combicontracts.generators import SAMPLE_CLASSES, sample_instance
 
-from conftest import make_small_corpus
+from conftest import Doubled, make_small_corpus
 
 
 def test_value_examples(worked_additive, example_three_action):
@@ -228,6 +229,14 @@ HALF = Fraction(1, 2)
         (lambda: PartitionMatroid(({1},), ("2",)), "capacities: expected an integer, got '2'"),
         (lambda: PartitionMatroid(({1.0},), (1,)), "entries: expected an integer, got 1.0"),
         (lambda: Coverage((HALF, HALF), ({1.7},)), "entries: expected an integer, got 1.7"),
+        (lambda: WeightedMatroidRank((HALF,), None), "expected a uniform or partition matroid"),
+        # its file would write "n": true, which the loader refuses
+        (lambda: ExplicitTable(True, (0, 1)), "action count: expected an integer, got True"),
+        (lambda: ExplicitTable("2", (0,) * 4), "action count: expected an integer, got '2'"),
+        # only the listed classes: a subclass would be solved as its parent
+        (lambda: Instance(Doubled((HALF, HALF)), (HALF, HALF)), "unknown function class Doubled"),
+        (lambda: Instance(type("Bare", (SuccessFunction,), {})(), (HALF,)), "class Bare"),
+        (lambda: Instance(None, (HALF,)), "unknown function class NoneType"),
         (lambda: Instance(Additive(()), ()), "empty action set"),
         (lambda: Instance(Additive((HALF,)), (HALF,), scale=0), "non-positive scale"),
         (lambda: Instance(Additive((HALF, HALF)), (HALF,)), "1 costs for 2 actions"),

@@ -140,6 +140,8 @@ def test_tower_rejects_out_of_range():
         gen_exponential_coverage(0)
     with pytest.raises(DomainError):
         gen_exponential_coverage(6)
+    with pytest.raises(DomainError, match="expected an integer, got True"):
+        gen_exponential_coverage(True)
 
 
 def test_lift_weights_example():

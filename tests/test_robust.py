@@ -25,7 +25,7 @@ from combicontracts import (
 from combicontracts.demand import brute_force_demand
 from combicontracts.generators import SAMPLE_CLASSES
 
-from conftest import uncapped_profile
+from conftest import Doubled, uncapped_profile
 from references import (
     cost_of,
     random_tabular_contract,
@@ -297,6 +297,12 @@ def test_distributions_must_be_tables_of_n_actions():
     half = (Fraction(1, 2),) * 2
     with pytest.raises(DomainError, match="distributions must be explicit tables"):
         GeneralInstance(half, (0, 1), distributions=(Additive(half), Additive(half)))
+    subclass = type("Table", (ExplicitTable,), {})
+    tables = (subclass(2, (1, 0, 0, 0)), subclass(2, (0, 1, 1, 1)))
+    with pytest.raises(DomainError, match="distributions must be explicit tables"):
+        GeneralInstance(half, (0, 1), distributions=tables)
+    with pytest.raises(DomainError, match="unknown function class Doubled"):
+        GeneralInstance(half, (0, 1), expected=Doubled(half))
     one_action = (ExplicitTable(1, (1, Fraction(1, 2))), ExplicitTable(1, (0, Fraction(1, 2))))
     with pytest.raises(DomainError, match="distribution table size mismatch"):
         GeneralInstance(half, (0, 1), distributions=one_action)

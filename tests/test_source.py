@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no public name is there for the tests alone, and the solver modules hold
-no float.
+no public name is there for the tests alone, the solver modules hold no
+float, and every raise is of a ``ContractError`` subclass.
 
 ``__init__.py`` is left out of the import check, since it imports names
 only to export them.  A name counts as used when the module reads it
@@ -11,6 +11,7 @@ import ast
 from pathlib import Path
 
 import combicontracts
+from combicontracts import errors
 
 SRC = Path(combicontracts.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,3 +116,45 @@ def test_no_solver_module_holds_a_float():
         if uses:
             found[path.name] = uses
     assert found == {}
+
+
+def raises(tree: ast.Module) -> list:
+    """(scope, name) for each ``raise``: scope is the dotted path of the
+    classes and functions around it, name the raised class as written (the
+    called one for ``raise X(...)``), or "" for a bare ``raise``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.append((".".join(scope), "" if exc is None else ast.unparse(exc)))
+            defines = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if defines else scope)
+
+    visit(tree, ())
+    return found
+
+
+# Raises outside the hierarchy: the CLI's two private signals, which ``main``
+# turns into exit codes, and the abstract value oracle.
+OUTSIDE_THE_HIERARCHY = {
+    ("cli.py", None, "_UsageError"),
+    ("cli.py", None, "_ValidationFailure"),
+    ("functions.py", "SuccessFunction.value_mask", "NotImplementedError"),
+}
+
+
+def test_every_raise_is_a_contract_error():
+    probe = "class A:\n    def f(self):\n        raise X('a') from None\nraise e\nraise\n"
+    assert raises(ast.parse(probe)) == [("A.f", "X"), ("", "e"), ("", "")]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, name in raises(ast.parse(path.read_text(), str(path))):
+            exc = getattr(errors, name, None)
+            if isinstance(exc, type) and issubclass(exc, errors.ContractError):
+                continue
+            if {(path.name, None, name), (path.name, scope, name)} & OUTSIDE_THE_HIERARCHY:
+                continue
+            found.append((path.name, scope, name))
+    assert found == []

@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .functions import (
+    BRUTE_FORCE_LIMIT,
     Additive,
     BudgetAdditive,
     Coverage,
@@ -48,7 +49,6 @@ from .functions import (
     UnitDemand,
     ValidationReport,
     WeightedMatroidRank,
-    brute_force_limit,
     validate,
 )
 from .generators import (

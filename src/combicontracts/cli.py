@@ -228,17 +228,19 @@ def _cmd_gen(args) -> list:
 
 
 def _parse_contract(args) -> GeneralContract:
-    if args.slope is not None:
-        return GeneralContract.linear(parse_rational(args.slope))
-    if args.payments is None:
+    """The contract given: ``GeneralContract`` refuses both flags or a repeated level."""
+    if args.slope is None and args.payments is None:
         raise DomainError("supply --slope or --payments")
-    table = {}
-    for piece in args.payments.split(","):
-        if "=" not in piece:
-            raise DomainError(f"bad payment entry {piece!r}; use level=payment")
-        level, pay = piece.split("=", 1)
-        table[parse_rational(level)] = parse_rational(pay)
-    return GeneralContract.tabular(table)
+    slope = None if args.slope is None else parse_rational(args.slope)
+    payments = None
+    if args.payments is not None:
+        payments = []
+        for piece in args.payments.split(","):
+            if "=" not in piece:
+                raise DomainError(f"bad payment entry {piece!r}; use level=payment")
+            level, pay = piece.split("=", 1)
+            payments.append((parse_rational(level), parse_rational(pay)))
+    return GeneralContract(slope, payments)
 
 
 def _cmd_linearize(args) -> list:

@@ -298,7 +298,7 @@ def optimal_contract(inst: Instance, method: str = "auto") -> ContractSolution:
         method = "gs" if inst.f.gs_certified else "brute"
     if method == "brute":
         profile, queries = brute_force_critical_set(inst), 0
-    elif method in SUCCESSORS:
+    elif isinstance(method, str) and method in SUCCESSORS:
         profile, queries = _walk(inst, method, *SUCCESSORS[method](inst))
     else:
         raise DomainError(f"unknown successor method {method!r}")

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError, ResourceLimitError, UnsupportedClassError
-from .functions import Instance, _scan_tables, actions_of, brute_force_limit
+from .errors import DomainError, UnsupportedClassError
+from .functions import Instance, _scan_tables, actions_of
 from .rational import _shown, as_fraction
 
 __all__ = [
@@ -249,8 +249,8 @@ class VOracle:
     ``best_response`` takes either form too.  Both read one ``evaluator``,
     built once from the instance, whose ``level(p, q)`` and
     ``best_response(p, q)`` take ints and count nothing: a certified
-    class's ``GreedyKernel``, else, where the brute-force limit allows,
-    the ``CriticalProfile`` of its subset lines.
+    class's ``GreedyKernel``, else the ``CriticalProfile`` of its subset
+    lines, refused past the brute-force limit.
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the
@@ -260,11 +260,6 @@ class VOracle:
     def __init__(self, inst: Instance):
         if inst.f.gs_certified:
             self.evaluator = GreedyKernel(inst)
-        elif inst.n > brute_force_limit():
-            raise ResourceLimitError(
-                "no V oracle available: function class is not certified for "
-                f"greedy and {inst.n} actions exceed the brute-force limit"
-            )
         else:
             from .contract import brute_force_critical_set  # contract imports demand
 

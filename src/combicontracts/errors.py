@@ -21,7 +21,7 @@ class UnsupportedClassError(ContractError):
 
 
 class ResourceLimitError(ContractError):
-    """The instance exceeds a configured enumeration limit."""
+    """The instance exceeds a fixed size or precision limit."""
 
 
 class PrecisionError(ContractError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -45,27 +44,12 @@ __all__ = [
     "value_table",
     "cost_table",
     "lifted_values",
-    "brute_force_limit",
+    "BRUTE_FORCE_LIMIT",
     "EXPLICIT_TABLE_MAX_ACTIONS",
 ]
 
 EXPLICIT_TABLE_MAX_ACTIONS = 24
-DEFAULT_BRUTE_FORCE_LIMIT = 12
-BRUTE_LIMIT_ENV = "COMBICONTRACTS_BRUTE_LIMIT"
-
-
-def brute_force_limit() -> int:
-    """Action-count cap for exhaustive enumeration (env-overridable)."""
-    raw = os.environ.get(BRUTE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_BRUTE_FORCE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{BRUTE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
-    if limit < 1:
-        raise DomainError(f"{BRUTE_LIMIT_ENV} must be positive")
-    return limit
+BRUTE_FORCE_LIMIT = 12  # action cap for exhaustive enumeration, refused in _check_brute_limit
 
 
 def action_set(n: int, actions: Iterable[int]) -> frozenset:
@@ -111,6 +95,14 @@ def _integer(x, name: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise DomainError(f"{name}: expected an integer, got {_shown(x)}")
     return x
+
+
+def _sequence(obj, name: str) -> tuple:
+    """tuple(obj), refused unless obj is an iterable other than a string
+    (whose characters would read as entries: "12" as 1 and 2)."""
+    if isinstance(obj, (str, bytes)) or not isinstance(obj, Iterable):
+        raise DomainError(f"{name}: expected a sequence, got {_shown(obj)}")
+    return tuple(obj)
 
 
 class SuccessFunction:
@@ -185,7 +177,7 @@ class SuccessFunction:
 
 def _coerce_fractions(obj, name: str) -> tuple:
     """obj as a tuple of exact Fractions, none of them negative."""
-    values = tuple(as_fraction(v) for v in obj)
+    values = tuple(map(as_fraction, _sequence(obj, name)))
     for v in values:
         if v < 0:
             raise DomainError(f"{name} include the negative value {_shown(v)}")
@@ -195,7 +187,7 @@ def _coerce_fractions(obj, name: str) -> tuple:
 def _positive_costs(costs) -> tuple:
     """costs as a tuple of positive Fractions: every walk from alpha = 0
     takes V(0) = 0, which a free action would break."""
-    costs = tuple(as_fraction(c) for c in costs)
+    costs = tuple(map(as_fraction, _sequence(costs, "costs")))
     for a, c in enumerate(costs, 1):
         if c <= 0:
             raise DomainError(f"action {a} has non-positive cost {_shown(c)}")
@@ -257,9 +249,11 @@ class PartitionMatroid:
     capacities: tuple
 
     def __post_init__(self):
-        blocks = tuple(frozenset(_integer(a, "block entries") for a in b) for b in self.blocks)
+        blocks = [_sequence(b, "block") for b in _sequence(self.blocks, "partition blocks")]
+        blocks = tuple(frozenset(_integer(a, "block entries") for a in b) for b in blocks)
         object.__setattr__(self, "blocks", blocks)
-        caps = tuple(_integer(c, "block capacities") for c in self.capacities)
+        caps = _sequence(self.capacities, "block capacities")
+        caps = tuple(_integer(c, "block capacities") for c in caps)
         object.__setattr__(self, "capacities", caps)
         if len(self.blocks) != len(self.capacities):
             raise DomainError(
@@ -361,7 +355,8 @@ class Coverage(SuccessFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        covers = tuple(frozenset(_integer(j, "cover entries") for j in c) for c in self.covers)
+        covers = [_sequence(c, "cover") for c in _sequence(self.covers, "covers")]
+        covers = tuple(frozenset(_integer(j, "cover entries") for j in c) for c in covers)
         object.__setattr__(self, "covers", covers)
         size = len(self.weights)
         for a, cover in enumerate(self.covers, 1):
@@ -397,7 +392,7 @@ class ExplicitTable(SuccessFunction):
     _params: ClassVar[tuple] = ("table",)
 
     def __post_init__(self):
-        table = _table_shape(self.n_actions, map(as_fraction, self.table))
+        table = tuple(map(as_fraction, _table_shape(self.n_actions, self.table)))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_lifted", _lift(table))
 
@@ -450,7 +445,7 @@ def _table_shape(n: int, entries) -> tuple:
         raise ResourceLimitError(
             f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
         )
-    entries = tuple(entries)
+    entries = _sequence(entries, "table")
     if len(entries) != 1 << n:
         raise DomainError(f"table needs {1 << n} entries, got {len(entries)}")
     return entries
@@ -632,8 +627,10 @@ def _weigh_covers(w, covered) -> dict:
 
 
 def _check_brute_limit(n: int) -> None:
-    if n > (limit := brute_force_limit()):
-        raise ResourceLimitError(f"brute force limited to {limit} actions, instance has {n}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ResourceLimitError(
+            f"brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}"
+        )
 
 
 def _scan_tables(inst: Instance) -> tuple:

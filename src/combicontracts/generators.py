@@ -27,6 +27,7 @@ from .functions import (
     UnitDemand,
     WeightedMatroidRank,
     _integer,
+    _sequence,
     lifted_values,
 )
 from .rational import _STR_LIMIT, _bounded_k, _shown, as_fraction
@@ -54,7 +55,8 @@ class SubsetSumSpec:
     target: int
 
     def __post_init__(self):
-        values = tuple(_integer(x, "subset-sum values") for x in self.values)
+        values = _sequence(self.values, "subset-sum values")
+        values = tuple(_integer(x, "subset-sum values") for x in values)
         object.__setattr__(self, "values", values)
         if not self.values:
             raise DomainError("subset-sum needs at least one value")

@@ -19,24 +19,20 @@ from functools import cached_property
 from typing import Any
 
 from .contract import ContractSolution, optimal_contract
-from .errors import (
-    DegenerateInstanceError,
-    DomainError,
-    InvariantError,
-    ResourceLimitError,
-)
+from .errors import DegenerateInstanceError, DomainError, InvariantError
 from .functions import (
     ExplicitTable,
     Instance,
     SuccessFunction,
     ValidationReport,
     _CLASSES,
+    _check_brute_limit,
     _coerce_fractions,
     _lift,
     _monotone,
     _least_cost_states,
     _positive_costs,
-    brute_force_limit,
+    _sequence,
     lifted_values,
 )
 from .rational import _check_k, _shown, as_fraction
@@ -87,7 +83,8 @@ class GeneralInstance:
         if self.expected is not None and type(self.expected) not in _CLASSES.values():
             raise DomainError(f"unknown function class {type(self.expected).__name__}")
         if self.distributions is not None:
-            object.__setattr__(self, "distributions", tuple(self.distributions))
+            dists = _sequence(self.distributions, "distributions")
+            object.__setattr__(self, "distributions", dists)
             if len(self.distributions) != len(self.rewards):
                 raise DomainError("one distribution table per reward outcome")
             for tab in self.distributions:
@@ -200,9 +197,10 @@ class GeneralContract:
             if self.slope < 0:
                 raise DomainError("negative payments are not allowed")
         else:
-            rows = tuple(
-                (as_fraction(level), as_fraction(pay)) for level, pay in self.payments
-            )
+            rows = [_sequence(row, "payment rows") for row in _sequence(self.payments, "payments")]
+            if any(len(row) != 2 for row in rows):
+                raise DomainError("payment rows must be (level, payment) pairs")
+            rows = tuple((as_fraction(level), as_fraction(pay)) for level, pay in rows)
             if any(pay < 0 for _, pay in rows):
                 raise DomainError("negative payments are not allowed")
             if len({level for level, _ in rows}) != len(rows):
@@ -215,8 +213,7 @@ class GeneralContract:
 
     @classmethod
     def tabular(cls, mapping) -> "GeneralContract":
-        items = mapping.items() if hasattr(mapping, "items") else mapping
-        return cls(payments=tuple(items))
+        return cls(payments=mapping.items() if hasattr(mapping, "items") else mapping)
 
     def pay(self, level) -> Fraction:
         level = as_fraction(level)
@@ -267,8 +264,7 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     F.  As the principal keeps R(S) * (1 - s), among the agent's optima it
     takes the largest R while s < 1 and the smallest once s >= 1."""
     top = _positive_top(ginst)
-    if ginst.n > brute_force_limit():
-        raise ResourceLimitError("family evaluation enumerates all subsets")
+    _check_brute_limit(ginst.n)
     s = linearize(t, ginst)
     if isinstance(ginst.reward, ExplicitTable):  # the other classes lie in [0, R(A)]
         table = ginst.reward._lifted[1]

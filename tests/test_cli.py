@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from combicontracts import (
+    BRUTE_FORCE_LIMIT,
+    Additive,
     DomainError,
     ExplicitTable,
     GeneralInstance,
@@ -19,6 +21,7 @@ from combicontracts import (
     sample_instance,
     SubsetSumSpec,
 )
+from combicontracts import generators
 from combicontracts.cli import main
 from combicontracts.generators import SAMPLE_CLASSES
 from combicontracts.instancefile import (
@@ -248,6 +251,12 @@ REFUSALS = {
                     "error: supply --slope or --payments\n"),
     "payment without =": (GENERAL, ["robust", "linearize"], ["--payments", "0=0,1"],
                           "error: bad payment entry '1'; use level=payment\n"),
+    "repeated payment level": (GENERAL, ["robust", "linearize"],
+                               ["--payments", "0=0,1=1/2,2/2=1/4"],
+                               "error: duplicate reward level in payment table\n"),
+    "slope and payments": (GENERAL, ["robust", "linearize"],
+                           ["--slope", "1/2", "--payments", "0=0"],
+                           "error: a contract is either linear or a payment table\n"),
 }
 
 
@@ -769,7 +778,7 @@ def test_verify_refuses_epsilon_outside_the_unit_interval(
         assert err.startswith(f"error: epsilon must lie in (0, 1), got {epsilon}\n")
 
 
-def test_exit_codes(tmp_path, capsys, monkeypatch):
+def test_exit_codes(tmp_path, capsys):
     # validation failure: non-monotone table
     bad = tmp_path / "bad.inst"
     bad.write_text(
@@ -786,14 +795,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(capsys, "solve", str(bad))
     assert code == 1
 
-    # resource limit: brute force beyond the configured cap
-    inst = sample_instance("coverage", 4, 5, seed=2)
+    # resource limit: brute force one action past the cap
+    inst = sample_instance("coverage", BRUTE_FORCE_LIMIT + 1, 5, seed=2)
     path = tmp_path / "cov.inst"
     path.write_text(dumps_instance(inst))
-    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", "3")
     code, _ = run_cli(capsys, "critical-set", str(path))
     assert code == 2
-    monkeypatch.delenv("COMBICONTRACTS_BRUTE_LIMIT")
 
     # missing file / bad usage
     code, _ = run_cli(capsys, "solve", str(tmp_path / "missing.inst"))
@@ -827,6 +834,19 @@ def test_gen_refuses_k_above_the_limit(tmp_path, capsys):
     assert main(["gen", "random", "--class", "additive", "--n", "3", "--k", "0", "--seed", "1",
                  "-o", str(path)]) == 1
     assert "bit precision must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_gen_refuses_an_invalid_generated_instance(tmp_path, capsys, monkeypatch):
+    # f(A) = 3/2 > 1: the validation after a generator is the last guard
+    bad = Instance(Additive((Fraction(3, 2),)), (Fraction(1, 2),))
+    monkeypatch.setattr(generators, "sample_instance", lambda *args: bad)
+    path = tmp_path / "x.inst"
+    argv = ["gen", "random", "--class", "additive", "--n", "1", "--k", "4", "--seed", "1"]
+    assert main(argv + ["-o", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invariant breach: generator produced an invalid instance")
+    assert not path.exists()
 
 
 def test_declared_k_admits_decimal_literals(tmp_path, capsys):

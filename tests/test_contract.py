@@ -11,7 +11,9 @@ from combicontracts import (
     UnsupportedClassError,
     VOracle,
     brute_force_critical_set,
+    embed_binary,
     optimal_contract,
+    optimal_linear_general,
     succ_gs,
     succ_search,
 )
@@ -86,6 +88,11 @@ def test_optimal_contract_examples(worked_additive, example_three_action):
 def test_unknown_method_is_refused(worked_additive):
     with pytest.raises(DomainError, match="unknown successor method 'nope'"):
         optimal_contract(worked_additive, "nope")
+    # an unhashable method is refused, not looked up
+    with pytest.raises(DomainError, match=r"unknown successor method \[1\]"):
+        optimal_contract(worked_additive, [1])
+    with pytest.raises(DomainError, match=r"unknown successor method \[1\]"):
+        optimal_linear_general(embed_binary(worked_additive), [1])
 
 
 def test_non_positive_costs_are_refused():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
+    BRUTE_FORCE_LIMIT,
     Additive,
     Coverage,
     Instance,
@@ -118,11 +119,13 @@ def test_voracle_counts_and_dispatch(worked_additive, example_three_action):
         greedy_demand(example_three_action, Fraction(1, 2))
 
 
-def test_brute_force_limit(monkeypatch, worked_additive):
-    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", "1")
+def test_brute_force_limit():
+    def inst(n):
+        return Instance(Additive((Fraction(1, 16),) * n), (Fraction(1, 64),) * n)
+
+    assert brute_force_demand(inst(BRUTE_FORCE_LIMIT), Fraction(1, 2)).v == Fraction(3, 4)
     with pytest.raises(ResourceLimitError):
-        brute_force_demand(worked_additive, Fraction(1, 2))
-    monkeypatch.delenv("COMBICONTRACTS_BRUTE_LIMIT")
+        brute_force_demand(inst(BRUTE_FORCE_LIMIT + 1), Fraction(1, 2))
 
 
 def test_greedy_step_utilities_sane(gs_corpus):

@@ -1,8 +1,8 @@
 """Which backend runs, or which error class refuses, for every entry point.
 
-The brute-force limit is lowered to 3 actions, so n=3 instances sit under it
-and n=4 instances above it.  Each row pins the outcome of every entry point
-on one instance kind: "ok" for an answer, otherwise the first letter of the
+Instances of N = ``BRUTE_FORCE_LIMIT`` actions sit at the brute-force limit
+and N + 1 past it.  Each row pins the outcome of every entry point on one
+instance kind: "ok" for an answer, otherwise the first letter of the
 exception class (U UnsupportedClassError, P PrecisionError, R
 ResourceLimitError).
 """
@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
+    BRUTE_FORCE_LIMIT,
     Additive,
     Coverage,
     Instance,
@@ -42,16 +43,17 @@ CALLS = {
     "VOracle": VOracle,
 }
 
-#                           auto gs search brute fptas succ_gs succ_search v_value VOracle
+N = BRUTE_FORCE_LIMIT
+#                               auto gs search brute fptas succ_gs succ_search v_value VOracle
 EXPECTED = {
-    ("additive", 3, 4):    "ok   ok ok     ok    ok    ok      ok          ok      ok",
-    ("additive", 3, None): "ok   ok P      ok    P     ok      P           ok      ok",
-    ("additive", 4, 4):    "ok   ok ok     R     ok    ok      ok          ok      ok",
-    ("additive", 4, None): "ok   ok P      R     P     ok      P           ok      ok",
-    ("coverage", 3, 4):    "ok   U  ok     ok    ok    U       ok          ok      ok",
-    ("coverage", 3, None): "ok   U  P      ok    P     U       P           ok      ok",
-    ("coverage", 4, 4):    "R    U  R      R     R     U       R           R       R",
-    ("coverage", 4, None): "R    U  R      R     P     U       P           R       R",
+    ("additive", N, 4):        "ok   ok ok     ok    ok    ok      ok          ok      ok",
+    ("additive", N, None):     "ok   ok P      ok    P     ok      P           ok      ok",
+    ("additive", N + 1, 4):    "ok   ok ok     R     ok    ok      ok          ok      ok",
+    ("additive", N + 1, None): "ok   ok P      R     P     ok      P           ok      ok",
+    ("coverage", N, 4):        "ok   U  ok     ok    ok    U       ok          ok      ok",
+    ("coverage", N, None):     "ok   U  P      ok    P     U       P           ok      ok",
+    ("coverage", N + 1, 4):    "R    U  R      R     R     U       R           R       R",
+    ("coverage", N + 1, None): "R    U  R      R     P     U       P           R       R",
 }
 
 LETTERS = {UnsupportedClassError: "U", PrecisionError: "P", ResourceLimitError: "R"}
@@ -64,7 +66,7 @@ def _instance(klass, n, k):
     else:
         f = Coverage(
             [Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)],
-            [frozenset({i, (i + 1) % 4}) for i in range(n)],
+            [frozenset({i % 4, (i + 1) % 4}) for i in range(n)],
         )
     return Instance(f, costs, k=k)
 
@@ -78,8 +80,7 @@ def _outcome(call, inst) -> str:
 
 
 @pytest.mark.parametrize("kind", list(EXPECTED), ids=lambda kind: "-".join(map(str, kind)))
-def test_dispatch_outcomes(monkeypatch, kind):
-    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", "3")
+def test_dispatch_outcomes(kind):
     inst = _instance(*kind)
     got = {name: _outcome(call, inst) for name, call in CALLS.items()}
     assert got == dict(zip(CALLS, EXPECTED[kind].split()))

@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from combicontracts import (  # noqa: E402
+    BRUTE_FORCE_LIMIT,
     Additive,
     BudgetAdditive,
     ContractError,
@@ -562,23 +563,20 @@ def test_state_classes_never_tabulate_their_subsets(monkeypatch):
 
 
 @pytest.mark.parametrize("klass", ["unit-demand", "budget-additive", "coverage"])
-def test_state_classes_are_refused_past_the_brute_force_limit(monkeypatch, tmp_path, capsys, klass):
-    inst = sample_instance(klass, 4, 5, seed=2)
+def test_state_classes_are_refused_past_the_brute_force_limit(tmp_path, capsys, klass):
+    assert brute_force_critical_set(sample_instance(klass, BRUTE_FORCE_LIMIT, 5, seed=2)).size > 0
+    n = BRUTE_FORCE_LIMIT + 1
+    inst = sample_instance(klass, n, 5, seed=2)
     path = tmp_path / "inst.json"
     path.write_text(dumps_instance(inst))
-    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", "3")
-    brute_force_critical_set.cache_clear()
-    text = "brute force limited to 3 actions, instance has 4"
+    text = f"brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}"
     with pytest.raises(ResourceLimitError) as caught:
         brute_force_critical_set(inst)
     assert str(caught.value) == text
     if not inst.f.gs_certified:  # a certified class's oracle is the greedy
         with pytest.raises(ResourceLimitError) as caught:
             VOracle(inst)
-        assert str(caught.value) == (
-            "no V oracle available: function class is not certified for "
-            "greedy and 4 actions exceed the brute-force limit"
-        )
+        assert str(caught.value) == text
     assert main(["critical-set", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

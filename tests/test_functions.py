@@ -25,7 +25,6 @@ from combicontracts.functions import (
     _lift,
     _monotone,
     actions_of,
-    brute_force_limit,
     cost_table,
     mask_of,
 )
@@ -233,6 +232,14 @@ HALF = Fraction(1, 2)
         # its file would write "n": true, which the loader refuses
         (lambda: ExplicitTable(True, (0, 1)), "action count: expected an integer, got True"),
         (lambda: ExplicitTable("2", (0,) * 4), "action count: expected an integer, got '2'"),
+        # a sequence field takes an iterable only
+        (lambda: Additive(5), "values: expected a sequence, got 5"),
+        # a string is not split into its characters: "12" is not (1, 2)
+        (lambda: Additive("12"), "values: expected a sequence, got '12'"),
+        (lambda: Coverage((1,), (0,)), "cover: expected a sequence, got 0"),
+        (lambda: PartitionMatroid((1,), (1,)), "block: expected a sequence, got 1"),
+        (lambda: ExplicitTable(1, 5), "table: expected a sequence, got 5"),
+        (lambda: Instance(Additive((HALF,)), 5), "costs: expected a sequence, got 5"),
         # only the listed classes: a subclass would be solved as its parent
         (lambda: Instance(Doubled((HALF, HALF)), (HALF, HALF)), "unknown function class Doubled"),
         (lambda: Instance(type("Bare", (SuccessFunction,), {})(), (HALF,)), "class Bare"),
@@ -269,13 +276,6 @@ def test_the_per_action_field_is_derived_by_the_base_class(build, name):
         assert f._masks == tuple(mask_of(3, [j + 1 for j in c]) for c in f.covers)
     with pytest.raises(DomainError, match=f"^{name} include the negative value -1/2$"):
         build([1, "-1/2", 0])
-
-
-@pytest.mark.parametrize("raw, match", [("x", "must be an integer, got 'x'"), ("0", "positive")])
-def test_brute_force_limit_refuses_a_bad_setting(monkeypatch, raw, match):
-    monkeypatch.setenv("COMBICONTRACTS_BRUTE_LIMIT", raw)
-    with pytest.raises(DomainError, match=match):
-        brute_force_limit()
 
 
 def test_to_table_refuses_more_than_24_actions():

@@ -48,6 +48,8 @@ def test_subset_sum_spec_invariants():
     # ints only: int() would cut 1.5 and 2.7 to 1 and 2, a different instance
     with pytest.raises(DomainError, match="values: expected an integer, got 1.5"):
         SubsetSumSpec((1.5, 2.7), 3)
+    with pytest.raises(DomainError, match="values: expected a sequence, got 5"):
+        SubsetSumSpec(5, 3)
     with pytest.raises(DomainError, match="target: expected an integer, got 2.5"):
         SubsetSumSpec((1, 2), 2.5)
     SubsetSumSpec((3, 5), 8)  # sum == target is allowed (trivially YES)

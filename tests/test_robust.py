@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
+    BRUTE_FORCE_LIMIT,
     Additive,
     DegenerateInstanceError,
     DomainError,
@@ -105,6 +106,10 @@ def test_contract_construction_rules():
         GeneralContract.linear(Fraction(-1, 2))
     with pytest.raises(DomainError, match="duplicate reward level"):
         GeneralContract.tabular([(Fraction(1, 2), 0), ("1/2", Fraction(1, 4))])
+    with pytest.raises(DomainError, match="payments: expected a sequence, got 5"):
+        GeneralContract.tabular(5)
+    with pytest.raises(DomainError, match=r"payment rows must be \(level, payment\) pairs"):
+        GeneralContract(payments=((1,),))
 
 
 def test_unobserved_levels_rejected():
@@ -306,6 +311,10 @@ def test_distributions_must_be_tables_of_n_actions():
     one_action = (ExplicitTable(1, (1, Fraction(1, 2))), ExplicitTable(1, (0, Fraction(1, 2))))
     with pytest.raises(DomainError, match="distribution table size mismatch"):
         GeneralInstance(half, (0, 1), distributions=one_action)
+    with pytest.raises(DomainError, match="distributions: expected a sequence, got 5"):
+        GeneralInstance(half, (0, 1), distributions=5)
+    with pytest.raises(DomainError, match="rewards: expected a sequence, got 5"):
+        GeneralInstance(half, 5, expected=Additive(half))
 
 
 def test_reward_table_is_the_fraction_formula(general_corpus):
@@ -382,10 +391,16 @@ def test_worst_case_refusals():
                 call(t, ginst)
     with pytest.raises(DomainError, match=r"f\(empty set\) != 0"):
         worst_case_utility_twopoint(t, expected_form("1/8", "1/4", "1/4", "1/2"))
-    wide = GeneralInstance(
-        costs=(Fraction(1, 64),) * 13,
-        rewards=(Fraction(0), Fraction(1)),
-        expected=Additive((Fraction(1, 16),) * 13),
-    )
-    with pytest.raises(ResourceLimitError, match="enumerates all subsets"):
-        worst_case_utility_twopoint(t, wide)
+
+    def additive_form(n):
+        return GeneralInstance(
+            costs=(Fraction(1, 64),) * n,
+            rewards=(Fraction(0), Fraction(1)),
+            expected=Additive((Fraction(1, 16),) * n),
+        )
+
+    assert worst_case_utility_twopoint(t, additive_form(BRUTE_FORCE_LIMIT)) == Fraction(3, 8)
+    n = BRUTE_FORCE_LIMIT + 1
+    text = f"^brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}$"
+    with pytest.raises(ResourceLimitError, match=text):
+        worst_case_utility_twopoint(t, additive_form(n))

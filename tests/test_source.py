@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no public name is there for the tests alone, the solver modules hold no
-float, and every raise is of a ``ContractError`` subclass.
+float, every raise is of a ``ContractError`` subclass, and no module reads
+the environment.
 
 ``__init__.py`` is left out of the import check, since it imports names
 only to export them.  A name counts as used when the module reads it
@@ -158,3 +159,28 @@ def test_every_raise_is_a_contract_error():
                 continue
             found.append((path.name, scope, name))
     assert found == []
+
+
+def environment_reads(tree: ast.AST) -> list:
+    """(line, name) for each ``environ`` or ``getenv`` read off a module or
+    imported from ``os``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("environ", "getenv")]
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    """Settings come from arguments and files, so a run depends on nothing
+    its caller did not pass."""
+    probe = "import os as o\nx = o.environ.get('A')\ny = o.getenv('B')\nfrom os import environ\n"
+    assert environment_reads(ast.parse(probe)) == [(2, "environ"), (3, "getenv"), (4, "environ")]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        reads = environment_reads(ast.parse(path.read_text(), str(path)))
+        if reads:
+            found[path.name] = reads
+    assert found == {}

@@ -809,6 +809,24 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+SUCC_USAGE = (
+    "usage: combicontracts succ [-h] --alpha ALPHA [--method {gs,search,brute}]\n"
+    "                           [--format {table,csv}] [--decimal D]\n"
+    "                           instance\n"
+)
+
+
+def test_usage_error_prints_usage_then_error(worked_file, capsys, monkeypatch):
+    # argparse wraps the usage line at the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(["succ", worked_file])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    head = SUCC_USAGE + "error: the following arguments are required: --alpha\n"
+    assert err.startswith(head)
+    assert err[len(head):].startswith("wall_time_s ")
+
+
 def test_succ_null_printed(worked_file, capsys):
     code, out = run_cli(capsys, "succ", worked_file, "--alpha", "1/2")
     assert code == 0

@@ -47,7 +47,6 @@ from .functions import (
     SuccessFunction,
     UniformMatroid,
     UnitDemand,
-    ValidationReport,
     WeightedMatroidRank,
     validate,
 )

@@ -40,11 +40,7 @@ class _Parser(argparse.ArgumentParser):
     # usage errors share the validation exit code, keeping 2 for resource limits
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise DomainError(message)
 
 
 def _fmt(value, decimal: int | None) -> str:
@@ -91,9 +87,7 @@ def _load_binary(path: str) -> Instance:
     inst = load_instance(path)
     if not isinstance(inst, Instance):
         raise DomainError("this command needs a binary-model instance file")
-    report = validate(inst)
-    if not report.ok:
-        raise _ValidationFailure(str(report))
+    validate(inst)
     return inst
 
 
@@ -101,14 +95,8 @@ def _load_general(path: str) -> GeneralInstance:
     inst = load_instance(path)
     if isinstance(inst, Instance):
         inst = robust.embed_binary(inst)
-    report = validate_general(inst)
-    if not report.ok:
-        raise _ValidationFailure(str(report))
+    validate_general(inst)
     return inst
-
-
-class _ValidationFailure(Exception):
-    pass
 
 
 def _head(command: str, args) -> list:
@@ -214,9 +202,10 @@ def _cmd_gen(args) -> list:
             inst = generators.normalize(inst)
     else:
         inst = generators.sample_instance(args.klass, args.n, args.k, args.seed)
-    report = validate(inst)
-    if not report.ok:
-        raise InvariantError(f"generator produced an invalid instance:\n{report}")
+    try:
+        validate(inst)
+    except DomainError as exc:
+        raise InvariantError(f"generator produced an invalid instance: {exc}") from exc
     dump_instance(inst, args.output)
     return [
         ("command", f"gen {args.generator}"),
@@ -352,16 +341,13 @@ def main(argv=None) -> int:
         if pairs is not None:
             _print_pairs(pairs, args.format)
         code = EXIT_OK
-    except _ValidationFailure as exc:
-        print(f"validation failed:\n{exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         code = EXIT_RESOURCE
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         code = EXIT_INVARIANT
-    except (_UsageError, ContractError, OSError) as exc:  # after its subclasses above
+    except (ContractError, OSError) as exc:  # after its subclasses above
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VALIDATION
     elapsed = time.perf_counter() - started

@@ -1,10 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-Every error the package raises is a ``ContractError`` subclass; only the
-CLI's private signals and the abstract ``SuccessFunction.value_mask``
-raise anything else (``tests/test_source.py`` checks this).  The CLI maps
-these onto exit codes: validation problems exit 1, resource limits exit
-2, and internal invariant breaches exit 3.
+Every error the package raises is a ``ContractError`` subclass, the CLI's
+usage errors and the validators' refusals included (``tests/test_source.py``
+checks this).  The CLI maps these onto exit codes: validation problems and
+bad usage exit 1, resource limits exit 2, and internal invariant breaches
+exit 3.
 """
 
 

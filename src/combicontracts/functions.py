@@ -35,7 +35,6 @@ __all__ = [
     "ExplicitTable",
     "SuccessFunction",
     "Instance",
-    "ValidationReport",
     "action_set",
     "mask_of",
     "actions_of",
@@ -130,9 +129,6 @@ class SuccessFunction:
     @property
     def n(self) -> int:
         return len(getattr(self, self._params[0]))
-
-    def value_mask(self, mask: int) -> Fraction:
-        raise NotImplementedError
 
     def value(self, actions: Iterable[int]) -> Fraction:
         return self.value_mask(mask_of(self.n, actions))
@@ -460,7 +456,7 @@ class Instance:
     [0, 1] regardless of scale.  Construction refuses an f not in ``_CLASSES``,
     an empty action set, a non-positive cost or scale, f(empty set) != 0
     (DomainError) and, when k is declared, any parameter or cost off the
-    2**-k grid (PrecisionError); ``validate`` checks the rest.  It also lifts
+    2**-k grid (PrecisionError); ``validate`` refuses the rest.  It also lifts
     f (a table by its own lift) and the costs once to ``_lifted``: (D,
     parameter ints, cost ints) over D, the LCM of all their denominators.
     """
@@ -517,35 +513,20 @@ class Instance:
         return self.f.n
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(f"violation: {v}" for v in self.violations)
-
-
-def validate(inst: Instance) -> ValidationReport:
-    """Report what construction leaves unchecked; violations are not raised.
+def validate(inst: Instance) -> None:
+    """Refuse what construction leaves unchecked with DomainError, at the
+    first violation.
 
     Construction already makes every parameter non-negative and f(empty
     set) = 0, so every class but the explicit table is monotone and largest
     on the full set.  What is left: tables must be monotone, and f of the
     full set must not exceed the declared scale.
     """
-    out = []
     f = inst.f
     if isinstance(f, ExplicitTable) and not _monotone(f):
-        out.append("f is not monotone")
+        raise DomainError("f is not monotone")
     if f.value_mask((1 << f.n) - 1) > inst.scale:
-        out.append("f(full set) exceeds the declared scale")
-    return ValidationReport(tuple(out))
+        raise DomainError("f(full set) exceeds the declared scale")
 
 
 def _monotone(tab: ExplicitTable) -> bool:

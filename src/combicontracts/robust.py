@@ -19,12 +19,11 @@ from functools import cached_property
 from typing import Any
 
 from .contract import ContractSolution, optimal_contract
-from .errors import DegenerateInstanceError, DomainError, InvariantError
+from .errors import DegenerateInstanceError, DomainError
 from .functions import (
     ExplicitTable,
     Instance,
     SuccessFunction,
-    ValidationReport,
     _CLASSES,
     _check_brute_limit,
     _coerce_fractions,
@@ -59,7 +58,7 @@ class GeneralInstance:
     instance, if it declared one.  Construction refuses n < 1, a cost
     vector that is not n positive costs, an empty or negative reward
     list, an ``expected`` not in ``_CLASSES`` and a declared k that is not
-    a positive integer (DomainError); ``validate_general`` checks the
+    a positive integer (DomainError); ``validate_general`` refuses the
     per-set conditions.
     """
 
@@ -147,33 +146,29 @@ def _columns(tables, coeffs) -> tuple:
     return D, w, zip(*(t for _, t in lifts))
 
 
-def validate_general(ginst: GeneralInstance) -> ValidationReport:
-    """Report per-set violations: outcome rows that are not distributions,
-    R(empty set) != 0, a non-monotone R and an R(A) above the largest reward.
+def validate_general(ginst: GeneralInstance) -> None:
+    """Refuse per-set violations with DomainError, at the first: outcome rows
+    that are not distributions, R(empty set) != 0, a non-monotone R and an
+    R(A) above the largest reward.
 
     Only tables are enumerated, outcome rows in ints over one denominator:
     a structural R is monotone by construction.
     """
-    out = []
     if ginst.distributions is not None:
         D, w, columns = _columns(ginst.distributions, [1] * ginst.m)
         for mask, col in enumerate(columns):
             total = sum(map(operator.mul, w, col))
             if total != D:
                 total = Fraction(total, D)
-                out.append(f"outcome probabilities sum to {_shown(total)} on mask {mask}")
-                break
+                raise DomainError(f"outcome probabilities sum to {_shown(total)} on mask {mask}")
             if min(col) < 0:
-                out.append(f"negative outcome probability on mask {mask}")
-                break
+                raise DomainError(f"negative outcome probability on mask {mask}")
     if ginst.expected_reward_mask(0) != 0:
-        out.append("expected reward of the empty set is not 0")
-    table = isinstance(ginst.reward, ExplicitTable)
-    if not out and table and not _monotone(ginst.reward):
-        out.append("expected reward is not monotone")
+        raise DomainError("expected reward of the empty set is not 0")
+    if isinstance(ginst.reward, ExplicitTable) and not _monotone(ginst.reward):
+        raise DomainError("expected reward is not monotone")
     if ginst.top_reward > max(ginst.rewards):
-        out.append("expected reward of the full set exceeds the largest reward level")
-    return ValidationReport(tuple(out))
+        raise DomainError("expected reward of the full set exceeds the largest reward level")
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     if isinstance(ginst.reward, ExplicitTable):  # the other classes lie in [0, R(A)]
         table = ginst.reward._lifted[1]
         if min(table) < 0 or max(table) > table[-1]:
-            raise InvariantError("expected reward outside [0, R(A)]")
+            raise DomainError("expected reward outside [0, R(A)]")
     D, _, F, C = _least_cost_states(Instance(ginst.reward, ginst.costs, scale=top))
     p, q = s.numerator, s.denominator
     utils = [p * f - q * c for f, c in zip(F, C)]

@@ -9,7 +9,7 @@ and a utility is maximized here over all 2**n sets.
 import random
 from fractions import Fraction
 
-from combicontracts import GeneralContract, Instance, InvariantError
+from combicontracts import DomainError, GeneralContract, Instance
 
 PERTURB_RESOLUTION = 1 << 16
 
@@ -26,7 +26,7 @@ def two_point_family(ginst):
     def family(mask: int):
         rs = ginst.expected_reward_mask(mask)
         if not 0 <= rs <= top:
-            raise InvariantError("expected reward outside [0, R(A)]")
+            raise DomainError("expected reward outside [0, R(A)]")
         return ((Fraction(0), 1 - rs / top), (top, rs / top))
 
     return family

@@ -257,6 +257,15 @@ REFUSALS = {
     "slope and payments": (GENERAL, ["robust", "linearize"],
                            ["--slope", "1/2", "--payments", "0=0"],
                            "error: a contract is either linear or a payment table\n"),
+    # the validators' refusals, each naming its first violation
+    "non-monotone table": (_binary({"class": "table", "table": ["0", "1/2", "1/4", "1/3"]}),
+                           ["solve"], [], "error: f is not monotone\n"),
+    "f(A) over the scale": ({**_binary({"class": "additive", "values": ["1/2", "1/4"]}),
+                             "scale": "1/2"}, ["solve"], [],
+                            "error: f(full set) exceeds the declared scale\n"),
+    "rows not distributions": ({**GENERAL, "distributions": [["1", "1/2"], ["0", "1/4"]]},
+                               ["robust", "solve-linear"], [],
+                               "error: outcome probabilities sum to 3/4 on mask 1\n"),
 }
 
 

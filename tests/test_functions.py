@@ -16,7 +16,6 @@ from combicontracts import (
     SuccessFunction,
     UniformMatroid,
     UnitDemand,
-    ValidationReport,
     WeightedMatroidRank,
     validate,
 )
@@ -90,8 +89,7 @@ def test_cost_examples(example_three_action):
 
 
 def test_validate_examples(example_three_action):
-    assert validate(example_three_action).ok
-    assert str(validate(example_three_action)) == str(ValidationReport(())) == "valid"
+    validate(example_three_action)
 
     # construction refuses f(empty set) != 0; with f(empty set) = 1/2,
     # alpha = 0 already earns 1/2, which the walk from V(0) = 0 would miss
@@ -111,13 +109,15 @@ def test_validate_monotonicity_and_k():
         ExplicitTable(2, (Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))),
         (Fraction(1, 10), Fraction(1, 10)),
     )
-    assert any("monotone" in v for v in validate(non_monotone).violations)
+    with pytest.raises(DomainError, match=r"^f is not monotone$"):
+        validate(non_monotone)
 
     with pytest.raises(PrecisionError, match=r"multiple of 2\*\*-4"):
         Instance(Additive((Fraction(1, 3),)), (Fraction(1, 4),), k=4)
 
     over_scale = Instance(Additive((Fraction(2), Fraction(2))), (Fraction(1), Fraction(1)))
-    assert any("scale" in v for v in validate(over_scale).violations)
+    with pytest.raises(DomainError, match=r"^f\(full set\) exceeds the declared scale$"):
+        validate(over_scale)
 
 
 @pytest.mark.parametrize(

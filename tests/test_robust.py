@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from combicontracts import (
     GeneralContract,
     GeneralInstance,
     Instance,
-    InvariantError,
     ResourceLimitError,
     embed_binary,
     linearize,
@@ -207,7 +207,7 @@ def test_optimal_linear_general_degenerate():
 
 def test_validate_general(general_corpus):
     for ginst in general_corpus[:10]:
-        assert validate_general(ginst).ok
+        validate_general(ginst)
     bad = GeneralInstance(
         costs=(Fraction(1, 10),),
         rewards=(Fraction(0), Fraction(1)),
@@ -216,21 +216,22 @@ def test_validate_general(general_corpus):
             ExplicitTable(1, (Fraction(0), Fraction(1, 4))),
         ),
     )
-    report = validate_general(bad)
-    assert any("sum to" in v for v in report.violations)
+    with pytest.raises(DomainError, match="sum to"):
+        validate_general(bad)
 
     # a structural R is not enumerated: 2**40 sets would never finish
     big = sample_instance("additive", 40, 12, seed=1)
-    assert validate_general(embed_binary(big)).ok
+    validate_general(embed_binary(big))
     # an expected reward cannot pass the largest reward level
     over = GeneralInstance(
         costs=(Fraction(1, 8),) * 2,
         rewards=(Fraction(0), Fraction(1)),
         expected=Additive((Fraction(3, 4), Fraction(1, 2))),
     )
-    assert validate_general(over).violations == (
-        "expected reward of the full set exceeds the largest reward level",
-    )
+    with pytest.raises(
+        DomainError, match="^expected reward of the full set exceeds the largest reward level$"
+    ):
+        validate_general(over)
 
     # what one pass over costs and rewards decides is refused at construction
     f = Additive((Fraction(1, 2), Fraction(1, 4)))
@@ -295,7 +296,14 @@ def three_outcome(tables, n=2):
     ],
 )
 def test_validate_general_messages(tables, violations):
-    assert validate_general(three_outcome(tables)).violations == violations
+    """Each row names the one violation ``validate_general`` raises, or none."""
+    ginst = three_outcome(tables)
+    if not violations:
+        validate_general(ginst)
+        return
+    (violation,) = violations
+    with pytest.raises(DomainError, match=f"^{re.escape(violation)}$"):
+        validate_general(ginst)
 
 
 def test_distributions_must_be_tables_of_n_actions():
@@ -338,7 +346,7 @@ def test_reward_table_is_the_fraction_formula(general_corpus):
         )
         assert ginst.reward.table == expected
         if ginst.rewards[0] == 0:  # R(empty set) = 0, so the instance is valid
-            assert validate_general(ginst).ok
+            validate_general(ginst)
 
 
 def twopoint_reference(t, ginst):
@@ -387,7 +395,7 @@ def test_worst_case_refusals():
     # R(S) above R(A), or below 0, breaks the two-point family
     for ginst in (expected_form(0, 1, "1/4", "1/2"), expected_form(0, "-1/4", "1/4", "1/2")):
         for call in (worst_case_utility_twopoint, twopoint_reference):
-            with pytest.raises(InvariantError, match=r"outside \[0, R\(A\)\]"):
+            with pytest.raises(DomainError, match=r"outside \[0, R\(A\)\]"):
                 call(t, ginst)
     with pytest.raises(DomainError, match=r"f\(empty set\) != 0"):
         worst_case_utility_twopoint(t, expected_form("1/8", "1/4", "1/4", "1/2"))

@@ -137,15 +137,6 @@ def raises(tree: ast.Module) -> list:
     return found
 
 
-# Raises outside the hierarchy: the CLI's two private signals, which ``main``
-# turns into exit codes, and the abstract value oracle.
-OUTSIDE_THE_HIERARCHY = {
-    ("cli.py", None, "_UsageError"),
-    ("cli.py", None, "_ValidationFailure"),
-    ("functions.py", "SuccessFunction.value_mask", "NotImplementedError"),
-}
-
-
 def test_every_raise_is_a_contract_error():
     probe = "class A:\n    def f(self):\n        raise X('a') from None\nraise e\nraise\n"
     assert raises(ast.parse(probe)) == [("A.f", "X"), ("", "e"), ("", "")]
@@ -153,11 +144,8 @@ def test_every_raise_is_a_contract_error():
     for path in sorted(SRC.glob("*.py")):
         for scope, name in raises(ast.parse(path.read_text(), str(path))):
             exc = getattr(errors, name, None)
-            if isinstance(exc, type) and issubclass(exc, errors.ContractError):
-                continue
-            if {(path.name, None, name), (path.name, scope, name)} & OUTSIDE_THE_HIERARCHY:
-                continue
-            found.append((path.name, scope, name))
+            if not (isinstance(exc, type) and issubclass(exc, errors.ContractError)):
+                found.append((path.name, scope, name))
     assert found == []
 
 

@@ -59,7 +59,7 @@ from .generators import (
     normalize,
     sample_instance,
 )
-from .instancefile import dump_instance, dumps_instance, load_instance, loads_instance
+from .instancefile import dump_instance, dumps_instance, loads_instance
 from .rational import format_rational, in_bounded_set, is_k_valid, parse_rational
 from .robust import (
     GeneralContract,

@@ -17,6 +17,7 @@ import functools
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 from . import approx, contract, crosscheck, demand, generators, robust
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .functions import Instance, validate
-from .instancefile import dump_instance, load_instance
+from .instancefile import _read_instance, dump_instance
 from .rational import decimal_string, format_rational, parse_rational
 from .robust import GeneralContract, GeneralInstance, validate_general
 
@@ -78,30 +79,29 @@ def _print_table(header, rows, fmt: str) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _load_binary(path: str) -> Instance:
-    inst = load_instance(path)
+def _load_binary(path: str) -> tuple[Instance, bytes]:
+    inst, data = _read_instance(path)
     if not isinstance(inst, Instance):
         raise DomainError("this command needs a binary-model instance file")
     validate(inst)
-    return inst
+    return inst, data
 
 
-def _load_general(path: str) -> GeneralInstance:
-    inst = load_instance(path)
+def _load_general(path: str) -> tuple[GeneralInstance, bytes]:
+    inst, data = _read_instance(path)
     if isinstance(inst, Instance):
         inst = robust.embed_binary(inst)
     validate_general(inst)
-    return inst
+    return inst, data
 
 
-def _head(command: str, args) -> list:
-    """The rows every command on an instance file opens with."""
-    return [("command", command), ("input_digest", _digest(args.instance))]
+def _head(command: str, data: bytes) -> list:
+    """The rows every command on an instance file opens with, given its bytes."""
+    return [("command", command), ("input_digest", _digest(data))]
 
 
 def _answer(sol, decimal: int | None, alpha_key: str = "alpha_star") -> list:
@@ -118,12 +118,13 @@ def _answer(sol, decimal: int | None, alpha_key: str = "alpha_star") -> list:
 
 
 def _cmd_solve(args) -> list:
-    sol = contract.optimal_contract(_load_binary(args.instance), method=args.method)
-    return _head("solve", args) + [("method", args.method)] + _answer(sol, args.decimal)
+    inst, data = _load_binary(args.instance)
+    sol = contract.optimal_contract(inst, method=args.method)
+    return _head("solve", data) + [("method", args.method)] + _answer(sol, args.decimal)
 
 
 def _cmd_critical_set(args) -> None:
-    profile = contract.brute_force_critical_set(_load_binary(args.instance))
+    profile = contract.brute_force_critical_set(_load_binary(args.instance)[0])
     header, d = ["index", "alpha", "v", "utility", "demand"], args.decimal
     rows = [
         [i, _fmt(a, d), _fmt(v, d), _fmt((1 - a) * v, d), _fmt_set(dset)]
@@ -135,9 +136,9 @@ def _cmd_critical_set(args) -> None:
 
 
 def _cmd_demand(args) -> list:
-    inst = _load_binary(args.instance)
+    inst, data = _load_binary(args.instance)
     alpha = parse_rational(args.alpha, inst.k)
-    pairs = _head("demand", args) + [("alpha", _fmt(alpha, args.decimal))]
+    pairs = _head("demand", data) + [("alpha", _fmt(alpha, args.decimal))]
     if inst.f.gs_certified:
         ordered = demand.greedy_demand(inst, alpha)
         pairs.append(("greedy_order", "[" + ",".join(map(str, ordered.actions)) + "]"))
@@ -158,7 +159,7 @@ def _cmd_demand(args) -> list:
 
 
 def _cmd_succ(args) -> list:
-    inst = _load_binary(args.instance)
+    inst, data = _load_binary(args.instance)
     alpha = parse_rational(args.alpha, inst.k)
     if args.method == "brute":
         profile = contract.brute_force_critical_set(inst)
@@ -168,7 +169,7 @@ def _cmd_succ(args) -> list:
         oracle, successor, *_ = contract.SUCCESSORS[args.method](inst)
         result = successor(inst, alpha, oracle=oracle)
         queries = oracle.queries
-    return _head("succ", args) + [
+    return _head("succ", data) + [
         ("method", args.method),
         ("alpha", _fmt(alpha, args.decimal)),
         ("successor", "NULL" if result is None else _fmt(result, args.decimal)),
@@ -177,12 +178,12 @@ def _cmd_succ(args) -> list:
 
 
 def _cmd_fptas(args) -> list:
-    inst = _load_binary(args.instance)
+    inst, data = _load_binary(args.instance)
     epsilon = parse_rational(args.epsilon)
     sol = approx.fptas(inst, epsilon)
     grid = approx.grid_spec(epsilon, approx.critical_bits(inst))
     return (
-        _head("fptas", args)
+        _head("fptas", data)
         + [("epsilon", format_rational(epsilon)), ("grid_size", grid.size)]
         + _answer(sol, args.decimal, "alpha")
     )
@@ -212,7 +213,7 @@ def _cmd_gen(args) -> list:
         ("output", args.output),
         ("n", inst.n),
         ("class", inst.f.kind),
-        ("output_digest", _digest(args.output)),
+        ("output_digest", _digest(Path(args.output).read_bytes())),
     ]
 
 
@@ -233,25 +234,26 @@ def _parse_contract(args) -> GeneralContract:
 
 
 def _cmd_linearize(args) -> list:
-    ginst = _load_general(args.instance)
+    ginst, data = _load_general(args.instance)
     t = _parse_contract(args)
     alpha = robust.linearize(t, ginst)
     original = robust.worst_case_utility_twopoint(t, ginst)
-    linear = robust.worst_case_utility_twopoint(GeneralContract.linear(alpha), ginst)
-    return _head("robust linearize", args) + [
+    return _head("robust linearize", data) + [
         ("alpha", _fmt(alpha, args.decimal)),
         ("worst_case_utility_original", _fmt(original, args.decimal)),
-        ("worst_case_utility_linear", _fmt(linear, args.decimal)),
+        # the linear contract has the same slope and pays 0 at level 0
+        ("worst_case_utility_linear", _fmt(original + t.pay(0), args.decimal)),
     ]
 
 
 def _cmd_solve_linear(args) -> list:
-    sol = robust.optimal_linear_general(_load_general(args.instance), method=args.method)
-    return _head("robust solve-linear", args) + _answer(sol, args.decimal)
+    ginst, data = _load_general(args.instance)
+    sol = robust.optimal_linear_general(ginst, method=args.method)
+    return _head("robust solve-linear", data) + _answer(sol, args.decimal)
 
 
 def _cmd_verify(args) -> None:
-    inst = _load_binary(args.instance)
+    inst = _load_binary(args.instance)[0]
     epsilon = parse_rational(args.epsilon)
     checks = []
     try:

@@ -7,6 +7,7 @@ produced from a file is reproducible from that file alone.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import fields
@@ -32,7 +33,6 @@ from .robust import GeneralInstance
 __all__ = [
     "SCHEMA_VERSION",
     "loads_instance",
-    "load_instance",
     "dumps_instance",
     "dump_instance",
 ]
@@ -212,13 +212,15 @@ def loads_instance(text: str) -> Union[Instance, GeneralInstance]:
     )
 
 
-def load_instance(path: str) -> Union[Instance, GeneralInstance]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"instance file is not UTF-8 text: {exc}") from exc
-    return loads_instance(text)
+def _read_instance(path: str) -> tuple[Union[Instance, GeneralInstance], bytes]:
+    """The instance parsed from the file's text, and its bytes, read once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"instance file is not UTF-8 text: {exc}") from exc
+    return loads_instance(text), data
 
 
 def dumps_instance(inst: Union[Instance, GeneralInstance]) -> str:

@@ -6,8 +6,8 @@ hand the agent a fixed fraction of the realized reward; against the
 adversarial two-point reward family they weakly dominate every other
 contract, and the optimal linear contract is the binary model's optimum
 with f = R.  Under that family the agent faces t(0) plus a linear
-contract on R, so a contract's worst-case utility is read from one scan
-of the agent's problem on f = R at that slope.
+contract on R, so a contract's worst-case utility is the binary model's
+utility on f = R at that slope, less t(0), with R(S) read from V.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ from functools import cached_property
 from typing import Any
 
 from .contract import ContractSolution, optimal_contract
+from .demand import VOracle
 from .errors import DegenerateInstanceError, DomainError
 from .functions import (
     ExplicitTable,
     Instance,
     SuccessFunction,
     _CLASSES,
-    _check_brute_limit,
     _coerce_fractions,
     _lift,
     _monotone,
-    _least_cost_states,
     _positive_costs,
     _sequence,
     lifted_values,
@@ -253,24 +252,21 @@ def linearize(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
 def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> Fraction:
     """Principal utility against the adversarial two-point reward family: the
     agent gets t(0) plus the linear contract s = ``linearize(t)`` on R, and
-    the principal R(S) * (1 - s) - t(0).  R(S) comes from one int scan of
-    the agent's problem p*F - q*C at s = p/q on f = R, over the least-cost
-    row of each f-state (``_least_cost_states``), which holds every optimal
-    F.  As the principal keeps R(S) * (1 - s), among the agent's optima it
-    takes the largest R while s < 1 and the smallest once s >= 1."""
-    top = _positive_top(ginst)
-    _check_brute_limit(ginst.n)
-    s = linearize(t, ginst)
+    the principal R(S) * (1 - s) - t(0).  Of the agent's optima it takes the
+    largest R while s <= 1, V(s) on f = R, and the smallest once s > 1: as
+    s*R - c and R - c/s share their optima, V's left limit at 1 on costs c/s."""
+    s = linearize(t, ginst)  # refuses a non-positive R(A) first
     if isinstance(ginst.reward, ExplicitTable):  # the other classes lie in [0, R(A)]
         table = ginst.reward._lifted[1]
         if min(table) < 0 or max(table) > table[-1]:
             raise DomainError("expected reward outside [0, R(A)]")
-    D, _, F, C = _least_cost_states(Instance(ginst.reward, ginst.costs, scale=top))
-    p, q = s.numerator, s.denominator
-    utils = [p * f - q * c for f, c in zip(F, C)]
-    best = max(utils)
-    rs = (max if s < 1 else min)(f for f, u in zip(F, utils) if u == best)
-    return Fraction(rs, D) * (1 - s) - t.pay(Fraction(0))
+    if s <= 1:
+        rs = VOracle(Instance(ginst.reward, ginst.costs, scale=ginst.top_reward))(s)
+    else:  # V's level at the last critical value below 1 (V increases along them), or 0
+        costs = [c / s for c in ginst.costs]
+        profile = optimal_contract(Instance(ginst.reward, costs, scale=ginst.top_reward)).profile
+        rs = max((v for a, v in zip(profile.alphas, profile.values) if a < 1), default=0)
+    return rs * (1 - s) - t.pay(Fraction(0))
 
 
 def optimal_linear_general(

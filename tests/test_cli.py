@@ -25,6 +25,7 @@ from combicontracts import generators
 from combicontracts.cli import main
 from combicontracts.generators import SAMPLE_CLASSES
 from combicontracts.instancefile import (
+    _read_instance,
     dumps_instance,
     loads_instance,
 )
@@ -631,6 +632,30 @@ def test_robust_commands(tmp_path, capsys, worked_additive):
     assert code == 0
     assert "alpha" in out
 
+    # past the brute-force limit an additive R answers in closed form: with
+    # w_i = 1/32 and c_i = i/320 the agent takes the actions with i < 10s, and
+    # the tie i = 10s too while s < 1; R(A) = 5/8
+    n = 20
+    wide = GeneralInstance(
+        costs=tuple(Fraction(i, 320) for i in range(1, n + 1)),
+        rewards=(Fraction(0), Fraction(1)),
+        expected=Additive((Fraction(1, 32),) * n),
+    )
+    path.write_text(dumps_instance(wide))
+    for flag, value, s, t0 in (
+        ("--slope", "1/3", Fraction(1, 3), Fraction(0)),
+        ("--payments", "0=1/8,5/8=17/16", Fraction(3, 2), Fraction(1, 8)),
+    ):
+        taken = sum(1 for i in range(1, n + 1) if i < 10 * s or s < 1 and i == 10 * s)
+        original = Fraction(taken, 32) * (1 - s) - t0
+        code, out = run_cli(capsys, "robust", "linearize", str(path), flag, value)
+        assert code == 0
+        rows = pairs_of(out)
+        keys = ("alpha", "worst_case_utility_original", "worst_case_utility_linear")
+        assert [rows[k] for k in keys] == [
+            format_rational(s), format_rational(original), format_rational(original + t0)
+        ]
+
     # binary files are embedded automatically
     bpath = tmp_path / "bin.inst"
     bpath.write_text(dumps_instance(worked_additive))
@@ -667,6 +692,43 @@ def test_robust_commands(tmp_path, capsys, worked_additive):
         bpath.write_text(text)
         assert main(["robust", "solve-linear", str(bpath)]) == 1
         assert "exceeds the largest reward level" in capsys.readouterr().err
+
+
+def test_each_file_is_read_once_as_text_mode_reads_it(
+    tmp_path, capsys, monkeypatch, worked_additive
+):
+    # one open per command; the digest is of the bytes parsed, and they decode
+    # as open(path, encoding="utf-8").read() does: universal newlines, and the
+    # same JSON error positions and UTF-8 refusal
+    import builtins
+    import hashlib
+
+    text = dumps_instance(worked_additive)
+    broken = text.replace('"n": 2', '"n": }')
+    cases = [text.replace("\n", "\r\n"), text.replace("\n", "\r"), broken.replace("\n", "\r\n")]
+    cases = [c.encode() for c in cases] + [b"\xff" + text.encode(), text.encode() + b"\xe2\x82"]
+    opened, real_open = [], builtins.open
+    path = tmp_path / "file.inst"
+    for data in cases:
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                expected = str(loads_instance(fh.read()).costs)
+        except (DomainError, UnicodeDecodeError) as exc:
+            expected = str(exc)
+        monkeypatch.setattr(
+            builtins, "open", lambda *a, **kw: opened.append(a) or real_open(*a, **kw)
+        )
+        code = main(["solve", str(path)])
+        monkeypatch.undo()
+        out, err = capsys.readouterr()
+        assert len(opened) == 1
+        opened.clear()
+        if code == 0:
+            assert str(_read_instance(str(path))[0].costs) == expected
+            assert pairs_of(out)["input_digest"] == hashlib.sha256(data).hexdigest()[:16]
+        else:
+            assert code == 1 and expected in err
 
 
 def test_verify_command(tmp_path, capsys):

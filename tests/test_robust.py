@@ -8,6 +8,7 @@ import pytest
 from combicontracts import (
     BRUTE_FORCE_LIMIT,
     Additive,
+    Coverage,
     DegenerateInstanceError,
     DomainError,
     ExplicitTable,
@@ -15,6 +16,7 @@ from combicontracts import (
     GeneralInstance,
     Instance,
     ResourceLimitError,
+    UnitDemand,
     embed_binary,
     linearize,
     optimal_contract,
@@ -408,7 +410,57 @@ def test_worst_case_refusals():
         )
 
     assert worst_case_utility_twopoint(t, additive_form(BRUTE_FORCE_LIMIT)) == Fraction(3, 8)
+    # a certified R answers past the cap; a coverage R is refused there, after
+    # linearize's own checks
     n = BRUTE_FORCE_LIMIT + 1
+    assert worst_case_utility_twopoint(t, additive_form(n)) == Fraction(13, 32)
+    coverage = GeneralInstance(
+        costs=(Fraction(1, 64),) * n,
+        rewards=(Fraction(0), Fraction(1)),
+        expected=Coverage((Fraction(1, 16),) * n, [[i] for i in range(n)]),
+    )
     text = f"^brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}$"
-    with pytest.raises(ResourceLimitError, match=text):
-        worst_case_utility_twopoint(t, additive_form(n))
+    for s in (Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(ResourceLimitError, match=text):
+            worst_case_utility_twopoint(GeneralContract.linear(s), coverage)
+    with pytest.raises(DomainError, match="unobserved reward level 1/3"):
+        worst_case_utility_twopoint(GeneralContract.tabular({Fraction(1, 3): 1}), coverage)
+
+
+def certified_optima(klass, w, c, s) -> tuple:
+    """(smallest, largest) R among the agent's optima at slope s, in closed form.
+    Additive R takes every action with s*w_i > c_i and any with s*w_i = c_i;
+    unit-demand R takes the best single action, or none."""
+    if klass is Additive:
+        return (
+            sum(wi for wi, ci in zip(w, c) if s * wi > ci),
+            sum(wi for wi, ci in zip(w, c) if s * wi >= ci),
+        )
+    options = [(Fraction(0), Fraction(0))] + [(s * wi - ci, wi) for wi, ci in zip(w, c)]
+    best = max(u for u, _ in options)
+    rs = [wi for u, wi in options if u == best]
+    return min(rs), max(rs)
+
+
+@pytest.mark.parametrize("klass", [Additive, UnitDemand])
+@pytest.mark.parametrize("n", [BRUTE_FORCE_LIMIT + 1, 40])
+def test_worst_case_of_certified_r_past_the_cap(klass, n):
+    # costs 2*w_i**2 put ties on both sides of 1 for both classes
+    w = tuple(Fraction(1 + 5 * i % 11, 16) for i in range(n))
+    c = tuple(2 * wi * wi for wi in w)
+    ginst = GeneralInstance(c, (Fraction(0), Fraction(n)), expected=klass(w))
+    top = ginst.top_reward
+    # ties: where an action's line crosses zero or another action's line
+    ties = {
+        s
+        for s in {ci / wi for wi, ci in zip(w, c)}
+        | {(ci - cj) / (wi - wj) for wi, ci in zip(w, c) for wj, cj in zip(w, c) if wi > wj}
+        if s != 1 and len(set(certified_optima(klass, w, c, s))) == 2
+    }
+    assert min(ties) < 1 < max(ties)
+    for s in {Fraction(1, 3), Fraction(1), Fraction(3, 2), *ties}:
+        lo, hi = certified_optima(klass, w, c, s)
+        rs = hi if s < 1 else lo
+        for t0 in (Fraction(0), Fraction(1, 8)):
+            t = GeneralContract.tabular({Fraction(0): t0, top: t0 + s * top})
+            assert worst_case_utility_twopoint(t, ginst) == rs * (1 - s) - t0

@@ -14,6 +14,7 @@ of action indices; enumeration-heavy internals work on integer bitmasks
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -115,7 +116,8 @@ class SuccessFunction:
     Fractions, and ``n`` is its length (coverage, with one cover per action,
     and the explicit table override ``n``).  The certified classes are
     weighted matroid ranks, and ``_matroid_form()`` gives their blocks and
-    capacities, which the greedy kernel and ``lifted_values`` read.
+    capacities, which their one ``value_mask``, the greedy kernel and
+    ``lifted_values`` read.
     """
 
     gs_certified: ClassVar[bool] = False
@@ -190,6 +192,20 @@ def _positive_costs(costs) -> tuple:
     return costs
 
 
+def _matroid_value(f: SuccessFunction, mask: int) -> Fraction:
+    """``value_mask`` of the certified classes, read from their matroid form:
+    per block of ``f._matroid_form()``, the mask's heaviest per-action weights
+    up to the block's capacity, all of them if they fit.  Greedy by weight is
+    optimal on a matroid."""
+    _check_mask(f.n, mask)
+    blocks, caps = f._matroid_form()
+    w, picks = f.parameter_fractions(), [[] for _ in caps]
+    for i in bit_indices(mask):
+        picks[blocks[i]].append(w[i])
+    heaviest = (p if len(p) <= cap else heapq.nlargest(cap, p) for p, cap in zip(picks, caps))
+    return sum(map(sum, heaviest), Fraction(0))
+
+
 @dataclass(frozen=True)
 class Additive(SuccessFunction):
     """f(S) = sum of per-action values."""
@@ -200,9 +216,7 @@ class Additive(SuccessFunction):
     gs_certified: ClassVar[bool] = True
     _params: ClassVar[tuple] = ("values",)
 
-    def value_mask(self, mask: int) -> Fraction:
-        _check_mask(self.n, mask)
-        return sum((self.values[i] for i in bit_indices(mask)), Fraction(0))
+    value_mask = _matroid_value
 
     def _matroid_form(self) -> tuple:
         return (0,) * self.n, (self.n,)
@@ -218,9 +232,7 @@ class UnitDemand(SuccessFunction):
     gs_certified: ClassVar[bool] = True
     _params: ClassVar[tuple] = ("values",)
 
-    def value_mask(self, mask: int) -> Fraction:
-        _check_mask(self.n, mask)
-        return max([Fraction(0)] + [self.values[i] for i in bit_indices(mask)])
+    value_mask = _matroid_value
 
     def _matroid_form(self) -> tuple:
         return (0,) * self.n, (1,)
@@ -261,12 +273,6 @@ class PartitionMatroid:
         if sum(map(len, self.blocks)) != len(frozenset().union(*self.blocks)):
             raise DomainError("partition blocks overlap")
 
-    def block_of(self, a: int) -> int:
-        for idx, block in enumerate(self.blocks):
-            if a in block:
-                return idx
-        raise DomainError(f"action {a} not covered by any partition block")
-
 
 @dataclass(frozen=True)
 class WeightedMatroidRank(SuccessFunction):
@@ -288,29 +294,14 @@ class WeightedMatroidRank(SuccessFunction):
         if isinstance(m, PartitionMatroid) and frozenset().union(*m.blocks) != actions:
             raise DomainError(f"partition blocks do not cover the actions 1..{self.n}")
 
-    def value_mask(self, mask: int) -> Fraction:
-        _check_mask(self.n, mask)
-        members = [i + 1 for i in bit_indices(mask)]
-        # Greedy by weight is optimal on matroids.
-        members.sort(key=lambda a: self.weights[a - 1], reverse=True)
-        total = Fraction(0)
-        if isinstance(self.matroid, UniformMatroid):
-            for a in members[: self.matroid.rank]:
-                total += self.weights[a - 1]
-            return total
-        used = [0] * len(self.matroid.blocks)
-        for a in members:
-            b = self.matroid.block_of(a)
-            if used[b] < self.matroid.capacities[b]:
-                used[b] += 1
-                total += self.weights[a - 1]
-        return total
+    value_mask = _matroid_value
 
     def _matroid_form(self) -> tuple:
         m = self.matroid
         if isinstance(m, UniformMatroid):
             return (0,) * self.n, (m.rank,)
-        return tuple(map(m.block_of, range(1, self.n + 1))), m.capacities
+        block = {a: b for b, members in enumerate(m.blocks) for a in members}
+        return tuple(map(block.__getitem__, range(1, self.n + 1))), m.capacities
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ adversarial two-point reward family they weakly dominate every other
 contract, and the optimal linear contract is the binary model's optimum
 with f = R.  Under that family the agent faces t(0) plus a linear
 contract on R, so a contract's worst-case utility is the binary model's
-utility on f = R at that slope, less t(0), with R(S) read from V.
+utility on f = R at that slope, less t(0), with R(S) from one V query.
 """
 
 from __future__ import annotations
@@ -254,19 +254,19 @@ def worst_case_utility_twopoint(t: GeneralContract, ginst: GeneralInstance) -> F
     agent gets t(0) plus the linear contract s = ``linearize(t)`` on R, and
     the principal R(S) * (1 - s) - t(0).  Of the agent's optima it takes the
     largest R while s <= 1, V(s) on f = R, and the smallest once s > 1: as
-    s*R - c and R - c/s share their optima, V's left limit at 1 on costs c/s."""
+    s*R - c and R - c/s share their optima, V's left limit at 1 on costs c/s,
+    which is V at M/(M + 1), M = R(A)*D over the lift denominator D, as a
+    critical value below 1 is (C1 - C0)/(F1 - F0) with 0 < F1 - F0 <= M."""
     s = linearize(t, ginst)  # refuses a non-positive R(A) first
     if isinstance(ginst.reward, ExplicitTable):  # the other classes lie in [0, R(A)]
         table = ginst.reward._lifted[1]
         if min(table) < 0 or max(table) > table[-1]:
             raise DomainError("expected reward outside [0, R(A)]")
-    if s <= 1:
-        rs = VOracle(Instance(ginst.reward, ginst.costs, scale=ginst.top_reward))(s)
-    else:  # V's level at the last critical value below 1 (V increases along them), or 0
-        costs = [c / s for c in ginst.costs]
-        profile = optimal_contract(Instance(ginst.reward, costs, scale=ginst.top_reward)).profile
-        rs = max((v for a, v in zip(profile.alphas, profile.values) if a < 1), default=0)
-    return rs * (1 - s) - t.pay(Fraction(0))
+    costs = ginst.costs if s <= 1 else [c / s for c in ginst.costs]
+    inst = Instance(ginst.reward, costs, scale=ginst.top_reward)
+    M = int(inst.scale * inst._lifted[0])
+    alpha = s if s <= 1 else Fraction(M, M + 1)
+    return VOracle(inst)(alpha) * (1 - s) - t.pay(Fraction(0))
 
 
 def optimal_linear_general(

@@ -9,7 +9,15 @@ and a utility is maximized here over all 2**n sets.
 import random
 from fractions import Fraction
 
-from combicontracts import DomainError, GeneralContract, Instance
+from combicontracts import (
+    Additive,
+    DomainError,
+    GeneralContract,
+    Instance,
+    UniformMatroid,
+    UnitDemand,
+    WeightedMatroidRank,
+)
 
 PERTURB_RESOLUTION = 1 << 16
 
@@ -17,6 +25,37 @@ PERTURB_RESOLUTION = 1 << 16
 def cost_of(inst, mask: int) -> Fraction:
     """c(S) for the set S of mask, summed in Fractions."""
     return sum((c for i, c in enumerate(inst.costs) if mask >> i & 1), Fraction(0))
+
+
+def independent(f, sub: int) -> bool:
+    """Whether the action mask sub is independent in the matroid of a
+    certified f, read from the class's definition, not its matroid form:
+    every set for additive, at most one action for unit demand, at most the
+    rank for a uniform matroid, at most the capacity per partition block."""
+    if isinstance(f, Additive):
+        return True
+    if isinstance(f, UnitDemand):
+        return sub.bit_count() <= 1
+    m = f.matroid
+    if isinstance(m, UniformMatroid):
+        return sub.bit_count() <= m.rank
+    return all(
+        sum(sub >> (a - 1) & 1 for a in block) <= cap
+        for block, cap in zip(m.blocks, m.capacities)
+    )
+
+
+def matroid_value_by_subsets(f, mask: int) -> Fraction:
+    """f(mask) of a certified f by its definition: the largest weight of an
+    independent subset of the mask, over every subset, summed in Fractions."""
+    w = f.weights if isinstance(f, WeightedMatroidRank) else f.values
+    best, sub = Fraction(0), mask
+    while True:
+        if independent(f, sub):
+            best = max(best, sum((w[i] for i in range(f.n) if sub >> i & 1), Fraction(0)))
+        if not sub:
+            return best
+        sub = (sub - 1) & mask
 
 
 def two_point_family(ginst):

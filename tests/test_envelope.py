@@ -1,7 +1,9 @@
 """Property tests for the integer subset tables, the envelope and the V oracle.
 
 The references avoid the code under test: lifted tables are checked against
-``value_mask`` and ``references.cost_of`` (per-set Fraction sums); the envelope
+``value_mask`` and ``references.cost_of`` (per-set Fraction sums), and the
+certified classes' ``value_mask`` against the heaviest independent subset of
+each set (``references.matroid_value_by_subsets``); the envelope
 against a naive one built here from every pair of subset lines in
 Fractions; and the V oracle, whose int levels come from the greedy kernel
 or from an int binary search over the envelope's critical values, and the
@@ -53,8 +55,8 @@ from combicontracts.functions import (  # noqa: E402
     lifted_values,
 )
 from combicontracts.instancefile import dumps_instance  # noqa: E402
-from conftest import make_small_corpus, rationals  # noqa: E402
-from references import cost_of  # noqa: E402
+from conftest import GS_CLASSES, make_small_corpus, rationals  # noqa: E402
+from references import cost_of, matroid_value_by_subsets  # noqa: E402
 
 DYADIC = (1, 2, 4, 8, 16)
 # dyadic (with or without k = 4), non-dyadic and mixed denominators
@@ -341,6 +343,30 @@ def test_matroid_table_matches_value_mask(case):
     f = MATROID_EDGE_CASES[case]
     D, table = lifted_values(f)
     assert [Fraction(v, D) for v in table] == [f.value_mask(m) for m in range(1 << f.n)]
+
+
+CERTIFIED_SAMPLES = {
+    f"{klass} n={n} seed={seed}": sample_instance(klass, n, 6, seed=seed).f
+    for klass in GS_CLASSES
+    for n in range(1, 9)
+    for seed in (70, 71)
+}
+
+
+@pytest.mark.parametrize("case", [*MATROID_EDGE_CASES, *CERTIFIED_SAMPLES])
+def test_value_mask_is_the_heaviest_independent_subset(case):
+    """The one ``value_mask`` of the certified classes, read from their
+    matroid form, against the definition: the heaviest independent subset
+    of the mask, by enumerating the mask's subsets."""
+    f = MATROID_EDGE_CASES.get(case) or CERTIFIED_SAMPLES[case]
+    for mask in range(1 << f.n):
+        assert f.value_mask(mask) == matroid_value_by_subsets(f, mask)
+
+
+def test_certified_samples_reach_both_matroids():
+    fs = CERTIFIED_SAMPLES.values()
+    kinds = {type(f.matroid) for f in fs if isinstance(f, WeightedMatroidRank)}
+    assert kinds == {UniformMatroid, PartitionMatroid}
 
 
 def test_matroid_table_makes_no_value_mask_calls(monkeypatch):

@@ -17,6 +17,7 @@ from combicontracts import (
     Instance,
     ResourceLimitError,
     UnitDemand,
+    VOracle,
     embed_binary,
     linearize,
     optimal_contract,
@@ -371,7 +372,11 @@ def test_worst_case_matches_the_family_scan(general_corpus):
         top = ginst.top_reward
         alphas, _ = uncapped_profile(Instance(ginst.reward, ginst.costs, scale=top))
         mids = [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
+        # 1/alpha for each critical alpha, and a point just above each
+        inverses = [1 / a for a in alphas]
+        above = [x * (1 + Fraction(1, 1 << 20)) for x in inverses]
         slopes = {Fraction(-1, 4), Fraction(0), Fraction(1), Fraction(5, 4), *alphas, *mids}
+        slopes.update(inverses, above)
         for s in slopes:
             if s >= 0:
                 t = GeneralContract.linear(s)
@@ -425,6 +430,25 @@ def test_worst_case_refusals():
             worst_case_utility_twopoint(GeneralContract.linear(s), coverage)
     with pytest.raises(DomainError, match="unobserved reward level 1/3"):
         worst_case_utility_twopoint(GeneralContract.tabular({Fraction(1, 3): 1}), coverage)
+
+
+@pytest.mark.parametrize("klass, n", [("additive", 40), ("matroid-rank", 100)])
+def test_worst_case_asks_v_once(monkeypatch, klass, n):
+    """One V query at every slope; past 1 it is the level of the last
+    critical value below 1 on the costs c/s, read here from the profile."""
+    calls = []
+    query = VOracle.__call__
+    monkeypatch.setattr(VOracle, "__call__", lambda self, *a: calls.append(a) or query(self, *a))
+    ginst = embed_binary(sample_instance(klass, n, 12, seed=5))
+    for s in (Fraction(1, 3), Fraction(3, 2)):
+        calls.clear()
+        got = worst_case_utility_twopoint(GeneralContract.linear(s), ginst)
+        assert len(calls) == 1
+        if s > 1:
+            costs = [c / s for c in ginst.costs]
+            profile = optimal_contract(Instance(ginst.reward, costs)).profile
+            rs = max((v for a, v in zip(profile.alphas, profile.values) if a < 1), default=0)
+            assert got == rs * (1 - s)
 
 
 def certified_optima(klass, w, c, s) -> tuple:

@@ -10,18 +10,14 @@ the multi-outcome linearization machinery.
 """
 
 from .approx import GridSpec, fptas, grid_spec, succ_search
-from .contract import (
+from .contract import optimal_contract, succ_gs, successor_from_profile
+from .demand import (
     ContractSolution,
     CriticalProfile,
-    brute_force_critical_set,
-    optimal_contract,
-    succ_gs,
-    successor_from_profile,
-)
-from .demand import (
     DemandProfile,
     OrderedDemand,
     VOracle,
+    brute_force_critical_set,
     brute_force_demand,
     canonical_best_response,
     greedy_demand,

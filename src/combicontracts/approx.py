@@ -1,4 +1,4 @@
-"""FPTAS over geometric contract grids and the binary-search successor.
+"""The k-bit grid: FPTAS over geometric grids, and the bisection successor.
 
 Both routines need a declared k; ``Instance`` then guarantees every f and
 c value is a multiple of 2**-k, which confines critical values to ratios
@@ -14,8 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contract import ContractSolution
-from .demand import VOracle, _pair
+from .demand import ContractSolution, VOracle, _pair
 from .errors import (
     DomainError,
     InvariantError,

@@ -1,158 +1,36 @@
 """The optimal-contract engine.
 
-Successor computation for certified gross-substitutes instances, the
-critical-set envelope (an integer sweep over the cheapest line per f-state,
-which verifies everything and serves V queries on the other classes), and
-the generic iterate-the-successors algorithm for the optimal linear contract,
-which picks its optimum in the ints that every critical profile keeps.
+The greedy successor ``succ_gs`` for certified gross-substitutes instances,
+the successor backends by method ("gs", and "search" from ``approx``), and
+the iterate-the-successors walk behind ``optimal_contract``, which picks its
+optimum in the ints that every critical profile keeps.  The envelope
+("brute") is V's other evaluator, so it lives beside ``VOracle`` in ``demand``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from math import gcd
 
-from .demand import VOracle, _pair, _rank, _require_certified
+from . import approx
+from .demand import (
+    ContractSolution,
+    CriticalProfile,
+    VOracle,
+    _pair,
+    _rank,
+    _require_certified,
+    brute_force_critical_set,
+)
 from .errors import DomainError, InvariantError
-from .functions import Instance, _before, _least_cost_states, actions_of
+from .functions import Instance
 
 __all__ = [
-    "CriticalProfile",
-    "ContractSolution",
     "succ_gs",
-    "brute_force_critical_set",
     "successor_from_profile",
     "SUCCESSORS",
     "optimal_contract",
 ]
-
-
-@dataclass(frozen=True)
-class CriticalProfile:
-    """Sorted critical contract values with V values and demand sets, in ints.
-
-    ``cuts`` holds the critical values as (num, den) pairs and ``levels`` V
-    there over ``D``, both kept in lowest terms (D is then the LCM of the V
-    denominators), so ``==`` and the hash agree with the Fraction views
-    ``alphas`` and ``values``, built on first read.  Both strictly increase;
-    there are below 2**n rows, at most n(n+1)/2 for certified classes.
-    Demand sets are best responses: the greedy set on certified classes,
-    else the canonical one (lexicographically smallest member of D*).
-    As a ``VOracle`` evaluator it answers ``level`` and ``best_response`` at
-    an int pair from the row at its ``_rank``, and 0 and the empty set below
-    the first cut: V jumps exactly at the cuts, and costs are positive.
-    """
-
-    cuts: tuple
-    levels: tuple
-    D: int
-    demand_sets: tuple
-
-    def __post_init__(self):
-        cuts = tuple([(p // (g := gcd(p, q)), q // g) for p, q in self.cuts])
-        g = gcd(self.D, *self.levels)
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "levels", tuple([v // g for v in self.levels]))
-        object.__setattr__(self, "D", self.D // g)
-        if any(a * d >= c * b for (a, b), (c, d) in zip(cuts, cuts[1:])):
-            raise InvariantError("critical values not strictly increasing")
-        if any(v >= w for v, w in zip(self.levels, self.levels[1:])):
-            raise InvariantError("V not strictly increasing along criticals")
-
-    @cached_property
-    def alphas(self) -> tuple:
-        return tuple([Fraction(p, q) for p, q in self.cuts])
-
-    @cached_property
-    def values(self) -> tuple:
-        return tuple([Fraction(v, self.D) for v in self.levels])
-
-    @property
-    def size(self) -> int:
-        return len(self.cuts)
-
-    def level(self, p: int, q: int) -> int:
-        i = _rank(self.cuts, p, q)
-        return self.levels[i - 1] if i else 0
-
-    def best_response(self, p: int, q: int) -> frozenset:
-        i = _rank(self.cuts, p, q)
-        return self.demand_sets[i - 1] if i else frozenset()
-
-
-@dataclass(frozen=True)
-class ContractSolution:
-    """An optimal (or approximately optimal) linear contract.
-
-    ``utility`` is the principal's (1 - alpha) * V(alpha); ``actions`` the
-    incentivized set; ``profile`` the critical profile the answer was read
-    from (every ``optimal_contract`` method has one, ``fptas`` does not);
-    ``v_queries`` counts V-oracle calls where that is contractual.
-    """
-
-    alpha_star: Fraction
-    utility: Fraction
-    actions: frozenset | None = None
-    profile: CriticalProfile | None = None
-    v_queries: int | None = None
-
-
-@lru_cache(maxsize=512)
-def brute_force_critical_set(inst: Instance) -> CriticalProfile:
-    """Exact critical set from the upper envelope of the subset lines.
-
-    Each subset S induces the agent-utility line alpha -> alpha*f(S) - c(S).
-    V(alpha) is the slope of the envelope segment at alpha (the maximal
-    slope at breakpoints, matching principal-favoring tie-breaks), so the
-    critical set is exactly the envelope breakpoints inside (0, 1].  Only a
-    cheapest line per slope can reach the envelope, so the sweep reads one
-    row per f-state (``_least_cost_states``) in ints over one denominator
-    D: every critical value is (C1 - C0) / (F1 - F0) for two hull lines,
-    and V there is F1 / D; the profile takes these ints as they are.
-    """
-    D, masks, ftab, ctab = _least_cost_states(inst)
-
-    # Per slope F: the least cost C and the canonical mask on it.  A line
-    # with C > F lies under the empty set's on [0, 1].
-    least, first = {}, {}
-    for mask, F, C in zip(masks, ftab, ctab):
-        if C > F:
-            continue
-        c = least.get(F, C + 1)
-        if C < c or C == c and _before(mask, first[F]):
-            least[F], first[F] = C, mask
-
-    hull: list = []
-    for F, C in sorted(least.items()):
-        while hull:
-            F1, C1 = hull[-1]
-            if C <= C1:
-                # Same-or-lower cost with a higher slope dominates the
-                # previous line everywhere on alpha >= 0.
-                hull.pop()
-                continue
-            if len(hull) < 2:
-                break
-            # The new line meets hull[-2] no later than hull[-1] does.
-            F0, C0 = hull[-2]
-            if (C - C0) * (F1 - F0) <= (C1 - C0) * (F - F0):
-                hull.pop()
-            else:
-                break
-        hull.append((F, C))
-
-    # Slopes and costs strictly increase along the hull, so every
-    # breakpoint is positive.
-    cuts, levels, demand_sets = [], [], []
-    for (F0, C0), (F1, C1) in zip(hull, hull[1:]):
-        if C1 - C0 > F1 - F0:
-            break
-        cuts.append((C1 - C0, F1 - F0))
-        levels.append(F1)
-        demand_sets.append(actions_of(first[F1]))
-    return CriticalProfile(tuple(cuts), tuple(levels), D, tuple(demand_sets))
 
 
 def successor_from_profile(profile: CriticalProfile, alpha) -> Fraction | None:
@@ -237,12 +115,10 @@ def _gs_backend(inst: Instance):
 
 
 def _search_backend(inst: Instance):
-    from .approx import critical_bits, succ_search
-
     oracle = VOracle(inst)  # a missing V oracle is reported before a missing k
-    bound = 1 << (2 * critical_bits(inst))
+    bound = 1 << (2 * approx.critical_bits(inst))
     # V at a successor is the evaluator's, uncounted, as succ_search reads V(alpha)
-    return oracle, succ_search, lambda o, p, q: o.evaluator.level(p, q), bound
+    return oracle, approx.succ_search, lambda o, p, q: o.evaluator.level(p, q), bound
 
 
 # The successor backends, by method.  Each entry checks that the backend

@@ -1,25 +1,31 @@
-"""Agent best-response computation.
+"""Agent demand and the counted V oracle.
 
-The greedy demand oracle (exact for certified gross-substitutes classes),
-exhaustive demand over all subsets, the principal-favoring selection, and
-the counted V oracle used by the query-complexity results.
+Greedy demand (exact for certified gross-substitutes classes), exhaustive
+demand and the principal-favoring selection; V's two evaluators,
+``GreedyKernel`` and the envelope ``brute_force_critical_set``, the
+``VOracle`` that picks between them, and the result types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import gcd
 
-from .errors import DomainError, UnsupportedClassError
-from .functions import Instance, _scan_tables, actions_of
+from .errors import DomainError, InvariantError, UnsupportedClassError
+from .functions import Instance, _before, _least_cost_states, _scan_tables, actions_of
 from .rational import _shown, as_fraction
 
 __all__ = [
     "OrderedDemand",
     "DemandProfile",
+    "CriticalProfile",
+    "ContractSolution",
     "greedy_demand",
     "brute_force_demand",
+    "brute_force_critical_set",
     "canonical_best_response",
     "v_value",
     "VOracle",
@@ -176,6 +182,132 @@ class GreedyKernel:
         return frozenset(a + 1 for a in self.greedy(p, q)[0])
 
 
+@dataclass(frozen=True)
+class CriticalProfile:
+    """Sorted critical contract values with V values and demand sets, in ints.
+
+    ``cuts`` holds the critical values as (num, den) pairs and ``levels`` V
+    there over ``D``, both kept in lowest terms (D is then the LCM of the V
+    denominators), so ``==`` and the hash agree with the Fraction views
+    ``alphas`` and ``values``, built on first read.  Both strictly increase;
+    there are below 2**n rows, at most n(n+1)/2 for certified classes.
+    Demand sets are best responses: the greedy set on certified classes,
+    else the canonical one (lexicographically smallest member of D*).
+    As a ``VOracle`` evaluator it answers ``level`` and ``best_response`` at
+    an int pair from the row at its ``_rank``, and 0 and the empty set below
+    the first cut: V jumps exactly at the cuts, and costs are positive.
+    """
+
+    cuts: tuple
+    levels: tuple
+    D: int
+    demand_sets: tuple
+
+    def __post_init__(self):
+        cuts = tuple([(p // (g := gcd(p, q)), q // g) for p, q in self.cuts])
+        g = gcd(self.D, *self.levels)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "levels", tuple([v // g for v in self.levels]))
+        object.__setattr__(self, "D", self.D // g)
+        if any(a * d >= c * b for (a, b), (c, d) in zip(cuts, cuts[1:])):
+            raise InvariantError("critical values not strictly increasing")
+        if any(v >= w for v, w in zip(self.levels, self.levels[1:])):
+            raise InvariantError("V not strictly increasing along criticals")
+
+    @cached_property
+    def alphas(self) -> tuple:
+        return tuple([Fraction(p, q) for p, q in self.cuts])
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple([Fraction(v, self.D) for v in self.levels])
+
+    @property
+    def size(self) -> int:
+        return len(self.cuts)
+
+    def level(self, p: int, q: int) -> int:
+        i = _rank(self.cuts, p, q)
+        return self.levels[i - 1] if i else 0
+
+    def best_response(self, p: int, q: int) -> frozenset:
+        i = _rank(self.cuts, p, q)
+        return self.demand_sets[i - 1] if i else frozenset()
+
+
+@dataclass(frozen=True)
+class ContractSolution:
+    """An optimal (or approximately optimal) linear contract.
+
+    ``utility`` is the principal's (1 - alpha) * V(alpha); ``actions`` the
+    incentivized set; ``profile`` the critical profile the answer was read
+    from (every ``optimal_contract`` method has one, ``fptas`` does not);
+    ``v_queries`` counts V-oracle calls where that is contractual.
+    """
+
+    alpha_star: Fraction
+    utility: Fraction
+    actions: frozenset | None = None
+    profile: CriticalProfile | None = None
+    v_queries: int | None = None
+
+
+@lru_cache(maxsize=512)
+def brute_force_critical_set(inst: Instance) -> CriticalProfile:
+    """Exact critical set from the upper envelope of the subset lines.
+
+    Each subset S induces the agent-utility line alpha -> alpha*f(S) - c(S).
+    V(alpha) is the slope of the envelope segment at alpha (the maximal
+    slope at breakpoints, matching principal-favoring tie-breaks), so the
+    critical set is exactly the envelope breakpoints inside (0, 1].  Only a
+    cheapest line per slope can reach the envelope, so the sweep reads one
+    row per f-state (``_least_cost_states``) in ints over one denominator
+    D: every critical value is (C1 - C0) / (F1 - F0) for two hull lines,
+    and V there is F1 / D; the profile takes these ints as they are.
+    """
+    D, masks, ftab, ctab = _least_cost_states(inst)
+
+    # Per slope F: the least cost C and the canonical mask on it.  A line
+    # with C > F lies under the empty set's on [0, 1].
+    least, first = {}, {}
+    for mask, F, C in zip(masks, ftab, ctab):
+        if C > F:
+            continue
+        c = least.get(F, C + 1)
+        if C < c or C == c and _before(mask, first[F]):
+            least[F], first[F] = C, mask
+
+    hull: list = []
+    for F, C in sorted(least.items()):
+        while hull:
+            F1, C1 = hull[-1]
+            if C <= C1:
+                # Same-or-lower cost with a higher slope dominates the
+                # previous line everywhere on alpha >= 0.
+                hull.pop()
+                continue
+            if len(hull) < 2:
+                break
+            # The new line meets hull[-2] no later than hull[-1] does.
+            F0, C0 = hull[-2]
+            if (C - C0) * (F1 - F0) <= (C1 - C0) * (F - F0):
+                hull.pop()
+            else:
+                break
+        hull.append((F, C))
+
+    # Slopes and costs strictly increase along the hull, so every
+    # breakpoint is positive.
+    cuts, levels, demand_sets = [], [], []
+    for (F0, C0), (F1, C1) in zip(hull, hull[1:]):
+        if C1 - C0 > F1 - F0:
+            break
+        cuts.append((C1 - C0, F1 - F0))
+        levels.append(F1)
+        demand_sets.append(actions_of(first[F1]))
+    return CriticalProfile(tuple(cuts), tuple(levels), D, tuple(demand_sets))
+
+
 def greedy_demand(inst: Instance, alpha) -> OrderedDemand:
     """Ordered demanded set via greedy with principal-favoring tie-breaks.
 
@@ -248,9 +380,9 @@ class VOracle:
     is its Fraction view, level / D.  Either form counts once, and
     ``best_response`` takes either form too.  Both read one ``evaluator``,
     built once from the instance, whose ``level(p, q)`` and
-    ``best_response(p, q)`` take ints and count nothing: a certified
-    class's ``GreedyKernel``, else the ``CriticalProfile`` of its subset
-    lines, refused past the brute-force limit.
+    ``best_response(p, q)`` take ints and count nothing: of V's two
+    evaluators in this module, a certified class's ``GreedyKernel``, else
+    the envelope's ``CriticalProfile``, refused past the brute-force limit.
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the
@@ -258,12 +390,7 @@ class VOracle:
     """
 
     def __init__(self, inst: Instance):
-        if inst.f.gs_certified:
-            self.evaluator = GreedyKernel(inst)
-        else:
-            from .contract import brute_force_critical_set  # contract imports demand
-
-            self.evaluator = brute_force_critical_set(inst)
+        self.evaluator = (GreedyKernel if inst.f.gs_certified else brute_force_critical_set)(inst)
         self.D, self.queries, self._probes = self.evaluator.D, 0, []
 
     def __call__(self, p, q=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .contract import brute_force_critical_set
+from .demand import brute_force_critical_set
 from .errors import DomainError
 from .functions import (
     _CLASSES,

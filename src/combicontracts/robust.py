@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any
 
-from .contract import ContractSolution, optimal_contract
-from .demand import VOracle
+from .contract import optimal_contract
+from .demand import ContractSolution, VOracle
 from .errors import DegenerateInstanceError, DomainError
 from .functions import (
     ExplicitTable,
@@ -119,7 +119,7 @@ class GeneralInstance:
     def expected_reward_mask(self, mask: int) -> Fraction:
         return self.reward.value_mask(mask)
 
-    @property
+    @cached_property
     def top_reward(self) -> Fraction:
         """R(A), the expected reward of the full action set."""
         return self.reward.value_mask((1 << self.n) - 1)

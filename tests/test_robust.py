@@ -488,3 +488,22 @@ def test_worst_case_of_certified_r_past_the_cap(klass, n):
         for t0 in (Fraction(0), Fraction(1, 8)):
             t = GeneralContract.tabular({Fraction(0): t0, top: t0 + s * top})
             assert worst_case_utility_twopoint(t, ginst) == rs * (1 - s) - t0
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 2)])
+@pytest.mark.parametrize("klass, n", [("additive", 40), ("table", 8)])
+def test_worst_case_reads_r_of_the_full_set_once(monkeypatch, klass, n, s):
+    """R(A) is a fact of the instance: one payment-table call reads it once,
+    though the linearization, the observable levels and the scale all use it."""
+    f = sample_instance(klass, n, 12, seed=5).f
+    full = (1 << n) - 1
+    top = f.value_mask(full)
+    ginst = GeneralInstance((Fraction(1, 1 << 12),) * n, (Fraction(0), top), expected=f)
+    reads = []
+    value_mask = type(f).value_mask
+    monkeypatch.setattr(
+        type(f), "value_mask", lambda self, m: reads.append(m) or value_mask(self, m)
+    )
+    t = GeneralContract.tabular({Fraction(0): Fraction(0), top: s * top})
+    worst_case_utility_twopoint(t, ginst)
+    assert reads.count(full) == 1

@@ -1,11 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no public name is there for the tests alone, the solver modules hold no
-float, every raise is of a ``ContractError`` subclass, and no module reads
-the environment.
+every import stands at module level, the modules import each other in one
+direction (no cycle), no public name is there for the tests alone, the
+solver modules hold no float, every raise is of a ``ContractError``
+subclass, and no module reads the environment.
 
-``__init__.py`` is left out of the import check, since it imports names
-only to export them.  A name counts as used when the module reads it
-anywhere or lists it in ``__all__``.
+``__init__.py`` is left out of the unused-name and cycle checks, since it
+imports names only to export them.  A name counts as used when the module
+reads it anywhere or lists it in ``__all__``.
 """
 
 import ast
@@ -52,6 +53,74 @@ def test_no_module_imports_a_name_it_never_uses():
             if unused:
                 found[path.name] = unused
     assert found == {}
+
+
+def nested_imports(tree: ast.Module) -> list:
+    """(line, module) for each import inside a function or class body."""
+    top = set(map(id, tree.body))
+    return [
+        (node.lineno, node.module if isinstance(node, ast.ImportFrom) else node.names[0].name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+
+
+def test_every_import_stands_at_module_level():
+    """An import inside a function hides a dependency, and so can hide an
+    import cycle, from the module's header."""
+    probe = "import a\ndef f():\n    import b\nclass C:\n    from .c import d\n"
+    assert nested_imports(ast.parse(probe)) == [(3, "b"), (5, "c")]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        nested = nested_imports(ast.parse(path.read_text(), str(path)))
+        if nested:
+            found[path.name] = nested
+    assert found == {}
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The sibling modules a module imports, wherever the import stands:
+    ``from .m import x`` and ``from .m.sub import x`` name m, ``from . import
+    m, n`` names m and n."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def import_cycles(graph: dict) -> list:
+    """The strongly connected groups of ``graph`` (module -> imported
+    modules) that hold a cycle, each as a sorted tuple."""
+    reach = {}
+    for start in graph:
+        seen, stack = set(), list(graph[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(graph.get(node, ()))
+        reach[start] = seen
+    cyclic = [s for s in graph if s in reach[s]]
+    return sorted({tuple(sorted(m for m in reach[s] if s in reach.get(m, ()))) for s in cyclic})
+
+
+def test_the_package_imports_in_one_direction():
+    probe = "from . import b, c\ndef f():\n    from .d.e import g\nfrom x import y\n"
+    assert package_imports(ast.parse(probe)) == {"b", "c", "d"}
+    assert import_cycles({"a": {"b"}, "b": {"a", "c"}, "c": set(), "d": {"d"}}) == [
+        ("a", "b"),
+        ("d",),
+    ]
+    graph = {
+        path.stem: package_imports(ast.parse(path.read_text(), str(path)))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert import_cycles(graph) == []
 
 
 def names_read(tree: ast.Module) -> set:

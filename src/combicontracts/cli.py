@@ -83,25 +83,28 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _load_binary(path: str) -> tuple[Instance, bytes]:
-    inst, data = _read_instance(path)
+def _binary(inst) -> Instance:
     if not isinstance(inst, Instance):
         raise DomainError("this command needs a binary-model instance file")
     validate(inst)
-    return inst, data
+    return inst
 
 
-def _load_general(path: str) -> tuple[GeneralInstance, bytes]:
-    inst, data = _read_instance(path)
+def _general(inst) -> GeneralInstance:
     if isinstance(inst, Instance):
         inst = robust.embed_binary(inst)
     validate_general(inst)
-    return inst, data
+    return inst
 
 
-def _head(command: str, data: bytes) -> list:
-    """The rows every command on an instance file opens with, given its bytes."""
-    return [("command", command), ("input_digest", _digest(data))]
+def _run(args) -> list | None:
+    """The command's name, its file's digest (read and checked first), then the handler's rows."""
+    if args.model is None:
+        head, rows = [], args.func(args)
+    else:
+        inst, data = _read_instance(args.instance)
+        head, rows = [("input_digest", _digest(data))], args.func(args, args.model(inst))
+    return None if rows is None else [("command", args.name), *head, *rows]
 
 
 def _answer(sol, decimal: int | None, alpha_key: str = "alpha_star") -> list:
@@ -114,17 +117,16 @@ def _answer(sol, decimal: int | None, alpha_key: str = "alpha_star") -> list:
     ]
 
 
-# Each handler returns the rows of its answer, or prints a table itself and returns None.
+# Each handler returns the rows of its answer after ``_run``'s, or prints a table and returns None.
 
 
-def _cmd_solve(args) -> list:
-    inst, data = _load_binary(args.instance)
+def _cmd_solve(args, inst) -> list:
     sol = contract.optimal_contract(inst, method=args.method)
-    return _head("solve", data) + [("method", args.method)] + _answer(sol, args.decimal)
+    return [("method", args.method)] + _answer(sol, args.decimal)
 
 
-def _cmd_critical_set(args) -> None:
-    profile = contract.brute_force_critical_set(_load_binary(args.instance)[0])
+def _cmd_critical_set(args, inst) -> None:
+    profile = contract.brute_force_critical_set(inst)
     header, d = ["index", "alpha", "v", "utility", "demand"], args.decimal
     rows = [
         [i, _fmt(a, d), _fmt(v, d), _fmt((1 - a) * v, d), _fmt_set(dset)]
@@ -135,10 +137,9 @@ def _cmd_critical_set(args) -> None:
     _print_table(header, rows, args.format)
 
 
-def _cmd_demand(args) -> list:
-    inst, data = _load_binary(args.instance)
+def _cmd_demand(args, inst) -> list:
     alpha = parse_rational(args.alpha, inst.k)
-    pairs = _head("demand", data) + [("alpha", _fmt(alpha, args.decimal))]
+    pairs = [("alpha", _fmt(alpha, args.decimal))]
     if inst.f.gs_certified:
         ordered = demand.greedy_demand(inst, alpha)
         pairs.append(("greedy_order", "[" + ",".join(map(str, ordered.actions)) + "]"))
@@ -158,8 +159,7 @@ def _cmd_demand(args) -> list:
     ]
 
 
-def _cmd_succ(args) -> list:
-    inst, data = _load_binary(args.instance)
+def _cmd_succ(args, inst) -> list:
     alpha = parse_rational(args.alpha, inst.k)
     if args.method == "brute":
         profile = contract.brute_force_critical_set(inst)
@@ -169,7 +169,7 @@ def _cmd_succ(args) -> list:
         oracle, successor, *_ = contract.SUCCESSORS[args.method](inst)
         result = successor(inst, alpha, oracle=oracle)
         queries = oracle.queries
-    return _head("succ", data) + [
+    return [
         ("method", args.method),
         ("alpha", _fmt(alpha, args.decimal)),
         ("successor", "NULL" if result is None else _fmt(result, args.decimal)),
@@ -177,16 +177,12 @@ def _cmd_succ(args) -> list:
     ]
 
 
-def _cmd_fptas(args) -> list:
-    inst, data = _load_binary(args.instance)
+def _cmd_fptas(args, inst) -> list:
     epsilon = parse_rational(args.epsilon)
     sol = approx.fptas(inst, epsilon)
     grid = approx.grid_spec(epsilon, approx.critical_bits(inst))
-    return (
-        _head("fptas", data)
-        + [("epsilon", format_rational(epsilon)), ("grid_size", grid.size)]
-        + _answer(sol, args.decimal, "alpha")
-    )
+    head = [("epsilon", format_rational(epsilon)), ("grid_size", grid.size)]
+    return head + _answer(sol, args.decimal, "alpha")
 
 
 def _cmd_gen(args) -> list:
@@ -209,7 +205,6 @@ def _cmd_gen(args) -> list:
         raise InvariantError(f"generator produced an invalid instance: {exc}") from exc
     dump_instance(inst, args.output)
     return [
-        ("command", f"gen {args.generator}"),
         ("output", args.output),
         ("n", inst.n),
         ("class", inst.f.kind),
@@ -233,12 +228,11 @@ def _parse_contract(args) -> GeneralContract:
     return GeneralContract(slope, payments)
 
 
-def _cmd_linearize(args) -> list:
-    ginst, data = _load_general(args.instance)
+def _cmd_linearize(args, ginst) -> list:
     t = _parse_contract(args)
     alpha = robust.linearize(t, ginst)
     original = robust.worst_case_utility_twopoint(t, ginst)
-    return _head("robust linearize", data) + [
+    return [
         ("alpha", _fmt(alpha, args.decimal)),
         ("worst_case_utility_original", _fmt(original, args.decimal)),
         # the linear contract has the same slope and pays 0 at level 0
@@ -246,14 +240,12 @@ def _cmd_linearize(args) -> list:
     ]
 
 
-def _cmd_solve_linear(args) -> list:
-    ginst, data = _load_general(args.instance)
+def _cmd_solve_linear(args, ginst) -> list:
     sol = robust.optimal_linear_general(ginst, method=args.method)
-    return _head("robust solve-linear", data) + _answer(sol, args.decimal)
+    return _answer(sol, args.decimal)
 
 
-def _cmd_verify(args) -> None:
-    inst = _load_binary(args.instance)[0]
+def _cmd_verify(args, inst) -> None:
     epsilon = parse_rational(args.epsilon)
     checks = []
     try:
@@ -272,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     leaves = []  # (parser, decimal), given --format and --decimal after their own flags
 
-    def command(group, name, func, *, instance=True, decimal=True, **kwargs):
+    def command(group, name, func, *, model=_binary, decimal=True, **kwargs):
         p = group.add_parser(name, **kwargs)
-        if instance:
+        if model is not None:
             p.add_argument("instance")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, model=model, name=p.prog.removeprefix(f"{parser.prog} "))
         leaves.append((p, decimal))
         return p
 
@@ -294,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a generated instance file")
     gsub = p.add_subparsers(dest="generator", required=True)
-    g = command(gsub, "subset-sum", _cmd_gen, instance=False, decimal=False)
+    g = command(gsub, "subset-sum", _cmd_gen, model=None, decimal=False)
     g.add_argument("--values", required=True, help="comma-separated integers")
     g.add_argument("--target", required=True, type=int)
-    g = command(gsub, "coverage-tower", _cmd_gen, instance=False, decimal=False)
+    g = command(gsub, "coverage-tower", _cmd_gen, model=None, decimal=False)
     g.add_argument("--n", required=True, type=int)
     g.add_argument("--normalize", action="store_true")
-    g = command(gsub, "random", _cmd_gen, instance=False, decimal=False)
+    g = command(gsub, "random", _cmd_gen, model=None, decimal=False)
     g.add_argument("--class", dest="klass", required=True, choices=generators.SAMPLE_CLASSES)
     g.add_argument("--n", required=True, type=int)
     g.add_argument("--k", required=True, type=int)
@@ -310,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robust", help="multi-outcome linear contracts")
     rsub = p.add_subparsers(dest="robust_command", required=True)
-    r = command(rsub, "linearize", _cmd_linearize)
+    r = command(rsub, "linearize", _cmd_linearize, model=_general)
     r.add_argument("--slope", default=None)
     r.add_argument("--payments", default=None, help="level=payment,level=payment,...")
-    r = command(rsub, "solve-linear", _cmd_solve_linear)
+    r = command(rsub, "solve-linear", _cmd_solve_linear, model=_general)
     r.add_argument("--method", choices=methods, default="auto")
 
     p = command(
@@ -339,7 +331,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        pairs = args.func(args)
+        pairs = _run(args)
         if pairs is not None:
             _print_pairs(pairs, args.format)
         code = EXIT_OK

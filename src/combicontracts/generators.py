@@ -16,7 +16,6 @@ from typing import Mapping
 from .demand import brute_force_critical_set
 from .errors import DomainError
 from .functions import (
-    _CLASSES,
     Additive,
     BudgetAdditive,
     Coverage,
@@ -240,7 +239,11 @@ def normalize(inst: Instance) -> Instance:
     )
 
 
-SAMPLE_CLASSES = tuple(_CLASSES)
+# The kinds the sampler's branches draw, in ``functions._CLASSES`` order: a kind
+# added there without a branch here is refused, not drawn as another class.
+SAMPLE_CLASSES = (
+    "additive", "unit-demand", "matroid-rank", "budget-additive", "coverage", "table"
+)
 
 
 def sample_instance(klass: str, n: int, k: int, seed: int) -> Instance:

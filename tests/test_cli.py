@@ -33,8 +33,9 @@ from combicontracts.rational import format_rational
 
 
 def test_round_trip_every_class():
-    """Every listed class: ``SAMPLE_CLASSES`` is ``functions._CLASSES``'s
-    kinds, so a class added to that list is round-trip tested here too."""
+    """Every listed class: ``SAMPLE_CLASSES`` holds ``functions._CLASSES``'s
+    kinds (``test_generators`` checks it), so a class added to that list is
+    round-trip tested here too."""
     for klass in SAMPLE_CLASSES:
         inst = sample_instance(klass, 4, 5, seed=3)
         again = loads_instance(dumps_instance(inst))
@@ -272,7 +273,7 @@ REFUSALS = {
 
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_refused_inputs_exit_1(tmp_path, capsys, case):
-    from combicontracts.cli import build_parser
+    from combicontracts.cli import _run, build_parser
 
     obj, command, flags, err_head = REFUSALS[case]
     path = tmp_path / "refused.inst"
@@ -280,7 +281,7 @@ def test_refused_inputs_exit_1(tmp_path, capsys, case):
     argv = [*command, str(path), *flags]
     args = build_parser().parse_args(argv)
     with pytest.raises(DomainError):
-        args.func(args)
+        _run(args)
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import combicontracts
 from combicontracts import (
     Additive,
     Coverage,
@@ -21,6 +25,7 @@ from combicontracts import (
     sample_instance,
     validate,
 )
+from combicontracts.functions import _CLASSES
 from combicontracts.generators import SAMPLE_CLASSES
 from combicontracts.instancefile import dumps_instance
 
@@ -289,6 +294,39 @@ def test_sample_instance_valid_all_classes():
                 for seed in range(3):
                     digest.update(dumps_instance(sample_instance(klass, n, k, seed)).encode())
     assert digest.hexdigest() == SAMPLE_DIGEST
+
+
+# A kind added to the class list with no sampler branch; run in a fresh
+# interpreter, since reloading ``generators`` here would rebind its names.
+UNSAMPLED_KIND = """
+import importlib
+from combicontracts import functions, generators
+from combicontracts.errors import DomainError
+
+class Extra(functions.Additive):
+    kind = "extra"
+
+functions._CLASSES["extra"] = Extra
+importlib.reload(generators)
+try:
+    generators.sample_instance("extra", 3, 4, 1)
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_sample_instance_refuses_a_kind_it_has_no_branch_for():
+    assert set(SAMPLE_CLASSES) == set(_CLASSES)
+    package_root = os.path.dirname(os.path.dirname(combicontracts.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", UNSAMPLED_KIND],
+        env={**os.environ, "PYTHONPATH": package_root},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("unknown class 'extra'"), run.stdout
 
 
 def test_sample_instance_cut_draws_are_pinned():

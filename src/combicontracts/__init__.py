@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .functions import (
-    BRUTE_FORCE_LIMIT,
+    ENUMERATION_LIMIT,
     Additive,
     BudgetAdditive,
     Coverage,

@@ -382,7 +382,7 @@ class VOracle:
     built once from the instance, whose ``level(p, q)`` and
     ``best_response(p, q)`` take ints and count nothing: of V's two
     evaluators in this module, a certified class's ``GreedyKernel``, else
-    the envelope's ``CriticalProfile``, refused past the brute-force limit.
+    the envelope's ``CriticalProfile``, refused past the enumeration limit.
 
     ``_probes`` is the record of the bisection successor ``succ_search``:
     its queries as (p, q, level), ascending in p/q, so later calls on the

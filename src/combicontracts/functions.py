@@ -44,12 +44,10 @@ __all__ = [
     "value_table",
     "cost_table",
     "lifted_values",
-    "BRUTE_FORCE_LIMIT",
-    "EXPLICIT_TABLE_MAX_ACTIONS",
+    "ENUMERATION_LIMIT",
 ]
 
-EXPLICIT_TABLE_MAX_ACTIONS = 24
-BRUTE_FORCE_LIMIT = 12  # action cap for exhaustive enumeration, refused in _check_brute_limit
+ENUMERATION_LIMIT = 1 << 20  # rows or states one enumeration may hold, refused in _check_rows
 
 
 def action_set(n: int, actions: Iterable[int]) -> frozenset:
@@ -428,10 +426,7 @@ def _table_shape(n: int, entries) -> tuple:
     """entries as a tuple: a bad n is refused before any is read, then a count but 2**n."""
     if _integer(n, "action count") < 0:
         raise DomainError(f"negative action count {_shown(n)}")
-    if n > EXPLICIT_TABLE_MAX_ACTIONS:
-        raise ResourceLimitError(
-            f"explicit tables support at most {EXPLICIT_TABLE_MAX_ACTIONS} actions"
-        )
+    _check_rows(n)
     entries = _sequence(entries, "table")
     if len(entries) != 1 << n:
         raise DomainError(f"table needs {1 << n} entries, got {len(entries)}")
@@ -559,13 +554,13 @@ def lifted_values(f: SuccessFunction) -> tuple:
     doubling (``_subset_sums`` for the sums, coverage's by bytes of its
     universe), never through Fractions or ``value_mask``.  Unit demand and
     matroid rank read their ``_matroid_form()`` and add the actions heaviest
-    first, each joining a set's basis iff its block has room there.
+    first, each joining a set's basis iff its block has room there.  Refused
+    past the enumeration limit first.
     """
+    n = f.n
+    _check_rows(n)
     if isinstance(f, ExplicitTable):
         return f._lifted
-    n = f.n
-    if n > EXPLICIT_TABLE_MAX_ACTIONS:
-        raise ResourceLimitError(f"cannot tabulate {n} actions")
     D, w = _lift(f.parameter_fractions())
     if isinstance(f, (Additive, BudgetAdditive)):
         t = _subset_sums(w[:n])
@@ -598,18 +593,19 @@ def _weigh_covers(w, covered) -> dict:
     return {u: sum(map(list.__getitem__, sums, u.to_bytes(m, "little"))) for u in covered}
 
 
-def _check_brute_limit(n: int) -> None:
-    if n > BRUTE_FORCE_LIMIT:
+def _check_rows(n: int, states: int | None = None) -> None:
+    """Refuse an enumeration of n actions holding over ``ENUMERATION_LIMIT`` rows: its
+    ``states``, else its 2**n masks, whose n is compared with the limit's log2."""
+    if n >= ENUMERATION_LIMIT.bit_length() if states is None else states > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}"
+            f"an enumeration of {_shown(n)} actions needs over {ENUMERATION_LIMIT} rows"
         )
 
 
 def _scan_tables(inst: Instance) -> tuple:
     """(D, F, C): f(mask) = F[mask]/D and c(mask) = C[mask]/D over all 2**n
-    masks for an exhaustive scan, refused past the brute-force limit first.
-    D is the instance's lift denominator, a multiple of f's own Df."""
-    _check_brute_limit(inst.n)
+    masks, refused first by ``lifted_values`` past the enumeration limit.  D
+    is the instance's lift denominator, a multiple of f's own Df."""
     (Df, F), (D, _, costs) = lifted_values(inst.f), inst._lifted
     return D, F if D == Df else [x * (D // Df) for x in F], _subset_sums(costs)
 
@@ -622,17 +618,17 @@ def _before(a: int, b: int) -> bool:
 
 def _least_cost_states(inst: Instance) -> tuple:
     """(D, masks, F, C): per reachable f-state, the canonical least-cost mask,
-    f = F/D and c = C/D there, refused past the brute-force limit first.  The
-    state is what f reads of a set: the capped sum (budget additive), the
-    covered mask (coverage) or the max (unit demand); the other classes keep
-    ``_scan_tables``' rows, one per mask.  On a tie the 0/1 doubling keeps the
-    mask ``_before`` the other: as costs are positive, tied masks are never
-    nested, and adding one highest action keeps their order."""
+    f = F/D and c = C/D there, refused once an action's doubling step leaves
+    more states than ``ENUMERATION_LIMIT``.  The state is what f reads of a
+    set: the capped sum (budget additive), the covered mask (coverage) or the
+    max (unit demand); the other classes keep ``_scan_tables``' rows, one per
+    mask.  On a tie the 0/1 doubling keeps the mask ``_before`` the other: as
+    costs are positive, tied masks are never nested, and adding one highest
+    action keeps their order."""
     f, n = inst.f, inst.n
     if not isinstance(f, (BudgetAdditive, Coverage, UnitDemand)):
         D, F, C = _scan_tables(inst)
         return D, range(len(F)), F, C
-    _check_brute_limit(n)
     D, w, costs = inst._lifted
     if isinstance(f, Coverage):
         xs, grow = f._masks, lambda ss, x: [s | x for s in ss]
@@ -649,6 +645,7 @@ def _least_cost_states(inst: Instance) -> tuple:
             old = best.get(t)
             if old is None or C < old[0] or C == old[0] and _before(m, old[1]):
                 best[t] = C, m
+        _check_rows(n, len(best))
     F = list(map(_weigh_covers(w, best).get, best)) if isinstance(f, Coverage) else list(best)
     C, masks = zip(*best.values())
     return D, masks, F, C

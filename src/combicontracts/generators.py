@@ -111,23 +111,28 @@ def coverage_lift_weights(
         (beta_1 - 1) * w_T attaches to T plus the new action,
         (beta_2 - beta_1 + 1) * f(A) weights the new action alone.
 
-    Requires beta_2 >= beta_1 >= 1; zero-weight groups are dropped.
+    Requires beta_2 >= beta_1 >= 1, positive int actions and an n (the
+    actions before the new one) no smaller than any of them; zero-weight
+    groups are dropped.
     """
     beta_1 = as_fraction(beta_1)
     beta_2 = as_fraction(beta_2)
     if not (beta_2 >= beta_1 >= 1):
         raise DomainError("need beta_2 >= beta_1 >= 1")
+    if not isinstance(weights, Mapping):
+        raise DomainError(f"group weights: expected a mapping, got {_shown(weights)}")
     groups = {}
-    top = 0
     for t, w in weights.items():
-        t = frozenset(t)
-        if not t:
-            raise DomainError("group weights must be over nonempty action sets")
+        t = frozenset(_integer(a, "group actions") for a in _sequence(t, "group"))
+        if not t or min(t) < 1:
+            raise DomainError("group weights must be over nonempty action sets of positive ints")
         w = as_fraction(w)
         if w < 0:
             raise DomainError("group weights must be non-negative")
         groups[t] = groups.get(t, Fraction(0)) + w
-        top = max(top, max(t))
+    top = max(map(max, groups), default=0)
+    if n is not None and _integer(n, "n") < top:
+        raise DomainError(f"n = {_shown(n)} is below the group action {top}")
     new_action = (n if n is not None else top) + 1
     full_value = sum(groups.values(), Fraction(0))
 
@@ -138,10 +143,7 @@ def coverage_lift_weights(
         extra = (beta_1 - 1) * w
         if extra > 0:
             lifted[t | {new_action}] = extra
-    lifted[frozenset({new_action})] = (
-        lifted.get(frozenset({new_action}), Fraction(0))
-        + (beta_2 - beta_1 + 1) * full_value
-    )
+    lifted[frozenset({new_action})] = (beta_2 - beta_1 + 1) * full_value
     return lifted
 
 

@@ -181,6 +181,25 @@ def test_criterion_8_hardness_reduction_fidelity():
         print(f"  {yes} YES / {no} NO instances, all decided correctly")
 
 
+def test_criterion_8_at_40_actions():
+    # subset sum is weakly NP-hard: the envelope's states are the capped sums,
+    # at most Z + 1 of them, so 40 values answer without a 2**40 scan.  Most
+    # values share a factor m, so the seeded specs are YES and NO alike.
+    with criterion(8, "subset-sum reduction decided at 40 actions"):
+        rng = random.Random("acceptance-subset-sum-40")
+        yes = no = 0
+        for _ in range(12):
+            z, m = rng.randint(400, 600), rng.randint(2, 4)
+            values = [m * rng.randint(1, (z - 1) // m) for _ in range(38)]
+            values += [rng.randint(1, z - 1) for _ in range(2)]
+            sol = optimal_contract(gen_subset_sum(SubsetSumSpec(tuple(values), z)), "brute")
+            is_yes = subset_sum_decider(values, z)
+            assert (sol.alpha_star == Fraction(1, z * z)) == is_yes
+            yes, no = yes + is_yes, no + (not is_yes)
+        assert yes >= 3 and no >= 3
+        print(f"  {yes} YES / {no} NO instances with 40 values, all decided correctly")
+
+
 def test_criterion_9_perturbation_properties(small_corpus):
     with criterion(9, "perturbations keep demand inside and criticals at least"):
         assert len(small_corpus) >= 50

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from combicontracts import (
-    BRUTE_FORCE_LIMIT,
+    ENUMERATION_LIMIT,
     Additive,
     DomainError,
     ExplicitTable,
     GeneralInstance,
     Instance,
+    ResourceLimitError,
     UniformMatroid,
     WeightedMatroidRank,
     embed_binary,
@@ -633,9 +634,9 @@ def test_robust_commands(tmp_path, capsys, worked_additive):
     assert code == 0
     assert "alpha" in out
 
-    # past the brute-force limit an additive R answers in closed form: with
-    # w_i = 1/32 and c_i = i/320 the agent takes the actions with i < 10s, and
-    # the tie i = 10s too while s < 1; R(A) = 5/8
+    # an additive R answers in closed form: with w_i = 1/32 and c_i = i/320
+    # the agent takes the actions with i < 10s, and the tie i = 10s too while
+    # s < 1; R(A) = 5/8
     n = 20
     wide = GeneralInstance(
         costs=tuple(Fraction(i, 320) for i in range(1, n + 1)),
@@ -749,6 +750,30 @@ def test_verify_command(tmp_path, capsys):
     assert code == 0
     assert "not gs_certified" in out and "count = 7" in out
     assert ["v-oracle-vs-brute-demand", "PASS"] in [row.split()[:2] for row in out.splitlines()]
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_table_files_past_12_actions_answer(tmp_path, capsys, n):
+    path = tmp_path / "table.inst"
+    path.write_text(dumps_instance(sample_instance("table", n, 8, seed=1)))
+    for argv in (["solve"], ["critical-set"], ["demand", "--alpha", "1/2"], ["verify"]):
+        code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0 and "FAIL" not in out
+
+
+def test_a_huge_table_n_is_refused_before_any_entry(tmp_path, capsys):
+    # the limit compares n with its log2: building 2**n would overflow or exhaust memory
+    def entries():
+        raise AssertionError("an entry was read")
+        yield
+
+    with pytest.raises(ResourceLimitError):
+        ExplicitTable(10**100, entries())
+    path = tmp_path / "huge.inst"
+    obj = {"version": 1, "model": "binary", "n": 10**100, "costs": []}
+    path.write_text(json.dumps(obj | {"function": {"class": "table", "table": []}}))
+    code, out = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
 
 
 VERIFY_ROWS = [
@@ -867,12 +892,14 @@ def test_exit_codes(tmp_path, capsys):
     code, _ = run_cli(capsys, "solve", str(bad))
     assert code == 1
 
-    # resource limit: brute force one action past the cap
-    inst = sample_instance("coverage", BRUTE_FORCE_LIMIT + 1, 5, seed=2)
-    path = tmp_path / "cov.inst"
+    # resource limit: a 2**n scan one action past the enumeration limit
+    n = ENUMERATION_LIMIT.bit_length()
+    inst = sample_instance("additive", n, 5, seed=2)
+    path = tmp_path / "wide.inst"
     path.write_text(dumps_instance(inst))
-    code, _ = run_cli(capsys, "critical-set", str(path))
-    assert code == 2
+    assert main(["critical-set", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()[0]
+    assert err == f"resource limit: an enumeration of {n} actions needs over 1048576 rows"
 
     # missing file / bad usage
     code, _ = run_cli(capsys, "solve", str(tmp_path / "missing.inst"))

@@ -254,6 +254,15 @@ def test_a_profile_is_kept_in_lowest_terms(example_three_action):
     assert empty == CriticalProfile((), (), 1, ()) and empty.values == ()
 
 
+@pytest.mark.parametrize("n", [13, 16])
+def test_tables_past_12_actions_agree_on_brute_and_search(n):
+    inst = sample_instance("table", n, 8, seed=1)
+    brute, search = (optimal_contract(inst, method) for method in ("brute", "search"))
+    assert brute.alpha_star > 0
+    assert (brute.alpha_star, brute.utility) == (search.alpha_star, search.utility)
+    assert brute.actions in brute_force_demand(inst, brute.alpha_star).d_star
+
+
 @pytest.mark.parametrize("klass", ["additive", "unit-demand", "matroid-rank"])
 def test_the_walks_and_the_envelope_give_one_profile(klass):
     inst = sample_instance(klass, 6, 5, seed=4)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
-    BRUTE_FORCE_LIMIT,
+    ENUMERATION_LIMIT,
     Additive,
     Coverage,
     Instance,
@@ -123,9 +123,11 @@ def test_brute_force_limit():
     def inst(n):
         return Instance(Additive((Fraction(1, 16),) * n), (Fraction(1, 64),) * n)
 
-    assert brute_force_demand(inst(BRUTE_FORCE_LIMIT), Fraction(1, 2)).v == Fraction(3, 4)
-    with pytest.raises(ResourceLimitError):
-        brute_force_demand(inst(BRUTE_FORCE_LIMIT + 1), Fraction(1, 2))
+    # 2**20 rows are the most a scan holds
+    n = ENUMERATION_LIMIT.bit_length() - 1
+    assert brute_force_demand(inst(n), Fraction(1, 2)).v == Fraction(n, 16)
+    with pytest.raises(ResourceLimitError, match=f"^an enumeration of {n + 1} actions needs over"):
+        brute_force_demand(inst(n + 1), Fraction(1, 2))
 
 
 def test_greedy_step_utilities_sane(gs_corpus):

@@ -1,10 +1,12 @@
 """Which backend runs, or which error class refuses, for every entry point.
 
-Instances of N = ``BRUTE_FORCE_LIMIT`` actions sit at the brute-force limit
-and N + 1 past it.  Each row pins the outcome of every entry point on one
-instance kind: "ok" for an answer, otherwise the first letter of the
-exception class (U UnsupportedClassError, P PrecisionError, R
-ResourceLimitError).
+Instances of N = 12 and N + 1 actions fit every enumeration, and instances
+of L = 21 actions are one past the enumeration limit of 2**20 rows: there a
+2**n scan (additive ``brute``) is refused, while coverage over a 4-element
+universe has at most 16 states and answers.  Each row pins the outcome of
+every entry point on one instance kind: "ok" for an answer, otherwise the
+first letter of the exception class (U UnsupportedClassError, P
+PrecisionError, R ResourceLimitError).
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
-    BRUTE_FORCE_LIMIT,
+    ENUMERATION_LIMIT,
     Additive,
     Coverage,
     Instance,
@@ -43,17 +45,21 @@ CALLS = {
     "VOracle": VOracle,
 }
 
-N = BRUTE_FORCE_LIMIT
+N, L = 12, ENUMERATION_LIMIT.bit_length()
 #                               auto gs search brute fptas succ_gs succ_search v_value VOracle
 EXPECTED = {
     ("additive", N, 4):        "ok   ok ok     ok    ok    ok      ok          ok      ok",
     ("additive", N, None):     "ok   ok P      ok    P     ok      P           ok      ok",
-    ("additive", N + 1, 4):    "ok   ok ok     R     ok    ok      ok          ok      ok",
-    ("additive", N + 1, None): "ok   ok P      R     P     ok      P           ok      ok",
+    ("additive", N + 1, 4):    "ok   ok ok     ok    ok    ok      ok          ok      ok",
+    ("additive", N + 1, None): "ok   ok P      ok    P     ok      P           ok      ok",
+    ("additive", L, 4):        "ok   ok ok     R     ok    ok      ok          ok      ok",
+    ("additive", L, None):     "ok   ok P      R     P     ok      P           ok      ok",
     ("coverage", N, 4):        "ok   U  ok     ok    ok    U       ok          ok      ok",
     ("coverage", N, None):     "ok   U  P      ok    P     U       P           ok      ok",
-    ("coverage", N + 1, 4):    "R    U  R      R     R     U       R           R       R",
-    ("coverage", N + 1, None): "R    U  R      R     P     U       P           R       R",
+    ("coverage", N + 1, 4):    "ok   U  ok     ok    ok    U       ok          ok      ok",
+    ("coverage", N + 1, None): "ok   U  P      ok    P     U       P           ok      ok",
+    ("coverage", L, 4):        "ok   U  ok     ok    ok    U       ok          ok      ok",
+    ("coverage", L, None):     "ok   U  P      ok    P     U       P           ok      ok",
 }
 
 LETTERS = {UnsupportedClassError: "U", PrecisionError: "P", ResourceLimitError: "R"}

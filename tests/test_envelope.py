@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from combicontracts import (  # noqa: E402
-    BRUTE_FORCE_LIMIT,
+    ENUMERATION_LIMIT,
     Additive,
     BudgetAdditive,
     ContractError,
@@ -40,6 +40,7 @@ from combicontracts import (  # noqa: E402
     brute_force_demand,
     canonical_best_response,
     gen_exponential_coverage,
+    optimal_contract,
     sample_instance,
     validate,
 )
@@ -51,6 +52,7 @@ from combicontracts.functions import (  # noqa: E402
     _lift,
     _scan_tables,
     actions_of,
+    _least_cost_states,
     bit_indices,
     lifted_values,
 )
@@ -589,13 +591,18 @@ def test_state_classes_never_tabulate_their_subsets(monkeypatch):
 
 
 @pytest.mark.parametrize("klass", ["unit-demand", "budget-additive", "coverage"])
-def test_state_classes_are_refused_past_the_brute_force_limit(tmp_path, capsys, klass):
-    assert brute_force_critical_set(sample_instance(klass, BRUTE_FORCE_LIMIT, 5, seed=2)).size > 0
-    n = BRUTE_FORCE_LIMIT + 1
+def test_state_classes_are_refused_past_the_brute_force_limit(tmp_path, capsys, monkeypatch, klass):
+    # past 2**n rows a state class answers while its states fit, and is refused
+    # once an action's step leaves more states than the limit (lowered here)
+    n = ENUMERATION_LIMIT.bit_length()
     inst = sample_instance(klass, n, 5, seed=2)
+    assert brute_force_critical_set(inst).size > 0
+    states = len(_least_cost_states(inst)[1])
     path = tmp_path / "inst.json"
     path.write_text(dumps_instance(inst))
-    text = f"brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}"
+    monkeypatch.setattr(functions, "ENUMERATION_LIMIT", states - 1)
+    brute_force_critical_set.cache_clear()
+    text = f"an enumeration of {n} actions needs over {states - 1} rows"
     with pytest.raises(ResourceLimitError) as caught:
         brute_force_critical_set(inst)
     assert str(caught.value) == text
@@ -607,3 +614,12 @@ def test_state_classes_are_refused_past_the_brute_force_limit(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[0] == f"resource limit: {text}"
+
+
+@pytest.mark.parametrize("n", [13, 40, 200])
+def test_unit_demand_envelope_is_the_gs_profile_past_12_actions(n):
+    # at most n + 1 states, so the envelope answers at any n the gs walk does
+    inst = sample_instance("unit-demand", n, 12, seed=n)
+    envelope = brute_force_critical_set(inst)
+    assert envelope.size > 0
+    assert envelope == optimal_contract(inst, "gs").profile

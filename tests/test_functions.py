@@ -276,16 +276,17 @@ def test_the_per_action_field_is_derived_by_the_base_class(build, name):
         build([1, "-1/2", 0])
 
 
-def test_to_table_refuses_more_than_24_actions():
-    # refused before any of the 2**25 entries is read
+def test_to_table_refuses_past_the_enumeration_limit():
+    # refused before any of the 2**21 entries is read
     def entries():
         raise AssertionError("an entry was read")
         yield
 
-    with pytest.raises(ResourceLimitError, match="at most 24 actions"):
-        ExplicitTable(25, entries())
-    with pytest.raises(ResourceLimitError, match="at most 24 actions"):
-        ExplicitTable._from_ints(25, 1, entries())
+    text = "^an enumeration of 21 actions needs over 1048576 rows$"
+    with pytest.raises(ResourceLimitError, match=text):
+        ExplicitTable(21, entries())
+    with pytest.raises(ResourceLimitError, match=text):
+        ExplicitTable._from_ints(21, 1, entries())
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,14 @@ def test_lift_weights_degenerate_betas():
         coverage_lift_weights({frozenset(): Fraction(2)}, 1, 1)
     with pytest.raises(DomainError, match="must be non-negative"):
         coverage_lift_weights({frozenset({1}): Fraction(-2)}, 1, 1)
+    # the new action n + 1 must be new, and every action a positive int
+    with pytest.raises(DomainError, match="^n = 1 is below the group action 2$"):
+        coverage_lift_weights({frozenset({1, 2}): 1}, 2, 3, n=1)
+    for group, match in (({0}, "sets of positive ints"), ({1.5}, "got 1.5"), ({"x"}, "got 'x'")):
+        with pytest.raises(DomainError, match=match):
+            coverage_lift_weights({frozenset(group): 1}, 2, 3)
+    with pytest.raises(DomainError, match="expected a mapping"):
+        coverage_lift_weights([(frozenset({1}), 1)], 2, 3)
 
 
 def test_lift_reproduces_level_values():
@@ -358,7 +366,7 @@ def test_sample_instance_refuses_integers_too_long_to_seed():
         (("additive", 3, 4, False), DomainError, "seed: expected an integer, got False"),
         (("additive", 2.5, 4, 0), DomainError, "n: expected an integer, got 2.5"),
         (("additive", 3, 4, 1.5), DomainError, "seed: expected an integer, got 1.5"),
-        (("table", 25, 4, 0), ResourceLimitError, "cannot tabulate 25 actions"),
+        (("table", 21, 4, 0), ResourceLimitError, "^an enumeration of 21 actions needs over"),
     ],
     ids=["bool k", "bool n", "bool seed", "float n", "float seed", "table too large"],
 )

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from combicontracts import (
-    BRUTE_FORCE_LIMIT,
     Additive,
     Coverage,
     DegenerateInstanceError,
@@ -26,7 +25,8 @@ from combicontracts import (
     validate_general,
     worst_case_utility_twopoint,
 )
-from combicontracts.demand import brute_force_demand
+from combicontracts import functions
+from combicontracts.demand import brute_force_critical_set, brute_force_demand
 from combicontracts.generators import SAMPLE_CLASSES
 
 from conftest import Doubled, uncapped_profile
@@ -390,7 +390,7 @@ def test_worst_case_matches_the_family_scan(general_corpus):
     assert checked > 500
 
 
-def test_worst_case_refusals():
+def test_worst_case_refusals(monkeypatch):
     def expected_form(*table, n=2):
         return GeneralInstance(
             costs=(Fraction(1, 8),) * n,
@@ -414,17 +414,21 @@ def test_worst_case_refusals():
             expected=Additive((Fraction(1, 16),) * n),
         )
 
-    assert worst_case_utility_twopoint(t, additive_form(BRUTE_FORCE_LIMIT)) == Fraction(3, 8)
-    # a certified R answers past the cap; a coverage R is refused there, after
-    # linearize's own checks
-    n = BRUTE_FORCE_LIMIT + 1
-    assert worst_case_utility_twopoint(t, additive_form(n)) == Fraction(13, 32)
+    assert worst_case_utility_twopoint(t, additive_form(12)) == Fraction(3, 8)
+    # a certified R answers past any enumeration limit; a coverage R with 2**n
+    # states is refused past it (lowered here to 2**12), after linearize's own
+    # checks
+    n = 13
     coverage = GeneralInstance(
         costs=(Fraction(1, 64),) * n,
         rewards=(Fraction(0), Fraction(1)),
         expected=Coverage((Fraction(1, 16),) * n, [[i] for i in range(n)]),
     )
-    text = f"^brute force limited to {BRUTE_FORCE_LIMIT} actions, instance has {n}$"
+    assert worst_case_utility_twopoint(t, coverage) == Fraction(13, 32)
+    monkeypatch.setattr(functions, "ENUMERATION_LIMIT", 1 << 12)
+    brute_force_critical_set.cache_clear()
+    assert worst_case_utility_twopoint(t, additive_form(n)) == Fraction(13, 32)
+    text = f"^an enumeration of {n} actions needs over {1 << 12} rows$"
     for s in (Fraction(1, 2), Fraction(3, 2)):
         with pytest.raises(ResourceLimitError, match=text):
             worst_case_utility_twopoint(GeneralContract.linear(s), coverage)
@@ -467,7 +471,7 @@ def certified_optima(klass, w, c, s) -> tuple:
 
 
 @pytest.mark.parametrize("klass", [Additive, UnitDemand])
-@pytest.mark.parametrize("n", [BRUTE_FORCE_LIMIT + 1, 40])
+@pytest.mark.parametrize("n", [13, 40])
 def test_worst_case_of_certified_r_past_the_cap(klass, n):
     # costs 2*w_i**2 put ties on both sides of 1 for both classes
     w = tuple(Fraction(1 + 5 * i % 11, 16) for i in range(n))
